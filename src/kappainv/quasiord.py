@@ -99,7 +99,9 @@ def _det_bareiss(rows) -> Poly:
         if M[k][k].is_zero():
             swap = next((i for i in range(k + 1, size) if not M[i][k].is_zero()), None)
             if swap is None:
-                return Poly.zero(ctx, ring)
+                # a truncated entry may hide the pivot: keep its certificate
+                trunc = min((e.trunc for r in M for e in r if e.trunc is not None), default=None)
+                return Poly.zero(ctx, ring, trunc)
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
         for i in range(k + 1, size):
@@ -144,15 +146,16 @@ def is_monomial_times_unit(g: Poly, exact: bool) -> MonomialUnitStatus:
 
     The candidate is the componentwise minimum of the support; a hidden term
     beyond a truncation certificate can never be the divisor (its x-degree
-    would be both >= T and <= that of stored terms), so NO answers are
-    definitive even for truncated input, while a nonzero YES downgrades to
-    inconclusive when g is not exact.
+    would be both >= T and <= that of stored terms), so NO answers for a
+    nonzero g are definitive even for truncated input, while a nonzero YES
+    downgrades to inconclusive when g is not exact.  A truncated zero is
+    inconclusive: every term of g may lie beyond the certificate.
     """
     for i in range(g.ctx.d, g.ctx.nvars):
         if any(e[i] for e in g.terms):
             raise ContractViolation("monomial-times-unit test applies to x-only polynomials")
     if g.is_zero():
-        return MonomialUnitStatus("no")
+        return MonomialUnitStatus("no" if exact else "inconclusive")
     support = list(g.terms)
     low = tuple(min(e[i] for e in support) for i in range(g.ctx.nvars))
     if low not in g.terms:

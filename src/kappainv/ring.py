@@ -4,18 +4,31 @@ Coefficient values are plain Python objects interpreted by a ring object:
 Fraction for Q, int in {0..p-1} for GF(p), a length-k tuple of such ints
 for GF(p^k), and int for Z.  No floating point is used anywhere.
 
-Finite fields are deliberately desk scale (q = p^k below ~2^16), which
-keeps exhaustive root extraction and the irreducibility check of the
-extension modulus trivially correct.
+Finite fields are desk scale (q = p^k at most 2^16).  Element i of the
+enumeration order is the residue whose base-p digits are those of i, and
+every nonzero element is a power g^L of the field's smallest primitive
+element g.  A pair of log/antilog tables maps indices to exponents L and
+back (discrete logarithms, Lidl and Niederreiter, *Finite Fields*, ch. 2).
+The tables are built the first time a field needs them and shared by every
+equal Field.  With them, n-th roots solve n*L = log a (mod q-1), the
+multiplicative order of a is (q-1)/gcd(log a, q-1), and GF(p^k)
+multiplication, inversion and powers are lookups; prime fields keep
+integer arithmetic mod p.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+from operator import mul
 
 from .errors import ConfigurationError, UnsupportedLiftError
 
 _MAX_FIELD_ORDER = 1 << 16
+# fields whose tables stay cached; the GF(2^16) pair takes 256 KiB
+_CACHED_TABLES = 16
 
 
 def is_prime(n: int) -> bool:
@@ -58,17 +71,6 @@ def _ptrim(c):
     return c
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pdivmod(a, b, p):
     a = _ptrim(list(a))
     b = _ptrim(list(b))
@@ -86,19 +88,80 @@ def _pdivmod(a, b, p):
     return _ptrim(q), a
 
 
-def _pegcd(a, b, p):
-    # returns (g, s) with s*a = g mod b; enough for inverses
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        qs1 = _pmul(q, s1, p)
-        n = max(len(s0), len(qs1))
-        s_new = [((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-                 for i in range(n)]
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim(s_new)
-    return r0, s0
+def _ext_mul(u, v, low, p):
+    """u*v for length-k residues, by Horner's rule over the digits of v.
+
+    Each step is acc <- x*acc + v[j]*u, where x^k = sum low[i]*x^i.
+    """
+    acc = [0] * len(u)
+    for c in reversed(_ptrim(list(v))):
+        top = acc[-1]
+        acc = [(s + top * r + c * b) % p for s, r, b in zip([0] + acc[:-1], low, u)]
+    return acc
+
+
+def _ext_pow(v, e, low, p):
+    out = [1] + [0] * (len(v) - 1)
+    while e:
+        if e & 1:
+            out = _ext_mul(out, v, low, p)
+        v = _ext_mul(v, v, low, p)
+        e >>= 1
+    return out
+
+
+def _prime_factors(n: int) -> list:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _fill(q: int, start, step, index):
+    """Tables from the walk start, step(start), ... over the q-1 powers of g;
+    index(v) is the enumeration index of the walk value v."""
+    # unsigned 16-bit entries hold every index and exponent, as q <= _MAX_FIELD_ORDER
+    exp = array("H", [0]) * (q - 1)
+    log = array("H", [0]) * q
+    v = start
+    for L in range(q - 1):
+        i = index(v)
+        exp[L] = i
+        log[i] = L
+        v = step(v)
+    return log, exp
+
+
+@lru_cache(maxsize=_CACHED_TABLES)
+def _log_tables(p: int, k: int, modulus):
+    """(log, exp) for GF(p^k) on enumeration indices.
+
+    exp[L] is the index of g^L for the smallest primitive element g, and
+    log[exp[L]] = L; log[0] is unused.  g is primitive when g^((q-1)/r) != 1
+    for every prime r dividing q-1.
+    """
+    q = p ** k
+    tests = [(q - 1) // r for r in _prime_factors(q - 1)]
+    if k == 1:
+        g = next(c for c in range(1, q) if all(pow(c, e, p) != 1 for e in tests))
+        return _fill(q, 1, lambda v: v * g % p, int)
+    low = [(-c) % p for c in modulus[:k]]
+    one = [1] + [0] * (k - 1)
+    weights = [p ** i for i in range(k)]
+    # the prime subfield (indices below p) has no primitive element when k > 1
+    g = next(d for d in ([i // w % p for w in weights] for i in range(p, q))
+             if all(_ext_pow(d, e, low, p) != one for e in tests))
+    if p == 2 and g == [0, 1] + [0] * (k - 2):
+        # x is primitive: x*v shifts the bits of v's index and reduces by the modulus
+        bits = sum(c << j for j, c in enumerate(modulus))
+        return _fill(q, 1, lambda i: (i << 1) ^ bits if i >> (k - 1) else i << 1, int)
+    return _fill(q, one, lambda v: _ext_mul(v, g, low, p), lambda v: sum(map(mul, v, weights)))
 
 
 class Field:
@@ -109,7 +172,7 @@ class Field:
     validated at construction.
     """
 
-    __slots__ = ("characteristic", "extension_degree", "modulus")
+    __slots__ = ("characteristic", "extension_degree", "modulus", "zero", "one", "_logs")
 
     def __init__(self, characteristic: int = 0, extension_degree: int = 1, modulus=None):
         p, k = characteristic, extension_degree
@@ -137,6 +200,9 @@ class Field:
         self.characteristic = p
         self.extension_degree = k
         self.modulus = modulus
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
+        self._logs = None  # (log, exp), fetched on first use
 
     # -- constructors ------------------------------------------------------
 
@@ -178,18 +244,6 @@ class Field:
 
     # -- element construction ---------------------------------------------
 
-    @property
-    def zero(self):
-        if self.characteristic == 0:
-            return Fraction(0)
-        if self.extension_degree == 1:
-            return 0
-        return (0,) * self.extension_degree
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
     def from_int(self, n: int):
         if self.characteristic == 0:
             return Fraction(n)
@@ -220,6 +274,21 @@ class Field:
             index //= p
         return tuple(digits)
 
+    def _index(self, a) -> int:
+        """The position of a finite-field element in enumeration order."""
+        if self.extension_degree == 1:
+            return a
+        p = self.characteristic
+        i = 0
+        for c in reversed(a):
+            i = i * p + c
+        return i
+
+    def _tables(self):
+        if self._logs is None:
+            self._logs = _log_tables(self.characteristic, self.extension_degree, self.modulus)
+        return self._logs
+
     # -- arithmetic ---------------------------------------------------------
 
     def is_zero(self, a) -> bool:
@@ -247,12 +316,13 @@ class Field:
     def mul(self, a, b):
         if self.characteristic == 0:
             return a * b
-        p, k = self.characteristic, self.extension_degree
-        if k == 1:
-            return (a * b) % p
-        prod = _pmul(list(a), list(b), p)
-        _, rem = _pdivmod(prod, list(self.modulus), p)
-        return tuple(rem + [0] * (k - len(rem)))
+        if self.extension_degree == 1:
+            return (a * b) % self.characteristic
+        i, j = self._index(a), self._index(b)
+        if not i or not j:
+            return self.zero
+        log, exp = self._tables()
+        return self.element(exp[(log[i] + log[j]) % len(exp)])
 
     def inv(self, a):
         if self.is_zero(a):
@@ -262,25 +332,24 @@ class Field:
         p, k = self.characteristic, self.extension_degree
         if k == 1:
             return pow(a, p - 2, p)
-        g, s = _pegcd(list(a), list(self.modulus), p)
-        # g is a nonzero constant since the modulus is irreducible
-        c = pow(g[0], p - 2, p)
-        s = [(x * c) % p for x in s]
-        _, rem = _pdivmod(s, list(self.modulus), p)
-        return tuple(rem + [0] * (k - len(rem)))
+        log, exp = self._tables()
+        return self.element(exp[-log[self._index(a)] % len(exp)])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow_(self, a, n: int):
-        out = self.one
-        base = a
-        while n > 0:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        """a**n for n >= 0 (0**0 is 1)."""
+        p = self.characteristic
+        if p == 0:
+            return a ** n
+        if self.extension_degree == 1:
+            return pow(a, n, p)
+        i = self._index(a)
+        if not i:
+            return self.zero if n else self.one
+        log, exp = self._tables()
+        return self.element(exp[log[i] * n % len(exp)])
 
     # -- rendering ----------------------------------------------------------
 
@@ -312,15 +381,22 @@ class Field:
 
     def all_nth_roots(self, a, n: int) -> list:
         """Every c in the field with c**n == a, in enumeration order (Q: positive first)."""
+        if n < 1:
+            raise ValueError("root degree must be positive")
         if self.characteristic == 0:
             return _rational_roots(a, n)
-        q = self.order
-        roots = []
-        for i in range(q):
-            c = self.element(i)
-            if self.pow_(c, n) == a:
-                roots.append(c)
-        return roots
+        if self.is_zero(a):
+            return [self.zero]
+        log, exp = self._tables()
+        m = len(exp)
+        g = gcd(n, m)
+        la = log[self._index(a)]
+        if la % g:
+            return []
+        # n*L = la (mod m) has one solution L0 modulo m/g and g solutions modulo m
+        period = m // g
+        l0 = (la // g) * pow(n // g, -1, period) % period
+        return [self.element(i) for i in sorted(exp[l0 + j * period] for j in range(g))]
 
     def nth_root(self, a, n: int):
         """A deterministic n-th root of a, or None.
@@ -344,28 +420,13 @@ class Field:
         if self.is_zero(a):
             return 1
         q = self.order
-        d = _multiplicative_order(self, a)
+        log, exp = self._tables()
+        d = len(exp) // gcd(log[self._index(a)], len(exp))  # the order of a
         for kk in range(1, bound + 1):
             big = q ** kk - 1
-            g = _gcd(n, big)
-            if (big // g) % d == 0:
+            if (big // gcd(n, big)) % d == 0:
                 return kk
         raise ConfigurationError("no root found within the extension search bound")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _multiplicative_order(field: Field, a) -> int:
-    acc = a
-    for k in range(1, field.order):
-        if acc == field.one:
-            return k
-        acc = field.mul(acc, a)
-    raise ConfigurationError("element has no multiplicative order (zero?)")
 
 
 def _rational_roots(a: Fraction, n: int) -> list:

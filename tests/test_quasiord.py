@@ -107,6 +107,10 @@ class TestMonomialUnit:
                  {(3, 0, 0): Fraction(1), (0, 3, 0): Fraction(1)}, trunc=5)
         assert is_monomial_times_unit(g, exact=False).status == "no"
 
+    def test_truncated_zero_is_inconclusive(self, QQ):
+        g = Poly.zero(VarContext(1), QQ, trunc=4)
+        assert is_monomial_times_unit(g, exact=False).status == "inconclusive"
+
     def test_rejects_z_terms(self, QQ):
         with pytest.raises(ContractViolation):
             is_monomial_times_unit(mk("z + x1", 1, QQ), exact=True)
@@ -173,3 +177,16 @@ class TestClassify:
                        KappaConfig(truncation=2))
         assert rep.teissier is None
         assert not rep.decided
+
+    # a discriminant that vanishes below the certificate decides nothing
+    @pytest.mark.parametrize("text, T", [
+        ("z^3 - x1^2*x2^4", 4),  # true discriminant 27*x1^4*x2^8 (cofactor path)
+        ("z^4 + 4*x1^3*x2^2*z^2 + 3*x1*x2^3*z^2 + x1^3*x2^4*z + x1", 5),  # Bareiss path
+    ])
+    def test_truncated_zero_discriminant_is_inconclusive(self, QQ, text, T):
+        from kappainv import KappaConfig
+        rep = classify(mkw(text, 2, QQ), KappaConfig(truncation=T))
+        assert rep.discriminant.disc.is_zero()
+        assert rep.discriminant.exact is False
+        assert rep.discriminant.monomial_unit.status == "inconclusive"
+        assert rep.quasi_ordinary is None

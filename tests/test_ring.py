@@ -1,15 +1,72 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from kappainv import ConfigurationError, Field, UnsupportedLiftError, lift_coeff, reduce_coeff
 from kappainv.ring import ZZ, integer_nth_root
 
+# Reference arithmetic: schoolbook products over GF(p) and enumeration of the
+# whole field.  It shares nothing with the log/antilog tables under test.
+
+
+def schoolbook_mul(field, a, b):
+    """a*b as a polynomial product over GF(p), reduced by the monic modulus."""
+    p, k, m = field.characteristic, field.extension_degree, field.modulus
+    if k == 1:
+        return a * b % p
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        for i in range(k + 1):  # subtract c * x^(d-k) * m, clearing degree d
+            prod[d - k + i] = (prod[d - k + i] - c * m[i]) % p
+    return tuple(prod[:k])
+
+
+def schoolbook_pow(field, a, n):
+    out = field.one
+    for _ in range(n):
+        out = schoolbook_mul(field, out, a)
+    return out
+
+
+def elements(field):
+    return [field.element(i) for i in range(field.order)]
+
 
 def exhaustive_roots(field, a, n):
-    return [field.element(i) for i in range(field.order)
-            if field.pow_(field.element(i), n) == a]
+    return [c for c in elements(field) if schoolbook_pow(field, c, n) == a]
+
+
+def multiplicative_order(field, a):
+    acc, k = a, 1
+    while acc != field.one:
+        acc, k = schoolbook_mul(field, acc, a), k + 1
+    return k
+
+
+# (p, k, modulus) where x is not primitive, so the generator search has to go past it
+NON_PRIMITIVE_MODULI = [
+    (3, 2, (1, 0, 1)),        # GF(9), x has order 4
+    (2, 4, (1, 1, 1, 1, 1)),  # GF(16), x has order 5
+]
+ORACLE_FIELDS = [
+    (2, 2, (1, 1, 1)),        # GF(4)
+    (2, 3, (1, 1, 0, 1)),     # GF(8)
+    (3, 2, (2, 2, 1)),        # GF(9)
+    (5, 2, (2, 4, 1)),        # GF(25)
+    (7, 1, None),
+] + NON_PRIMITIVE_MODULI
+
+
+@pytest.fixture(params=ORACLE_FIELDS, ids=lambda f: f"GF({f[0]}^{f[1]})-{f[2]}")
+def oracle_field(request):
+    return Field.finite(*request.param)
 
 
 class TestNthRoot:
@@ -47,6 +104,67 @@ class TestNthRoot:
     def test_extension_degree_search(self, F5):
         # squares mod 5 miss 2, but GF(25) has all square roots
         assert F5.root_extension_degree(2, 2) == 2
+
+    def test_root_degree_must_be_positive(self, F4, QQ):
+        for field, a in ((F4, F4.one), (QQ, QQ.one)):
+            with pytest.raises(ValueError):
+                field.all_nth_roots(a, 0)
+
+    def test_gf_2_16_roots_of_unity(self):
+        t0 = time.perf_counter()
+        F = Field.finite(2, 16, (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,))
+        roots = F.all_nth_roots(F.one, 3)  # builds the 2^16-element tables
+        elapsed = time.perf_counter() - t0
+        # 2^16 - 1 = 3 * 5 * 17 * 257: exactly three cube roots of unity
+        assert len(roots) == 3 and roots[0] == F.one
+        assert all(schoolbook_pow(F, c, 3) == F.one for c in roots)
+        assert roots == sorted(roots, key=lambda c: int("".join(map(str, reversed(c))), 2))
+        assert elapsed < 2.0, f"GF(2^16) root extraction took {elapsed:.2f}s"
+
+
+class TestAgainstEnumeration:
+    """Seeded differential tests of the table arithmetic against the reference."""
+
+    def test_non_primitive_moduli_are_covered(self):
+        for p, k, m in NON_PRIMITIVE_MODULI:
+            F = Field.finite(p, k, m)
+            assert multiplicative_order(F, F.element(p)) < F.order - 1
+
+    def test_mul_inv_pow(self, oracle_field):
+        F = oracle_field
+        rng = random.Random(F.order)
+        for _ in range(150):
+            a, b = (F.element(rng.randrange(F.order)) for _ in range(2))
+            n = rng.randrange(0, 2 * F.order)
+            assert F.mul(a, b) == schoolbook_mul(F, a, b)
+            assert F.pow_(a, n) == schoolbook_pow(F, a, n)
+            if not F.is_zero(a):
+                inverses = [c for c in elements(F) if schoolbook_mul(F, a, c) == F.one]
+                assert [F.inv(a)] == inverses
+
+    def test_roots(self, oracle_field):
+        F = oracle_field
+        rng = random.Random(F.order + 1)
+        for _ in range(60):
+            a = F.element(rng.randrange(F.order))
+            n = rng.randrange(1, 2 * F.order)
+            roots = exhaustive_roots(F, a, n)
+            assert F.all_nth_roots(a, n) == roots
+            assert F.nth_root(a, n) == (roots[0] if roots else None)
+
+    def test_root_extension_degree(self, oracle_field):
+        F = oracle_field
+        q = F.order
+        rng = random.Random(F.order + 2)
+        for _ in range(60):
+            a = F.element(rng.randrange(1, q))
+            n = rng.randrange(1, 3 * q)
+            d = multiplicative_order(F, a)
+            # an n-th root of a lies in GF(q^j) iff d divides (q^j - 1) / gcd(n, q^j - 1)
+            want = next(j for j in range(1, 65)
+                        if ((q ** j - 1) // gcd(n, q ** j - 1)) % d == 0)
+            assert F.root_extension_degree(a, n) == want
+            assert (want == 1) == bool(exhaustive_roots(F, a, n))
 
 
 class TestLiftReduce:
