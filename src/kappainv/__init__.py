@@ -25,7 +25,7 @@ from .polyhedron import (OrthantPolyhedron, hull_vertices, lex_min_vertex, membe
                          weighted_projected_polyhedron)
 from .quasiord import (ClassificationReport, DiscriminantReport, classify,
                        discriminant_z, is_monomial_times_unit)
-from .ring import QQ, ZZ, Field, lift_coeff, nth_root, reduce_coeff
+from .ring import QQ, ZZ, Field, lift_coeff, reduce_coeff
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "binomialize_modulo", "classify", "compute_kappa", "default_tropical_weight",
     "discriminant_z", "eliminate_to_hypersurface", "ghost_monomials", "hull_vertices",
     "initial_form", "initial_forms_weighted", "is_monomial_times_unit", "lex_min_vertex",
-    "lift_coeff", "lift_presentation", "member", "normal_form", "nth_root",
+    "lift_coeff", "lift_presentation", "member", "normal_form",
     "parse_polynomial", "polyhedron_leq", "power_substitute", "prepare_polyhedron",
     "projected_polyhedron", "reduce_coeff", "substitute", "verify_overweight",
     "weierstrass_validate", "weighted_projected_polyhedron",

@@ -188,7 +188,7 @@ def _drive_classify(text, args, field, config):
     wf = _input_weierstrass(text, args, field)
     report = classify(wf, config)
     code = EXIT_OK if report.decided else EXIT_INCONCLUSIVE
-    return code, _classification_json(report), _classification_text(report, args.d), report
+    return code, _classification_json(report), _classification_text(report, args.d)
 
 
 def _drive_kappa(text, args, field, config):
@@ -212,7 +212,7 @@ def _drive_kappa(text, args, field, config):
         lines.append(f"note: {diag}")
     code = (EXIT_INCONCLUSIVE if result.invariant.terminal is Terminal.INCONCLUSIVE
             else EXIT_OK)
-    return code, out, "\n".join(lines), None
+    return code, out, "\n".join(lines)
 
 
 def _drive_polyhedron(text, args, field, config):
@@ -225,7 +225,7 @@ def _drive_polyhedron(text, args, field, config):
     else:
         txt = "projected polyhedron vertices:\n" + "\n".join(
             "  (" + ", ".join(str(c) for c in v) + ")" for v in P.vertices)
-    return EXIT_OK, out, txt, None
+    return EXIT_OK, out, txt
 
 
 def _drive_discriminant(text, args, field, config):
@@ -239,7 +239,7 @@ def _drive_discriminant(text, args, field, config):
     txt = (f"discriminant: {rep.disc.format()} "
            f"({'exact' if rep.exact else 'truncated'})\nmonomial_unit: {mu_str}")
     code = EXIT_INCONCLUSIVE if mu.status == "inconclusive" else EXIT_OK
-    return code, out, txt, None
+    return code, out, txt
 
 
 def _drive_deform(text, args, field, config):
@@ -247,7 +247,7 @@ def _drive_deform(text, args, field, config):
     report = classify(wf, config)
     if report.presentation is None or report.kappa.terminal is not Terminal.INFINITY:
         msg = "no overweight presentation: the kappa terminal is not infinity"
-        return EXIT_NO_PRESENTATION, {"error": msg}, msg, report
+        return EXIT_NO_PRESENTATION, {"error": msg}, msg
     lift = lift_presentation(report.presentation)
     ghosts = ghost_monomials(lift)
     hyper = ghosts.hypersurface
@@ -282,7 +282,7 @@ def _drive_deform(text, args, field, config):
                  f"omega = ({', '.join(str(c) for c in omega)})):")
     lines.extend(f"  {_normalized_generator_str(g)}" for g in ideal.generators_initial)
     lines.append(f"fiber independent: {ideal.fiber_independent}")
-    return EXIT_OK, out, "\n".join(lines), report
+    return EXIT_OK, out, "\n".join(lines)
 
 
 _DRIVERS = {
@@ -294,64 +294,44 @@ _DRIVERS = {
 }
 
 
-def run_classify(args) -> int:
-    """Single-input or batch classification; batch output preserves input order."""
+def run_batch(args) -> int:
+    """Classify one polynomial per line of args.batch; output keeps the input order."""
     field = _build_field(args)
     config = _build_config(args)
-    if getattr(args, "batch", None):
-        with open(args.batch, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        worst = EXIT_OK
-        blocks = []
-        for ln in lines:
-            try:
-                code, payload, text, _ = _drive_classify(ln, args, field, config)
-            except KappaInvError as exc:
-                code, payload, text = EXIT_INPUT_ERROR, {"error": str(exc)}, f"error: {exc}"
-            if args.json:
-                blocks.append(json.dumps(payload, **JSON_DUMP_KWARGS))
-            else:
-                blocks.append(f"== {ln}\n{text}")
-            if code == EXIT_INPUT_ERROR:
-                worst = EXIT_INPUT_ERROR
-            elif code == EXIT_INCONCLUSIVE and worst != EXIT_INPUT_ERROR:
-                worst = EXIT_INCONCLUSIVE
-        print("\n".join(blocks))
-        return worst
-    if args.polynomial is None:
-        print("error: a polynomial argument is required", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    code, payload, text, _ = _drive_classify(args.polynomial, args, field, config)
-    print(json.dumps(payload, **JSON_DUMP_KWARGS) if args.json else text)
-    return code
-
-
-def run_deform(args) -> int:
-    field = _build_field(args)
-    config = _build_config(args)
-    code, payload, text, _ = _drive_deform(args.polynomial, args, field, config)
-    print(json.dumps(payload, **JSON_DUMP_KWARGS) if args.json else text)
-    return code
+    with open(args.batch, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    worst = EXIT_OK
+    blocks = []
+    for ln in lines:
+        try:
+            code, payload, text = _drive_classify(ln, args, field, config)
+        except KappaInvError as exc:
+            code, payload, text = EXIT_INPUT_ERROR, {"error": str(exc)}, f"error: {exc}"
+        if args.json:
+            blocks.append(json.dumps(payload, **JSON_DUMP_KWARGS))
+        else:
+            blocks.append(f"== {ln}\n{text}")
+        if code == EXIT_INPUT_ERROR:
+            worst = EXIT_INPUT_ERROR
+        elif code == EXIT_INCONCLUSIVE and worst != EXIT_INPUT_ERROR:
+            worst = EXIT_INCONCLUSIVE
+    print("\n".join(blocks))
+    return worst
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "classify":
-            return run_classify(args)
-        if args.command == "deform":
-            if args.polynomial is None:
-                print("error: a polynomial argument is required", file=sys.stderr)
-                return EXIT_INPUT_ERROR
-            return run_deform(args)
+        if getattr(args, "batch", None):
+            return run_batch(args)
         if args.polynomial is None:
             print("error: a polynomial argument is required", file=sys.stderr)
             return EXIT_INPUT_ERROR
         field = _build_field(args)
         config = _build_config(args)
-        code, payload, text, _ = _DRIVERS[args.command](args.polynomial, args, field, config)
+        code, payload, text = _DRIVERS[args.command](args.polynomial, args, field, config)
         print(json.dumps(payload, **JSON_DUMP_KWARGS) if args.json else text)
         return code
     except KappaInvError as exc:

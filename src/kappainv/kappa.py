@@ -129,11 +129,6 @@ class OverweightPresentation:
         lines.append(self.final.format())
         return lines
 
-    def generator_polys(self) -> list:
-        polys = [rel.generator_poly(self.ctx) for rel in self.relations]
-        polys.append(self.final)
-        return polys
-
 
 @dataclass
 class KappaConfig:

@@ -146,9 +146,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def x_degree(self, expo) -> int:
-        return sum(expo[:self.ctx.d])
-
     def degree_in(self, name: str) -> int:
         idx = self.ctx.var_index(name)
         return max((e[idx] for e in self.terms), default=0)
@@ -158,9 +155,6 @@ class Poly:
             return False
         idx = self.ctx.var_index(name)
         return any(e[idx] for e in self.terms)
-
-    def coeff_of(self, expo):
-        return self.terms.get(tuple(expo), self.ring.zero)
 
     def constant_coeff(self):
         return self.terms.get((0,) * self.ctx.nvars, self.ring.zero)
@@ -484,26 +478,7 @@ def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
 
 def substitute(f: Poly, name: str, replacement: Poly, T=None) -> Poly:
     """Replace a variable by a polynomial, expand exactly, truncate at T."""
-    ctx = _common_ctx(f, replacement)
-    f = f.in_context(ctx)
-    replacement = replacement.in_context(ctx)
-    idx = ctx.var_index(name)
-    groups: dict[int, dict] = {}
-    for e, c in f.terms.items():
-        rest = list(e)
-        k = rest[idx]
-        rest[idx] = 0
-        groups.setdefault(k, {})[tuple(rest)] = c
-    result = Poly.zero(ctx, f.ring, f.trunc if f.is_zero() else None)
-    power = Poly.one(ctx, f.ring)
-    last = 0
-    for k in sorted(groups):
-        for _ in range(k - last):
-            power = power.mul(replacement, T)
-        last = k
-        part = Poly(ctx, f.ring, groups[k], f.trunc)
-        result = result.add(part.mul(power, T), T)
-    return result
+    return power_substitute(f, name, 1, replacement, T)
 
 
 def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> Poly:
@@ -668,12 +643,6 @@ class Relation:
             else:
                 terms[key] = s
         return Poly(ctx, ring, terms)
-
-    def generator_poly(self, ctx=None) -> Poly:
-        """u_j - rhs, the ideal generator this relation contributes."""
-        ctx = ctx or self.ctx
-        u = Poly.variable(ctx, self.ring, self.var)
-        return u.sub(self.rhs_poly(ctx))
 
     def structural_pieces(self):
         """Signed pieces of the rhs: [(+1, head), (-1, c, tail), (-1, c_k, m_k), ...]."""

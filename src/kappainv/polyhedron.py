@@ -29,9 +29,6 @@ class OrthantPolyhedron:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def __len__(self):
-        return len(self.vertices)
-
 
 def member(p, points) -> bool:
     """Whether p lies in conv(points) + R_{>=0}^d.

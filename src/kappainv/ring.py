@@ -534,11 +534,6 @@ ZZ = IntegerRing()
 QQ = Field.rationals()
 
 
-def nth_root(field: Field, a, n: int):
-    """Module-level alias for Field.nth_root."""
-    return field.nth_root(a, n)
-
-
 def lift_coeff(field: Field, a) -> int:
     """Canonical integer lift of a prime-field value into {0, ..., p-1}."""
     if field.characteristic == 0:

@@ -5,6 +5,7 @@ import pytest
 
 from kappainv import (ContractViolation, Poly, Terminal, VarContext, classify,
                       discriminant_z, is_monomial_times_unit, weierstrass_validate)
+from kappainv.poly import derivative
 from kappainv.quasiord import _det_bareiss, _det_cofactor, determinant, sylvester_matrix
 from conftest import mk, mkw
 
@@ -18,6 +19,17 @@ def rand_series(rng, ctx, field, deg):
         if not field.is_zero(c):
             terms[(e, 0)] = c
     return Poly(ctx, field, terms)
+
+
+def rand_weierstrass(rng, field):
+    """z^n, n in 2..5, plus 2-6 terms in 1-2 x-variables (exponents 0..4, coefficients +-1..3)."""
+    d, n = rng.randint(1, 2), rng.randint(2, 5)
+    terms = {(0,) * d + (n,): field.one}
+    for _ in range(rng.randint(2, 6)):
+        e = tuple(rng.randint(0, 4) for _ in range(d)) + (rng.randrange(n),)
+        if any(e):  # keeps f(0) = 0
+            terms[e] = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return weierstrass_validate(Poly(VarContext(d), field, terms))
 
 
 class TestDiscriminant:
@@ -63,11 +75,27 @@ class TestDiscriminant:
             checked += 1
         assert checked == 200
 
+    def test_truncated_matches_exact_then_truncated(self, QQ, F7):
+        # the oracle expands the exact Sylvester matrix by cofactors and only
+        # then applies the certificate; z-degrees 4 and 5 (sizes 7 and 9) run
+        # Bareiss in discriminant_z
+        rng = random.Random(20260418)
+        for _ in range(200):
+            wf = rand_weierstrass(rng, rng.choice([QQ, F7]))
+            T = rng.randint(1, 12)
+            rep = discriminant_z(wf, T)
+            f = wf.poly
+            g = derivative(f, "z")
+            exact = _det_cofactor(sylvester_matrix(f, g, wf.n, g.degree_in("z")))
+            trunc = f.truncate(T).trunc
+            assert rep.disc == exact.truncate(trunc), (f.format(), T)
+            assert rep.disc.trunc == trunc, (f.format(), T)
+            assert rep.exact is (trunc is None)
+
     def test_bareiss_matches_cofactor_above_threshold(self, QQ):
         # degree 4 polynomial: a 7x7 Sylvester matrix exercises Bareiss
         wf = mkw("z^4 - 2*x1^3*z^2 + x1*z + x1^6", 1, QQ)
         f = wf.poly
-        from kappainv.poly import derivative
         g = derivative(f, "z")
         rows = sylvester_matrix(f, g, 4, g.degree_in("z"))
         assert len(rows) == 7
@@ -78,42 +106,42 @@ class TestDiscriminant:
 class TestMonomialUnit:
     def test_yes(self, F2):
         g = mk("x1^2*x2^2", 2, F2)
-        mu = is_monomial_times_unit(g, exact=True)
+        mu = is_monomial_times_unit(g)
         assert mu.status == "yes" and mu.exponent == (2, 2)
 
     def test_zero_is_no(self, QQ):
-        mu = is_monomial_times_unit(Poly.zero(VarContext(1), QQ), exact=True)
+        mu = is_monomial_times_unit(Poly.zero(VarContext(1), QQ))
         assert mu.status == "no"
 
     def test_coprime_support_is_no(self, QQ):
-        mu = is_monomial_times_unit(mk("x1^3 + x2^3", 2, QQ), exact=True)
+        mu = is_monomial_times_unit(mk("x1^3 + x2^3", 2, QQ))
         assert mu.status == "no"
 
     def test_unit_plus_tail(self, QQ):
-        mu = is_monomial_times_unit(mk("1 + x1", 1, QQ), exact=True)
+        mu = is_monomial_times_unit(mk("1 + x1", 1, QQ))
         assert mu.status == "yes" and mu.exponent == (0,)
 
     def test_truncated_yes_downgrades(self, QQ):
         g = mk("x1^2 + x1^3", 1, QQ).truncate(4)
         g = Poly(g.ctx, g.ring, g.terms, trunc=4)
-        assert is_monomial_times_unit(g, exact=False).status == "inconclusive"
+        assert is_monomial_times_unit(g).status == "inconclusive"
 
     def test_truncated_unit_stays_yes(self, QQ):
         g = Poly(VarContext(1), QQ, {(0, 0): Fraction(1), (2, 0): Fraction(1)}, trunc=4)
-        assert is_monomial_times_unit(g, exact=False).status == "yes"
+        assert is_monomial_times_unit(g).status == "yes"
 
     def test_truncated_no_is_definitive(self, QQ):
         g = Poly(VarContext(2), QQ,
                  {(3, 0, 0): Fraction(1), (0, 3, 0): Fraction(1)}, trunc=5)
-        assert is_monomial_times_unit(g, exact=False).status == "no"
+        assert is_monomial_times_unit(g).status == "no"
 
     def test_truncated_zero_is_inconclusive(self, QQ):
         g = Poly.zero(VarContext(1), QQ, trunc=4)
-        assert is_monomial_times_unit(g, exact=False).status == "inconclusive"
+        assert is_monomial_times_unit(g).status == "inconclusive"
 
     def test_rejects_z_terms(self, QQ):
         with pytest.raises(ContractViolation):
-            is_monomial_times_unit(mk("z + x1", 1, QQ), exact=True)
+            is_monomial_times_unit(mk("z + x1", 1, QQ))
 
 
 class TestClassify:
@@ -178,15 +206,19 @@ class TestClassify:
         assert rep.teissier is None
         assert not rep.decided
 
-    # a discriminant that vanishes below the certificate decides nothing
+    # a truncated discriminant decides nothing when it vanishes below the
+    # certificate, nor when its low monomial may fail to divide hidden terms
     @pytest.mark.parametrize("text, T", [
-        ("z^3 - x1^2*x2^4", 4),  # true discriminant 27*x1^4*x2^8 (cofactor path)
-        ("z^4 + 4*x1^3*x2^2*z^2 + 3*x1*x2^3*z^2 + x1^3*x2^4*z + x1", 5),  # Bareiss path
+        ("z^3 - x1^2*x2^4", 4),
+        ("z^4 + 4*x1^3*x2^2*z^2 + 3*x1*x2^3*z^2 + x1^3*x2^4*z + x1", 5),
     ])
     def test_truncated_zero_discriminant_is_inconclusive(self, QQ, text, T):
         from kappainv import KappaConfig
         rep = classify(mkw(text, 2, QQ), KappaConfig(truncation=T))
-        assert rep.discriminant.disc.is_zero()
+        # values mod x^T: 27*x1^4*x2^8 vanishes mod x^4 (3x3 matrix, cofactor
+        # expansion); the second is Eisenstein in r = x1, and its
+        # 16p^4r - 128p^2r^2 + 256r^3 is 256*x1^3 mod x^5 (7x7 matrix, Bareiss)
+        assert rep.discriminant.disc.format() == {4: "0", 5: "256*x1^3"}[T]
         assert rep.discriminant.exact is False
         assert rep.discriminant.monomial_unit.status == "inconclusive"
         assert rep.quasi_ordinary is None
