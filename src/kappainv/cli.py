@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .deform import (default_tropical_weight, ghost_monomials,
                      initial_forms_weighted, lift_presentation)
-from .errors import KappaInvError
-from .kappa import KappaConfig, Terminal
+from .errors import ConfigurationError, KappaInvError
+from .kappa import KappaConfig, Terminal, compute_kappa
 from .poly import Poly, VarContext, format_monomial, parse_polynomial, weierstrass_validate
 from .polyhedron import projected_polyhedron
 from .quasiord import classify, discriminant_z
@@ -110,42 +110,61 @@ def _normalized_generator_str(poly: Poly) -> str:
     return poly.format()
 
 
+def _close_json(out: dict, presentation, certified_truncation, diagnostics) -> dict:
+    if presentation is not None:
+        out["presentation"] = presentation.generator_strings()
+    out["certified_truncation"] = certified_truncation
+    if diagnostics:
+        out["diagnostics"] = list(diagnostics)
+    return out
+
+
 def _classification_json(report) -> dict:
     out = {"kappa": _kappa_json(report.kappa),
            "teissier": _tri_state(report.teissier),
            "quasi_ordinary": _tri_state(report.quasi_ordinary),
            "discriminant": _discriminant_json(report.discriminant)}
-    if report.presentation is not None:
-        out["presentation"] = report.presentation.generator_strings()
-    out["certified_truncation"] = report.certified_truncation
-    if report.diagnostics:
-        out["diagnostics"] = list(report.diagnostics)
-    return out
+    return _close_json(out, report.presentation, report.certified_truncation,
+                       report.diagnostics)
+
+
+def _kappa_lines(inv, d: int) -> list:
+    lines = [f"kappa = {inv.as_string(d)}"]
+    if len(inv.multiplicities) > 1:
+        lines.append("stage multiplicities: " + " > ".join(str(m) for m in inv.multiplicities))
+    return lines
+
+
+def _discriminant_lines(rep) -> list:
+    mu = rep.monomial_unit
+    mu_str = (f"yes, monomial exponent ({', '.join(str(c) for c in mu.exponent)})"
+              if mu.status == "yes" else mu.status)
+    return [f"discriminant: {rep.disc.format()} ({'exact' if rep.exact else 'truncated'})",
+            f"monomial_unit: {mu_str}"]
+
+
+def _presentation_lines(presentation) -> list:
+    if presentation is None:
+        return []
+    return ["presentation:"] + [f"  {s}" for s in presentation.generator_strings()]
+
+
+def _note_lines(diagnostics) -> list:
+    return [f"note: {diag}" for diag in diagnostics]
 
 
 def _classification_text(report, d: int) -> str:
-    lines = [f"kappa = {report.kappa.as_string(d)}"]
-    if len(report.kappa.multiplicities) > 1:
-        lines.append("stage multiplicities: "
-                     + " > ".join(str(m) for m in report.kappa.multiplicities))
+    lines = _kappa_lines(report.kappa, d)
     lines.append(f"teissier: {_tri_state(report.teissier)}")
     lines.append(f"quasi_ordinary: {_tri_state(report.quasi_ordinary)}")
-    mu = report.discriminant.monomial_unit
-    mu_str = (f"yes, monomial exponent ({', '.join(str(c) for c in mu.exponent)})"
-              if mu.status == "yes" else mu.status)
-    exact_str = "exact" if report.discriminant.exact else "truncated"
-    lines.append(f"discriminant: {report.discriminant.disc.format()} ({exact_str})")
-    lines.append(f"monomial_unit: {mu_str}")
+    lines.extend(_discriminant_lines(report.discriminant))
+    lines.extend(_presentation_lines(report.presentation))
     if report.presentation is not None:
-        lines.append("presentation:")
-        for s in report.presentation.generator_strings():
-            lines.append(f"  {s}")
         lines.append("weights: " + "; ".join(
             f"{name} -> ({', '.join(str(c) for c in vec)})"
             for name, vec in report.presentation.weights.items()))
     lines.append(f"certified truncation: {report.certified_truncation}")
-    for diag in report.diagnostics:
-        lines.append(f"note: {diag}")
+    lines.extend(_note_lines(report.diagnostics))
     return "\n".join(lines)
 
 
@@ -154,14 +173,14 @@ def _classification_text(report, d: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _build_field(args) -> Field:
-    if args.char == 0:
-        if args.ext != 1 or args.modulus:
-            raise KappaInvError("characteristic 0 admits no extension data")
-        return Field.rationals()
     modulus = None
     if args.modulus:
-        modulus = tuple(int(c) for c in args.modulus.split(","))
-    return Field.finite(args.char, args.ext, modulus)
+        try:
+            modulus = tuple(int(c) for c in args.modulus.split(","))
+        except ValueError:
+            raise ConfigurationError(
+                f"--modulus takes comma-separated integers, got {args.modulus!r}") from None
+    return Field(args.char, args.ext, modulus)
 
 
 def _build_config(args) -> KappaConfig:
@@ -171,7 +190,11 @@ def _build_config(args) -> KappaConfig:
 def _parse_lambda(args, d: int):
     if args.lam is None:
         return tuple(Fraction(1) for _ in range(d))
-    return tuple(Fraction(c) for c in args.lam.split(","))
+    try:
+        return tuple(Fraction(c) for c in args.lam.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigurationError(
+            f"--lambda takes comma-separated rationals, got {args.lam!r}") from None
 
 
 def _input_weierstrass(text: str, args, field: Field):
@@ -192,24 +215,13 @@ def _drive_classify(text, args, field, config):
 
 
 def _drive_kappa(text, args, field, config):
-    from .kappa import compute_kappa
     wf = _input_weierstrass(text, args, field)
     result = compute_kappa(wf, config)
-    out = {"kappa": _kappa_json(result.invariant)}
-    if result.presentation is not None:
-        out["presentation"] = result.presentation.generator_strings()
-    out["certified_truncation"] = config.truncation
-    if result.diagnostics:
-        out["diagnostics"] = list(result.diagnostics)
-    lines = [f"kappa = {result.invariant.as_string(args.d)}"]
-    if len(result.invariant.multiplicities) > 1:
-        lines.append("stage multiplicities: "
-                     + " > ".join(str(m) for m in result.invariant.multiplicities))
-    if result.presentation is not None:
-        lines.append("presentation:")
-        lines.extend(f"  {s}" for s in result.presentation.generator_strings())
-    for diag in result.diagnostics:
-        lines.append(f"note: {diag}")
+    out = _close_json({"kappa": _kappa_json(result.invariant)}, result.presentation,
+                      config.truncation, result.diagnostics)
+    lines = (_kappa_lines(result.invariant, args.d)
+             + _presentation_lines(result.presentation)
+             + _note_lines(result.diagnostics))
     code = (EXIT_INCONCLUSIVE if result.invariant.terminal is Terminal.INCONCLUSIVE
             else EXIT_OK)
     return code, out, "\n".join(lines)
@@ -233,13 +245,8 @@ def _drive_discriminant(text, args, field, config):
     rep = discriminant_z(wf, config.truncation)
     out = {"discriminant": _discriminant_json(rep),
            "certified_truncation": config.truncation}
-    mu = rep.monomial_unit
-    mu_str = (f"yes, monomial exponent ({', '.join(str(c) for c in mu.exponent)})"
-              if mu.status == "yes" else mu.status)
-    txt = (f"discriminant: {rep.disc.format()} "
-           f"({'exact' if rep.exact else 'truncated'})\nmonomial_unit: {mu_str}")
-    code = EXIT_INCONCLUSIVE if mu.status == "inconclusive" else EXIT_OK
-    return code, out, txt
+    code = EXIT_INCONCLUSIVE if rep.monomial_unit.status == "inconclusive" else EXIT_OK
+    return code, out, "\n".join(_discriminant_lines(rep))
 
 
 def _drive_deform(text, args, field, config):

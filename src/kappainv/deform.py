@@ -68,7 +68,7 @@ def lift_presentation(pres: OverweightPresentation) -> IntegerLift:
     for rel in pres.relations:
         terms = {}
         for sign, c, mono in rel.structural_pieces():
-            key = tuple(mono) + (0,) * (ctx.nvars - len(mono))
+            key = ctx.pad(mono)
             val = terms.get(key, 0) + sign * lift_coeff(field, c)
             if val:
                 terms[key] = val

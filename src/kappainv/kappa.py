@@ -66,10 +66,8 @@ class BinomialPower:
     tail_expo: tuple
 
     def expand(self, ctx: VarContext, ring) -> Poly:
-        midx = ctx.var_index(self.main_var)
-        head = tuple(self.inner_exp if i == midx else 0 for i in range(ctx.nvars))
-        tail = tuple(self.tail_expo) + (0,) * (ctx.nvars - len(self.tail_expo))
-        base = Poly(ctx, ring, {head: ring.one, tail: ring.neg(self.coeff)})
+        base = Poly(ctx, ring, {ctx.unit(self.main_var, self.inner_exp): ring.one,
+                                ctx.pad(self.tail_expo): ring.neg(self.coeff)})
         return base.pow_(self.power)
 
 
@@ -178,7 +176,7 @@ def _initial_at(f: Poly, vertex, main_var: str, top_exp: int, weights: dict) -> 
     ctx = f.ctx
     midx = ctx.var_index(main_var)
     aux = _aux_weight_index(ctx, weights)
-    top = tuple(top_exp if i == midx else 0 for i in range(ctx.nvars))
+    top = ctx.unit(main_var, top_exp)
     terms = {}
     for e, c in f.terms.items():
         if e == top:
@@ -217,8 +215,7 @@ def _decompose_at(In: Poly, main_var: str, power: int, ctx: VarContext, ring):
     """Try to read In as (w^inner - c*tail)^power; None if the shape does not fit."""
     midx = ctx.var_index(main_var)
     N = max((e[midx] for e in In.terms), default=0)
-    top = tuple(N if i == midx else 0 for i in range(ctx.nvars))
-    if N < 1 or In.terms.get(top) != ring.one:
+    if N < 1 or In.terms.get(ctx.unit(main_var, N)) != ring.one:
         raise ContractViolation("initial form is not monic in the main variable")
     if N % power:
         return None
@@ -286,57 +283,38 @@ def binomial_power_decompose(In: Poly, main_var: str, ring=None):
 # binomialization modulo the relation stack
 # ---------------------------------------------------------------------------
 
-class _ExtensionSignal(Exception):
-    def __init__(self, info):
-        self.info = info
-
-
 def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
     """Replace one term's tail_j divisor through relation j, exactly.
 
-    c_j * tail_j = w^{n_j} - u_j + h_j, so the term coeff*x^expo becomes
-    coeff/c_j * (x^(expo-tail)) * (w^{n_j} - u_j + h_j); the working
-    polynomial changes by a multiple of the relation generator only.  The
-    result is deliberately NOT normal-formed: the upward rewrite (head
-    powers at their bound) is what makes the binomial shape visible, and
-    normalizing here would cancel the move.
+    Relation j reads u_j = rhs_j = w^{n_j} - c_j * tail_j - sum(corrections),
+    so c_j * tail_j = w^{n_j} - u_j - sum(corrections).  Substituting that in
+    the term coeff*x^expo adds coeff/c_j * x^(expo-tail) * (rhs_j - u_j) to f:
+    the working polynomial changes by a multiple of the relation generator
+    only.  The result is deliberately NOT normal-formed: the upward rewrite
+    (head powers at their bound) is what makes the binomial shape visible,
+    and normalizing here would cancel the move.
     """
     ctx = f.ctx
     ring = f.ring
-    coeff = f.terms[expo]
-    tail = tuple(rel.tail_expo) + (0,) * (ctx.nvars - len(rel.tail_expo))
-    rest = tuple(a - b for a, b in zip(expo, tail))
-    uidx = ctx.var_index(rel.var)
-    u_expo = tuple(1 if i == uidx else 0 for i in range(ctx.nvars))
-    terms = {rel.head_monomial(ctx): ring.one, u_expo: ring.neg(ring.one)}
-    for ck, mk in rel.corrections:
-        key = tuple(mk) + (0,) * (ctx.nvars - len(mk))
-        s = ring.sub(terms.get(key, ring.zero), ck)  # h_j = -sum corrections
-        if ring.is_zero(s):
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    body = Poly(ctx, ring, terms).scale(ring.inv(rel.tail_coeff))
-    replaced = body.mul_monomial(rest, coeff)
-    return f.sub(Poly.monomial(ctx, ring, expo, coeff)).add(replaced, T)
+    rest = tuple(a - b for a, b in zip(expo, ctx.pad(rel.tail_expo)))
+    generator = rel.rhs_poly(ctx).sub(Poly.variable(ctx, ring, rel.var))
+    step = generator.mul_monomial(rest, ring.div(f.terms[expo], rel.tail_coeff))
+    return f.add(step, T)
 
 
 def _search_at_power(f, vertex, main_var, top_exp, weights, relations, power, depth, T):
     In = _initial_at(f, vertex, main_var, top_exp, weights)
     if len(In.terms) > 1:
         res = _decompose_at(In, main_var, power, f.ctx, f.ring)
-        if isinstance(res, BinomialPower):
+        if isinstance(res, (BinomialPower, FieldExtensionRequired)):
             return f, res
-        if isinstance(res, FieldExtensionRequired):
-            raise _ExtensionSignal(res)
     if depth <= 0:
         return None
     ctx = f.ctx
-    midx = ctx.var_index(main_var)
-    top = tuple(top_exp if i == midx else 0 for i in range(ctx.nvars))
+    top = ctx.unit(main_var, top_exp)
     ordered = [e for e, _ in In.sorted_terms() if e != top]
     for rel in reversed(list(relations)):
-        tail = tuple(rel.tail_expo) + (0,) * (ctx.nvars - len(rel.tail_expo))
+        tail = ctx.pad(rel.tail_expo)
         for expo in ordered:
             if all(a >= b for a, b in zip(expo, tail)):
                 f2 = _apply_rewrite(f, expo, rel, T)
@@ -353,19 +331,17 @@ def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
 
     Returns (outcome, poly): outcome is a BinomialPower (with poly rewritten
     along the successful chain of relation moves, heavier residue kept),
-    NOT_BINOMIAL, or FieldExtensionRequired.  The search fixes the candidate
-    power first, largest divisor first, so a rewrite that realizes a larger
-    power beats a direct match at a smaller one.
+    NOT_BINOMIAL, or FieldExtensionRequired (with poly the input f).  The
+    search fixes the candidate power first, largest divisor first, so a
+    rewrite that realizes a larger power beats a direct match at a smaller
+    one.
     """
-    try:
-        for power in _divisors_desc(top_exp):
-            found = _search_at_power(f, tuple(vertex), main_var, top_exp, weights,
-                                     relations, power, depth, T)
-            if found is not None:
-                f2, bp = found
-                return bp, f2
-    except _ExtensionSignal as sig:
-        return sig.info, f
+    for power in _divisors_desc(top_exp):
+        found = _search_at_power(f, tuple(vertex), main_var, top_exp, weights,
+                                 relations, power, depth, T)
+        if found is not None:
+            f2, outcome = found
+            return outcome, (f if isinstance(outcome, FieldExtensionRequired) else f2)
     return NOT_BINOMIAL, f
 
 
@@ -386,13 +362,11 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
     eliminations = 0
     diagnostics = []
     processed = set()
+    P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
     for _ in range(_PREPARE_FUEL):
-        P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
-        candidates = [v for v in P.vertices if v not in processed]
-        if not candidates:
-            return PrepareResult(f, P, PrepStatus.PREPARED, eliminations, diagnostics)
-        acted = False
-        for v in candidates:
+        for v in P.vertices:
+            if v in processed:
+                continue
             outcome, f2 = binomialize_modulo(f, v, main_var, top_exp, relations,
                                              weights, config.depth, T)
             if isinstance(outcome, FieldExtensionRequired):
@@ -407,19 +381,17 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
                 processed.add(v)
                 if f2 is not f:
                     f = f2
-                    acted = True
+                    P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
                     break
                 continue
             # solvable: translate by the solving term
             if eliminations >= config.budget:
                 diagnostics.append(f"elimination budget ({config.budget}) exhausted")
                 return PrepareResult(f, P, PrepStatus.INCONCLUSIVE, eliminations, diagnostics)
-            before = weighted_projected_polyhedron(f2, main_var, top_exp, weights)
+            before = P if f2 is f else weighted_projected_polyhedron(f2, main_var, top_exp,
+                                                                     weights)
             ctx = f2.ctx
-            solving = Poly.monomial(
-                ctx, f2.ring,
-                tuple(outcome.tail_expo) + (0,) * (ctx.nvars - len(outcome.tail_expo)),
-                outcome.coeff)
+            solving = Poly.monomial(ctx, f2.ring, ctx.pad(outcome.tail_expo), outcome.coeff)
             shift = Poly.variable(ctx, f2.ring, main_var).add(solving)
             f = substitute(f2, main_var, shift, T)
             # the translation redefines the pending variable, so its relation
@@ -428,14 +400,12 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
             if pending_relation is not None:
                 pending_relation.corrections.append((outcome.coeff, tuple(outcome.tail_expo)))
             f = normal_form(f, relations, T)
-            after = weighted_projected_polyhedron(f, main_var, top_exp, weights)
-            if not polyhedron_leq(after, before) or polyhedron_leq(before, after):
+            P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
+            if not polyhedron_leq(P, before) or polyhedron_leq(before, P):
                 raise EngineError("vertex elimination failed to strictly shrink the polyhedron")
             eliminations += 1
-            acted = True
             break
-        if not acted:
-            P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
+        else:
             return PrepareResult(f, P, PrepStatus.PREPARED, eliminations, diagnostics)
     raise EngineError("preparation did not stabilize within its fuel bound")
 
@@ -542,15 +512,9 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
         ctx = f.ctx.extend(newvar)
         f = f.in_context(ctx)
         rel = Relation(var=newvar, head_var=main, head_exp=bp.inner_exp,
-                       tail_coeff=bp.coeff,
-                       tail_expo=tuple(bp.tail_expo) + (0,) * (ctx.nvars - 1 - len(bp.tail_expo)),
-                       ctx=ctx, ring=ring)
-        repl = Poly.variable(ctx, ring, newvar).add(
-            Poly.monomial(ctx, ring,
-                          tuple(bp.tail_expo) + (0,) * (ctx.nvars - len(bp.tail_expo)),
-                          bp.coeff))
+                       tail_coeff=bp.coeff, tail_expo=bp.tail_expo, ctx=ctx, ring=ring)
         relations.append(rel)
-        f = power_substitute(f, main, bp.inner_exp, repl, T)
+        f = power_substitute(f, main, bp.inner_exp, rel.replacement_poly(), T)
         f = normal_form(f, relations, T)
         pending = rel
         main = newvar
@@ -605,16 +569,13 @@ def verify_overweight(pres: OverweightPresentation):
                     f"not above the head level {level}")
 
     for rel in pres.relations:
-        pad = ctx.nvars - len(rel.tail_expo)
-        h_monos = [tuple(m) + (0,) * (ctx.nvars - len(m)) for _, m in rel.corrections]
         check_block(f"relation {rel.var}", rel.head_var, rel.head_exp,
-                    tuple(rel.tail_expo) + (0,) * pad, h_monos)
+                    ctx.pad(rel.tail_expo), [ctx.pad(m) for _, m in rel.corrections])
 
     if pres.final_head is not None:
         bp = pres.final_head
-        midx = ctx.var_index(bp.main_var)
-        head = tuple(bp.inner_exp if i == midx else 0 for i in range(ctx.nvars))
-        tail = tuple(bp.tail_expo) + (0,) * (ctx.nvars - len(bp.tail_expo))
+        head = ctx.unit(bp.main_var, bp.inner_exp)
+        tail = ctx.pad(bp.tail_expo)
         h_monos = [e for e in pres.final.terms if e not in (head, tail)]
         check_block("final equation", bp.main_var, bp.inner_exp, tail, h_monos)
     return (not violations), violations

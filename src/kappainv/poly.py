@@ -68,6 +68,15 @@ class VarContext:
         except KeyError:
             return False
 
+    def pad(self, expo) -> tuple:
+        """An exponent from a prefix context, padded with zeros to this layout."""
+        return tuple(expo) + (0,) * (self.nvars - len(expo))
+
+    def unit(self, name: str, k: int = 1) -> tuple:
+        """The exponent of name^k."""
+        idx = self.var_index(name)
+        return tuple(k if i == idx else 0 for i in range(self.nvars))
+
     def extend(self, name: str) -> "VarContext":
         if self.has_var(name):
             raise ValidationError(f"variable {name} already exists")
@@ -133,9 +142,7 @@ class Poly:
 
     @classmethod
     def variable(cls, ctx, ring, name: str):
-        expo = [0] * ctx.nvars
-        expo[ctx.var_index(name)] = 1
-        return cls(ctx, ring, {tuple(expo): ring.one})
+        return cls(ctx, ring, {ctx.unit(name): ring.one})
 
     @classmethod
     def monomial(cls, ctx, ring, expo, coeff=None):
@@ -574,7 +581,7 @@ def weierstrass_validate(f: Poly) -> WeierstrassPoly:
     if n < 1:
         raise ValidationError("z-degree must be at least 1")
     zidx = ctx.var_index("z")
-    top = tuple(n if i == zidx else 0 for i in range(ctx.nvars))
+    top = ctx.unit("z", n)
     for e, c in f.terms.items():
         if e[zidx] == n and e != top:
             raise ValidationError("not monic in z: the z-leading coefficient is not 1")
@@ -607,20 +614,12 @@ class Relation:
     ring: object
     corrections: list = dc_field(default_factory=list)
 
-    def _pad(self, expo, ctx: VarContext) -> tuple:
-        return tuple(expo) + (0,) * (ctx.nvars - len(expo))
-
-    def head_monomial(self, ctx: VarContext) -> tuple:
-        e = [0] * ctx.nvars
-        e[ctx.var_index(self.head_var)] = self.head_exp
-        return tuple(e)
-
     def rhs_poly(self, ctx=None) -> Poly:
         ctx = ctx or self.ctx
         ring = self.ring
-        terms = {self.head_monomial(ctx): ring.one}
+        terms = {ctx.unit(self.head_var, self.head_exp): ring.one}
         for coeff, mono in [(self.tail_coeff, self.tail_expo)] + list(self.corrections):
-            key = self._pad(mono, ctx)
+            key = ctx.pad(mono)
             s = ring.sub(terms.get(key, ring.zero), coeff)
             if ring.is_zero(s):
                 terms.pop(key, None)
@@ -629,27 +628,20 @@ class Relation:
         return Poly(ctx, ring, terms)
 
     def replacement_poly(self, ctx=None) -> Poly:
-        """w^head_exp expressed as u_j + tail + corrections (for downward rewriting)."""
+        """w^head_exp as u_j + w^head_exp - rhs = u_j + tail + corrections (downward rewriting)."""
         ctx = ctx or self.ctx
         ring = self.ring
-        uidx = ctx.var_index(self.var)
-        u_expo = tuple(1 if i == uidx else 0 for i in range(ctx.nvars))
-        terms = {u_expo: ring.one}
-        for coeff, mono in [(self.tail_coeff, self.tail_expo)] + list(self.corrections):
-            key = self._pad(mono, ctx)
-            s = ring.add(terms.get(key, ring.zero), coeff)
-            if ring.is_zero(s):
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Poly(ctx, ring, terms)
+        u_plus_head = {ctx.unit(self.var): ring.one,
+                       ctx.unit(self.head_var, self.head_exp): ring.one}
+        return Poly(ctx, ring, u_plus_head).sub(self.rhs_poly(ctx))
 
     def structural_pieces(self):
         """Signed pieces of the rhs: [(+1, head), (-1, c, tail), (-1, c_k, m_k), ...]."""
-        pieces = [(1, self.ring.one, self.head_monomial(self.ctx))]
-        pieces.append((-1, self.tail_coeff, self._pad(self.tail_expo, self.ctx)))
+        ctx = self.ctx
+        pieces = [(1, self.ring.one, ctx.unit(self.head_var, self.head_exp))]
+        pieces.append((-1, self.tail_coeff, ctx.pad(self.tail_expo)))
         for coeff, mono in self.corrections:
-            pieces.append((-1, coeff, self._pad(mono, self.ctx)))
+            pieces.append((-1, coeff, ctx.pad(mono)))
         return pieces
 
     def structural_str(self) -> str:

@@ -172,7 +172,7 @@ def weighted_projected_polyhedron(f: Poly, main_var: str, top_exp: int,
     ctx = f.ctx
     d = ctx.d
     midx = ctx.var_index(main_var)
-    top = tuple(top_exp if i == midx else 0 for i in range(ctx.nvars))
+    top = ctx.unit(main_var, top_exp)
     if f.terms.get(top) != f.ring.one:
         raise ContractViolation(f"not monic of degree {top_exp} in {main_var}")
     aux_weights = {}

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 from kappainv.cli import JSON_DUMP_KWARGS, main
 
@@ -193,3 +197,19 @@ class TestBatch:
         code, _ = run(capsys, ["classify", "--char", "2", "--vars", "1",
                                "--trunc", "1", "--batch", str(batch)])
         assert code == 2
+
+
+class TestMalformedFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["kappa", "--char", "2", "--ext", "2", "--modulus", "1,a,1", "z^2 - x1^3"],
+         "--modulus"),
+        (["deform", "--char", "2", "--lambda", "abc", "z^2 - x1^3"], "--lambda"),
+        (["deform", "--char", "2", "--lambda", "1/0", "z^2 - x1^3"], "--lambda"),
+    ])
+    def test_error_line_instead_of_traceback(self, argv, flag):
+        proc = subprocess.run([sys.executable, "-m", "kappainv", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from kappainv import (NOT_BINOMIAL, BinomialPower, ContractViolation, KappaConfi
                       binomial_power_decompose, binomialize_modulo, compute_kappa,
                       initial_form, parse_polynomial, prepare_polyhedron, substitute,
                       verify_overweight)
-from kappainv.kappa import FieldExtensionRequired, PrepStatus
-from conftest import mk, mkw
+import kappainv.kappa
+from kappainv.kappa import FieldExtensionRequired, PrepStatus, _apply_rewrite
+from conftest import mk, mkw, rand_poly, sample_relations
 
 
 def F(a, b=1):
@@ -127,6 +129,31 @@ class TestBinomializeModulo:
         assert outcome is NOT_BINOMIAL
         assert f2 is f
 
+    def test_rewrite_keeps_the_class_modulo_the_relation(self, QQ, F5):
+        # a rewrite adds a multiple of u1 - rhs, so eliminating u1 undoes it
+        rng = random.Random(7)
+        ctx = VarContext(1, ("z", "u1", "u2"))
+        rewritten = 0
+        for _ in range(80):
+            field = rng.choice([QQ, F5])
+            rel = rng.choice(sample_relations(field))
+            f = rand_poly(rng, ctx, field, nterms=5, maxexp=4)
+            tail = ctx.pad(rel.tail_expo)
+            for e in f.terms:
+                if all(a >= b for a, b in zip(e, tail)):
+                    g = _apply_rewrite(f, e, rel, None)
+                    assert back_substitute(g, [rel]) == back_substitute(f, [rel])
+                    # the term's tail is gone; corrections on the tail's
+                    # monomial put back -coeff * (their sum) / c at e
+                    on_tail = field.zero
+                    for ck, mk_ in rel.corrections:
+                        if ctx.pad(mk_) == tail:
+                            on_tail = field.add(on_tail, ck)
+                    left = field.neg(field.div(field.mul(f.terms[e], on_tail), rel.tail_coeff))
+                    assert g.terms.get(e, field.zero) == left
+                    rewritten += 1
+        assert rewritten >= 50
+
 
 class TestPrepare:
     def test_one_elimination(self, QQ):
@@ -152,6 +179,20 @@ class TestPrepare:
         assert res.status is PrepStatus.PREPARED
         assert res.eliminations == 2
         assert res.polyhedron.vertices == ((F(9, 2),),)
+
+    def test_one_polyhedron_per_polynomial(self, QQ, monkeypatch):
+        built = []
+        real = kappainv.kappa.weighted_projected_polyhedron
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kappainv.kappa, "weighted_projected_polyhedron", counting)
+        f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)
+        res = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig())
+        assert res.eliminations == 2
+        assert len(built) == 1 + res.eliminations
 
     def test_budget_exhaustion(self, QQ):
         f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)

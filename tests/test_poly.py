@@ -6,20 +6,7 @@ import pytest
 from kappainv import (ParseError, Poly, Relation, ValidationError, VarContext,
                       back_substitute, normal_form, parse_polynomial, power_substitute,
                       substitute, weierstrass_validate)
-from conftest import mk
-
-
-def rand_poly(rng, ctx, field, nterms=4, maxexp=3):
-    terms = {}
-    for _ in range(rng.randrange(1, nterms + 1)):
-        expo = tuple(rng.randrange(0, maxexp + 1) for _ in range(ctx.nvars))
-        if field.characteristic == 0:
-            c = Fraction(rng.randrange(-5, 6))
-        else:
-            c = field.element(rng.randrange(field.order))
-        if not field.is_zero(c):
-            terms[expo] = c
-    return Poly(ctx, field, terms)
+from conftest import mk, rand_poly, sample_relations
 
 
 class TestParse:
@@ -191,6 +178,20 @@ class TestNormalForm:
             f = Poly(ctx, field,
                      {e[:2] + (0,): c for e, c in f.terms.items()})
             nf = normal_form(f, [rel])
+            assert normal_form(nf, [rel]) == nf
+            assert back_substitute(nf, [rel]) == f
+        # non-unit tail coefficients and corrections, with f in a longer
+        # context than the relation (a free u2 rides along)
+        long_ctx = ctx.extend("u2")
+        for _ in range(100):
+            field = rng.choice([QQ, F5])
+            rel = rng.choice(sample_relations(field))
+            f = rand_poly(rng, long_ctx, field, nterms=4, maxexp=4)
+            f = Poly(long_ctx, field,
+                     {e[:2] + (0,) + e[3:]: c for e, c in f.terms.items()})
+            nf = normal_form(f, [rel])
+            assert nf.ctx == long_ctx
+            assert nf.degree_in("z") < 2
             assert normal_form(nf, [rel]) == nf
             assert back_substitute(nf, [rel]) == f
 

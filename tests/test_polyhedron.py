@@ -15,24 +15,34 @@ def F(a, b=1):
 
 # -- independent Fourier-Motzkin oracle --------------------------------------
 
+def _scaled(cs, r):
+    """The row scaled so that its first nonzero |coefficient| is 1."""
+    lead = next((abs(c) for c in cs if c), None)
+    if lead is None:
+        return cs, r
+    return tuple(c / lead for c in cs), r / lead
+
+
 def fm_feasible(ineqs, nvars):
-    """Feasibility of sum(c_i x_i) <= rhs systems by variable elimination."""
-    work = [(tuple(map(Fraction, cs)), Fraction(r)) for cs, r in ineqs]
+    """Feasibility of sum(c_i x_i) <= rhs systems by variable elimination.
+
+    Rows are kept scaled in a set, so the duplicates that elimination
+    produces are dropped as they appear, and a derived row 0 <= r with
+    r < 0 ends the run at once.
+    """
+    work = {_scaled(tuple(map(Fraction, cs)), Fraction(r)) for cs, r in ineqs}
     for v in range(nvars):
-        pos, neg, rest = [], [], []
-        for cs, r in work:
-            if cs[v] > 0:
-                pos.append((cs, r))
-            elif cs[v] < 0:
-                neg.append((cs, r))
-            else:
-                rest.append((cs, r))
-        work = rest
+        pos = [(cs, r) for cs, r in work if cs[v] > 0]
+        neg = [(cs, r) for cs, r in work if cs[v] < 0]
+        work = {(cs, r) for cs, r in work if cs[v] == 0}
         for cp, rp in pos:
             for cn, rn in neg:
                 a, b = cp[v], -cn[v]
-                cs = tuple(a * cn[i] + b * cp[i] for i in range(nvars))
-                work.append((cs, a * rn + b * rp))
+                cs, r = _scaled(tuple(a * cn[i] + b * cp[i] for i in range(nvars)),
+                                a * rn + b * rp)
+                if r < 0 and not any(cs):
+                    return False
+                work.add((cs, r))
     return all(r >= 0 for _, r in work)
 
 
