@@ -9,6 +9,7 @@ and the kappa terminal as "inf" | "-1" | "inconclusive".  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +31,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_NO_PRESENTATION = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="kappainv",
         description="Exact classification of Weierstrass hypersurface singularities.")
@@ -328,8 +331,7 @@ def run_batch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "batch", None):
             return run_batch(args)

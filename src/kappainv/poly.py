@@ -525,16 +525,23 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     key = _print_key(ctx)
     lt_g = max(g.terms, key=key)
     cg = g.terms[lt_g]
-    rem = f
+    rem = dict(f.terms)
     out = {}
-    while not rem.is_zero():
-        lt_r = max(rem.terms, key=key)
+    while rem:
+        lt_r = max(rem, key=key)
         diff = tuple(a - b for a, b in zip(lt_r, lt_g))
         if any(v < 0 for v in diff):
             raise ValueError("not exactly divisible")
-        c = ring.div(rem.terms[lt_r], cg)
-        out[diff] = ring.add(out.get(diff, ring.zero), c)
-        rem = rem.sub(g.mul_monomial(diff, c))
+        c = ring.div(rem[lt_r], cg)
+        out[diff] = c
+        # rem -= c * x^diff * g, in place; the leading term cancels exactly
+        for eg, ceg in g.terms.items():
+            e = tuple(a + b for a, b in zip(eg, diff))
+            s = ring.sub(rem.get(e, ring.zero), ring.mul(c, ceg))
+            if ring.is_zero(s):
+                rem.pop(e, None)
+            else:
+                rem[e] = s
     return Poly(ctx, ring, out, _min_trunc(f.trunc, g.trunc))
 
 

@@ -1,8 +1,10 @@
 """Discriminants, the monomial-times-unit test, and the combined classifier.
 
-The discriminant is the raw Sylvester resultant Res_z(f, df/dz) with no
-sign or leading-coefficient normalization; the quasi-ordinary condition
-(a unit times a monomial) is insensitive to that choice.  Res(f, 0) = 0 by
+The discriminant is the raw resultant Res_z(f, df/dz) = det Syl(f, df/dz),
+with no sign or leading-coefficient normalization; the quasi-ordinary
+condition (a unit times a monomial) is insensitive to that choice.  It is
+computed by the subresultant pseudo-remainder sequence in z over the
+polynomial ring in x, about deg f pseudo-divisions.  Res(f, 0) = 0 by
 convention, which covers the purely inseparable case in characteristic p.
 """
 
@@ -13,13 +15,6 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ContractViolation
 from .kappa import (KappaConfig, KappaResult, Terminal, compute_kappa)
 from .poly import Poly, WeierstrassPoly, derivative, exact_div
-
-# Cofactor expansion up to this size, Bareiss above.  On the benchmark's
-# Sylvester matrices (size 2n - 1) cofactor is faster at size 5 (0.18 ms
-# against 1.0 ms on field-roots) and Bareiss at sizes 7 and 9 (12 ms against
-# 97 ms on towers, 8.2 ms against 41 ms on field-roots); only the very sparse
-# matrices of the discriminants workload favour cofactor above 6.
-_COFACTOR_MAX_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -35,112 +30,73 @@ class DiscriminantReport:
     monomial_unit: MonomialUnitStatus
 
 
-def _z_coefficients(f: Poly, n: int) -> list:
-    """Coefficient polynomials [c_n, ..., c_0] of f as a polynomial in z."""
+def _z_coefficients(f: Poly) -> list:
+    """Coefficients [c_m, ..., c_0] of f in z, m its true z-degree, as exact polynomials."""
     ctx = f.ctx
     zidx = ctx.var_index("z")
     buckets = {}
     for e, c in f.terms.items():
-        e2 = list(e)
-        k = e2[zidx]
-        e2[zidx] = 0
-        buckets.setdefault(k, {})[tuple(e2)] = c
-    return [Poly(ctx, f.ring, buckets.get(k, {}), f.trunc) for k in range(n, -1, -1)]
+        buckets.setdefault(e[zidx], {})[e[:zidx] + (0,) + e[zidx + 1:]] = c
+    return [Poly(ctx, f.ring, buckets.get(k), None) for k in range(max(buckets), -1, -1)]
 
 
-def sylvester_matrix(f: Poly, g: Poly, n: int, m: int) -> list:
-    """The (n+m) x (n+m) Sylvester matrix of (f, g) as polynomials in z."""
-    fc = _z_coefficients(f, n)
-    gc = _z_coefficients(g, m)
-    size = n + m
-    zero = Poly.zero(f.ctx, f.ring)
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(fc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(gc):
-            row[i + j] = c
-        rows.append(row)
-    return rows
+def _prem(A: list, B: list) -> list:
+    """The pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B, leading zeros dropped."""
+    lead = B[0]
+    R = A
+    steps = len(A) - len(B) + 1
+    while len(R) >= len(B):
+        top = R[0]
+        R = ([lead.mul(r).sub(top.mul(b)) for r, b in zip(R[1:], B[1:])]
+             + [lead.mul(r) for r in R[len(B):]])
+        steps -= 1
+        while R and R[0].is_zero():
+            R = R[1:]
+    return [lead.pow_(steps).mul(r) for r in R] if steps > 0 else R
 
 
-def _det_cofactor(rows) -> Poly:
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    some = rows[0][0]
-    ring = some.ring
-    ctx = some.ctx
-    total = Poly.zero(ctx, ring)
-    for i in range(size):
-        entry = rows[i][0]
-        if entry.is_zero():
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        piece = entry.mul(_det_cofactor(minor))
-        total = total.add(piece) if i % 2 == 0 else total.sub(piece)
-    return total
+def determinant(fc: list, gc: list) -> Poly:
+    """det Syl(f, g), the raw resultant Res_z(f, g), for deg f > deg g >= 0.
 
-
-def _det_bareiss(rows) -> Poly:
-    """Fraction-free elimination (Bareiss); on exact entries every division is exact."""
-    size = len(rows)
-    M = [list(r) for r in rows]
-    some = M[0][0]
-    ring = some.ring
-    ctx = some.ctx
-    one = Poly.one(ctx, ring)
-    prev = one
-    sign = 1
-    for k in range(size - 1):
-        if M[k][k].is_zero():
-            swap = next((i for i in range(k + 1, size) if not M[i][k].is_zero()), None)
-            if swap is None:
-                return Poly.zero(ctx, ring)
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = M[i][j].mul(M[k][k]).sub(M[i][k].mul(M[k][j]))
-                M[i][j] = exact_div(num, prev)
-            M[i][k] = Poly.zero(ctx, ring)
-        prev = M[k][k]
-    det = M[size - 1][size - 1]
-    return det if sign > 0 else det.neg()
-
-
-def determinant(rows) -> Poly:
-    """The determinant; entries with a certificate T give it modulo x^T.
-
-    Cofactor expansion (small sizes) only adds and multiplies, so it is valid
-    on truncated entries as they are.  Bareiss divides, which is exact only
-    on exact polynomials: it runs on the stored entries with their
-    certificates dropped, and the smallest certificate T is applied once to
-    the result.  That is sound because det(A mod x^T) = det(A) mod x^T when
-    no entry has a negative exponent.
+    fc and gc are the exact z-coefficient lists of f and g, leading one first
+    and nonzero.  Subresultant pseudo-remainder sequence (Brown and Traub
+    1971; Cohen, Algorithm 3.3.7): every division by g * h^delta and by h^k
+    is exact in the polynomial ring of the coefficients.
     """
-    if not rows:
-        raise ContractViolation("empty matrix")
-    if len(rows) <= _COFACTOR_MAX_DIM:
-        return _det_cofactor(rows)
-    T = min((e.trunc for r in rows for e in r if e.trunc is not None), default=None)
-    det = _det_bareiss([[Poly(e.ctx, e.ring, e.terms) for e in r] for r in rows])
-    # the result carries T even when no term of the exact det reaches it
-    return Poly(det.ctx, det.ring, det.truncate(T).terms, T)
+    A, B = fc, gc
+    g = h = Poly.one(fc[0].ctx, fc[0].ring)
+    sign = 1
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
+            sign = -sign
+        R = _prem(A, B)
+        if not R:
+            return Poly.zero(g.ctx, g.ring)
+        divisor = g.mul(h.pow_(delta))
+        A, B = B, [exact_div(r, divisor) for r in R]
+        g = A[0]
+        h = g if delta == 1 else exact_div(g.pow_(delta), h.pow_(delta - 1))
+    # B is a nonzero constant c: the last subresultant is c^deg(A) / h^(deg(A) - 1)
+    k = len(A) - 1
+    res = exact_div(B[0].pow_(k), h.pow_(k - 1))
+    return res if sign > 0 else res.neg()
 
 
 def discriminant_z(wf: WeierstrassPoly, T=None) -> DiscriminantReport:
-    """Res_z(f, df/dz) as the Sylvester determinant, with Res(f, 0) = 0."""
+    """Res_z(f, df/dz) = det Syl(f, df/dz), with Res(f, 0) = 0.
+
+    The resultant runs on the stored coefficients as exact polynomials and
+    the certificate T of the truncated input is applied once to the result.
+    That is sound because the resultant is an integer polynomial in the
+    coefficients, so Res(f mod x^T, g mod x^T) = Res(f, g) mod x^T.
+    """
     f = wf.poly if T is None else wf.poly.truncate(T)
     g = derivative(f, "z")
-    if g.is_zero():
-        disc = Poly.zero(f.ctx, f.ring, f.trunc)
-    else:
-        disc = determinant(sylvester_matrix(f, g, wf.n, g.degree_in("z")))
+    disc = Poly.zero(f.ctx, f.ring) if g.is_zero() else determinant(
+        _z_coefficients(f), _z_coefficients(g))
+    # the result carries the certificate even when no term of it reaches T
+    disc = Poly(disc.ctx, disc.ring, disc.truncate(f.trunc).terms, f.trunc)
     return DiscriminantReport(disc, disc.trunc is None, is_monomial_times_unit(disc))
 
 
@@ -165,7 +121,7 @@ def is_monomial_times_unit(g: Poly) -> MonomialUnitStatus:
     low = tuple(min(e[i] for e in support) for i in range(g.ctx.nvars))
     if low not in g.terms:
         return MonomialUnitStatus("no")
-    # sanity: the cofactor g / x^low has a unit constant term by construction
+    # sanity: the quotient g / x^low has a unit constant term by construction
     assert not g.ring.is_zero(g.terms[low])
     if exact or all(v == 0 for v in low):
         return MonomialUnitStatus("yes", low[:g.ctx.d])

@@ -1,16 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kappainv.cli import JSON_DUMP_KWARGS, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_module(argv):
+    """`python -m kappainv ...` in a child that imports this checkout's src first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "kappainv", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 class TestClassify:
@@ -148,12 +160,7 @@ class TestOtherCommands:
         assert "characteristic 0" in capsys.readouterr().err
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-        proc = subprocess.run(
-            [sys.executable, "-m", "kappainv", "classify", "--char", "2",
-             "--vars", "1", "z^2 - x1^3"],
-            capture_output=True, text=True)
+        proc = run_module(["classify", "--char", "2", "--vars", "1", "z^2 - x1^3"])
         assert proc.returncode == 0
         assert "kappa = (3/2, inf)" in proc.stdout
 
@@ -207,8 +214,7 @@ class TestMalformedFlags:
         (["deform", "--char", "2", "--lambda", "1/0", "z^2 - x1^3"], "--lambda"),
     ])
     def test_error_line_instead_of_traceback(self, argv, flag):
-        proc = subprocess.run([sys.executable, "-m", "kappainv", *argv],
-                              capture_output=True, text=True)
+        proc = run_module(argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert flag in proc.stderr

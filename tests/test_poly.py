@@ -6,6 +6,7 @@ import pytest
 from kappainv import (ParseError, Poly, Relation, ValidationError, VarContext,
                       back_substitute, normal_form, parse_polynomial, power_substitute,
                       substitute, weierstrass_validate)
+from kappainv.poly import exact_div
 from conftest import mk, rand_poly, sample_relations
 
 
@@ -120,6 +121,25 @@ class TestSubstitute:
         # truncating without dropping anything keeps exact knowledge exact
         assert base.truncate(5).trunc is None
         assert mk("x1^6", 1, QQ).truncate(5).trunc == 5
+
+
+class TestExactDiv:
+    def test_recovers_the_cofactor(self, QQ, F7):
+        rng = random.Random(517)
+        ctx = VarContext(2)
+        for _ in range(100):
+            field = rng.choice([QQ, F7])
+            a = rand_poly(rng, ctx, field, nterms=5)
+            b = rand_poly(rng, ctx, field, nterms=rng.choice([1, 3]))
+            if b.is_zero():
+                continue
+            assert exact_div(a.mul(b), b) == a
+
+    def test_rejects_a_non_divisor(self, QQ):
+        with pytest.raises(ValueError):
+            exact_div(mk("x1^2 + x2", 2, QQ), mk("x1", 2, QQ))
+        with pytest.raises(ValueError):
+            exact_div(mk("x1^2 + 1", 2, QQ), mk("x1 + 1", 2, QQ))
 
 
 class TestPowerSubstitute:

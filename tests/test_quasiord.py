@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import (ContractViolation, Poly, Terminal, VarContext, classify,
+from kappainv import (ContractViolation, Field, Poly, Terminal, VarContext, classify,
                       discriminant_z, is_monomial_times_unit, weierstrass_validate)
 from kappainv.poly import derivative
-from kappainv.quasiord import _det_bareiss, _det_cofactor, determinant, sylvester_matrix
+from kappainv.quasiord import _z_coefficients
 from conftest import mk, mkw
 
 
@@ -32,12 +32,35 @@ def rand_weierstrass(rng, field):
     return weierstrass_validate(Poly(VarContext(d), field, terms))
 
 
+def sylvester_matrix(f, g):
+    """The Sylvester matrix of (f, g) in z: deg g shifted rows of f's
+    coefficients, then deg f shifted rows of g's."""
+    fc, gc = _z_coefficients(f), _z_coefficients(g)
+    n, m = len(fc) - 1, len(gc) - 1
+    zero = Poly.zero(f.ctx, f.ring)
+    rows = []
+    for coeffs, count in ((fc, m), (gc, n)):
+        for i in range(count):
+            row = [zero] * (n + m)
+            row[i:i + len(coeffs)] = coeffs
+            rows.append(row)
+    return rows
+
+
+def sylvester_resultant(f):
+    """Res_z(f, df/dz) by expanding the Sylvester determinant, Res(f, 0) = 0."""
+    g = derivative(f, "z")
+    if g.is_zero():
+        return Poly.zero(f.ctx, f.ring)
+    return det_by_minors(sylvester_matrix(f, g))
+
+
 def det_by_minors(rows):
     """Cofactor expansion down the columns, each minor computed once.
 
     A minor is fixed by the rows it keeps (its columns are the last ones),
     so a memo keyed by that row set turns the n! expansion into n * 2^n
-    products.  Like `_det_cofactor` it only adds and multiplies.
+    products.  It only adds and multiplies.
     """
     size = len(rows)
     zero = Poly.zero(rows[0][0].ctx, rows[0][0].ring)
@@ -105,32 +128,74 @@ class TestDiscriminant:
         assert checked == 200
 
     def test_truncated_matches_exact_then_truncated(self, QQ, F7):
-        # the oracle expands the exact Sylvester matrix by cofactors and only
-        # then applies the certificate; z-degrees 4 and 5 (sizes 7 and 9) run
-        # Bareiss in discriminant_z, smaller ones cofactor expansion
+        # the oracle expands the exact Sylvester determinant and only then
+        # applies the certificate
         rng = random.Random(20260418)
         for _ in range(200):
             wf = rand_weierstrass(rng, rng.choice([QQ, F7]))
             T = rng.randint(1, 12)
             rep = discriminant_z(wf, T)
-            f = wf.poly
-            g = derivative(f, "z")
-            exact = det_by_minors(sylvester_matrix(f, g, wf.n, g.degree_in("z")))
-            trunc = f.truncate(T).trunc
-            assert rep.disc == exact.truncate(trunc), (f.format(), T)
-            assert rep.disc.trunc == trunc, (f.format(), T)
+            exact = sylvester_resultant(wf.poly)
+            trunc = wf.poly.truncate(T).trunc
+            assert rep.disc == exact.truncate(trunc), (wf.poly.format(), T)
+            assert rep.disc.trunc == trunc, (wf.poly.format(), T)
             assert rep.exact is (trunc is None)
 
-    def test_bareiss_matches_cofactor_above_threshold(self, QQ):
-        # degree 4 polynomial: a 7x7 Sylvester matrix exercises Bareiss
+    def test_matches_sylvester_oracle_on_7x7(self, QQ):
+        # degree 4: the Sylvester matrix of (f, f') is 7x7
         wf = mkw("z^4 - 2*x1^3*z^2 + x1*z + x1^6", 1, QQ)
         f = wf.poly
         g = derivative(f, "z")
-        rows = sylvester_matrix(f, g, 4, g.degree_in("z"))
+        rows = sylvester_matrix(f, g)
         assert len(rows) == 7
-        assert _det_bareiss(rows) == _det_cofactor(rows)
-        assert determinant(rows) == _det_cofactor(rows)
-        assert det_by_minors(rows) == _det_cofactor(rows)
+        assert discriminant_z(wf).disc == det_by_minors(rows)
+
+    @pytest.mark.parametrize("text, p, fprime, want", [
+        # f' = x1 is a nonzero constant in z: Res(f, c) = c^3
+        ("z^3 + x1*z + x1^2", 3, "x1", "x1^3"),
+        # f' = x1*z^2 drops the z-degree by two, so the first delta is 2
+        ("z^4 + x1*z^3 + x1^3", 2, "x1*z^2", "x1^10"),
+    ])
+    def test_char_p_degree_drops(self, text, p, fprime, want):
+        field = Field.finite(p)
+        wf = mkw(text, 1, field)
+        assert derivative(wf.poly, "z") == mk(fprime, 1, field)
+        rep = discriminant_z(wf)
+        assert rep.disc == mk(want, 1, field)
+        assert rep.disc == sylvester_resultant(wf.poly)
+
+    def test_factored_char_p_sweep(self):
+        # f = prod (z - s_i) with distinct s_i and n = p or 2p, so that
+        # deg f' < n - 1; the raw resultant is
+        # (-1)^(n(n-1)/2) * prod_{i<j} (s_i - s_j)^2, sign included
+        rng = random.Random(6061)
+        ctx = VarContext(1)
+        for p in (2, 3, 5):
+            field = Field.finite(p)
+            z = Poly.variable(ctx, field, "z")
+            for n in (p, 2 * p):
+                for _ in range(3):
+                    roots = []
+                    while len(roots) < n:
+                        s = rand_series(rng, ctx, field, rng.randrange(0, 2))
+                        if all(s != r for r in roots):
+                            roots.append(s)
+                    f = Poly.one(ctx, field)
+                    for s in roots:
+                        f = f.mul(z.sub(s))
+                    want = Poly.one(ctx, field)
+                    for i in range(n):
+                        for j in range(i + 1, n):
+                            diff = roots[i].sub(roots[j])
+                            want = want.mul(diff).mul(diff)
+                    if n * (n - 1) // 2 % 2:
+                        want = want.neg()
+                    assert derivative(f, "z").degree_in("z") < n - 1
+                    assert discriminant_z(weierstrass_validate(f)).disc == want, f.format()
+
+    def test_factored_char0_sign(self, QQ):
+        rep = discriminant_z(mkw("z^3 - 6*x1*z^2 + 11*x1^2*z - 6*x1^3", 1, QQ))
+        assert rep.disc == mk("-4*x1^6", 1, QQ)
 
 
 class TestMonomialUnit:
