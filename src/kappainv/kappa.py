@@ -302,8 +302,8 @@ def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
     return f.add(step, T)
 
 
-def _search_at_power(f, vertex, main_var, top_exp, weights, relations, power, depth, T):
-    In = _initial_at(f, vertex, main_var, top_exp, weights)
+def _search_at_power(f, In, vertex, main_var, top_exp, weights, relations, power, depth, T):
+    """Search from f, whose initial form at the vertex is In, for the given power."""
     if len(In.terms) > 1:
         res = _decompose_at(In, main_var, power, f.ctx, f.ring)
         if isinstance(res, (BinomialPower, FieldExtensionRequired)):
@@ -318,7 +318,8 @@ def _search_at_power(f, vertex, main_var, top_exp, weights, relations, power, de
         for expo in ordered:
             if all(a >= b for a, b in zip(expo, tail)):
                 f2 = _apply_rewrite(f, expo, rel, T)
-                found = _search_at_power(f2, vertex, main_var, top_exp, weights,
+                found = _search_at_power(f2, _initial_at(f2, vertex, main_var, top_exp, weights),
+                                         vertex, main_var, top_exp, weights,
                                          relations, power, depth - 1, T)
                 if found is not None:
                     return found
@@ -336,8 +337,10 @@ def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
     rewrite that realizes a larger power beats a direct match at a smaller
     one.
     """
+    vertex = tuple(vertex)
+    In = _initial_at(f, vertex, main_var, top_exp, weights)  # shared by every power
     for power in _divisors_desc(top_exp):
-        found = _search_at_power(f, tuple(vertex), main_var, top_exp, weights,
+        found = _search_at_power(f, In, vertex, main_var, top_exp, weights,
                                  relations, power, depth, T)
         if found is not None:
             f2, outcome = found

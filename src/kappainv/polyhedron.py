@@ -1,10 +1,12 @@
 """Exact rational geometry of orthant polyhedra conv(S) + R_{>=0}^d.
 
-A polyhedron is stored by its minimal vertex set; membership of a point in
-conv(S) + R_{>=0}^d is decided by exact phase-one simplex over Fractions
-with Bland's rule, so there are no tolerances and no cycling.  Instances
-are tiny (d <= 8, a handful of generators), which makes the dense tableau
-the simplest correct choice.
+A polyhedron is stored by its minimal vertex set.  Membership of a point in
+conv(S) + R_{>=0}^d is decided first by exact dominance tests (inside when
+p dominates a generator, outside when a coordinate of p is below its minimum
+over S), then by exact phase-one simplex over Fractions with Bland's rule,
+so there are no tolerances and no cycling.  Instances are tiny (d <= 8, a
+handful of generators), which makes the dense tableau the simplest correct
+choice.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def member(p, points) -> bool:
     """Whether p lies in conv(points) + R_{>=0}^d.
 
     Feasibility of: lambda >= 0, sum(lambda) = 1, sum(lambda_i s_i) <= p
-    componentwise, decided by exact phase-one simplex.
+    componentwise, decided by dominance tests, then exact phase-one simplex.
     """
     points = list(points)
     if not points:
@@ -43,6 +45,10 @@ def member(p, points) -> bool:
     for s in points:
         if len(s) != d:
             raise ContractViolation("dimension mismatch in membership test")
+    if any(all(a <= b for a, b in zip(s, p)) for s in points):
+        return True
+    if any(p[r] < min(s[r] for s in points) for r in range(d)):
+        return False
     m = len(points)
     # rows: d coordinate rows (with slack) plus the convexity row
     nstruct = m + d
@@ -111,11 +117,18 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
     """Minimal V with conv(V) + orthant = conv(points) + orthant.
 
     A generator is a vertex exactly when it is not a member of the hull of
-    the others, so a single removal pass is canonical.
+    the others, so a single removal pass is canonical.  It runs on the Pareto
+    minima only, since a point that weakly dominates a distinct (lex-smaller)
+    point is no vertex (Kung, Luccio and Preparata, JACM 1975).
     """
     if d > MAX_DIMENSION:
         raise ConfigurationError(f"dimension {d} exceeds the configured bound {MAX_DIMENSION}")
-    kept = sorted({tuple(Fraction(c) for c in pt) for pt in points})
+    kept = []
+    for q in sorted({tuple(Fraction(c) for c in pt) for pt in points}):
+        if len(q) != d:
+            raise ContractViolation(f"dimension mismatch: {q} has not {d} coordinates")
+        if not any(all(a <= b for a, b in zip(s, q)) for s in kept):
+            kept.append(q)
     i = 0
     while i < len(kept):
         rest = kept[:i] + kept[i + 1:]

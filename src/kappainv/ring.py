@@ -195,7 +195,7 @@ class Field:
                 modulus = tuple(c % p for c in modulus)
                 if len(modulus) != k + 1 or modulus[-1] != 1:
                     raise ConfigurationError("modulus must be monic of degree k")
-                if not _is_irreducible(list(modulus), p):
+                if not _is_irreducible(modulus, p):
                     raise ConfigurationError("modulus is reducible over GF(p)")
         self.characteristic = p
         self.extension_degree = k
@@ -444,8 +444,12 @@ def _rational_roots(a: Fraction, n: int) -> list:
     return [r, -r]
 
 
-def _is_irreducible(modulus, p: int) -> bool:
-    """Exhaustive factor search; the candidate divisors are desk scale by construction."""
+@lru_cache(maxsize=_CACHED_TABLES)
+def _is_irreducible(modulus: tuple, p: int) -> bool:
+    """Exhaustive factor search; the candidate divisors are desk scale by construction.
+
+    Cached, so each modulus is tested once per process.
+    """
     k = len(modulus) - 1
     if k <= 0:
         return False

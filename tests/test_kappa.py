@@ -129,6 +129,26 @@ class TestBinomializeModulo:
         assert outcome is NOT_BINOMIAL
         assert f2 is f
 
+    def test_root_initial_form_built_once(self, QQ, monkeypatch):
+        # top exponent 6 tries the powers 6, 3, 2 and 1 on the same root
+        ctx = VarContext(1, ("z", "u1"))
+        rel = Relation(var="u1", head_var="z", head_exp=2, tail_coeff=QQ.one,
+                       tail_expo=(1, 1, 0), ctx=ctx, ring=QQ)
+        f = parse_polynomial("u1^6 + x1*z*u1", ctx, QQ)
+        built = []
+        initial_at = kappainv.kappa._initial_at
+
+        def counting(g, *args):
+            built.append(g is f)
+            return initial_at(g, *args)
+
+        monkeypatch.setattr(kappainv.kappa, "_initial_at", counting)
+        outcome, f2 = binomialize_modulo(f, (F(2, 5),), "u1", 6, [rel], {"z": (F(1),)})
+        assert outcome is NOT_BINOMIAL
+        assert f2 is f
+        assert built.count(True) == 1
+        assert built.count(False) == 4  # the rewritten node under each power builds its own
+
     def test_rewrite_keeps_the_class_modulo_the_relation(self, QQ, F5):
         # a rewrite adds a multiple of u1 - rhs, so eliminating u1 undoes it
         rng = random.Random(7)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import (EmptyPolyhedronError, hull_vertices, lex_min_vertex, member,
-                      polyhedron_leq, projected_polyhedron,
+import kappainv.polyhedron
+from kappainv import (ContractViolation, EmptyPolyhedronError, hull_vertices, lex_min_vertex,
+                      member, polyhedron_leq, projected_polyhedron,
                       weighted_projected_polyhedron)
 from conftest import mk, mkw
 
@@ -28,10 +29,21 @@ def fm_feasible(ineqs, nvars):
 
     Rows are kept scaled in a set, so the duplicates that elimination
     produces are dropped as they appear, and a derived row 0 <= r with
-    r < 0 ends the run at once.
+    r < 0 ends the run at once.  Each step eliminates the variable that
+    adds the fewest rows (pos * neg - pos - neg), which keeps tied,
+    Pareto-heavy systems small.
     """
     work = {_scaled(tuple(map(Fraction, cs)), Fraction(r)) for cs, r in ineqs}
-    for v in range(nvars):
+
+    def growth(v):
+        pos = sum(1 for cs, _ in work if cs[v] > 0)
+        neg = sum(1 for cs, _ in work if cs[v] < 0)
+        return pos * neg - pos - neg
+
+    left = set(range(nvars))
+    while left:
+        v = min(left, key=lambda u: (growth(u), u))
+        left.remove(v)
         pos = [(cs, r) for cs, r in work if cs[v] > 0]
         neg = [(cs, r) for cs, r in work if cs[v] < 0]
         work = {(cs, r) for cs, r in work if cs[v] == 0}
@@ -58,6 +70,69 @@ def member_oracle(p, points):
     for c in range(d):
         ineqs.append((tuple(points[i][c] for i in range(m)), p[c]))
     return fm_feasible(ineqs, m)
+
+
+def hull_oracle(points):
+    """Sorted distinct points q with q outside the oracle hull of the others."""
+    pts = sorted(set(points))
+    return tuple(q for q in pts if not member_oracle(q, [s for s in pts if s != q]))
+
+
+def pareto_heavy(rng, d, m):
+    """m points in Q^d: random ones, duplicates, dominated copies and segment points."""
+    def rand_pt():
+        # a coarse grid, so that coordinates tie and faces of the orthant hull appear
+        return tuple(Fraction(rng.randrange(0, 7), rng.randrange(1, 3)) for _ in range(d))
+    pts = [rand_pt()]
+    while len(pts) < m:
+        a, b = rng.choice(pts), rng.choice(pts)
+        kind = rng.randrange(4)
+        if kind == 0:
+            pts.append(a)
+        elif kind == 1:
+            pts.append(tuple(c + Fraction(rng.randrange(0, 3), rng.randrange(1, 3)) for c in a))
+        elif kind == 2:
+            t = Fraction(rng.randrange(1, 4), 4)
+            pts.append(tuple(t * x + (1 - t) * y for x, y in zip(a, b)))
+        else:
+            pts.append(rand_pt())
+    return pts
+
+
+class TestDominanceShortcuts:
+    """The dominance tests in member and hull_vertices against the Fourier-Motzkin oracle."""
+
+    def test_member_sweep(self):
+        rng = random.Random(41)
+        for d in range(1, 5):
+            for m in range(1, 9):
+                for _ in range(3):
+                    pts = pareto_heavy(rng, d, m)
+                    a, b = rng.choice(pts), rng.choice(pts)
+                    mid = tuple((x + y) / 2 for x, y in zip(a, b))
+                    below = tuple(c - Fraction(1, 8) if r == 0 else c for r, c in enumerate(mid))
+                    for p in pareto_heavy(rng, d, 2) + [a, mid, below]:
+                        assert member(p, pts) == member_oracle(p, pts)
+
+    def test_hull_sweep(self):
+        rng = random.Random(43)
+        for d in range(1, 5):
+            for m in range(1, 9):
+                for _ in range(3):
+                    pts = pareto_heavy(rng, d, m)
+                    assert hull_vertices(pts, d).vertices == hull_oracle(pts)
+
+    def test_dimension_one_never_runs_the_simplex(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the simplex ran at d = 1")
+
+        monkeypatch.setattr(kappainv.polyhedron, "_phase_one_feasible", refuse)
+        rng = random.Random(47)
+        for m in range(1, 9):
+            pts = pareto_heavy(rng, 1, m)
+            assert hull_vertices(pts, 1).vertices == (min(pts),)
+            for p in pareto_heavy(rng, 1, 4):
+                assert member(p, pts) == (p[0] >= min(pts)[0])
 
 
 class TestMember:
@@ -101,6 +176,12 @@ class TestHull:
     def test_single_point(self):
         P = hull_vertices([(F(3, 2),)], 1)
         assert P.vertices == ((F(3, 2),),)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            hull_vertices([(1, 2)], 1)
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            hull_vertices([(1, 2), (3, 4, 5)], 2)
 
     def test_minimality_property(self):
         rng = random.Random(17)

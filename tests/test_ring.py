@@ -223,6 +223,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Field.finite(2, 2, (1, 0, 1))  # t^2 + 1 = (t + 1)^2 over GF(2)
 
+    def test_cached_irreducibility_verdict_repeats(self):
+        # the verdict is cached per modulus; a cached "reducible" still raises
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="reducible"):
+                Field.finite(3, 2, (2, 0, 1))  # t^2 + 2 = (t + 1)(t + 2) over GF(3)
+        assert Field.finite(3, 2, (1, 0, 1)).modulus == Field.finite(3, 2, (1, 0, 1)).modulus
+
     def test_desk_scale_bound(self):
         with pytest.raises(ConfigurationError):
             Field.finite(2, 17, tuple([1] + [0] * 16 + [1]))
