@@ -205,13 +205,6 @@ class Poly:
     def sub(self, other: "Poly", T=None) -> "Poly":
         return self.add(other.neg(), T)
 
-    def scale(self, coeff) -> "Poly":
-        ring = self.ring
-        if ring.is_zero(coeff):
-            return Poly.zero(self.ctx, ring, self.trunc)
-        return Poly(self.ctx, ring, {e: ring.mul(c, coeff) for e, c in self.terms.items()},
-                    self.trunc)
-
     def mul_monomial(self, expo, coeff=None) -> "Poly":
         ring = self.ring
         coeff = ring.one if coeff is None else coeff

@@ -1,33 +1,35 @@
 """Exact coefficient arithmetic over Q, GF(p^k) and Z.
 
 Coefficient values are plain Python objects interpreted by a ring object:
-Fraction for Q, int in {0..p-1} for GF(p), a length-k tuple of such ints
-for GF(p^k), and int for Z.  No floating point is used anywhere.
+Fraction for Q, int for Z, and for GF(q) the element's enumeration index,
+an int in 0..q-1.  Q and Z compute with Python's own operators.  No floating
+point is used anywhere.
 
-Finite fields are desk scale (q = p^k at most 2^16).  Element i of the
-enumeration order is the residue whose base-p digits are those of i, and
-every nonzero element is a power g^L of the field's smallest primitive
-element g.  A pair of log/antilog tables maps indices to exponents L and
-back (discrete logarithms, Lidl and Niederreiter, *Finite Fields*, ch. 2).
-The tables are built the first time a field needs them and shared by every
-equal Field.  With them, n-th roots solve n*L = log a (mod q-1), the
-multiplicative order of a is (q-1)/gcd(log a, q-1), and GF(p^k)
-multiplication, inversion and powers are lookups; prime fields keep
-integer arithmetic mod p.
+Finite fields are desk scale (q = p^k at most 2^16).  Element i is the
+residue whose base-p digits are those of i, so a GF(p) value is the residue
+itself and the constant term of a GF(p^k) value is its index mod p.  Every
+nonzero element is a power g^L of the field's smallest primitive element g,
+and three tables on indices make every operation a lookup: log and exp map
+indices to exponents L and back (discrete logarithms, Lidl and Niederreiter,
+*Finite Fields*, ch. 2), and the Zech table holds zech[L] = log(1 + g^L), so
+that g^a + g^b = g^(a + zech[b - a]).  With them, n-th roots solve
+n*L = log a (mod q-1), and the multiplicative order of a is
+(q-1)/gcd(log a, q-1).  The tables are built the first time a field needs
+them and shared by every equal field.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
 
 from .errors import ConfigurationError, UnsupportedLiftError
 
 _MAX_FIELD_ORDER = 1 << 16
-# fields whose tables stay cached; the GF(2^16) pair takes 256 KiB
+# fields whose tables stay cached; the GF(2^16) tables take 384 KiB
 _CACHED_TABLES = 16
 
 
@@ -123,34 +125,38 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-def _fill(q: int, start, step, index):
+def _fill(p: int, q: int, start, step, index):
     """Tables from the walk start, step(start), ... over the q-1 powers of g;
     index(v) is the enumeration index of the walk value v."""
+    m = q - 1
     # unsigned 16-bit entries hold every index and exponent, as q <= _MAX_FIELD_ORDER
-    exp = array("H", [0]) * (q - 1)
-    log = array("H", [0]) * q
+    exp = array("H", [0]) * m
+    log = array("H", [m]) * q  # log[0] keeps m, which zech reads where 1 + g^L = 0
     v = start
-    for L in range(q - 1):
+    for L in range(m):
         i = index(v)
         exp[L] = i
         log[i] = L
         v = step(v)
-    return log, exp
+    # 1 + g^L adds one to the constant digit of the index of g^L
+    zech = array("H", (log[i + 1 if (i + 1) % p else i + 1 - p] for i in exp))
+    return log, exp, zech
 
 
 @lru_cache(maxsize=_CACHED_TABLES)
 def _log_tables(p: int, k: int, modulus):
-    """(log, exp) for GF(p^k) on enumeration indices.
+    """(log, exp, zech) for GF(p^k) on enumeration indices.
 
     exp[L] is the index of g^L for the smallest primitive element g, and
-    log[exp[L]] = L; log[0] is unused.  g is primitive when g^((q-1)/r) != 1
-    for every prime r dividing q-1.
+    log[exp[L]] = L.  zech[L] is log(1 + g^L), or q-1 where 1 + g^L = 0;
+    log[0] is q-1 as well.  g is primitive when g^((q-1)/r) != 1 for every
+    prime r dividing q-1.
     """
     q = p ** k
     tests = [(q - 1) // r for r in _prime_factors(q - 1)]
     if k == 1:
         g = next(c for c in range(1, q) if all(pow(c, e, p) != 1 for e in tests))
-        return _fill(q, 1, lambda v: v * g % p, int)
+        return _fill(p, q, 1, lambda v: v * g % p, int)
     low = [(-c) % p for c in modulus[:k]]
     one = [1] + [0] * (k - 1)
     weights = [p ** i for i in range(k)]
@@ -160,8 +166,9 @@ def _log_tables(p: int, k: int, modulus):
     if p == 2 and g == [0, 1] + [0] * (k - 2):
         # x is primitive: x*v shifts the bits of v's index and reduces by the modulus
         bits = sum(c << j for j, c in enumerate(modulus))
-        return _fill(q, 1, lambda i: (i << 1) ^ bits if i >> (k - 1) else i << 1, int)
-    return _fill(q, one, lambda v: _ext_mul(v, g, low, p), lambda v: sum(map(mul, v, weights)))
+        return _fill(p, q, 1, lambda i: (i << 1) ^ bits if i >> (k - 1) else i << 1, int)
+    return _fill(p, q, one, lambda v: _ext_mul(v, g, low, p),
+                 lambda v: sum(map(operator.mul, v, weights)))
 
 
 class Field:
@@ -169,10 +176,13 @@ class Field:
 
     Doubles as the field specification: the characteristic, extension
     degree and (for k > 1) the monic irreducible modulus over GF(p) are
-    validated at construction.
+    validated at construction.  Field(...) returns a RationalField or a
+    FiniteField; each kind supplies its own arithmetic, and construction,
+    identity and root extraction live here.
     """
 
-    __slots__ = ("characteristic", "extension_degree", "modulus", "zero", "one", "_logs")
+    def __new__(cls, characteristic: int = 0, extension_degree: int = 1, modulus=None):
+        return object.__new__(FiniteField if characteristic else RationalField)
 
     def __init__(self, characteristic: int = 0, extension_degree: int = 1, modulus=None):
         p, k = characteristic, extension_degree
@@ -180,11 +190,13 @@ class Field:
             if k != 1 or modulus is not None:
                 raise ConfigurationError("characteristic 0 admits no extension data")
         else:
-            if not is_prime(p):
+            # above the bound is_prime would take sqrt(p) steps; a prime p >= 2
+            # exceeds it for every k > 16, so p ** k is computed for k <= 16 only
+            if p <= _MAX_FIELD_ORDER and not is_prime(p):
                 raise ConfigurationError(f"characteristic {p} is not prime")
             if k < 1:
                 raise ConfigurationError("extension degree must be positive")
-            if p ** k > _MAX_FIELD_ORDER:
+            if k > 16 or p ** k > _MAX_FIELD_ORDER:
                 raise ConfigurationError(f"field order {p}^{k} exceeds the desk-scale bound 2^16")
             if k == 1:
                 if modulus is not None:
@@ -202,7 +214,6 @@ class Field:
         self.modulus = modulus
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
-        self._logs = None  # (log, exp), fetched on first use
 
     # -- constructors ------------------------------------------------------
 
@@ -225,157 +236,16 @@ class Field:
     def __hash__(self):
         return hash((self.characteristic, self.extension_degree, self.modulus))
 
-    def __repr__(self):
-        if self.characteristic == 0:
-            return "QQ"
-        if self.extension_degree == 1:
-            return f"GF({self.characteristic})"
-        return f"GF({self.characteristic}^{self.extension_degree})"
-
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
-
-    @property
-    def order(self):
-        if self.characteristic == 0:
-            return None
-        return self.characteristic ** self.extension_degree
-
-    # -- element construction ---------------------------------------------
-
-    def from_int(self, n: int):
-        if self.characteristic == 0:
-            return Fraction(n)
-        if self.extension_degree == 1:
-            return n % self.characteristic
-        return (n % self.characteristic,) + (0,) * (self.extension_degree - 1)
+    # -- arithmetic shared by both kinds -----------------------------------
 
     def from_fraction(self, num: int, den: int):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if self.characteristic == 0:
-            return Fraction(num, den)
         d = self.from_int(den)
         if self.is_zero(d):
             raise ZeroDivisionError(f"{den} is not invertible in {self!r}")
-        return self.mul(self.from_int(num), self.inv(d))
-
-    def element(self, index: int):
-        """The index-th element in enumeration order (0, 1, ..., q-1)."""
-        if self.characteristic == 0:
-            raise ConfigurationError("enumeration order is defined for finite fields only")
-        p, k = self.characteristic, self.extension_degree
-        if k == 1:
-            return index % p
-        digits = []
-        for _ in range(k):
-            digits.append(index % p)
-            index //= p
-        return tuple(digits)
-
-    def _index(self, a) -> int:
-        """The position of a finite-field element in enumeration order."""
-        if self.extension_degree == 1:
-            return a
-        p = self.characteristic
-        i = 0
-        for c in reversed(a):
-            i = i * p + c
-        return i
-
-    def _tables(self):
-        if self._logs is None:
-            self._logs = _log_tables(self.characteristic, self.extension_degree, self.modulus)
-        return self._logs
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
-    def add(self, a, b):
-        if self.characteristic == 0:
-            return a + b
-        p, k = self.characteristic, self.extension_degree
-        if k == 1:
-            return (a + b) % p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        if self.characteristic == 0:
-            return -a
-        p, k = self.characteristic, self.extension_degree
-        if k == 1:
-            return (-a) % p
-        return tuple((-x) % p for x in a)
-
-    def mul(self, a, b):
-        if self.characteristic == 0:
-            return a * b
-        if self.extension_degree == 1:
-            return (a * b) % self.characteristic
-        i, j = self._index(a), self._index(b)
-        if not i or not j:
-            return self.zero
-        log, exp = self._tables()
-        return self.element(exp[(log[i] + log[j]) % len(exp)])
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        if self.characteristic == 0:
-            return 1 / a
-        p, k = self.characteristic, self.extension_degree
-        if k == 1:
-            return pow(a, p - 2, p)
-        log, exp = self._tables()
-        return self.element(exp[-log[self._index(a)] % len(exp)])
+        return self.div(self.from_int(num), d)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow_(self, a, n: int):
-        """a**n for n >= 0 (0**0 is 1)."""
-        p = self.characteristic
-        if p == 0:
-            return a ** n
-        if self.extension_degree == 1:
-            return pow(a, n, p)
-        i = self._index(a)
-        if not i:
-            return self.zero if n else self.one
-        log, exp = self._tables()
-        return self.element(exp[log[i] * n % len(exp)])
-
-    # -- rendering ----------------------------------------------------------
-
-    def is_negative(self, a) -> bool:
-        """Whether the canonical rendering of a carries a leading minus."""
-        return self.characteristic == 0 and a < 0
-
-    def abs_value(self, a):
-        return -a if self.is_negative(a) else a
-
-    def format_coeff(self, a) -> str:
-        if self.characteristic == 0 or self.extension_degree == 1:
-            return str(a)
-        if a[1:] == (0,) * (self.extension_degree - 1):
-            return str(a[0])  # prime-subfield value
-        parts = []
-        for i in range(self.extension_degree - 1, -1, -1):
-            c = a[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}a" if i == 1 else f"{head}a^{i}")
-        return "(" + " + ".join(parts) + ")"
 
     # -- roots ---------------------------------------------------------------
 
@@ -385,18 +255,18 @@ class Field:
             raise ValueError("root degree must be positive")
         if self.characteristic == 0:
             return _rational_roots(a, n)
-        if self.is_zero(a):
-            return [self.zero]
-        log, exp = self._tables()
+        if not a:
+            return [0]
+        log, exp, _ = self._tables
         m = len(exp)
         g = gcd(n, m)
-        la = log[self._index(a)]
+        la = log[a]
         if la % g:
             return []
         # n*L = la (mod m) has one solution L0 modulo m/g and g solutions modulo m
         period = m // g
         l0 = (la // g) * pow(n // g, -1, period) % period
-        return [self.element(i) for i in sorted(exp[l0 + j * period] for j in range(g))]
+        return sorted(exp[l0 + j * period] for j in range(g))
 
     def nth_root(self, a, n: int):
         """A deterministic n-th root of a, or None.
@@ -417,16 +287,144 @@ class Field:
         """
         if self.characteristic == 0:
             return n
-        if self.is_zero(a):
+        if not a:
             return 1
         q = self.order
-        log, exp = self._tables()
-        d = len(exp) // gcd(log[self._index(a)], len(exp))  # the order of a
+        log, exp, _ = self._tables
+        d = len(exp) // gcd(log[a], len(exp))  # the order of a
         for kk in range(1, bound + 1):
             big = q ** kk - 1
             if (big // gcd(n, big)) % d == 0:
                 return kk
         raise ConfigurationError("no root found within the extension search bound")
+
+
+class _Operators:
+    """Exact arithmetic by Python's operators: Fraction values for Q, int for Z."""
+
+    is_zero = staticmethod(operator.not_)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    pow_ = staticmethod(operator.pow)  # a**n for n >= 0 (0**0 is 1)
+    abs_value = staticmethod(abs)
+    format_coeff = staticmethod(str)
+
+    @staticmethod
+    def is_negative(a) -> bool:
+        """Whether the canonical rendering of a carries a leading minus."""
+        return a < 0
+
+
+class RationalField(_Operators, Field):
+    """Q, on Fraction values."""
+
+    order = None
+    from_int = staticmethod(Fraction)
+
+    def __repr__(self):
+        return "QQ"
+
+    def element(self, index: int):
+        raise ConfigurationError("enumeration order is defined for finite fields only")
+
+    @staticmethod
+    def inv(a):
+        return 1 / a
+
+
+class FiniteField(Field):
+    """GF(p^k) on enumeration indices; every operation is a table lookup.
+
+    Exponents are summed without reduction: they stay inside (-(q-1), q-1),
+    where a negative array index already counts from the end, that is mod q-1.
+    """
+
+    def __repr__(self):
+        if self.extension_degree == 1:
+            return f"GF({self.characteristic})"
+        return f"GF({self.characteristic}^{self.extension_degree})"
+
+    @property
+    def order(self):
+        return self.characteristic ** self.extension_degree
+
+    @cached_property
+    def _tables(self):
+        return _log_tables(self.characteristic, self.extension_degree, self.modulus)
+
+    def from_int(self, n: int):
+        return n % self.characteristic
+
+    def element(self, index: int):
+        """The index-th element in enumeration order (0, 1, ..., q-1)."""
+        return index % self.order
+
+    is_zero = staticmethod(operator.not_)
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        log, exp, zech = self._tables
+        la = log[a]
+        z = zech[log[b] - la]  # a + b = a * (1 + b/a)
+        return exp[la + z - len(exp)] if z < len(exp) else 0
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        if not a:
+            return 0
+        log, exp, _ = self._tables
+        return exp[log[a] + log[self.characteristic - 1] - len(exp)]  # a * (-1)
+
+    def mul(self, a, b):
+        if not (a and b):
+            return 0
+        log, exp, _ = self._tables
+        return exp[log[a] + log[b] - len(exp)]
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        log, exp, _ = self._tables
+        return exp[-log[a]]
+
+    def pow_(self, a, n: int):
+        """a**n for n >= 0 (0**0 is 1)."""
+        if not a:
+            return 0 if n else 1
+        log, exp, _ = self._tables
+        return exp[log[a] * n % len(exp)]
+
+    # -- rendering ----------------------------------------------------------
+
+    @staticmethod
+    def is_negative(a) -> bool:
+        return False
+
+    @staticmethod
+    def abs_value(a):
+        return a
+
+    def format_coeff(self, a) -> str:
+        p = self.characteristic
+        if a < p:
+            return str(a)  # prime-subfield value
+        parts, i = [], 0
+        while a:  # the digits of a, constant first
+            a, c = divmod(a, p)
+            if c and i == 0:
+                parts.append(str(c))
+            elif c:
+                head = "" if c == 1 else f"{c}*"
+                parts.append(f"{head}a" if i == 1 else f"{head}a^{i}")
+            i += 1
+        return "(" + " + ".join(reversed(parts)) + ")"
 
 
 def _rational_roots(a: Fraction, n: int) -> list:
@@ -467,15 +465,14 @@ def _is_irreducible(modulus: tuple, p: int) -> bool:
     return True
 
 
-class IntegerRing:
+class IntegerRing(_Operators):
     """Arbitrary-precision integers with the same operation surface as Field."""
 
     characteristic = 0
     extension_degree = 1
-    is_rational = False
-
     zero = 0
     one = 1
+    from_int = staticmethod(int)
 
     def __repr__(self):
         return "ZZ"
@@ -487,51 +484,11 @@ class IntegerRing:
         return hash("ZZ")
 
     @staticmethod
-    def from_int(n: int) -> int:
-        return n
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
     def div(a, b):
         q, r = divmod(a, b)
         if r:
             raise ZeroDivisionError(f"{a} is not divisible by {b} in ZZ")
         return q
-
-    @staticmethod
-    def pow_(a, n: int):
-        return a ** n
-
-    @staticmethod
-    def is_negative(a) -> bool:
-        return a < 0
-
-    @staticmethod
-    def abs_value(a):
-        return abs(a)
-
-    @staticmethod
-    def format_coeff(a) -> str:
-        return str(a)
 
 
 ZZ = IntegerRing()

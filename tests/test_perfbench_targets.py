@@ -24,6 +24,12 @@ def test_every_tracer_target_resolves():
         if "." in attr:
             # methods are patched on their class, so they must be defined there
             cls_name, meth = attr.split(".")
-            assert meth in vars(getattr(owner, cls_name)), span
+            cls = getattr(owner, cls_name)
+            assert meth in vars(cls), span
+            # an override in a subclass would take calls the patched method never sees
+            overrides = [sub.__name__ for sub in vars(owner).values()
+                         if isinstance(sub, type) and issubclass(sub, cls) and sub is not cls
+                         and meth in vars(sub)]
+            assert not overrides, (span, overrides)
         else:
             assert callable(getattr(owner, attr, None)), span

@@ -6,10 +6,22 @@ from math import gcd
 import pytest
 
 from kappainv import ConfigurationError, Field, UnsupportedLiftError, lift_coeff, reduce_coeff
+from kappainv import ring
 from kappainv.ring import ZZ, integer_nth_root
 
 # Reference arithmetic: schoolbook products over GF(p) and enumeration of the
-# whole field.  It shares nothing with the log/antilog tables under test.
+# whole field.  It shares nothing with the log/antilog tables under test; it
+# computes on the base-p digits of an element's enumeration index, which are
+# the coefficients of its residue, constant first.
+
+
+def to_digits(field, i):
+    p = field.characteristic
+    return [i // p ** j % p for j in range(field.extension_degree)]
+
+
+def from_digits(field, digits):
+    return sum(c * field.characteristic ** j for j, c in enumerate(digits))
 
 
 def schoolbook_mul(field, a, b):
@@ -18,14 +30,14 @@ def schoolbook_mul(field, a, b):
     if k == 1:
         return a * b % p
     prod = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
+    for i, x in enumerate(to_digits(field, a)):
+        for j, y in enumerate(to_digits(field, b)):
             prod[i + j] = (prod[i + j] + x * y) % p
     for d in range(2 * k - 2, k - 1, -1):
         c = prod[d]
         for i in range(k + 1):  # subtract c * x^(d-k) * m, clearing degree d
             prod[d - k + i] = (prod[d - k + i] - c * m[i]) % p
-    return tuple(prod[:k])
+    return from_digits(field, prod[:k])
 
 
 def schoolbook_pow(field, a, n):
@@ -118,7 +130,7 @@ class TestNthRoot:
         # 2^16 - 1 = 3 * 5 * 17 * 257: exactly three cube roots of unity
         assert len(roots) == 3 and roots[0] == F.one
         assert all(schoolbook_pow(F, c, 3) == F.one for c in roots)
-        assert roots == sorted(roots, key=lambda c: int("".join(map(str, reversed(c))), 2))
+        assert roots == sorted(roots)
         assert elapsed < 2.0, f"GF(2^16) root extraction took {elapsed:.2f}s"
 
 
@@ -141,6 +153,28 @@ class TestAgainstEnumeration:
             if not F.is_zero(a):
                 inverses = [c for c in elements(F) if schoolbook_mul(F, a, c) == F.one]
                 assert [F.inv(a)] == inverses
+
+    def test_add_sub_neg(self, oracle_field):
+        F = oracle_field
+        p, q = F.characteristic, F.order
+
+        def digitwise(a, b, sign):
+            pairs = zip(to_digits(F, a), to_digits(F, b))
+            return from_digits(F, [(x + sign * y) % p for x, y in pairs])
+
+        rng = random.Random(F.order + 3)
+        pairs = [(F.element(rng.randrange(q)), F.element(rng.randrange(q))) for _ in range(150)]
+        # sums that vanish hit the Zech table's sentinel: a + (-a), and 1 + (p - 1)
+        pairs += [(a, digitwise(0, a, -1)) for a in range(q)] + [(1, p - 1), (p - 1, 1)]
+        for a, b in pairs:
+            assert F.add(a, b) == digitwise(a, b, 1)
+            assert F.sub(a, b) == digitwise(a, b, -1)
+            assert F.neg(b) == digitwise(0, b, -1)
+
+    def test_element_reduces_its_index(self, oracle_field):
+        F = oracle_field
+        q = F.order
+        assert [F.element(i) for i in (q, q + 1, 3 * q + 2, -1, -q - 2)] == [0, 1, 2, q - 1, q - 2]
 
     def test_roots(self, oracle_field):
         F = oracle_field
@@ -175,7 +209,7 @@ class TestLiftReduce:
 
     def test_lift_rejects_extensions(self, F4, QQ):
         with pytest.raises(UnsupportedLiftError):
-            lift_coeff(F4, (1, 1))
+            lift_coeff(F4, 3)  # a + 1
         with pytest.raises(UnsupportedLiftError):
             lift_coeff(QQ, Fraction(1))
 
@@ -233,6 +267,24 @@ class TestValidation:
     def test_desk_scale_bound(self):
         with pytest.raises(ConfigurationError):
             Field.finite(2, 17, tuple([1] + [0] * 16 + [1]))
+
+    def test_desk_scale_bound_comes_before_slow_checks(self, monkeypatch):
+        # trial division takes sqrt(p) steps and p ** k grows with k: a field
+        # beyond the bound is rejected without either
+        is_prime = ring.is_prime
+
+        def small_is_prime(n):
+            assert n <= 1 << 16, f"is_prime({n}) called above the bound"
+            return is_prime(n)
+
+        class Characteristic(int):
+            def __pow__(self, k):
+                raise AssertionError(f"{int(self)} ** {k} computed")
+
+        monkeypatch.setattr(ring, "is_prime", small_is_prime)
+        for p, k, modulus in ((100000000000031, 1, None), (Characteristic(3), 30_000_000, (1, 1))):
+            with pytest.raises(ConfigurationError, match="exceeds the desk-scale bound 2"):
+                Field(p, k, modulus)
 
 
 def test_integer_nth_root():
