@@ -31,10 +31,18 @@ EXIT_INCONCLUSIVE = 2
 EXIT_NO_PRESENTATION = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1 (input error), not 2 (inconclusive)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kappainv",
         description="Exact classification of Weierstrass hypersurface singularities.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="vertex-elimination budget per stage (default 256)")
     common.add_argument("--depth", type=int, default=3, metavar="N",
                         help="rewrite depth of the binomialization search (default 3)")
-    common.add_argument("--lambda", dest="lam", default=None, metavar="Q1,Q2,...",
-                        help="positive rational functional for the initial-ideal weight "
-                             "(default all ones)")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("polynomial", nargs="?", default=None,
                         help="polynomial in x1..xd and z (see the input grammar)")
@@ -65,6 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "classify":
             p.add_argument("--batch", default=None, metavar="FILE",
                            help="classify one polynomial per line of FILE")
+        if name == "deform":
+            p.add_argument("--lambda", dest="lam", default=None, metavar="Q1,Q2,...",
+                           help="positive rational functional for the initial-ideal weight "
+                                "(default all ones)")
     return parser
 
 
@@ -305,7 +314,10 @@ _DRIVERS = {
 
 
 def run_batch(args) -> int:
-    """Classify one polynomial per line of args.batch; output keeps the input order."""
+    """Classify one polynomial per line of args.batch; output keeps the input order.
+
+    With --json the output is JSON Lines: one compact object per input line.
+    """
     field = _build_field(args)
     config = _build_config(args)
     with open(args.batch, "r", encoding="utf-8") as fh:
@@ -319,7 +331,7 @@ def run_batch(args) -> int:
         except KappaInvError as exc:
             code, payload, text = EXIT_INPUT_ERROR, {"error": str(exc)}, f"error: {exc}"
         if args.json:
-            blocks.append(json.dumps(payload, **JSON_DUMP_KWARGS))
+            blocks.append(json.dumps(payload, separators=(",", ":"), ensure_ascii=False))
         else:
             blocks.append(f"== {ln}\n{text}")
         if code == EXIT_INPUT_ERROR:
@@ -333,7 +345,11 @@ def run_batch(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "batch", None):
+        if getattr(args, "batch", None) is not None:
+            if args.polynomial is not None:
+                print("error: --batch reads its polynomials from FILE; "
+                      "drop the polynomial argument", file=sys.stderr)
+                return EXIT_INPUT_ERROR
             return run_batch(args)
         if args.polynomial is None:
             print("error: a polynomial argument is required", file=sys.stderr)

@@ -3,14 +3,16 @@
 A polyhedron is stored by its minimal vertex set.  Membership of a point in
 conv(S) + R_{>=0}^d is decided first by exact dominance tests (inside when
 p dominates a generator, outside when a coordinate of p is below its minimum
-over S), then by exact phase-one simplex over Fractions with Bland's rule,
-so there are no tolerances and no cycling.  Instances are tiny (d <= 8, a
-handful of generators), which makes the dense tableau the simplest correct
-choice.
+over S), then by an integer-preserving phase-one simplex with Bland's
+rule: the rows are scaled to ints once, and fraction-free pivots keep them
+ints, so there are no tolerances, no cycling and no Fractions in the LP.
+Instances are tiny (d <= 8, a handful of generators), which makes the dense
+tableau the simplest correct choice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,68 +51,53 @@ def member(p, points) -> bool:
         return True
     if any(p[r] < min(s[r] for s in points) for r in range(d)):
         return False
-    m = len(points)
-    # rows: d coordinate rows (with slack) plus the convexity row
-    nstruct = m + d
+    scale = math.lcm(*(c.denominator for s in (p, *points) for c in s))
+
+    def ints(cs):
+        return [c.numerator * (scale // c.denominator) for c in cs]
+
+    # int rows [A | slack | b]: d coordinate rows scaled by the common
+    # denominator, each with b >= 0 for the artificial start, then convexity
     rows = []
-    rhs = []
     for r in range(d):
-        row = [Fraction(points[i][r]) for i in range(m)]
-        row += [Fraction(1) if c == r else Fraction(0) for c in range(d)]
-        rows.append(row)
-        rhs.append(Fraction(p[r]))
-    rows.append([Fraction(1)] * m + [Fraction(0)] * d)
-    rhs.append(Fraction(1))
-    return _phase_one_feasible(rows, rhs, nstruct)
+        row = ints([s[r] for s in points]) + [int(c == r) for c in range(d)] + ints([p[r]])
+        rows.append(row if row[-1] >= 0 else [-v for v in row])
+    rows.append([1] * len(points) + [0] * d + [1])
+    return _phase_one_feasible(rows, len(points) + d)
 
 
-def _phase_one_feasible(rows, rhs, nstruct) -> bool:
-    nrows = len(rows)
-    width = nstruct + nrows + 1  # structurals, artificials, rhs
-    tab = []
-    for r in range(nrows):
-        art = [Fraction(1) if c == r else Fraction(0) for c in range(nrows)]
-        tab.append(rows[r] + art + [rhs[r]])
-    basis = [nstruct + r for r in range(nrows)]
+def _phase_one_feasible(tab, nstruct) -> bool:
+    """Whether A x = b has a solution x >= 0, for an int tableau [A | b], b >= 0.
 
-    def reduced_cost(col):
-        # artificial cost 1, structural cost 0; basis always has cost pattern below
-        z = Fraction(0)
-        for r in range(nrows):
-            if basis[r] >= nstruct:
-                z += tab[r][col]
-        cost = Fraction(1) if col >= nstruct else Fraction(0)
-        return cost - z
-
+    Phase one starts from the artificial basis; artificial r has basis index
+    nstruct + r, and its column is never stored, since it never re-enters.
+    Edmonds-Bareiss pivots keep tab equal to den times the true tableau, with
+    den > 0 the previous pivot, so every division is exact (Bareiss, Math.
+    Comp. 1968; as in Avis' lrs).  Bland's rule rules out cycling.
+    """
+    basis = [nstruct + r for r in range(len(tab))]
+    den = 1
     while True:
-        entering = None
-        for j in range(nstruct):  # artificials never re-enter
-            if reduced_cost(j) < 0:
-                entering = j
-                break
+        arts = [row for row, b in zip(tab, basis) if b >= nstruct]
+        # reduced cost of column j is -sum(arts[.][j]) / den: enter the first negative
+        entering = next((j for j in range(nstruct) if sum(row[j] for row in arts) > 0), None)
         if entering is None:
-            break
+            return sum(row[-1] for row in arts) == 0
+        # some artificial row has a positive entry, so the ratio test finds a row
         leaving = None
-        best = None
-        for r in range(nrows):
-            a = tab[r][entering]
-            if a > 0:
-                ratio = tab[r][width - 1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best = ratio
-                    leaving = r
-        if leaving is None:
-            raise ContractViolation("phase-one simplex became unbounded")
-        piv = tab[leaving][entering]
-        tab[leaving] = [v / piv for v in tab[leaving]]
-        for r in range(nrows):
-            if r != leaving and tab[r][entering] != 0:
-                factor = tab[r][entering]
-                tab[r] = [v - factor * w for v, w in zip(tab[r], tab[leaving])]
+        for r, row in enumerate(tab):
+            a = row[entering]
+            if a > 0 and (leaving is None or (row[-1] * tab[leaving][entering], basis[r])
+                          < (tab[leaving][-1] * a, basis[leaving])):
+                leaving = r
+        prow = tab[leaving]
+        piv = prow[entering]
+        for r, row in enumerate(tab):
+            if r != leaving:
+                f = row[entering]
+                tab[r] = [(v * piv - f * w) // den for v, w in zip(row, prow)]
         basis[leaving] = entering
-    infeasibility = sum((tab[r][width - 1] for r in range(nrows) if basis[r] >= nstruct),
-                        Fraction(0))
-    return infeasibility == 0
+        den = piv
 
 
 def hull_vertices(points, d: int) -> OrthantPolyhedron:

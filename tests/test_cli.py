@@ -197,6 +197,21 @@ class TestBatch:
                                  "--batch", str(batch)])
         assert code == 1  # the malformed line dominates the exit code
         assert "error" in out
+        docs = [json.loads(line) for line in out.splitlines()]  # JSON Lines: one object a line
+        assert len(docs) == 2
+        assert docs[0]["kappa"]["terminal"] == "inf"
+        assert list(docs[1]) == ["error"]
+
+    def test_batch_rejects_a_polynomial_argument(self, capsys, tmp_path):
+        batch = tmp_path / "inputs.txt"
+        batch.write_text("z^2 - x1^3\n")
+        code = main(["classify", "--char", "2", "--batch", str(batch), "z^3 - x1^4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "--batch" in captured.err
+        assert captured.out == ""
+        assert main(["classify", "--char", "2", "--batch", "", "z^3 - x1^4"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_batch_inconclusive_exit(self, capsys, tmp_path):
         batch = tmp_path / "inputs.txt"
@@ -219,3 +234,28 @@ class TestMalformedFlags:
         assert proc.stderr.startswith("error:")
         assert flag in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestUsageErrors:
+    """Usage errors exit 1 (input error), never 2, the inconclusive code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--char", "abc", "z^2 - x1^3"],
+        ["classify", "--bogus", "z^2 - x1^3"],
+        ["classify", "--vars", "2", "--lambda", "a,b", "z^2 - x1^3"],  # deform-only flag
+        ["frobnicate", "z^2 - x1^3"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, argv):
+        proc = run_module(argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: kappainv")
+        assert "error:" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_help_exits_0(self):
+        proc = run_module(["classify", "-h"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: kappainv classify")
+        assert "--lambda" not in proc.stdout
+        assert "--lambda" in run_module(["deform", "-h"]).stdout

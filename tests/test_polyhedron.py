@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,24 +17,40 @@ def F(a, b=1):
 
 # -- independent Fourier-Motzkin oracle --------------------------------------
 
-def _scaled(cs, r):
-    """The row scaled so that its first nonzero |coefficient| is 1."""
-    lead = next((abs(c) for c in cs if c), None)
-    if lead is None:
-        return cs, r
-    return tuple(c / lead for c in cs), r / lead
+def _primitive(cs, r):
+    """The int row divided by the gcd of its entries, so equal inequalities compare equal."""
+    g = math.gcd(*cs, r)
+    return (tuple(c // g for c in cs), r // g) if g > 1 else (cs, r)
+
+
+def _int_row(cs, r):
+    vals = [Fraction(c) for c in (*cs, r)]
+    scale = math.lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    return _primitive(tuple(ints[:-1]), ints[-1])
 
 
 def fm_feasible(ineqs, nvars):
     """Feasibility of sum(c_i x_i) <= rhs systems by variable elimination.
 
-    Rows are kept scaled in a set, so the duplicates that elimination
-    produces are dropped as they appear, and a derived row 0 <= r with
-    r < 0 ends the run at once.  Each step eliminates the variable that
-    adds the fewest rows (pos * neg - pos - neg), which keeps tied,
-    Pareto-heavy systems small.
+    Rows are primitive int vectors kept as dict keys, so the duplicates that
+    elimination produces are merged as they appear, and a derived row
+    0 <= r with r < 0 ends the run at once.  Each step eliminates the
+    variable that adds the fewest rows (pos * neg - pos - neg), which keeps
+    tied, Pareto-heavy systems small.  Each row keeps the inclusion-minimal
+    sets of input rows it is combined from; after k eliminations a
+    combination of more than k + 1 input rows is implied by the others and
+    is not formed (Chernikov's rule; Kohler 1967).
     """
-    work = {_scaled(tuple(map(Fraction, cs)), Fraction(r)) for cs, r in ineqs}
+    work = {}
+
+    def add(row, h):
+        hs = work.setdefault(row, [])
+        if not any(e <= h for e in hs):
+            hs[:] = [e for e in hs if not h <= e] + [h]
+
+    for i, (cs, r) in enumerate(ineqs):
+        add(_int_row(cs, r), frozenset([i]))
 
     def growth(v):
         pos = sum(1 for cs, _ in work if cs[v] > 0)
@@ -44,17 +61,21 @@ def fm_feasible(ineqs, nvars):
     while left:
         v = min(left, key=lambda u: (growth(u), u))
         left.remove(v)
-        pos = [(cs, r) for cs, r in work if cs[v] > 0]
-        neg = [(cs, r) for cs, r in work if cs[v] < 0]
-        work = {(cs, r) for cs, r in work if cs[v] == 0}
-        for cp, rp in pos:
-            for cn, rn in neg:
+        step = nvars - len(left)
+        pos = [(row, hs) for row, hs in work.items() if row[0][v] > 0]
+        neg = [(row, hs) for row, hs in work.items() if row[0][v] < 0]
+        work = {row: hs for row, hs in work.items() if row[0][v] == 0}
+        for (cp, rp), hps in pos:
+            for (cn, rn), hns in neg:
+                hs = [hp | hn for hp in hps for hn in hns if len(hp | hn) <= step + 1]
+                if not hs:
+                    continue
                 a, b = cp[v], -cn[v]
-                cs, r = _scaled(tuple(a * cn[i] + b * cp[i] for i in range(nvars)),
-                                a * rn + b * rp)
-                if r < 0 and not any(cs):
+                row = _primitive(tuple(a * x + b * y for x, y in zip(cn, cp)), a * rn + b * rp)
+                if row[1] < 0 and not any(row[0]):
                     return False
-                work.add((cs, r))
+                for h in hs:
+                    add(row, h)
     return all(r >= 0 for _, r in work)
 
 
@@ -133,6 +154,64 @@ class TestDominanceShortcuts:
             assert hull_vertices(pts, 1).vertices == (min(pts),)
             for p in pareto_heavy(rng, 1, 4):
                 assert member(p, pts) == (p[0] >= min(pts)[0])
+
+
+class _RowWrites(list):
+    """A tableau that counts row assignments: a pivot rewrites every row but the pivot row."""
+
+    writes = 0
+
+    def __setitem__(self, i, row):
+        self.writes += 1
+        super().__setitem__(i, row)
+
+
+class TestSimplex:
+    """The integer-preserving simplex that decides what the dominance tests leave open."""
+
+    def test_simplex_sweep_against_oracle(self, monkeypatch):
+        runs = []
+        simplex = kappainv.polyhedron._phase_one_feasible
+
+        def spy(tab, nstruct):
+            assert all(type(v) is int for row in tab for v in row)
+            counted = _RowWrites(tab)
+            feasible = simplex(counted, nstruct)
+            runs.append((counted.writes // (len(tab) - 1), feasible))
+            return feasible
+
+        monkeypatch.setattr(kappainv.polyhedron, "_phase_one_feasible", spy)
+        rng = random.Random(53)
+        for d in range(2, 7):
+            for m in range(2, 13):
+                spread = [tuple(Fraction(rng.randrange(0, 13), rng.randrange(1, 13))
+                                for _ in range(d)) for _ in range(m)]
+                for pts in (spread, pareto_heavy(rng, d, m)):
+                    for k in (2, 3, 4):
+                        # a convex combination of k generators, then nudged below in one coordinate
+                        w = [rng.randrange(1, 13) for _ in range(k)]
+                        chosen = [rng.choice(pts) for _ in range(k)]
+                        mid = tuple(sum(wi * s[r] for wi, s in zip(w, chosen)) / sum(w)
+                                    for r in range(d))
+                        low = rng.randrange(d)
+                        below = tuple(c - Fraction(1, rng.randrange(2, 13)) if r == low else c
+                                      for r, c in enumerate(mid))
+                        for p in (mid, below):
+                            assert member(p, pts) == member_oracle(p, pts), (p, pts)
+        assert len(runs) >= 200
+        assert sum(1 for _, feasible in runs if feasible) >= 50
+        assert sum(1 for _, feasible in runs if not feasible) >= 50
+        assert sum(1 for pivots, _ in runs if pivots > 1) >= 100
+
+    def test_negative_coordinates(self):
+        # a negative right-hand side is negated before the artificial start
+        rng = random.Random(59)
+        for _ in range(400):
+            d, m = rng.randrange(2, 4), rng.randrange(2, 6)
+            pts = [tuple(Fraction(rng.randrange(-8, 9), rng.randrange(1, 4)) for _ in range(d))
+                   for _ in range(m)]
+            p = tuple(Fraction(rng.randrange(-8, 9), rng.randrange(1, 4)) for _ in range(d))
+            assert member(p, pts) == member_oracle(p, pts), (p, pts)
 
 
 class TestMember:
