@@ -70,10 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "classify":
             p.add_argument("--batch", default=None, metavar="FILE",
                            help="classify one polynomial per line of FILE")
-        if name == "deform":
-            p.add_argument("--lambda", dest="lam", default=None, metavar="Q1,Q2,...",
-                           help="positive rational functional for the initial-ideal weight "
-                                "(default all ones)")
+        # every subcommand knows --lambda, so that main can say where it belongs
+        p.add_argument("--lambda", dest="lam", default=None, metavar="Q1,Q2,...",
+                       help="positive rational functional for the initial-ideal weight "
+                            "(default all ones)" if name == "deform" else argparse.SUPPRESS)
     return parser
 
 
@@ -344,6 +344,8 @@ def run_batch(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.lam is not None and args.command != "deform":
+        build_parser().error("argument --lambda: applies to deform only")
     try:
         if getattr(args, "batch", None) is not None:
             if args.polynomial is not None:

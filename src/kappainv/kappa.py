@@ -66,9 +66,18 @@ class BinomialPower:
     tail_expo: tuple
 
     def expand(self, ctx: VarContext, ring) -> Poly:
-        base = Poly(ctx, ring, {ctx.unit(self.main_var, self.inner_exp): ring.one,
-                                ctx.pad(self.tail_expo): ring.neg(self.coeff)})
-        return base.pow_(self.power)
+        """The binomial theorem: sum_j C(n, j) * (-coeff)^j * w^(inner*(n-j)) * tail^j."""
+        n, w = self.power, ctx.var_index(self.main_var)
+        tail, m = ctx.pad(self.tail_expo), ring.neg(self.coeff)
+        terms, binom, mj = {}, 1, ring.one
+        for j in range(n + 1):
+            c = ring.mul(ring.from_int(binom), mj)
+            if not ring.is_zero(c):
+                e = [t * j for t in tail]
+                e[w] += self.inner_exp * (n - j)
+                terms[tuple(e)] = c
+            binom, mj = binom * (n - j) // (j + 1), ring.mul(mj, m)
+        return Poly._of(ctx, ring, terms, None)
 
 
 @dataclass(frozen=True)

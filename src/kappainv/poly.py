@@ -1,7 +1,11 @@
 """Multivariate polynomials and truncated power series in x1..xd, z, u1, u2, ...
 
 Terms live in a fixed positional layout: the x block first, then the
-auxiliary chain (z, u1, u2, ...) in creation order.  A polynomial may carry
+auxiliary chain (z, u1, u2, ...) in creation order.  The public Poly(...)
+constructor validates its input: it tuples every exponent and drops zero
+coefficients.  Arithmetic results go through the trusted Poly._of, which
+stores a dict already keyed by tuples and free of zeros as it is, without a
+copy; such a dict must not change afterwards.  A polynomial may carry
 a truncation certificate T meaning "terms of total x-degree >= T are
 unknown"; every stored term then has x-degree < T and certificates only
 ever tighten under arithmetic.  A certificate of None means the value is
@@ -15,6 +19,7 @@ tower degree bounds hold.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 
@@ -96,7 +101,7 @@ class VarContext:
 
 
 def _common_ctx(f: "Poly", g: "Poly") -> VarContext:
-    if f.ctx == g.ctx:
+    if f.ctx is g.ctx or f.ctx == g.ctx:
         return f.ctx
     if f.ctx.is_extension_of(g.ctx):
         return f.ctx
@@ -106,8 +111,11 @@ def _common_ctx(f: "Poly", g: "Poly") -> VarContext:
 
 
 def _min_trunc(*ts):
-    vals = [t for t in ts if t is not None]
-    return min(vals) if vals else None
+    out = None
+    for t in ts:
+        if t is not None and (out is None or t < out):
+            out = t
+    return out
 
 
 class Poly:
@@ -125,6 +133,13 @@ class Poly:
                 if not ring.is_zero(c):
                     clean[tuple(expo)] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, ctx: VarContext, ring, terms: dict, trunc) -> "Poly":
+        """A Poly on terms keyed by tuples and free of zeros, stored as given."""
+        out = object.__new__(cls)
+        out.ctx, out.ring, out.terms, out.trunc = ctx, ring, terms, trunc
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -167,19 +182,20 @@ class Poly:
         return self.terms.get((0,) * self.ctx.nvars, self.ring.zero)
 
     def in_context(self, ctx: VarContext) -> "Poly":
-        if ctx == self.ctx:
+        if ctx is self.ctx or ctx == self.ctx:
             return self
         if not ctx.is_extension_of(self.ctx):
             raise ValidationError("cannot reinterpret polynomial in an unrelated context")
-        pad = ctx.nvars - self.ctx.nvars
-        terms = {e + (0,) * pad: c for e, c in self.terms.items()}
-        return Poly(ctx, self.ring, terms, self.trunc)
+        pad = (0,) * (ctx.nvars - self.ctx.nvars)
+        return Poly._of(ctx, self.ring, {e + pad: c for e, c in self.terms.items()},
+                        self.trunc)
 
     # -- arithmetic -------------------------------------------------------------
 
     def neg(self) -> "Poly":
-        return Poly(self.ctx, self.ring, {e: self.ring.neg(c) for e, c in self.terms.items()},
-                    self.trunc)
+        neg = self.ring.neg
+        return Poly._of(self.ctx, self.ring, {e: neg(c) for e, c in self.terms.items()},
+                        self.trunc)
 
     def add(self, other: "Poly", T=None) -> "Poly":
         ctx = _common_ctx(self, other)
@@ -200,7 +216,7 @@ class Poly:
                 del out[e]
                 dropped = True
         tr = eff if dropped else _min_trunc(self.trunc, other.trunc)
-        return Poly(ctx, ring, out, tr)
+        return Poly._of(ctx, ring, out, tr)
 
     def sub(self, other: "Poly", T=None) -> "Poly":
         return self.add(other.neg(), T)
@@ -217,30 +233,47 @@ class Poly:
     def mul(self, other: "Poly", T=None) -> "Poly":
         ctx = _common_ctx(self, other)
         a, b = self.in_context(ctx), other.in_context(ctx)
-        eff = _min_trunc(self.trunc, other.trunc, T)
-        ring = self.ring
-        d = ctx.d
+        tr = _min_trunc(self.trunc, other.trunc)
+        eff = _min_trunc(tr, T)
+        rmul, radd, is_zero = self.ring.mul, self.ring.add, self.ring.is_zero
+        add, d = operator.add, ctx.d
+        bitems = list(b.terms.items())
+        if eff is not None:
+            bx = [sum(e[:d]) for e in b.terms]
+        # with a one-term operand the exponent sums are distinct: nothing merges
+        scale = len(a.terms) == 1 or len(bitems) == 1
         out = {}
         dropped = False
-        bitems = list(b.terms.items())
         for e1, c1 in a.terms.items():
-            x1 = sum(e1[:d])
-            for e2, c2 in bitems:
-                if eff is not None and x1 + sum(e2[:d]) >= eff:
-                    dropped = True
-                    continue
-                e = tuple(i + j for i, j in zip(e1, e2))
-                s = ring.add(out.get(e, ring.zero), ring.mul(c1, c2))
-                if ring.is_zero(s):
-                    out.pop(e, None)
+            items = bitems
+            if eff is not None:
+                room = eff - sum(e1[:d])
+                items = [item for item, x in zip(bitems, bx) if x < room]
+                dropped = dropped or len(items) < len(bitems)
+            if scale:
+                for e2, c2 in items:
+                    out[tuple(map(add, e1, e2))] = rmul(c1, c2)
+                continue
+            for e2, c2 in items:
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                if s is None:
+                    out[e] = rmul(c1, c2)  # over a domain, nonzero
                 else:
-                    out[e] = s
-        tr = eff if dropped else _min_trunc(self.trunc, other.trunc)
-        return Poly(ctx, ring, out, tr)
+                    s = radd(s, rmul(c1, c2))
+                    if is_zero(s):
+                        del out[e]
+                    else:
+                        out[e] = s
+        return Poly._of(ctx, self.ring, out, eff if dropped else tr)
 
     def pow_(self, n: int, T=None) -> "Poly":
-        out = Poly.one(self.ctx, self.ring)
-        for _ in range(n):
+        if n < 0:
+            raise ValidationError("a polynomial power must be >= 0")
+        if n == 0:
+            return Poly.one(self.ctx, self.ring)
+        out = self.truncate(_min_trunc(self.trunc, T))
+        for _ in range(n - 1):
             out = out.mul(self, T)
         return out
 
@@ -251,7 +284,7 @@ class Poly:
         kept = {e: c for e, c in self.terms.items() if sum(e[:d]) < T}
         dropped = len(kept) != len(self.terms)
         tr = _min_trunc(self.trunc, T) if dropped else self.trunc
-        return Poly(self.ctx, self.ring, kept, tr)
+        return Poly._of(self.ctx, self.ring, kept, tr)
 
     # -- equality (mathematical; certificates are metadata) ---------------------
 
@@ -496,14 +529,15 @@ def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> P
         rest[idx] = r
         groups.setdefault(q, {})[tuple(rest)] = c
     result = Poly.zero(ctx, f.ring, f.trunc if f.is_zero() else None)
-    power = Poly.one(ctx, f.ring)
-    last = 0
+    power, last = replacement.truncate(_min_trunc(replacement.trunc, T)), 1
     for q in sorted(groups):
-        for _ in range(q - last):
-            power = power.mul(replacement, T)
-        last = q
-        part = Poly(ctx, f.ring, groups[q], f.trunc)
-        result = result.add(part.mul(power, T), T)
+        part = Poly._of(ctx, f.ring, groups[q], f.trunc)
+        if q:  # the w-free group (q = 0) is added as it is
+            for _ in range(q - last):
+                power = power.mul(replacement, T)
+            last = q
+            part = part.mul(power, T)
+        result = result.add(part, T)
     return result
 
 
@@ -515,6 +549,17 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     f = f.in_context(ctx)
     g = g.in_context(ctx)
     ring = f.ring
+    trunc = _min_trunc(f.trunc, g.trunc)
+    sub, add = operator.sub, operator.add
+    if len(g.terms) == 1:  # a monomial divides term by term
+        (lt_g, cg), = g.terms.items()
+        out = {}
+        for e, c in f.terms.items():
+            diff = tuple(map(sub, e, lt_g))
+            if min(diff) < 0:
+                raise ValueError("not exactly divisible")
+            out[diff] = ring.div(c, cg)
+        return Poly._of(ctx, ring, out, trunc)
     key = _print_key(ctx)
     lt_g = max(g.terms, key=key)
     cg = g.terms[lt_g]
@@ -522,20 +567,20 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     out = {}
     while rem:
         lt_r = max(rem, key=key)
-        diff = tuple(a - b for a, b in zip(lt_r, lt_g))
-        if any(v < 0 for v in diff):
+        diff = tuple(map(sub, lt_r, lt_g))
+        if min(diff) < 0:
             raise ValueError("not exactly divisible")
         c = ring.div(rem[lt_r], cg)
         out[diff] = c
         # rem -= c * x^diff * g, in place; the leading term cancels exactly
         for eg, ceg in g.terms.items():
-            e = tuple(a + b for a, b in zip(eg, diff))
+            e = tuple(map(add, eg, diff))
             s = ring.sub(rem.get(e, ring.zero), ring.mul(c, ceg))
             if ring.is_zero(s):
                 rem.pop(e, None)
             else:
                 rem[e] = s
-    return Poly(ctx, ring, out, _min_trunc(f.trunc, g.trunc))
+    return Poly._of(ctx, ring, out, trunc)
 
 
 def derivative(f: Poly, name: str) -> Poly:

@@ -253,6 +253,15 @@ class TestUsageErrors:
         assert "error:" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command", ["classify", "kappa", "polyhedron", "discriminant"])
+    def test_lambda_outside_deform_names_the_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--vars", "2", "--lambda", "a,b", "z^2 - x1^3"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error: argument --lambda: applies to deform only" in err
+        assert "z^2 - x1^3" not in err
+
     def test_help_exits_0(self):
         proc = run_module(["classify", "-h"])
         assert proc.returncode == 0

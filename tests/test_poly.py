@@ -3,11 +3,101 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import (ParseError, Poly, Relation, ValidationError, VarContext,
-                      back_substitute, normal_form, parse_polynomial, power_substitute,
-                      substitute, weierstrass_validate)
-from kappainv.poly import exact_div
+from kappainv import (ZZ, BinomialPower, Field, ParseError, Poly, Relation, ValidationError,
+                      VarContext, back_substitute, normal_form, parse_polynomial,
+                      power_substitute, substitute, weierstrass_validate)
+from kappainv.poly import _min_trunc, _print_key, exact_div
 from conftest import mk, rand_poly, sample_relations
+
+
+# ---------------------------------------------------------------------------
+# test-only oracles: the schoolbook arithmetic the kernels replaced
+# ---------------------------------------------------------------------------
+
+def schoolbook_mul(f, g, T=None):
+    """Every term pair through ring.add and ring.is_zero, rebuilt by Poly(...)."""
+    ctx = f.ctx if f.ctx.is_extension_of(g.ctx) else g.ctx
+    a, b = f.in_context(ctx), g.in_context(ctx)
+    eff = _min_trunc(f.trunc, g.trunc, T)
+    ring, d = f.ring, ctx.d
+    out = {}
+    dropped = False
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if eff is not None and sum(e1[:d]) + sum(e2[:d]) >= eff:
+                dropped = True
+                continue
+            e = tuple(i + j for i, j in zip(e1, e2))
+            s = ring.add(out.get(e, ring.zero), ring.mul(c1, c2))
+            if ring.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return Poly(ctx, ring, out, eff if dropped else _min_trunc(f.trunc, g.trunc))
+
+
+def repeated_pow(f, n, T=None):
+    """n schoolbook products, starting from 1."""
+    out = Poly.one(f.ctx, f.ring)
+    for _ in range(n):
+        out = schoolbook_mul(out, f, T)
+    return out
+
+
+def schoolbook_power_substitute(f, name, k, replacement, T=None):
+    """w^e -> w^(e mod k) * replacement^(e div k), each group times a running power from 1."""
+    idx = f.ctx.var_index(name)
+    groups = {}
+    for e, c in f.terms.items():
+        q, r = divmod(e[idx], k)
+        groups.setdefault(q, {})[e[:idx] + (r,) + e[idx + 1:]] = c
+    result = Poly.zero(f.ctx, f.ring, f.trunc if f.is_zero() else None)
+    power, last = Poly.one(f.ctx, f.ring), 0
+    for q in sorted(groups):
+        for _ in range(q - last):
+            power = schoolbook_mul(power, replacement, T)
+        last = q
+        part = Poly(f.ctx, f.ring, groups[q], f.trunc)
+        result = result.add(schoolbook_mul(part, power, T), T)
+    return result
+
+
+def long_division(f, g):
+    """Divide by the leading term of g until nothing is left; ValueError if g does not divide."""
+    ring, key = f.ring, _print_key(f.ctx)
+    lt_g = max(g.terms, key=key)
+    rem, out = Poly(f.ctx, ring, f.terms), {}
+    while not rem.is_zero():
+        lt_r = max(rem.terms, key=key)
+        diff = tuple(a - b for a, b in zip(lt_r, lt_g))
+        if min(diff) < 0:
+            raise ValueError("not exactly divisible")
+        c = ring.div(rem.terms[lt_r], g.terms[lt_g])
+        out[diff] = c
+        rem = rem.sub(schoolbook_mul(g, Poly(f.ctx, ring, {diff: c})))
+    return Poly(f.ctx, ring, out, _min_trunc(f.trunc, g.trunc))
+
+
+def coeff_poly(rng, ctx, field, nterms=4, maxexp=3, trunc=None):
+    """Up to nterms random terms; integer values in characteristic 0, so ZZ works too."""
+    terms = {}
+    for _ in range(rng.randrange(1, nterms + 1)):
+        expo = tuple(rng.randrange(0, maxexp + 1) for _ in range(ctx.nvars))
+        terms[expo] = (field.from_int(rng.randrange(-5, 6)) if field.characteristic == 0
+                       else field.element(rng.randrange(field.order)))
+    return Poly(ctx, field, terms).truncate(trunc)
+
+
+def assert_clean(p):
+    assert all(type(e) is tuple and len(e) == p.ctx.nvars for e in p.terms)
+    assert not any(p.ring.is_zero(c) for c in p.terms.values())
+
+
+def assert_same(got, want):
+    assert_clean(got)
+    assert got.ctx == want.ctx and got.ring == want.ring
+    assert got.terms == want.terms
+    assert got.trunc == want.trunc
 
 
 class TestParse:
@@ -140,6 +230,154 @@ class TestExactDiv:
             exact_div(mk("x1^2 + x2", 2, QQ), mk("x1", 2, QQ))
         with pytest.raises(ValueError):
             exact_div(mk("x1^2 + 1", 2, QQ), mk("x1 + 1", 2, QQ))
+
+
+SWEEP_FIELDS = [Field.rationals(), ZZ, Field.finite(7), Field.finite(2, 2, (1, 1, 1))]
+
+
+class TestKernelOracles:
+    """Poly.mul, pow_, power_substitute and exact_div against the schoolbook oracles."""
+
+    def operands(self, rng, ctx, field):
+        T = rng.choice([None, None, 1, 2, 3, 5])
+        f = coeff_poly(rng, ctx, field, trunc=rng.choice([None, None, 3, 6]))
+        g = coeff_poly(rng, ctx, field, nterms=rng.choice([1, 2, 4]),
+                       trunc=rng.choice([None, None, 4]))
+        return f, g, T
+
+    def test_mul(self):
+        rng = random.Random(1010)
+        ctx = VarContext(2)
+        for _ in range(600):
+            field = rng.choice(SWEEP_FIELDS)
+            f, g, T = self.operands(rng, ctx, field)
+            got, want = f.mul(g, T), schoolbook_mul(f, g, T)
+            assert_same(got, want)
+            # the kernel keeps the oracle's insertion order
+            assert list(got.terms) == list(want.terms)
+
+    def test_mul_across_contexts(self, QQ):
+        rng = random.Random(1011)
+        short, long = VarContext(1), VarContext(1, ("z", "u1"))
+        for _ in range(100):
+            f = coeff_poly(rng, short, QQ)
+            g = coeff_poly(rng, long, QQ, nterms=rng.choice([1, 3]))
+            assert_same(f.mul(g), schoolbook_mul(f, g))
+            assert_same(g.mul(f, 3), schoolbook_mul(g, f, 3))
+
+    def test_cancellation_drops_terms(self, QQ, F7):
+        for field in (QQ, F7):
+            ctx = VarContext(1)
+            f = Poly(ctx, field, {(1, 0): field.one, (0, 1): field.one})
+            g = Poly(ctx, field, {(1, 0): field.one, (0, 1): field.neg(field.one)})
+            got = f.mul(g)  # x1^2 - z^2: the cross terms cancel
+            assert_same(got, schoolbook_mul(f, g))
+            assert set(got.terms) == {(2, 0), (0, 2)}
+
+    def test_pow(self):
+        rng = random.Random(2020)
+        ctx = VarContext(2)
+        for _ in range(300):
+            field = rng.choice(SWEEP_FIELDS)
+            f, _, T = self.operands(rng, ctx, field)
+            n = rng.randrange(0, 6)
+            got, want = f.pow_(n, T), repeated_pow(f, n, T)
+            assert_same(got, want)
+            assert list(got.terms) == list(want.terms)
+
+    def test_negative_power_raises(self, QQ):
+        x = mk("x1 + z", 1, QQ)
+        with pytest.raises(ValidationError):
+            x.pow_(-1)
+        assert x.pow_(0) == Poly.one(x.ctx, QQ)
+
+    def test_power_substitute(self):
+        rng = random.Random(3030)
+        ctx = VarContext(1, ("z", "u1"))
+        for _ in range(300):
+            field = rng.choice(SWEEP_FIELDS)
+            f, repl, T = self.operands(rng, ctx, field)
+            f = coeff_poly(rng, ctx, field, nterms=5, maxexp=5, trunc=f.trunc)
+            k = rng.randrange(1, 4)
+            got = power_substitute(f, "z", k, repl, T)
+            want = schoolbook_power_substitute(f, "z", k, repl, T)
+            assert_same(got, want)
+            assert list(got.terms) == list(want.terms)
+
+    def test_exact_div(self):
+        rng = random.Random(4040)
+        ctx = VarContext(2)
+        for _ in range(300):
+            field = rng.choice(SWEEP_FIELDS)
+            a = coeff_poly(rng, ctx, field, nterms=5, trunc=rng.choice([None, 7]))
+            b = coeff_poly(rng, ctx, field, nterms=rng.choice([1, 1, 3]))
+            if b.is_zero():
+                continue
+            f = schoolbook_mul(a, b)
+            assert_same(exact_div(f, b), long_division(f, b))
+            assert exact_div(f, b) == a
+
+    def test_exact_div_rejects_non_divisors(self, QQ):
+        rng = random.Random(4041)
+        ctx = VarContext(2)
+        for field in SWEEP_FIELDS:
+            mono = Poly(ctx, field, {(1, 1, 0): field.one})
+            with pytest.raises(ValueError):
+                exact_div(Poly(ctx, field, {(2, 1, 0): field.one, (0, 3, 1): field.one}), mono)
+        for _ in range(100):
+            f = coeff_poly(rng, ctx, QQ, nterms=4)
+            g = coeff_poly(rng, ctx, QQ, nterms=rng.choice([1, 2]))
+            if g.is_zero():
+                continue
+            try:
+                want = long_division(f, g)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    exact_div(f, g)
+            else:
+                assert_same(exact_div(f, g), want)
+
+    def test_zz_division_is_exact_or_raises(self):
+        ctx = VarContext(1)
+        f = Poly(ctx, ZZ, {(2, 0): 6, (1, 1): 4})
+        assert exact_div(f, Poly(ctx, ZZ, {(1, 0): 2})).terms == {(1, 0): 3, (0, 1): 2}
+        with pytest.raises(ZeroDivisionError):
+            exact_div(f, Poly(ctx, ZZ, {(1, 0): 4}))
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_binomial_expand_matches_repeated_products(self, p):
+        field = Field.rationals() if p == 0 else Field.finite(p)
+        rng = random.Random(5050 + p)
+        ctx = VarContext(2, ("z", "u1"))
+        powers = list(range(0, 8)) + ([p, 2 * p, p * p, 3 * p] if p else [9, 12])
+        for power in powers:
+            for _ in range(4):
+                main_var = rng.choice(["z", "u1"])
+                coeff = (field.from_int(rng.choice([-3, -1, 2, 5])) if p == 0
+                         else field.element(rng.randrange(field.order)))
+                tail = (rng.randrange(0, 4), rng.randrange(1, 4))
+                if main_var == "u1":
+                    tail += (rng.randrange(0, 3),)  # z may sit in the tail of a u1 head
+                inner = rng.randrange(1, 4)
+                bp = BinomialPower(main_var, inner, power, coeff, tail)
+                base = Poly(ctx, field, {ctx.unit(main_var, inner): field.one,
+                                         ctx.pad(tail): field.neg(coeff)})
+                got = bp.expand(ctx, field)
+                assert_same(got, repeated_pow(base, power))
+
+
+class TestConstructor:
+    def test_public_constructor_validates(self, QQ, F7):
+        class Expo(tuple):
+            pass
+
+        ctx = VarContext(1)
+        for field in (QQ, F7, ZZ):
+            p = Poly(ctx, field, {Expo((1, 0)): field.one, (0, 1): field.zero,
+                                  (2, 0): field.from_int(7 if field is F7 else 0)})
+            assert p.terms == {(1, 0): field.one}
+            assert_clean(p)
+            assert all(type(e) is tuple for e in p.terms)
 
 
 class TestPowerSubstitute:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import (ContractViolation, Field, Poly, Terminal, VarContext, classify,
+import kappainv.quasiord
+from kappainv import (ZZ, ContractViolation, Field, Poly, Terminal, VarContext, classify,
                       discriminant_z, is_monomial_times_unit, weierstrass_validate)
 from kappainv.poly import derivative
 from kappainv.quasiord import _z_coefficients
@@ -196,6 +197,62 @@ class TestDiscriminant:
     def test_factored_char0_sign(self, QQ):
         rep = discriminant_z(mkw("z^3 - 6*x1*z^2 + 11*x1^2*z - 6*x1^3", 1, QQ))
         assert rep.disc == mk("-4*x1^6", 1, QQ)
+
+
+class TestIntegerResultant:
+    """Q inputs with integer coefficients take their resultant over ZZ."""
+
+    def spy(self, monkeypatch):
+        rings = []
+        real = kappainv.quasiord.determinant
+
+        def determinant(fc, gc):
+            rings.append(fc[0].ring)
+            return real(fc, gc)
+
+        monkeypatch.setattr(kappainv.quasiord, "determinant", determinant)
+        return rings
+
+    @pytest.mark.parametrize("text, d, integral", [
+        ("z^2 - x1^3", 1, True),
+        ("z^4 - 2*x1^3*z^2 + x1*z + x1^6", 1, True),
+        ("z^3 - 6*x1*z^2 + 11*x1^2*z - 6*x1^3", 1, True),
+        ("z^3 - 1/2*x1^2*z - 1/3*x1^5", 1, False),
+        ("z^4 + 2/3*x1*x2*z^2 - x1^3*z + 5*x2^7", 2, False),
+    ])
+    def test_q_inputs_match_the_sylvester_oracle(self, QQ, monkeypatch, text, d, integral):
+        rings = self.spy(monkeypatch)
+        wf = mkw(text, d, QQ)
+        rep = discriminant_z(wf)
+        assert rep.disc == sylvester_resultant(wf.poly)
+        assert rings == [ZZ if integral else QQ]
+        assert rep.disc.ring == QQ
+        assert all(type(c) is Fraction for c in rep.disc.terms.values())
+
+    def test_seeded_sweep_over_q_and_gf7(self, QQ, F7, monkeypatch):
+        rings = self.spy(monkeypatch)
+        rng = random.Random(20261018)
+        for i in range(120):
+            field = [QQ, F7][i % 2]
+            wf = rand_weierstrass(rng, field)
+            if field is QQ and i % 4 == 0:
+                # scale one non-leading coefficient to leave Z
+                e = next(e for e in wf.poly.terms if e != wf.poly.ctx.unit("z", wf.n))
+                terms = dict(wf.poly.terms)
+                terms[e] = terms[e] / 2
+                wf = weierstrass_validate(Poly(wf.poly.ctx, QQ, terms))
+            T = rng.choice([None, rng.randint(1, 12)])
+            rings.clear()
+            rep = discriminant_z(wf, T)
+            exact = sylvester_resultant(wf.poly)
+            trunc = wf.poly.truncate(T).trunc
+            assert rep.disc == exact.truncate(trunc), (wf.poly.format(), T)
+            assert rep.disc.trunc == trunc
+            if rings:  # no determinant when f' = 0
+                integral = all(Fraction(c).denominator == 1
+                               for c in wf.poly.truncate(T).terms.values())
+                want = F7 if field is F7 else (ZZ if integral else QQ)
+                assert rings == [want], wf.poly.format()
 
 
 class TestMonomialUnit:
