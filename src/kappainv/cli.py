@@ -39,6 +39,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _DeformOnly(argparse.Action):
+    """An option of deform given to another subcommand: a usage error naming it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"argument {option_string}: applies to deform only")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
@@ -70,10 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "classify":
             p.add_argument("--batch", default=None, metavar="FILE",
                            help="classify one polynomial per line of FILE")
-        # every subcommand knows --lambda, so that main can say where it belongs
-        p.add_argument("--lambda", dest="lam", default=None, metavar="Q1,Q2,...",
-                       help="positive rational functional for the initial-ideal weight "
-                            "(default all ones)" if name == "deform" else argparse.SUPPRESS)
+        if name == "deform":
+            p.add_argument("--lambda", dest="lam", default=None, metavar="Q1,Q2,...",
+                           help="positive rational functional for the initial-ideal weight "
+                                "(default all ones)")
+        else:  # known here only to say where it belongs
+            p.add_argument("--lambda", action=_DeformOnly, help=argparse.SUPPRESS)
     return parser
 
 
@@ -344,8 +353,6 @@ def run_batch(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.lam is not None and args.command != "deform":
-        build_parser().error("argument --lambda: applies to deform only")
     try:
         if getattr(args, "batch", None) is not None:
             if args.polynomial is not None:

@@ -240,8 +240,6 @@ class Poly:
         bitems = list(b.terms.items())
         if eff is not None:
             bx = [sum(e[:d]) for e in b.terms]
-        # with a one-term operand the exponent sums are distinct: nothing merges
-        scale = len(a.terms) == 1 or len(bitems) == 1
         out = {}
         dropped = False
         for e1, c1 in a.terms.items():
@@ -250,10 +248,6 @@ class Poly:
                 room = eff - sum(e1[:d])
                 items = [item for item, x in zip(bitems, bx) if x < room]
                 dropped = dropped or len(items) < len(bitems)
-            if scale:
-                for e2, c2 in items:
-                    out[tuple(map(add, e1, e2))] = rmul(c1, c2)
-                continue
             for e2, c2 in items:
                 e = tuple(map(add, e1, e2))
                 s = out.get(e)
@@ -272,7 +266,7 @@ class Poly:
             raise ValidationError("a polynomial power must be >= 0")
         if n == 0:
             return Poly.one(self.ctx, self.ring)
-        out = self.truncate(_min_trunc(self.trunc, T))
+        out = self.truncate(T)
         for _ in range(n - 1):
             out = out.mul(self, T)
         return out
@@ -529,7 +523,7 @@ def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> P
         rest[idx] = r
         groups.setdefault(q, {})[tuple(rest)] = c
     result = Poly.zero(ctx, f.ring, f.trunc if f.is_zero() else None)
-    power, last = replacement.truncate(_min_trunc(replacement.trunc, T)), 1
+    power, last = replacement.truncate(T), 1
     for q in sorted(groups):
         part = Poly._of(ctx, f.ring, groups[q], f.trunc)
         if q:  # the w-free group (q = 0) is added as it is

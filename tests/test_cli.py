@@ -259,7 +259,8 @@ class TestUsageErrors:
             main([command, "--vars", "2", "--lambda", "a,b", "z^2 - x1^3"])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert "error: argument --lambda: applies to deform only" in err
+        assert err.startswith(f"usage: kappainv {command} ")
+        assert f"kappainv {command}: error: argument --lambda: applies to deform only" in err
         assert "z^2 - x1^3" not in err
 
     def test_help_exits_0(self):
