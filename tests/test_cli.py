@@ -180,8 +180,6 @@ class TestOtherCommands:
 class TestBatch:
     def test_order_and_exit_codes(self, capsys, tmp_path):
         batch = tmp_path / "inputs.txt"
-        batch.write_text("z^2 - x1^3\nz^2 - x1*x2*z - x1^3*x2 - x1*x2^3\n".replace(
-            "x2", "x1"))  # d=1 inputs only
         batch.write_text("z^2 - x1^3\nz^3 - x1^4\n")
         code, out = run(capsys, ["classify", "--char", "2", "--vars", "1",
                                  "--batch", str(batch)])
