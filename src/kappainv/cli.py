@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Subcommands: classify, kappa, polyhedron, discriminant, deform.  Reports are
-emitted as text or JSON (--json); rationals serialize as exact "p/q" strings
+Subcommands: classify, kappa, polyhedron, discriminant, deform.  Each driver
+returns one report, an ordered list of entries (json_key, json_value,
+text_lines), and one renderer prints it as text or as JSON (--json); batch mode
+prints the same entries as `== line` blocks or as JSON Lines.  Each output
+field is built once, in its entry.  Rationals serialize as exact "p/q" strings
 and the kappa terminal as "inf" | "-1" | "inconclusive".  Exit codes:
 0 decided, 1 input error, 2 inconclusive, 3 deform without a presentation.
 """
@@ -19,11 +22,12 @@ from .deform import (default_tropical_weight, ghost_monomials,
 from .errors import ConfigurationError, KappaInvError
 from .kappa import KappaConfig, Terminal, compute_kappa
 from .poly import Poly, VarContext, format_monomial, parse_polynomial, weierstrass_validate
-from .polyhedron import projected_polyhedron
+from .polyhedron import check_dimension, projected_polyhedron
 from .quasiord import classify, discriminant_z
 from .ring import Field
 
 JSON_DUMP_KWARGS = {"indent": 2, "sort_keys": False, "ensure_ascii": False}
+JSON_LINE_KWARGS = {"separators": (",", ":"), "ensure_ascii": False}  # batch JSON Lines
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -87,41 +91,54 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# reports: one entry per output field, one renderer for text and JSON
 # ---------------------------------------------------------------------------
 
-def _frac_str(q) -> str:
-    return str(Fraction(q))
+def _render(report, as_json: bool, json_kwargs=JSON_DUMP_KWARGS) -> str:
+    """The JSON object of the keyed entries, or the text lines of all entries."""
+    if as_json:
+        return json.dumps({key: value for key, value, _ in report if key is not None},
+                          **json_kwargs)
+    return "\n".join(line for _, _, lines in report for line in lines)
 
 
-def _vertices_json(vertices) -> list:
-    return [[_frac_str(c) for c in v] for v in vertices]
+def _tuple_str(strs) -> str:
+    return "(" + ", ".join(strs) + ")"
 
 
-def _kappa_json(inv) -> dict:
-    return {
-        "vertices": _vertices_json(inv.vertices),
-        "terminal": inv.terminal.value,
-        "multiplicities": list(inv.multiplicities),
-    }
+def _kappa_entry(inv, d: int):
+    lines = [f"kappa = {inv.as_string(d)}"]
+    if len(inv.multiplicities) > 1:
+        lines.append("stage multiplicities: " + " > ".join(str(m) for m in inv.multiplicities))
+    value = {"vertices": [[str(c) for c in v] for v in inv.vertices],
+             "terminal": inv.terminal.value,
+             "multiplicities": list(inv.multiplicities)}
+    return "kappa", value, lines
 
 
-def _tri_state(value):
-    return "inconclusive" if value is None else value
-
-
-def _monomial_unit_json(mu) -> dict:
+def _discriminant_entry(rep):
+    mu = rep.monomial_unit
     if mu.status == "yes":
-        return {"yes": [str(c) for c in mu.exponent]}
-    return {mu.status: []}
+        exponent = [str(c) for c in mu.exponent]
+        mu_text = f"yes, monomial exponent {_tuple_str(exponent)}"
+    else:
+        exponent, mu_text = [], mu.status
+    disc = rep.disc.format()
+    value = {"value": disc, "monomial_unit": {mu.status: exponent}, "exact": rep.exact}
+    return "discriminant", value, [
+        f"discriminant: {disc} ({'exact' if rep.exact else 'truncated'})",
+        f"monomial_unit: {mu_text}"]
 
 
-def _discriminant_json(rep) -> dict:
-    return {
-        "value": rep.disc.format(),
-        "monomial_unit": _monomial_unit_json(rep.monomial_unit),
-        "exact": rep.exact,
-    }
+def _presentation_entry(presentation):
+    generators = presentation.generator_strings()
+    return "presentation", generators, ["presentation:"] + [f"  {s}" for s in generators]
+
+
+def _diagnostics_entries(diagnostics) -> list:
+    if not diagnostics:
+        return []
+    return [("diagnostics", list(diagnostics), [f"note: {diag}" for diag in diagnostics])]
 
 
 def _normalized_generator_str(poly: Poly) -> str:
@@ -131,62 +148,25 @@ def _normalized_generator_str(poly: Poly) -> str:
     return poly.format()
 
 
-def _close_json(out: dict, presentation, certified_truncation, diagnostics) -> dict:
-    if presentation is not None:
-        out["presentation"] = presentation.generator_strings()
-    out["certified_truncation"] = certified_truncation
-    if diagnostics:
-        out["diagnostics"] = list(diagnostics)
-    return out
+def _classification_report(result, d: int, truncation_key="certified_truncation") -> list:
+    """The report of a classification result.
 
-
-def _classification_json(report) -> dict:
-    out = {"kappa": _kappa_json(report.kappa),
-           "teissier": _tri_state(report.teissier),
-           "quasi_ordinary": _tri_state(report.quasi_ordinary),
-           "discriminant": _discriminant_json(report.discriminant)}
-    return _close_json(out, report.presentation, report.certified_truncation,
-                       report.diagnostics)
-
-
-def _kappa_lines(inv, d: int) -> list:
-    lines = [f"kappa = {inv.as_string(d)}"]
-    if len(inv.multiplicities) > 1:
-        lines.append("stage multiplicities: " + " > ".join(str(m) for m in inv.multiplicities))
-    return lines
-
-
-def _discriminant_lines(rep) -> list:
-    mu = rep.monomial_unit
-    mu_str = (f"yes, monomial exponent ({', '.join(str(c) for c in mu.exponent)})"
-              if mu.status == "yes" else mu.status)
-    return [f"discriminant: {rep.disc.format()} ({'exact' if rep.exact else 'truncated'})",
-            f"monomial_unit: {mu_str}"]
-
-
-def _presentation_lines(presentation) -> list:
-    if presentation is None:
-        return []
-    return ["presentation:"] + [f"  {s}" for s in presentation.generator_strings()]
-
-
-def _note_lines(diagnostics) -> list:
-    return [f"note: {diag}" for diag in diagnostics]
-
-
-def _classification_text(report, d: int) -> str:
-    lines = _kappa_lines(report.kappa, d)
-    lines.append(f"teissier: {_tri_state(report.teissier)}")
-    lines.append(f"quasi_ordinary: {_tri_state(report.quasi_ordinary)}")
-    lines.extend(_discriminant_lines(report.discriminant))
-    lines.extend(_presentation_lines(report.presentation))
-    if report.presentation is not None:
-        lines.append("weights: " + "; ".join(
-            f"{name} -> ({', '.join(str(c) for c in vec)})"
-            for name, vec in report.presentation.weights.items()))
-    lines.append(f"certified truncation: {report.certified_truncation}")
-    lines.extend(_note_lines(report.diagnostics))
-    return "\n".join(lines)
+    truncation_key=None keeps the certified truncation as a text line only;
+    deform adds its JSON key after its own entries.
+    """
+    report = [_kappa_entry(result.kappa, d)]
+    for key, value in (("teissier", result.teissier), ("quasi_ordinary", result.quasi_ordinary)):
+        value = "inconclusive" if value is None else value
+        report.append((key, value, [f"{key}: {value}"]))
+    report.append(_discriminant_entry(result.discriminant))
+    if result.presentation is not None:
+        report.append(_presentation_entry(result.presentation))
+        report.append((None, None, ["weights: " + "; ".join(
+            f"{name} -> {_tuple_str(str(c) for c in vec)}"
+            for name, vec in result.presentation.weights.items())]))
+    report.append((truncation_key, result.certified_truncation,
+                   [f"certified truncation: {result.certified_truncation}"]))
+    return report + _diagnostics_entries(result.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -219,98 +199,85 @@ def _parse_lambda(args, d: int):
 
 
 def _input_weierstrass(text: str, args, field: Field):
+    check_dimension(args.d)  # before any d-long exponent is built
     ctx = VarContext(args.d)
     f = parse_polynomial(text, ctx, field).truncate(args.trunc)
     return weierstrass_validate(f)
 
 
 # ---------------------------------------------------------------------------
-# subcommand drivers: each returns (exit_code, payload_json, payload_text)
+# subcommand drivers: each returns (exit_code, report), where a report is an
+# ordered list of entries (json_key, json_value, text_lines).  A key of None
+# makes an entry text only; an entry without lines is JSON only.  A new output
+# field is one new entry.
 # ---------------------------------------------------------------------------
 
 def _drive_classify(text, args, field, config):
-    wf = _input_weierstrass(text, args, field)
-    report = classify(wf, config)
-    code = EXIT_OK if report.decided else EXIT_INCONCLUSIVE
-    return code, _classification_json(report), _classification_text(report, args.d)
+    result = classify(_input_weierstrass(text, args, field), config)
+    code = EXIT_OK if result.decided else EXIT_INCONCLUSIVE
+    return code, _classification_report(result, args.d)
 
 
 def _drive_kappa(text, args, field, config):
-    wf = _input_weierstrass(text, args, field)
-    result = compute_kappa(wf, config)
-    out = _close_json({"kappa": _kappa_json(result.invariant)}, result.presentation,
-                      config.truncation, result.diagnostics)
-    lines = (_kappa_lines(result.invariant, args.d)
-             + _presentation_lines(result.presentation)
-             + _note_lines(result.diagnostics))
+    result = compute_kappa(_input_weierstrass(text, args, field), config)
+    report = [_kappa_entry(result.invariant, args.d)]
+    if result.presentation is not None:
+        report.append(_presentation_entry(result.presentation))
+    report.append(("certified_truncation", config.truncation, []))
     code = (EXIT_INCONCLUSIVE if result.invariant.terminal is Terminal.INCONCLUSIVE
             else EXIT_OK)
-    return code, out, "\n".join(lines)
+    return code, report + _diagnostics_entries(result.diagnostics)
 
 
 def _drive_polyhedron(text, args, field, config):
-    wf = _input_weierstrass(text, args, field)
-    P = projected_polyhedron(wf)
-    out = {"vertices": _vertices_json(P.vertices),
-           "certified_truncation": config.truncation}
+    P = projected_polyhedron(_input_weierstrass(text, args, field))
+    vertices = [[str(c) for c in v] for v in P.vertices]
     if P.is_empty:
-        txt = "projected polyhedron: empty"
+        lines = ["projected polyhedron: empty"]
     else:
-        txt = "projected polyhedron vertices:\n" + "\n".join(
-            "  (" + ", ".join(str(c) for c in v) + ")" for v in P.vertices)
-    return EXIT_OK, out, txt
+        lines = ["projected polyhedron vertices:"] + [f"  {_tuple_str(v)}" for v in vertices]
+    return EXIT_OK, [("vertices", vertices, lines),
+                     ("certified_truncation", config.truncation, [])]
 
 
 def _drive_discriminant(text, args, field, config):
-    wf = _input_weierstrass(text, args, field)
-    rep = discriminant_z(wf, config.truncation)
-    out = {"discriminant": _discriminant_json(rep),
-           "certified_truncation": config.truncation}
+    rep = discriminant_z(_input_weierstrass(text, args, field), config.truncation)
     code = EXIT_INCONCLUSIVE if rep.monomial_unit.status == "inconclusive" else EXIT_OK
-    return code, out, "\n".join(_discriminant_lines(rep))
+    return code, [_discriminant_entry(rep), ("certified_truncation", config.truncation, [])]
 
 
 def _drive_deform(text, args, field, config):
-    wf = _input_weierstrass(text, args, field)
-    report = classify(wf, config)
-    if report.presentation is None or report.kappa.terminal is not Terminal.INFINITY:
+    result = classify(_input_weierstrass(text, args, field), config)
+    if result.presentation is None or result.kappa.terminal is not Terminal.INFINITY:
         msg = "no overweight presentation: the kappa terminal is not infinity"
-        return EXIT_NO_PRESENTATION, {"error": msg}, msg
-    lift = lift_presentation(report.presentation)
+        return EXIT_NO_PRESENTATION, [("error", msg, [msg])]
+    lift = lift_presentation(result.presentation)
     ghosts = ghost_monomials(lift)
-    hyper = ghosts.hypersurface
+    hyper = ghosts.hypersurface.format()
     lam = _parse_lambda(args, args.d)
-    omega = default_tropical_weight(report.presentation, lam)
+    omega = default_tropical_weight(result.presentation, lam)
     ideal = initial_forms_weighted(lift, omega)
-    out = _classification_json(report)
-    out["hypersurface"] = hyper.format()
-    out["ghosts"] = [{"monomial": format_monomial(e, lift.ctx), "coeff": str(c)}
-                     for e, c in ghosts.ghosts]
-    out["initial_ideal"] = {
-        "weight_source": "kappa-derived",
-        "lambda": [str(c) for c in lam],
-        "omega": [str(c) for c in omega],
-        "generators": [_normalized_generator_str(g) for g in ideal.generators_initial],
-        "fiber_independent": ideal.fiber_independent,
-    }
-    out.pop("certified_truncation", None)
-    out["certified_truncation"] = config.truncation
-    lines = [_classification_text(report, args.d),
-             f"prime: {lift.prime}",
-             "lift generators:"]
-    lines.extend(f"  {g.format()}" for g in lift.generators())
-    lines.append(f"hypersurface over Z: {hyper.format()}")
-    if ghosts.ghosts:
-        lines.append("ghost monomials:")
-        lines.extend(f"  {format_monomial(e, lift.ctx)}: {c}" for e, c in ghosts.ghosts)
-    else:
-        lines.append("ghost monomials: none")
-    lines.append(f"initial ideal (kappa-derived weights, lambda = "
-                 f"({', '.join(str(c) for c in lam)}), "
-                 f"omega = ({', '.join(str(c) for c in omega)})):")
-    lines.extend(f"  {_normalized_generator_str(g)}" for g in ideal.generators_initial)
-    lines.append(f"fiber independent: {ideal.fiber_independent}")
-    return EXIT_OK, out, "\n".join(lines)
+    lam, omega = [str(c) for c in lam], [str(c) for c in omega]
+    ghost_list = [{"monomial": format_monomial(e, lift.ctx), "coeff": str(c)}
+                  for e, c in ghosts.ghosts]
+    generators = [_normalized_generator_str(g) for g in ideal.generators_initial]
+    source = "kappa-derived"
+    report = _classification_report(result, args.d, truncation_key=None)
+    report.append((None, None, [f"prime: {lift.prime}", "lift generators:"]
+                   + [f"  {g.format()}" for g in lift.generators()]))
+    report.append(("hypersurface", hyper, [f"hypersurface over Z: {hyper}"]))
+    report.append(("ghosts", ghost_list,
+                   ["ghost monomials:" if ghost_list else "ghost monomials: none"]
+                   + [f"  {g['monomial']}: {g['coeff']}" for g in ghost_list]))
+    report.append(("initial_ideal",
+                   {"weight_source": source, "lambda": lam, "omega": omega,
+                    "generators": generators, "fiber_independent": ideal.fiber_independent},
+                   [f"initial ideal ({source} weights, lambda = {_tuple_str(lam)}, "
+                    f"omega = {_tuple_str(omega)}):"]
+                   + [f"  {g}" for g in generators]
+                   + [f"fiber independent: {ideal.fiber_independent}"]))
+    report.append(("certified_truncation", config.truncation, []))
+    return EXIT_OK, report
 
 
 _DRIVERS = {
@@ -336,13 +303,11 @@ def run_batch(args) -> int:
     blocks = []
     for ln in lines:
         try:
-            code, payload, text = _drive_classify(ln, args, field, config)
+            code, report = _drive_classify(ln, args, field, config)
         except KappaInvError as exc:
-            code, payload, text = EXIT_INPUT_ERROR, {"error": str(exc)}, f"error: {exc}"
-        if args.json:
-            blocks.append(json.dumps(payload, separators=(",", ":"), ensure_ascii=False))
-        else:
-            blocks.append(f"== {ln}\n{text}")
+            code, report = EXIT_INPUT_ERROR, [("error", str(exc), [f"error: {exc}"])]
+        out = _render(report, args.json, JSON_LINE_KWARGS)
+        blocks.append(out if args.json else f"== {ln}\n{out}")
         if code == EXIT_INPUT_ERROR:
             worst = EXIT_INPUT_ERROR
         elif code == EXIT_INCONCLUSIVE and worst != EXIT_INPUT_ERROR:
@@ -365,8 +330,8 @@ def main(argv=None) -> int:
             return EXIT_INPUT_ERROR
         field = _build_field(args)
         config = _build_config(args)
-        code, payload, text = _DRIVERS[args.command](args.polynomial, args, field, config)
-        print(json.dumps(payload, **JSON_DUMP_KWARGS) if args.json else text)
+        code, report = _DRIVERS[args.command](args.polynomial, args, field, config)
+        print(_render(report, args.json))
         return code
     except KappaInvError as exc:
         print(f"error: {exc}", file=sys.stderr)

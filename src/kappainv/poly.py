@@ -23,8 +23,8 @@ import operator
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .errors import EngineError, ParseError, ValidationError
-from .ring import ZZ
+from .errors import EngineError, ParseError, UnsupportedLiftError, ValidationError
+from .ring import ZZ, lift_coeff
 
 _NORMAL_FORM_FUEL = 512
 
@@ -687,23 +687,24 @@ class Relation:
         """Canonical display "u1 - (z^2 - x1^3*x2^6 - ...)" with structural signs.
 
         Prime-field coefficients are shown through their canonical integer
-        lift so the binomial minus sign stays visible in every characteristic.
+        lift so the binomial minus sign stays visible in every characteristic;
+        where lift_coeff has no canonical lift, the structural signs are literal.
         """
         ring = self.ring
-        if ring.characteristic > 0 and ring.extension_degree > 1:
-            # no canonical integer lift; render the structural signs literally
+        view = ZZ if ring.characteristic > 0 else ring
+        pieces = []
+        try:
+            for sign, c, mono in self.structural_pieces():
+                v = lift_coeff(ring, c) if ring.characteristic > 0 else c
+                v = v if sign > 0 else view.neg(v)
+                if not view.is_zero(v):
+                    pieces.append((v, mono))
+        except UnsupportedLiftError:
             segs = []
             for i, (sign, c, mono) in enumerate(self.structural_pieces()):
                 body = format_signed_terms([(c, mono)], self.ctx, ring)
                 segs.append(body if i == 0 else ("- " if sign < 0 else "+ ") + body)
             return f"{self.var} - ({' '.join(segs)})"
-        view = ZZ if ring.characteristic > 0 else ring
-        pieces = []
-        for sign, c, mono in self.structural_pieces():
-            v = int(c) if ring.characteristic > 0 else c
-            v = v if sign > 0 else view.neg(v)
-            if not view.is_zero(v):
-                pieces.append((v, mono))
         return f"{self.var} - ({format_signed_terms(pieces, self.ctx, view)})"
 
 

@@ -100,6 +100,12 @@ def _phase_one_feasible(tab, nstruct) -> bool:
         den = piv
 
 
+def check_dimension(d: int) -> None:
+    """Refuse more x-variables than the hull and membership LPs are bounded for."""
+    if d > MAX_DIMENSION:
+        raise ConfigurationError(f"dimension {d} exceeds the configured bound {MAX_DIMENSION}")
+
+
 def hull_vertices(points, d: int) -> OrthantPolyhedron:
     """Minimal V with conv(V) + orthant = conv(points) + orthant.
 
@@ -108,8 +114,7 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
     minima only, since a point that weakly dominates a distinct (lex-smaller)
     point is no vertex (Kung, Luccio and Preparata, JACM 1975).
     """
-    if d > MAX_DIMENSION:
-        raise ConfigurationError(f"dimension {d} exceeds the configured bound {MAX_DIMENSION}")
+    check_dimension(d)
     kept = []
     for q in sorted({tuple(Fraction(c) for c in pt) for pt in points}):
         if len(q) != d:

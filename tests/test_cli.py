@@ -219,6 +219,35 @@ class TestBatch:
         assert code == 2
 
 
+class TestDimensionBound:
+    @pytest.mark.parametrize("command", ["classify", "kappa", "polyhedron", "discriminant",
+                                         "deform"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_vars_above_the_bound_exits_1_before_parsing(self, capsys, monkeypatch,
+                                                         command, mode):
+        def parse_spy(*args):
+            raise AssertionError("the polynomial was parsed")
+        monkeypatch.setattr("kappainv.cli.parse_polynomial", parse_spy)
+        code = main([command, "--char", "2", "--vars", "9", *mode, "z^2 - x1^3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: dimension 9 exceeds the configured bound 8\n"
+        assert captured.out == ""
+
+    def test_vars_at_the_bound_is_accepted(self, capsys):
+        code, out = run(capsys, ["classify", "--char", "2", "--vars", "8", "z^2 - x1^3"])
+        assert code == 0
+        assert "kappa = ((3/2, 0, 0, 0, 0, 0, 0, 0), inf)" in out
+
+    def test_batch_reports_the_bound_per_line(self, capsys, tmp_path):
+        batch = tmp_path / "inputs.txt"
+        batch.write_text("z^2 - x1^3\nz^3 - x1^4\n")
+        code, out = run(capsys, ["classify", "--char", "2", "--vars", "9", "--json",
+                                 "--batch", str(batch)])
+        assert code == 1
+        assert out == '{"error":"dimension 9 exceeds the configured bound 8"}\n' * 2
+
+
 class TestMalformedFlags:
     @pytest.mark.parametrize("argv, flag", [
         (["kappa", "--char", "2", "--ext", "2", "--modulus", "1,a,1", "z^2 - x1^3"],

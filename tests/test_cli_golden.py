@@ -1,5 +1,6 @@
 """Golden CLI output: stdout, stderr and exit code of every subcommand, in text
-and --json mode, compared byte for byte with tests/cli_golden.json.
+and --json mode, compared byte for byte with tests/cli_golden.json; the README's
+JSON report is one of these outputs.
 
 An intended output change rewrites the data file with
 
@@ -87,6 +88,13 @@ def test_golden_covers_every_run(golden):
 @pytest.mark.parametrize("name, argv", list(_all_runs()), ids=[n for n, _ in _all_runs()])
 def test_output_is_byte_identical(golden, batch_path, name, argv):
     assert capture(argv, batch_path) == golden[name]
+
+
+def test_readme_json_report_is_the_real_output(golden):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### JSON report"):]
+    block = section[section.index("```json\n") + len("```json\n"):section.index("```\n\n")]
+    assert block == golden["classify-inf --json"]["stdout"]
 
 
 if __name__ == "__main__":
