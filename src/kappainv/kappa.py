@@ -20,8 +20,7 @@ from fractions import Fraction
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
                    normal_form, power_substitute, substitute)
-from .polyhedron import (OrthantPolyhedron, polyhedron_leq, term_point,
-                         weighted_projected_polyhedron)
+from .polyhedron import OrthantPolyhedron, StageProjection, polyhedron_leq
 
 _PREPARE_FUEL = 4096
 
@@ -173,36 +172,16 @@ class KappaResult:
 # initial forms
 # ---------------------------------------------------------------------------
 
-def _aux_weight_index(ctx: VarContext, weights: dict) -> dict:
-    return {ctx.var_index(name): vec for name, vec in weights.items()}
-
-
 def _vertex_str(v) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-def _initial_at(f: Poly, vertex, main_var: str, top_exp: int, weights: dict) -> Poly:
-    ctx = f.ctx
-    midx = ctx.var_index(main_var)
-    aux = _aux_weight_index(ctx, weights)
-    top = ctx.unit(main_var, top_exp)
-    terms = {}
-    for e, c in f.terms.items():
-        if e == top:
-            terms[e] = c
-            continue
-        pt = term_point(e, ctx.d, midx, top_exp, aux)
-        if pt == vertex:
-            terms[e] = c
-    return Poly(ctx, f.ring, terms, f.trunc)
-
-
 def initial_form(f: Poly, vertex, main_var: str, top_exp: int, weights: dict) -> Poly:
     """Monic top plus every term whose weighted point equals the given vertex."""
-    P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
-    if tuple(vertex) not in P.vertices:
+    stage = StageProjection(f.ctx, main_var, top_exp, weights)
+    if tuple(vertex) not in stage.polyhedron(f).vertices:
         raise ContractViolation(f"{vertex} is not a vertex of the projected polyhedron")
-    return _initial_at(f, tuple(vertex), main_var, top_exp, weights)
+    return stage.initial(f, tuple(vertex))
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +290,22 @@ def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
     return f.add(step, T)
 
 
-def _search_at_power(f, In, vertex, main_var, top_exp, weights, relations, power, depth, T):
+def _search_at_power(f, In, vertex, stage, relations, power, depth, T):
     """Search from f, whose initial form at the vertex is In, for the given power."""
     if len(In.terms) > 1:
-        res = _decompose_at(In, main_var, power, f.ctx, f.ring)
+        res = _decompose_at(In, stage.main_var, power, f.ctx, f.ring)
         if isinstance(res, (BinomialPower, FieldExtensionRequired)):
             return f, res
     if depth <= 0:
         return None
     ctx = f.ctx
-    top = ctx.unit(main_var, top_exp)
-    ordered = [e for e, _ in In.sorted_terms() if e != top]
+    ordered = [e for e, _ in In.sorted_terms() if e != stage.top]
     for rel in reversed(list(relations)):
         tail = ctx.pad(rel.tail_expo)
         for expo in ordered:
             if all(a >= b for a, b in zip(expo, tail)):
                 f2 = _apply_rewrite(f, expo, rel, T)
-                found = _search_at_power(f2, _initial_at(f2, vertex, main_var, top_exp, weights),
-                                         vertex, main_var, top_exp, weights,
+                found = _search_at_power(f2, stage.initial(f2, vertex), vertex, stage,
                                          relations, power, depth - 1, T)
                 if found is not None:
                     return found
@@ -336,7 +313,7 @@ def _search_at_power(f, In, vertex, main_var, top_exp, weights, relations, power
 
 
 def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
-                       relations, weights: dict, depth: int = 3, T=None):
+                       relations, weights: dict, depth: int = 3, T=None, stage=None):
     """Binomial-power form of the initial form at a vertex, modulo relations.
 
     Returns (outcome, poly): outcome is a BinomialPower (with poly rewritten
@@ -344,13 +321,14 @@ def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
     NOT_BINOMIAL, or FieldExtensionRequired (with poly the input f).  The
     search fixes the candidate power first, largest divisor first, so a
     rewrite that realizes a larger power beats a direct match at a smaller
-    one.
+    one.  stage is the stage's projection, built from the arguments when
+    not given.
     """
     vertex = tuple(vertex)
-    In = _initial_at(f, vertex, main_var, top_exp, weights)  # shared by every power
+    stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
+    In = stage.initial(f, vertex)  # shared by every power
     for power in _divisors_desc(top_exp):
-        found = _search_at_power(f, In, vertex, main_var, top_exp, weights,
-                                 relations, power, depth, T)
+        found = _search_at_power(f, In, vertex, stage, relations, power, depth, T)
         if found is not None:
             f2, outcome = found
             return outcome, (f if isinstance(outcome, FieldExtensionRequired) else f2)
@@ -362,25 +340,28 @@ def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
 # ---------------------------------------------------------------------------
 
 def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp: int,
-                       config: KappaConfig, pending_relation: Relation = None) -> PrepareResult:
+                       config: KappaConfig, pending_relation: Relation = None,
+                       stage: StageProjection = None) -> PrepareResult:
     """Eliminate solvable vertices by translating the top variable.
 
     A vertex is solvable when its (binomialized) initial form is a power of
     a binomial linear in the top variable; the translation by the solving
     term strictly shrinks the polyhedron, which is asserted.  Translations
-    are recorded on the pending relation when one is given.
+    are recorded on the pending relation when one is given.  stage is the
+    stage's projection, built from the arguments when not given.
     """
     T = config.truncation
     eliminations = 0
     diagnostics = []
     processed = set()
-    P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
+    stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
+    P = stage.polyhedron(f)
     for _ in range(_PREPARE_FUEL):
         for v in P.vertices:
             if v in processed:
                 continue
             outcome, f2 = binomialize_modulo(f, v, main_var, top_exp, relations,
-                                             weights, config.depth, T)
+                                             weights, config.depth, T, stage)
             if isinstance(outcome, FieldExtensionRequired):
                 diagnostics.append(
                     f"solving the vertex {_vertex_str(v)} needs a degree-{outcome.degree} "
@@ -393,15 +374,14 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
                 processed.add(v)
                 if f2 is not f:
                     f = f2
-                    P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
+                    P = stage.polyhedron(f)
                     break
                 continue
             # solvable: translate by the solving term
             if eliminations >= config.budget:
                 diagnostics.append(f"elimination budget ({config.budget}) exhausted")
                 return PrepareResult(f, P, PrepStatus.INCONCLUSIVE, eliminations, diagnostics)
-            before = P if f2 is f else weighted_projected_polyhedron(f2, main_var, top_exp,
-                                                                     weights)
+            before = P if f2 is f else stage.polyhedron(f2)
             ctx = f2.ctx
             solving = Poly.monomial(ctx, f2.ring, ctx.pad(outcome.tail_expo), outcome.coeff)
             shift = Poly.variable(ctx, f2.ring, main_var).add(solving)
@@ -412,7 +392,7 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
             if pending_relation is not None:
                 pending_relation.corrections.append((outcome.coeff, tuple(outcome.tail_expo)))
             f = normal_form(f, relations, T)
-            P = weighted_projected_polyhedron(f, main_var, top_exp, weights)
+            P = stage.polyhedron(f)
             if not polyhedron_leq(P, before) or polyhedron_leq(before, P):
                 raise EngineError("vertex elimination failed to strictly shrink the polyhedron")
             eliminations += 1
@@ -458,7 +438,8 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
     terminal = None
 
     while True:
-        prep = prepare_polyhedron(f, relations, weights, main, top_exp, config, pending)
+        stage = StageProjection(f.ctx, main, top_exp, weights)
+        prep = prepare_polyhedron(f, relations, weights, main, top_exp, config, pending, stage)
         f = prep.poly
         budget_used += prep.eliminations
         diagnostics.extend(prep.diagnostics)
@@ -491,7 +472,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
             break
         v = P.vertices[0]
         outcome, f = binomialize_modulo(f, v, main, top_exp, relations, weights,
-                                        config.depth, T)
+                                        config.depth, T, stage)
         if isinstance(outcome, FieldExtensionRequired):
             diagnostics.append(
                 f"decomposition at {_vertex_str(v)} needs a degree-{outcome.degree} "

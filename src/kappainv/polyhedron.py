@@ -116,7 +116,8 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
     """
     check_dimension(d)
     kept = []
-    for q in sorted({tuple(Fraction(c) for c in pt) for pt in points}):
+    for q in sorted({tuple(c if type(c) is Fraction else Fraction(c) for c in pt)
+                     for pt in points}):
         if len(q) != d:
             raise ContractViolation(f"dimension mismatch: {q} has not {d} coordinates")
         if not any(all(a <= b for a, b in zip(s, q)) for s in kept):
@@ -167,6 +168,50 @@ def term_point(expo, d: int, main_idx: int, top_exp: int, aux_weights):
     return tuple(c / den for c in num)
 
 
+class StageProjection:
+    """The weighted projection of one kappa stage, each term's point computed once.
+
+    Holds the stage's context, main variable index, monic top monomial and
+    auxiliary weight index (absolute variable index -> weight vector), and
+    memoizes term points by exponent, so every polynomial of the stage shares
+    them.  Only polynomials in that context may be passed.
+    """
+
+    def __init__(self, ctx, main_var: str, top_exp: int, weights: dict):
+        self.ctx, self.main_var, self.top_exp = ctx, main_var, top_exp
+        self.midx = ctx.var_index(main_var)
+        self.top = ctx.unit(main_var, top_exp)
+        self.aux = {ctx.var_index(name): vec for name, vec in weights.items()}
+        self.points = {}
+
+    def point(self, e):
+        pt = self.points.get(e)
+        if pt is None:
+            pt = self.points[e] = term_point(e, self.ctx.d, self.midx, self.top_exp, self.aux)
+        return pt
+
+    def initial(self, f: Poly, vertex) -> Poly:
+        """Monic top plus every term whose weighted point equals the vertex."""
+        midx, top_exp, top, point = self.midx, self.top_exp, self.top, self.point
+        terms = {e: c for e, c in f.terms.items()
+                 if e == top or (e[midx] < top_exp and point(e) == vertex)}
+        return Poly(f.ctx, f.ring, terms, f.trunc)
+
+    def polyhedron(self, f: Poly) -> OrthantPolyhedron:
+        """Hull of the weighted points of all terms below the monic top."""
+        midx, top_exp, top = self.midx, self.top_exp, self.top
+        if f.terms.get(top) != f.ring.one:
+            raise ContractViolation(f"not monic of degree {top_exp} in {self.main_var}")
+        pts = []
+        for e in f.terms:
+            if e[midx] >= top_exp:
+                if e != top:
+                    raise ContractViolation(f"term exceeds the monic degree in {self.main_var}")
+                continue
+            pts.append(self.point(e))
+        return hull_vertices(pts, self.ctx.d)
+
+
 def weighted_projected_polyhedron(f: Poly, main_var: str, top_exp: int,
                                   weights: dict) -> OrthantPolyhedron:
     """Hull of the weighted points of all terms below the monic top.
@@ -174,23 +219,7 @@ def weighted_projected_polyhedron(f: Poly, main_var: str, top_exp: int,
     weights maps auxiliary variable names (z, u1, ...) other than main_var
     to their weight vectors in Q_{>=0}^d.
     """
-    ctx = f.ctx
-    d = ctx.d
-    midx = ctx.var_index(main_var)
-    top = ctx.unit(main_var, top_exp)
-    if f.terms.get(top) != f.ring.one:
-        raise ContractViolation(f"not monic of degree {top_exp} in {main_var}")
-    aux_weights = {}
-    for name, vec in weights.items():
-        aux_weights[ctx.var_index(name)] = vec
-    pts = []
-    for e in f.terms:
-        if e[midx] >= top_exp:
-            if e != top:
-                raise ContractViolation(f"term exceeds the monic degree in {main_var}")
-            continue
-        pts.append(term_point(e, d, midx, top_exp, aux_weights))
-    return hull_vertices(pts, d)
+    return StageProjection(f.ctx, main_var, top_exp, weights).polyhedron(f)
 
 
 def projected_polyhedron(f: WeierstrassPoly) -> OrthantPolyhedron:

@@ -42,19 +42,28 @@ def _z_coefficients(f: Poly) -> list:
     return [Poly._of(ctx, f.ring, buckets.get(k, {}), None) for k in range(max(buckets), -1, -1)]
 
 
+def _is_one(p: Poly) -> bool:
+    return len(p.terms) == 1 and p.constant_coeff() == p.ring.one
+
+
 def _prem(A: list, B: list) -> list:
-    """The pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B, leading zeros dropped."""
+    """The pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B, leading zeros dropped.
+
+    No product by a leading coefficient equal to 1 is formed.
+    """
     lead = B[0]
+    unit = _is_one(lead)
     R = A
     steps = len(A) - len(B) + 1
     while len(R) >= len(B):
         top = R[0]
-        R = ([lead.mul(r).sub(top.mul(b)) for r, b in zip(R[1:], B[1:])]
-             + [lead.mul(r) for r in R[len(B):]])
+        tail = B[1:] if _is_one(top) else [top.mul(b) for b in B[1:]]
+        rest = R[1:] if unit else [lead.mul(r) for r in R[1:]]
+        R = [r.sub(t) for r, t in zip(rest, tail)] + rest[len(tail):]
         steps -= 1
         while R and R[0].is_zero():
             R = R[1:]
-    return [lead.pow_(steps).mul(r) for r in R] if steps > 0 else R
+    return [lead.pow_(steps).mul(r) for r in R] if steps > 0 and not unit else R
 
 
 def determinant(fc: list, gc: list) -> Poly:
@@ -63,10 +72,11 @@ def determinant(fc: list, gc: list) -> Poly:
     fc and gc are the exact z-coefficient lists of f and g, leading one first
     and nonzero.  Subresultant pseudo-remainder sequence (Brown and Traub
     1971; Cohen, Algorithm 3.3.7): every division by g * h^delta and by h^k
-    is exact in the polynomial ring of the coefficients.
+    is exact in the polynomial ring of the coefficients.  g and h start at
+    1 (None here), so the first step divides by nothing.
     """
     A, B = fc, gc
-    g = h = Poly.one(fc[0].ctx, fc[0].ring)
+    g = h = None
     sign = 1
     while len(B) > 1:
         delta = len(A) - len(B)
@@ -74,14 +84,19 @@ def determinant(fc: list, gc: list) -> Poly:
             sign = -sign
         R = _prem(A, B)
         if not R:
-            return Poly.zero(g.ctx, g.ring)
-        divisor = g.mul(h.pow_(delta))
-        A, B = B, [exact_div(r, divisor) for r in R]
+            return Poly.zero(fc[0].ctx, fc[0].ring)
+        if g is not None:
+            divisor = g.mul(h.pow_(delta))
+            R = [exact_div(r, divisor) for r in R]
+        A, B = B, R
         g = A[0]
-        h = g if delta == 1 else exact_div(g.pow_(delta), h.pow_(delta - 1))
+        if delta == 1:
+            h = g
+        else:
+            h = g.pow_(delta) if h is None else exact_div(g.pow_(delta), h.pow_(delta - 1))
     # B is a nonzero constant c: the last subresultant is c^deg(A) / h^(deg(A) - 1)
     k = len(A) - 1
-    res = exact_div(B[0].pow_(k), h.pow_(k - 1))
+    res = B[0].pow_(k) if h is None or k == 1 else exact_div(B[0].pow_(k), h.pow_(k - 1))
     return res if sign > 0 else res.neg()
 
 

@@ -8,7 +8,8 @@ from kappainv import (NOT_BINOMIAL, BinomialPower, ContractViolation, KappaConfi
                       binomial_power_decompose, binomialize_modulo, compute_kappa,
                       initial_form, parse_polynomial, prepare_polyhedron, substitute,
                       verify_overweight)
-import kappainv.kappa
+import kappainv.polyhedron
+from kappainv.polyhedron import StageProjection
 from kappainv.kappa import FieldExtensionRequired, PrepStatus, _apply_rewrite
 from conftest import mk, mkw, rand_poly, sample_relations
 
@@ -136,13 +137,13 @@ class TestBinomializeModulo:
                        tail_expo=(1, 1, 0), ctx=ctx, ring=QQ)
         f = parse_polynomial("u1^6 + x1*z*u1", ctx, QQ)
         built = []
-        initial_at = kappainv.kappa._initial_at
+        initial = StageProjection.initial
 
-        def counting(g, *args):
+        def counting(stage, g, vertex):
             built.append(g is f)
-            return initial_at(g, *args)
+            return initial(stage, g, vertex)
 
-        monkeypatch.setattr(kappainv.kappa, "_initial_at", counting)
+        monkeypatch.setattr(StageProjection, "initial", counting)
         outcome, f2 = binomialize_modulo(f, (F(2, 5),), "u1", 6, [rel], {"z": (F(1),)})
         assert outcome is NOT_BINOMIAL
         assert f2 is f
@@ -202,13 +203,13 @@ class TestPrepare:
 
     def test_one_polyhedron_per_polynomial(self, QQ, monkeypatch):
         built = []
-        real = kappainv.kappa.weighted_projected_polyhedron
+        polyhedron = StageProjection.polyhedron
 
-        def counting(*args, **kwargs):
-            built.append(args[0])
-            return real(*args, **kwargs)
+        def counting(stage, g):
+            built.append(g)
+            return polyhedron(stage, g)
 
-        monkeypatch.setattr(kappainv.kappa, "weighted_projected_polyhedron", counting)
+        monkeypatch.setattr(StageProjection, "polyhedron", counting)
         f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)
         res = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig())
         assert res.eliminations == 2
@@ -245,6 +246,28 @@ class TestComputeKappa:
             "u2 - (u1^2 - x1^6*x2^12*z)",
             "u2^2 + x1^12*x2^24*u1",
         ]
+
+    def test_each_stage_point_computed_once(self, F2, monkeypatch):
+        # every (stage, exponent) point is computed once, though the stage's
+        # polynomials ask for many of them again
+        computed, asked = [], []
+        term_point, point = kappainv.polyhedron.term_point, StageProjection.point
+
+        def counting_term_point(e, d, midx, top_exp, aux):
+            computed.append((aux, e))  # aux is the stage's own dict, kept alive here
+            return term_point(e, d, midx, top_exp, aux)
+
+        def counting_point(stage, e):
+            asked.append(e)
+            return point(stage, e)
+
+        monkeypatch.setattr(kappainv.polyhedron, "term_point", counting_term_point)
+        monkeypatch.setattr(StageProjection, "point", counting_point)
+        res = compute_kappa(mkw("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, F2))
+        assert len(res.invariant.vertices) == 3
+        keys = [(id(aux), e) for aux, e in computed]
+        assert len(keys) == len(set(keys))
+        assert len(asked) > len(computed)
 
     def test_char0_prepared_cusp(self, QQ):
         res = compute_kappa(mkw("z^2 - 2*x1*z + x1^2 - x1^3", 1, QQ))

@@ -6,18 +6,21 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from kappainv import compute_kappa
+from conftest import mkw
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
 
 
 def test_every_tracer_target_resolves():
-    targets = load_targets()
+    targets = load_tracer().TARGETS
     assert targets
     for home, attr, span in targets:
         owner = importlib.import_module(home)
@@ -33,3 +36,21 @@ def test_every_tracer_target_resolves():
             assert not overrides, (span, overrides)
         else:
             assert callable(getattr(owner, attr, None)), span
+
+
+def test_tracer_sees_the_engine_through_the_stage(F2):
+    # the stage projection must look the hull up where the tracer patches it
+    # (module globals), not bind it as a class attribute or default argument
+    tr = load_tracer().Tracer()
+    tr.install()
+    try:
+        tr.begin_case("three-stage")
+        # the README's three-stage example in z + x1*x2^2: one elimination,
+        # whose shrink check runs membership tests
+        res = compute_kappa(mkw("z^8 + x1^8*x2^16 + x1^12*x2^24 + x1^15*x2^30", 2, F2))
+        tr.end_case()
+    finally:
+        tr.uninstall()
+    assert len(res.invariant.vertices) == 3
+    for span in ("polyhedron.hull", "polyhedron.member", "kappa.binomialize"):
+        assert tr.calls.get(span, 0) > 0, span

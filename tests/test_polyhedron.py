@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import kappainv.polyhedron
-from kappainv import (ContractViolation, EmptyPolyhedronError, hull_vertices, lex_min_vertex,
-                      member, polyhedron_leq, projected_polyhedron,
-                      weighted_projected_polyhedron)
+from kappainv import (ConfigurationError, ContractViolation, EmptyPolyhedronError,
+                      KappaConfig, Poly, VarContext, hull_vertices, lex_min_vertex, member,
+                      parse_polynomial, polyhedron_leq, prepare_polyhedron,
+                      projected_polyhedron, weighted_projected_polyhedron)
+from kappainv.polyhedron import StageProjection
 from conftest import mk, mkw
 
 
@@ -357,3 +359,76 @@ def test_dimension_bound_enforced():
     import pytest as _pytest
     with _pytest.raises(ConfigurationError):
         hull_vertices([tuple(F(1) for _ in range(9))], 9)
+
+
+class TestStageProjection:
+    """The stage's memoized points against term_point and hull_vertices on raw terms."""
+
+    AUX = ("z", "u1", "u2", "u3")
+
+    @staticmethod
+    def oracle(f, main, top_exp, weights):
+        """(polyhedron, initial form at a vertex) from term_point on every term, no memo."""
+        ctx = f.ctx
+        midx, top = ctx.var_index(main), ctx.unit(main, top_exp)
+        aux = {ctx.var_index(name): vec for name, vec in weights.items()}
+        points = {e: kappainv.polyhedron.term_point(e, ctx.d, midx, top_exp, aux)
+                  for e in f.terms if e != top}
+        P = hull_vertices(list(points.values()), ctx.d)
+
+        def initial(v):
+            return Poly(ctx, f.ring, {e: c for e, c in f.terms.items()
+                                      if e == top or points[e] == v})
+        return P, initial
+
+    def test_memo_matches_the_raw_oracle(self, QQ, F2, F5):
+        rng = random.Random(1202)
+        reused = 0
+        for trial in range(60):
+            field = [QQ, F2, F5][trial % 3]
+            d, k = rng.randint(1, 3), rng.randint(1, 3)
+            ctx = VarContext(d, self.AUX[:k + 1])
+            main, top_exp = self.AUX[k], rng.randint(2, 5)
+            weights = {name: tuple(F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(d))
+                       for name in self.AUX[:k]}
+            stage = StageProjection(ctx, main, top_exp, weights)
+            # the stage's polynomials draw from one pool of exponents, as the
+            # engine's rewrites and translations do
+            pool = [tuple(rng.randint(0, 3) for _ in range(d + k)) + (rng.randrange(top_exp),)
+                    for _ in range(8)]
+            asked = 0
+            for _ in range(4):
+                terms = {ctx.unit(main, top_exp): field.one}
+                for e in rng.sample(pool, rng.randint(1, 5)):
+                    c = field.from_int(rng.randint(1, 4))
+                    if not field.is_zero(c):
+                        terms[e] = c
+                f = Poly(ctx, field, terms)
+                P, initial = self.oracle(f, main, top_exp, weights)
+                assert stage.polyhedron(f) == P
+                for v in P.vertices:
+                    assert stage.initial(f, v) == initial(v)
+                asked += (len(f.terms) - 1) * (1 + len(P.vertices))
+            assert len(stage.points) <= len(pool)
+            reused += asked - len(stage.points)
+        assert reused > 0
+
+    def test_checks_are_kept(self, QQ):
+        ctx = VarContext(2, ("z", "u1", "u2"))
+        stage = StageProjection(ctx, "u2", 3, {"z": (F(1), F(2)), "u1": (F(3), F(1, 2))})
+        ok = parse_polynomial("u2^3 + x1*z*u2 + x2^2*u1", ctx, QQ)
+        assert stage.polyhedron(ok).vertices  # fills the memo first
+        for text in ("2*u2^3 + x1*z*u2", "u2^2 + x1*z"):
+            with pytest.raises(ContractViolation, match="not monic"):
+                stage.polyhedron(parse_polynomial(text, ctx, QQ))
+        for text in ("u2^3 + x1*u2^4", "u2^3 + x1*u2^3"):
+            with pytest.raises(ContractViolation, match="exceeds the monic degree"):
+                stage.polyhedron(parse_polynomial(text, ctx, QQ))
+        short = StageProjection(ctx, "u2", 3, {"z": (F(1), F(2))})
+        f = parse_polynomial("u2^3 + x2^2*u1", ctx, QQ)
+        with pytest.raises(ConfigurationError, match="missing weight"):
+            short.polyhedron(f)
+        with pytest.raises(ConfigurationError, match="missing weight"):
+            short.initial(f, (F(1), F(2)))
+        with pytest.raises(ConfigurationError, match="missing weight"):
+            prepare_polyhedron(f, [], {"z": (F(1), F(2))}, "u2", 3, KappaConfig(), stage=short)

@@ -255,6 +255,39 @@ class TestIntegerResultant:
                 assert rings == [want], wf.poly.format()
 
 
+class TestSubresultantStart:
+    """The sequence starts at g = h = 1 and divides or multiplies by no 1."""
+
+    @pytest.mark.parametrize("text, d", [
+        ("z^4 - 2*x1^3*z^2 + x1*z + x1^6", 1),
+        ("z^3 + x1*x2*z + x2^5", 2),
+    ])
+    def test_monic_input_makes_no_division_or_product_by_one(self, QQ, F7, monkeypatch, text, d):
+        by_one = []
+        real_div, real_mul = kappainv.quasiord.exact_div, Poly.mul
+
+        def is_one(p):
+            return p.terms == {(0,) * p.ctx.nvars: p.ring.one}
+
+        def exact_div(a, b):
+            by_one.append(("exact_div", is_one(b)))
+            return real_div(a, b)
+
+        def mul(a, b, T=None):
+            by_one.append(("mul", is_one(a) or is_one(b)))
+            return real_mul(a, b, T)
+
+        monkeypatch.setattr(kappainv.quasiord, "exact_div", exact_div)
+        monkeypatch.setattr(Poly, "mul", mul)
+        for field in (QQ, F7):
+            wf = mkw(text, d, field)
+            want = sylvester_resultant(wf.poly)
+            by_one.clear()
+            assert discriminant_z(wf).disc == want
+            assert ("exact_div", False) in by_one
+            assert ("exact_div", True) not in by_one and ("mul", True) not in by_one
+
+
 class TestMonomialUnit:
     def test_yes(self, F2):
         g = mk("x1^2*x2^2", 2, F2)
