@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
-                   normal_form, power_substitute, substitute)
+                   normal_form, power_substitute, translate)
 from .polyhedron import OrthantPolyhedron, StageProjection, polyhedron_leq
 
 _PREPARE_FUEL = 4096
@@ -382,10 +382,7 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
                 diagnostics.append(f"elimination budget ({config.budget}) exhausted")
                 return PrepareResult(f, P, PrepStatus.INCONCLUSIVE, eliminations, diagnostics)
             before = P if f2 is f else stage.polyhedron(f2)
-            ctx = f2.ctx
-            solving = Poly.monomial(ctx, f2.ring, ctx.pad(outcome.tail_expo), outcome.coeff)
-            shift = Poly.variable(ctx, f2.ring, main_var).add(solving)
-            f = substitute(f2, main_var, shift, T)
+            f = translate(f2, main_var, outcome.coeff, outcome.tail_expo, T)
             # the translation redefines the pending variable, so its relation
             # must record the solving term before any head power is rewritten
             # through it

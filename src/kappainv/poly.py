@@ -168,6 +168,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_one(self) -> bool:
+        return len(self.terms) == 1 and self.constant_coeff() == self.ring.one
+
     def degree_in(self, name: str) -> int:
         idx = self.ctx.var_index(name)
         return max((e[idx] for e in self.terms), default=0)
@@ -509,7 +512,11 @@ def substitute(f: Poly, name: str, replacement: Poly, T=None) -> Poly:
 
 
 def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> Poly:
-    """Rewrite w^e as w^(e mod k) * replacement^(e div k); the result has w-degree < k."""
+    """Rewrite w^e as w^(e mod k) * replacement^(e div k); the result has w-degree < k.
+
+    A group equal to 1 (the monic top's) contributes the replacement's power
+    as it is.
+    """
     if k < 1:
         raise ValidationError("power must be positive")
     ctx = _common_ctx(f, replacement)
@@ -522,7 +529,9 @@ def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> P
         rest = list(e)
         rest[idx] = r
         groups.setdefault(q, {})[tuple(rest)] = c
-    result = Poly.zero(ctx, f.ring, f.trunc if f.is_zero() else None)
+    # the result carries f's certificate, so a power added as it is drops
+    # its terms at or above f.trunc
+    result = Poly.zero(ctx, f.ring, f.trunc)
     power, last = replacement.truncate(T), 1
     for q in sorted(groups):
         part = Poly._of(ctx, f.ring, groups[q], f.trunc)
@@ -530,9 +539,64 @@ def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> P
             for _ in range(q - last):
                 power = power.mul(replacement, T)
             last = q
-            part = part.mul(power, T)
+            part = power if part.is_one() else part.mul(power, T)
         result = result.add(part, T)
     return result
+
+
+def translate(f: Poly, name: str, coeff, expo, T=None) -> Poly:
+    """f(w + coeff * m) for the monomial m with exponent expo, free of w.
+
+    The binomial theorem expands each term into one dict: a term c * w^k * r
+    gives C(k, j) * coeff^j * c * w^(k - j) * r * m^j for j = 0..k, and
+    terms of x-degree at least min(f.trunc, T) are never formed.  The result
+    and its certificate are those of substitute(f, w, w + coeff * m, T) for
+    a nonzero coeff: the certificate tightens to min(f.trunc, T) exactly
+    when some term has x-degree plus k times that of m at least that bound.
+    """
+    ctx, ring = f.ctx, f.ring
+    idx, d = ctx.var_index(name), ctx.d
+    shift = ctx.pad(expo)
+    if shift[idx]:
+        raise ValidationError(f"the shift monomial contains {name}")
+    step = shift[:idx] + (-1,) + shift[idx + 1:]
+    a = sum(shift[:d])
+    bound = _min_trunc(f.trunc, T)
+    rmul, radd, is_zero, add = ring.mul, ring.add, ring.is_zero, operator.add
+    rows = {}  # k -> [C(k, j) * coeff^j for j = 0..k]
+    out = {}
+    dropped = False
+    for e, c in f.terms.items():
+        k, x = e[idx], sum(e[:d])
+        jmax = k  # the last j whose term has x-degree x + j*a below the bound
+        if bound is not None and x + k * a >= bound:
+            dropped = True
+            jmax = -1 if x >= bound else k if a == 0 else min(k, (bound - 1 - x) // a)
+        row = rows.get(k)
+        if row is None:
+            row, binom, power = [], 1, ring.one
+            for j in range(k + 1):
+                row.append(rmul(ring.from_int(binom), power))
+                binom, power = binom * (k - j) // (j + 1), rmul(power, coeff)
+            rows[k] = row
+        ej = e
+        for j in range(jmax + 1):
+            if j:
+                ej = tuple(map(add, ej, step))
+            cj = row[j]
+            if is_zero(cj):
+                continue
+            t = rmul(c, cj) if j else c
+            s = out.get(ej)
+            if s is None:
+                out[ej] = t  # over a domain, nonzero
+            else:
+                s = radd(s, t)
+                if is_zero(s):
+                    del out[ej]
+                else:
+                    out[ej] = s
+    return Poly._of(ctx, ring, out, bound if dropped else f.trunc)
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:

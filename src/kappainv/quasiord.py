@@ -42,28 +42,30 @@ def _z_coefficients(f: Poly) -> list:
     return [Poly._of(ctx, f.ring, buckets.get(k, {}), None) for k in range(max(buckets), -1, -1)]
 
 
-def _is_one(p: Poly) -> bool:
-    return len(p.terms) == 1 and p.constant_coeff() == p.ring.one
-
-
 def _prem(A: list, B: list) -> list:
     """The pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B, leading zeros dropped.
 
-    No product by a leading coefficient equal to 1 is formed.
+    No product by a leading coefficient equal to 1 is formed, and a zero
+    coefficient is carried as it is: no product, difference or scaling has a
+    zero operand.
     """
     lead = B[0]
-    unit = _is_one(lead)
+    unit = lead.is_one()
     R = A
     steps = len(A) - len(B) + 1
     while len(R) >= len(B):
         top = R[0]
-        tail = B[1:] if _is_one(top) else [top.mul(b) for b in B[1:]]
-        rest = R[1:] if unit else [lead.mul(r) for r in R[1:]]
-        R = [r.sub(t) for r, t in zip(rest, tail)] + rest[len(tail):]
+        tail = B[1:] if top.is_one() else [b if b.is_zero() else top.mul(b) for b in B[1:]]
+        rest = R[1:] if unit else [r if r.is_zero() else lead.mul(r) for r in R[1:]]
+        R = [r if t.is_zero() else t.neg() if r.is_zero() else r.sub(t)
+             for r, t in zip(rest, tail)] + rest[len(tail):]
         steps -= 1
         while R and R[0].is_zero():
             R = R[1:]
-    return [lead.pow_(steps).mul(r) for r in R] if steps > 0 and not unit else R
+    if steps > 0 and not unit:
+        scale = lead.pow_(steps)
+        R = [r if r.is_zero() else scale.mul(r) for r in R]
+    return R
 
 
 def determinant(fc: list, gc: list) -> Poly:
@@ -73,7 +75,8 @@ def determinant(fc: list, gc: list) -> Poly:
     and nonzero.  Subresultant pseudo-remainder sequence (Brown and Traub
     1971; Cohen, Algorithm 3.3.7): every division by g * h^delta and by h^k
     is exact in the polynomial ring of the coefficients.  g and h start at
-    1 (None here), so the first step divides by nothing.
+    1 (None here), so the first step divides by nothing.  Zero coefficients
+    are carried as they are, never multiplied, subtracted or divided.
     """
     A, B = fc, gc
     g = h = None
@@ -87,7 +90,7 @@ def determinant(fc: list, gc: list) -> Poly:
             return Poly.zero(fc[0].ctx, fc[0].ring)
         if g is not None:
             divisor = g.mul(h.pow_(delta))
-            R = [exact_div(r, divisor) for r in R]
+            R = [r if r.is_zero() else exact_div(r, divisor) for r in R]
         A, B = B, R
         g = A[0]
         if delta == 1:

@@ -8,6 +8,8 @@ from kappainv import (NOT_BINOMIAL, BinomialPower, ContractViolation, KappaConfi
                       binomial_power_decompose, binomialize_modulo, compute_kappa,
                       initial_form, parse_polynomial, prepare_polyhedron, substitute,
                       verify_overweight)
+import kappainv.kappa
+import kappainv.poly
 import kappainv.polyhedron
 from kappainv.polyhedron import StageProjection
 from kappainv.kappa import FieldExtensionRequired, PrepStatus, _apply_rewrite
@@ -214,6 +216,28 @@ class TestPrepare:
         res = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig())
         assert res.eliminations == 2
         assert len(built) == 1 + res.eliminations
+
+    def test_translates_without_substitute(self, QQ, F2, monkeypatch):
+        # each elimination is one binomial-theorem translate, never a
+        # generic substitute; the second input translates u1 by x1^4*z
+        translated = []
+        real_translate = kappainv.kappa.translate
+
+        def spy(f, name, *rest):
+            translated.append(name)
+            return real_translate(f, name, *rest)
+
+        def refuse(*args):
+            raise AssertionError("a translation went through substitute")
+
+        monkeypatch.setattr(kappainv.kappa, "translate", spy)
+        for module in (kappainv.poly, kappainv.kappa):
+            monkeypatch.setattr(module, "substitute", refuse, raising=False)
+        f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)
+        assert prepare_polyhedron(f, [], {}, "z", 2, KappaConfig()).eliminations == 2
+        res = compute_kappa(mkw("z^4 + x1^8*z^2 + x1^13*z + x1^6", 1, F2))
+        assert res.invariant.as_string(1) == "(3/2, 29/4, inf)"
+        assert translated == ["z", "z", "u1"]
 
     def test_budget_exhaustion(self, QQ):
         f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)

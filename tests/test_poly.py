@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import kappainv.poly
 from kappainv import (ZZ, BinomialPower, Field, ParseError, Poly, Relation, ValidationError,
-                      VarContext, back_substitute, normal_form, parse_polynomial,
-                      power_substitute, substitute, weierstrass_validate)
+                      VarContext, back_substitute, classify, normal_form, parse_polynomial,
+                      power_substitute, substitute, translate, weierstrass_validate)
 from kappainv.poly import _min_trunc, _print_key, exact_div
 from conftest import mk, rand_poly, sample_relations
 
@@ -398,6 +400,67 @@ class TestPowerSubstitute:
         ctx = VarContext(1, ("z", "u1"))
         f = parse_polynomial("x1^4 + x1", ctx, QQ)
         assert power_substitute(f, "z", 2, parse_polynomial("u1", ctx, QQ)) == f
+
+
+    def test_no_product_by_one_on_the_three_stage_example(self, F2, monkeypatch):
+        # the monic top's group is the constant 1 in the descent and in back
+        # substitution; it contributes the replacement's power as it is
+        products = []
+        real_mul = Poly.mul
+        home = kappainv.poly.power_substitute.__code__
+
+        def mul(a, b, T=None):
+            if sys._getframe(1).f_code is home:
+                products.append(a.is_one() or b.is_one())
+            return real_mul(a, b, T)
+
+        monkeypatch.setattr(Poly, "mul", mul)
+        wf = weierstrass_validate(
+            parse_polynomial("z^8 + x1^12*x2^24 + x1^15*x2^30", VarContext(2), F2))
+        pres = classify(wf).presentation
+        assert back_substitute(pres.final, pres.relations) == wf.poly
+        assert products and not any(products)
+
+
+class TestTranslate:
+    """translate against substitute(f, w, w + c*m, T): equal terms, equal certificate."""
+
+    def test_matches_substitute(self):
+        rng = random.Random(6060)
+        ctx = VarContext(2, ("z", "u1"))
+        zero_shift_drops = 0
+        for _ in range(3000):
+            field = rng.choice(SWEEP_FIELDS)
+            main = rng.choice(["z", "u1"])
+            other = ctx.var_index("u1" if main == "z" else "z")
+            shift = [rng.choice([0, 0, 1, 2]) for _ in range(ctx.d)] + [0, 0]
+            shift[other] = rng.choice([0, 0, 1])  # the other chain variable may ride along
+            c = field.zero
+            while field.is_zero(c):
+                c = (field.from_int(rng.randrange(-5, 6)) if field.characteristic == 0
+                     else field.element(rng.randrange(field.order)))
+            f = coeff_poly(rng, ctx, field, nterms=5, maxexp=rng.choice([3, 5]),
+                           trunc=rng.choice([None, None, 3, 6]))
+            T = rng.choice([None, None, 1, 2, 3, 5])
+            w = ctx.unit(main)
+            want = substitute(f, main, Poly(ctx, field, {w: field.one, tuple(shift): c}), T)
+            got = translate(f, main, c, tuple(shift), T)
+            assert_same(got, want)
+            if sum(shift[:ctx.d]) == 0 and got.trunc != f.trunc:
+                zero_shift_drops += 1
+        # a shift of x-degree 0 still drops f's own terms at or above T
+        assert zero_shift_drops > 0
+
+    def test_prefix_exponent_is_padded(self, QQ):
+        ctx = VarContext(1, ("z", "u1"))
+        f = parse_polynomial("u1^2 + x1*z*u1", ctx, QQ)
+        got = translate(f, "u1", QQ.from_int(3), (2, 1))  # m = x1^2*z, stored without u1
+        assert got == parse_polynomial(
+            "u1^2 + 6*x1^2*z*u1 + 9*x1^4*z^2 + x1*z*u1 + 3*x1^3*z^2", ctx, QQ)
+
+    def test_rejects_a_shift_in_the_main_variable(self, QQ):
+        with pytest.raises(ValidationError):
+            translate(mk("z^2", 1, QQ), "z", QQ.one, (1, 1))
 
 
 def first_relation(ctx, field):

@@ -56,6 +56,24 @@ def sylvester_resultant(f):
     return det_by_minors(sylvester_matrix(f, g))
 
 
+def binomial_resultant(n, a):
+    """Res_z(z^n + a, n*z^(n-1)) = n^n * a^(n-1), for a free of z."""
+    return a.pow_(n - 1).mul_monomial((0,) * a.ctx.nvars, a.ring.from_int(n ** n))
+
+
+def trinomial_resultant(n, b, a):
+    """Res_z(f, f') for f = z^n + b*z^(n-1) + a, with b and a free of z.
+
+    It is the product of f'(r) = r^(n-2) * (n*r + (n-1)*b) over the roots r
+    of f.  The roots multiply to (-1)^n * a, and the product of n*r + (n-1)*b
+    is (-n)^n * f(-(n-1)*b/n), so the resultant is
+    a^(n-2) * ((-1)^(n-1) * (n-1)^(n-1) * b^n + n^n * a).
+    """
+    zero, ring = (0,) * a.ctx.nvars, a.ring
+    inner = b.pow_(n).mul_monomial(zero, ring.from_int((-1) ** (n - 1) * (n - 1) ** (n - 1)))
+    return a.pow_(n - 2).mul(inner.add(a.mul_monomial(zero, ring.from_int(n ** n))))
+
+
 def det_by_minors(rows):
     """Cofactor expansion down the columns, each minor computed once.
 
@@ -286,6 +304,65 @@ class TestSubresultantStart:
             assert discriminant_z(wf).disc == want
             assert ("exact_div", False) in by_one
             assert ("exact_div", True) not in by_one and ("mul", True) not in by_one
+
+
+    @pytest.mark.parametrize("text, d, oracle", [
+        ("z^4 - 2*x1^3*z^2 + x1*z + x1^6", 1, None),
+        ("z^3 + x1*x2*z + x2^5", 2, None),
+        ("z^6 + x1*z^3 + x2^5", 2, None),  # the final lc^steps scaling meets zeros
+        ("z^16 - 3*x1^5*x2^7", 2,
+         lambda F: binomial_resultant(16, mk("-3*x1^5*x2^7", 2, F))),
+        ("z^9 + x1*x2*z^8 - x1^10 - 2*x2^12", 2,
+         lambda F: trinomial_resultant(9, mk("x1*x2", 2, F), mk("-x1^10 - 2*x2^12", 2, F))),
+    ])
+    def test_zero_coefficients_are_carried(self, QQ, F7, monkeypatch, text, d, oracle):
+        # no product, sum or division is formed with a zero operand
+        zero_operand = []
+        real_div, real_mul, real_add = kappainv.quasiord.exact_div, Poly.mul, Poly.add
+
+        def exact_div(a, b):
+            zero_operand.append(a.is_zero() or b.is_zero())
+            return real_div(a, b)
+
+        def mul(a, b, T=None):
+            zero_operand.append(a.is_zero() or b.is_zero())
+            return real_mul(a, b, T)
+
+        def add(a, b, T=None):
+            zero_operand.append(a.is_zero() or b.is_zero())
+            return real_add(a, b, T)
+
+        for field in (QQ, F7):
+            wf = mkw(text, d, field)
+            want = sylvester_resultant(wf.poly) if oracle is None else oracle(field)
+            monkeypatch.setattr(kappainv.quasiord, "exact_div", exact_div)
+            monkeypatch.setattr(Poly, "mul", mul)
+            monkeypatch.setattr(Poly, "add", add)
+            zero_operand.clear()
+            got = discriminant_z(wf).disc
+            monkeypatch.undo()
+            assert got == want
+            assert zero_operand and not any(zero_operand)
+
+    def test_binomial_sweep_against_the_closed_form(self, QQ, F5, F7):
+        # the closed form itself, on two values worked by hand
+        assert binomial_resultant(4, mk("-3*x1^5*x2^7", 2, QQ)) == mk("-6912*x1^15*x2^21", 2, QQ)
+        assert binomial_resultant(5, mk("2*x1^3", 1, F7)) == mk("6*x1^12", 1, F7)
+        rng = random.Random(1616)
+        for _ in range(80):
+            field = rng.choice([QQ, F5, F7])
+            p = field.characteristic
+            n = rng.choice([k for k in range(2, 17) if p == 0 or k % p])
+            d = rng.randint(1, 2)
+            ctx = VarContext(d)
+            A = (0,)
+            while not any(A):
+                A = tuple(rng.randrange(0, 8) for _ in range(d))
+            c = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            a = Poly(ctx, field, {A + (0,): field.neg(c)})
+            wf = weierstrass_validate(a.add(Poly.monomial(ctx, field, ctx.unit("z", n))))
+            report = discriminant_z(wf)
+            assert report.exact and report.disc == binomial_resultant(n, a)
 
 
 class TestMonomialUnit:
