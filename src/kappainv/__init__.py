@@ -19,7 +19,7 @@ from .kappa import (NOT_BINOMIAL, BinomialPower, FieldExtensionRequired, KappaCo
                     initial_form, prepare_polyhedron, verify_overweight)
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, back_substitute,
                    normal_form, parse_polynomial, power_substitute, substitute,
-                   translate, weierstrass_validate)
+                   weierstrass_validate)
 from .polyhedron import (OrthantPolyhedron, hull_vertices, lex_min_vertex, member,
                          polyhedron_leq, projected_polyhedron,
                          weighted_projected_polyhedron)
@@ -42,6 +42,6 @@ __all__ = [
     "initial_form", "initial_forms_weighted", "is_monomial_times_unit", "lex_min_vertex",
     "lift_coeff", "lift_presentation", "member", "normal_form",
     "parse_polynomial", "polyhedron_leq", "power_substitute", "prepare_polyhedron",
-    "projected_polyhedron", "reduce_coeff", "substitute", "translate", "verify_overweight",
+    "projected_polyhedron", "reduce_coeff", "substitute", "verify_overweight",
     "weierstrass_validate", "weighted_projected_polyhedron",
 ]

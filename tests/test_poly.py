@@ -7,8 +7,8 @@ import pytest
 import kappainv.poly
 from kappainv import (ZZ, BinomialPower, Field, ParseError, Poly, Relation, ValidationError,
                       VarContext, back_substitute, classify, normal_form, parse_polynomial,
-                      power_substitute, substitute, translate, weierstrass_validate)
-from kappainv.poly import _min_trunc, _print_key, exact_div
+                      power_substitute, substitute, weierstrass_validate)
+from kappainv.poly import _min_trunc, _print_key, exact_div, translate
 from conftest import mk, rand_poly, sample_relations
 
 
