@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd
 
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
@@ -159,6 +160,7 @@ class PrepareResult:
     status: PrepStatus
     eliminations: int
     diagnostics: list = dc_field(default_factory=list)
+    decomposition: tuple = None  # (outcome, poly) at a prepared polyhedron's sole vertex
 
 
 @dataclass
@@ -296,7 +298,7 @@ def _search_at_power(f, In, vertex, stage, relations, power, depth, T):
         res = _decompose_at(In, stage.main_var, power, f.ctx, f.ring)
         if isinstance(res, (BinomialPower, FieldExtensionRequired)):
             return f, res
-    if depth <= 0:
+    if depth <= 0 or not relations:
         return None
     ctx = f.ctx
     ordered = [e for e, _ in In.sorted_terms() if e != stage.top]
@@ -322,12 +324,24 @@ def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
     search fixes the candidate power first, largest divisor first, so a
     rewrite that realizes a larger power beats a direct match at a smaller
     one.  stage is the stage's projection, built from the arguments when
-    not given.
+    not given.  When no rewrite can run (no relations, or depth <= 0), only
+    the powers dividing the main degree and every exponent of the single
+    w-free term are tried: _decompose_at fits no other power.
     """
     vertex = tuple(vertex)
     stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
     In = stage.initial(f, vertex)  # shared by every power
-    for power in _divisors_desc(top_exp):
+    powers = _divisors_desc(top_exp)
+    if len(In.terms) > 1 and (depth <= 0 or not relations):
+        # only the direct check runs: read In's shape once
+        midx = f.ctx.var_index(main_var)
+        N = max(e[midx] for e in In.terms)
+        if N < 1 or In.terms.get(f.ctx.unit(main_var, N)) != f.ring.one:
+            raise ContractViolation("initial form is not monic in the main variable")
+        wfree = [e for e in In.terms if e[midx] == 0]
+        fit = gcd(N, *wfree[0]) if len(wfree) == 1 else None
+        powers = [] if fit is None else [p for p in powers if fit % p == 0]
+    for power in powers:
         found = _search_at_power(f, In, vertex, stage, relations, power, depth, T)
         if found is not None:
             f2, outcome = found
@@ -348,12 +362,16 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
     a binomial linear in the top variable; the translation by the solving
     term strictly shrinks the polyhedron, which is asserted.  Translations
     are recorded on the pending relation when one is given.  stage is the
-    stage's projection, built from the arguments when not given.
+    stage's projection, built from the arguments when not given.  A
+    prepared polyhedron with one vertex comes with that vertex's
+    binomialization of the returned polynomial, reused when it was made on
+    that very polynomial.
     """
     T = config.truncation
     eliminations = 0
     diagnostics = []
     processed = set()
+    decomposed = {}  # vertex -> (polynomial, (outcome, poly)) of its last binomialization
     stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
     P = stage.polyhedron(f)
     for _ in range(_PREPARE_FUEL):
@@ -362,6 +380,7 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
                 continue
             outcome, f2 = binomialize_modulo(f, v, main_var, top_exp, relations,
                                              weights, config.depth, T, stage)
+            decomposed[v] = f, (outcome, f2)
             if isinstance(outcome, FieldExtensionRequired):
                 diagnostics.append(
                     f"solving the vertex {_vertex_str(v)} needs a degree-{outcome.degree} "
@@ -395,7 +414,15 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
             eliminations += 1
             break
         else:
-            return PrepareResult(f, P, PrepStatus.PREPARED, eliminations, diagnostics)
+            decomposition = None
+            if len(P.vertices) == 1:
+                v = P.vertices[0]
+                made_on, decomposition = decomposed[v]
+                if made_on is not f:  # f was rewritten or translated since
+                    decomposition = binomialize_modulo(f, v, main_var, top_exp, relations,
+                                                       weights, config.depth, T, stage)
+            return PrepareResult(f, P, PrepStatus.PREPARED, eliminations, diagnostics,
+                                 decomposition)
     raise EngineError("preparation did not stabilize within its fuel bound")
 
 
@@ -468,8 +495,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
             terminal = Terminal.MINUS_ONE
             break
         v = P.vertices[0]
-        outcome, f = binomialize_modulo(f, v, main, top_exp, relations, weights,
-                                        config.depth, T, stage)
+        outcome, f = prep.decomposition
         if isinstance(outcome, FieldExtensionRequired):
             diagnostics.append(
                 f"decomposition at {_vertex_str(v)} needs a degree-{outcome.degree} "

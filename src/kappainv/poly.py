@@ -270,6 +270,10 @@ class Poly:
         if n == 0:
             return Poly.one(self.ctx, self.ring)
         out = self.truncate(T)
+        zero = (0,) * self.ctx.nvars
+        if len(out.terms) == 1 and zero in out.terms:  # a constant: no products
+            return Poly._of(self.ctx, self.ring, {zero: self.ring.pow_(out.terms[zero], n)},
+                            out.trunc)
         for _ in range(n - 1):
             out = out.mul(self, T)
         return out
@@ -529,9 +533,7 @@ def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> P
         rest = list(e)
         rest[idx] = r
         groups.setdefault(q, {})[tuple(rest)] = c
-    # the result carries f's certificate, so a power added as it is drops
-    # its terms at or above f.trunc
-    result = Poly.zero(ctx, f.ring, f.trunc)
+    result = None
     power, last = replacement.truncate(T), 1
     for q in sorted(groups):
         part = Poly._of(ctx, f.ring, groups[q], f.trunc)
@@ -540,8 +542,17 @@ def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> P
                 power = power.mul(replacement, T)
             last = q
             part = power if part.is_one() else part.mul(power, T)
-        result = result.add(part, T)
-    return result
+        if result is not None:
+            result = result.add(part, T)
+            continue
+        # the result starts from the first group under f's certificate, so a
+        # power taken as it is drops its terms at or above f.trunc
+        tr = _min_trunc(f.trunc, part.trunc)
+        eff, d = _min_trunc(tr, T), ctx.d
+        kept = part.terms if eff is None else {
+            e: c for e, c in part.terms.items() if sum(e[:d]) < eff}
+        result = Poly._of(ctx, f.ring, kept, eff if len(kept) < len(part.terms) else tr)
+    return Poly.zero(ctx, f.ring, f.trunc) if result is None else result
 
 
 def translate(f: Poly, name: str, coeff, expo, T=None) -> Poly:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import (NOT_BINOMIAL, BinomialPower, ContractViolation, KappaConfig,
+from kappainv import (NOT_BINOMIAL, BinomialPower, ContractViolation, KappaConfig, Poly,
                       Relation, Terminal, VarContext, back_substitute,
                       binomial_power_decompose, binomialize_modulo, compute_kappa,
                       initial_form, parse_polynomial, prepare_polyhedron, substitute,
@@ -176,6 +176,127 @@ class TestBinomializeModulo:
                     assert g.terms.get(e, field.zero) == left
                     rewritten += 1
         assert rewritten >= 50
+
+
+class TestPowerFilter:
+    """With no rewrite to run, binomialize_modulo tries only the powers In admits.
+
+    The oracle is binomial_power_decompose, the full divisor walk.
+    """
+
+    def case(self, rng, ctx, field):
+        """A binomial power, perturbed or not, plus terms above its vertex."""
+        n = rng.randrange(1, 17)
+        power = rng.choice([p for p in range(1, n + 1) if n % p == 0])
+        tail = tuple(rng.randrange(1, 4) * rng.choice([1, 2, 3, 4, 6]) for _ in range(2))
+        coeff = (Fraction(rng.choice([1, -1, 2, -3])) if field.characteristic == 0
+                 else field.element(rng.randrange(1, field.order)))
+        bp = BinomialPower("z", n // power, power, coeff, tail)
+        terms = dict(bp.expand(ctx, field).terms)
+        top, free = ctx.unit("z", n), ctx.pad(tuple(t * power for t in tail))
+        inner = [e for e in terms if e not in (top, free)]
+        move = rng.randrange(5)
+        if move == 1 and inner:  # drop a cross term
+            del terms[rng.choice(inner)]
+        elif move == 2:  # the w-free coefficient need not be a power any more
+            terms[free] = field.mul(terms[free], field.from_int(rng.choice([2, 3, 5])))
+        elif move == 3 and n > 1:  # a cross term at the vertex, on or off the grid
+            k = rng.randrange(1, n)
+            if all(v * k % n == 0 for v in free):
+                terms[tuple(v * k // n for v in free[:2]) + (n - k, 0)] = field.one
+        elif move == 4 and inner:  # no w-free term: not a binomial power
+            del terms[free]
+        f = Poly(ctx, field, terms)
+        higher = {tuple(v + 1 for v in free[:2]) + (0, 0): field.one}
+        if n > 1:
+            higher[tuple(v + 2 for v in free[:2]) + (n - 1, 0)] = field.one
+        f = f.add(Poly(ctx, field, higher))
+        return f, n, tuple(Fraction(v, n) for v in free[:2])
+
+    def test_matches_the_full_divisor_walk(self, QQ, F2, F5, F4):
+        rng = random.Random(1414)
+        ctx = VarContext(2, ("z", "u1"))
+        seen = set()
+        for _ in range(400):
+            field = rng.choice([QQ, F2, F5, F4])
+            f, n, v = self.case(rng, ctx, field)
+            try:
+                want = binomial_power_decompose(initial_form(f, v, "z", n, {}), "z")
+            except ContractViolation:
+                continue  # without its w-free term the point may not be a vertex
+            rel = Relation(var="u1", head_var="z", head_exp=1, tail_coeff=field.one,
+                           tail_expo=(1, 1, 0), ctx=ctx, ring=field)
+            for relations, depth in (([], 3), ([rel], 0)):
+                outcome, f2 = binomialize_modulo(f, v, "z", n, relations, {}, depth)
+                assert outcome == want
+                assert f2 is f
+            seen.add(type(want).__name__)
+        assert seen == {"BinomialPower", "FieldExtensionRequired", "_NotBinomialType"}
+
+    @pytest.mark.parametrize("text, d, field", [
+        ("z^2 + x1*x2*z + 2*x1^2*x2^2", 2, "QQ"),
+        ("z^2 + x1*z + 2*x1^2", 1, "F5"),
+    ])
+    def test_field_extension_required(self, request, text, d, field):
+        f = mk(text, d, request.getfixturevalue(field))
+        v = tuple(F(1) for _ in range(d))
+        want = binomial_power_decompose(initial_form(f, v, "z", 2, {}), "z")
+        assert want == FieldExtensionRequired(2, 2)
+        for depth in (0, 3):
+            assert binomialize_modulo(f, v, "z", 2, [], {}, depth) == (want, f)
+
+    def test_non_monic_raises_as_the_walk_does(self, QQ):
+        f = mk("2*z^2 + x1^3", 1, QQ)
+        with pytest.raises(ContractViolation, match="not monic in the main variable"):
+            binomial_power_decompose(StageProjection(f.ctx, "z", 2, {}).initial(f, (F(3, 2),)),
+                                     "z")
+        for depth in (0, 3):
+            with pytest.raises(ContractViolation, match="not monic in the main variable"):
+                binomialize_modulo(f, (F(3, 2),), "z", 2, [], {}, depth)
+
+    def test_one_decomposition_for_a_coprime_tail(self, QQ, monkeypatch):
+        # gcd(12, 7, 11) = 1: the divisors 12, 6, 4, 3 and 2 cannot fit
+        calls = []
+        real = kappainv.kappa._decompose_at
+
+        def counting(In, main_var, power, ctx, ring):
+            calls.append(power)
+            return real(In, main_var, power, ctx, ring)
+
+        monkeypatch.setattr(kappainv.kappa, "_decompose_at", counting)
+        wf = mkw("z^12 - 5*x1^7*x2^11", 2, QQ)
+        outcome, _ = binomialize_modulo(wf.poly, (F(7, 12), F(11, 12)), "z", 12, [], {})
+        assert (outcome.inner_exp, outcome.power) == (12, 1)
+        assert calls == [1]
+        calls.clear()
+        assert compute_kappa(wf).invariant.as_string(2) == "((7/12, 11/12), inf)"
+        assert calls == [1]
+
+
+class TestOneBinomializationPerPair:
+    """Each (polynomial, vertex) pair is binomialized once: the stage reuses preparation's."""
+
+    @pytest.mark.parametrize("text, d, field, kappa", [
+        # preparation adopts a rewritten polynomial at the later stages
+        ("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, "F2",
+         "((3/2, 3), (15/4, 15/2), (63/8, 63/4), inf)"),
+        ("z^2 + x1^3", 1, "F2", "(3/2, inf)"),
+        ("z^12 - 5*x1^7*x2^11", 2, "QQ", "((7/12, 11/12), inf)"),
+    ])
+    def test_no_pair_twice(self, request, monkeypatch, text, d, field, kappa):
+        calls = []
+        real = kappainv.kappa.binomialize_modulo
+
+        def recording(f, vertex, *rest):
+            calls.append((f, tuple(vertex)))
+            return real(f, vertex, *rest)
+
+        monkeypatch.setattr(kappainv.kappa, "binomialize_modulo", recording)
+        res = compute_kappa(mkw(text, d, request.getfixturevalue(field)))
+        assert res.invariant.as_string(d) == kappa
+        assert res.invariant.terminal is Terminal.INFINITY
+        for i, (f, v) in enumerate(calls):
+            assert not any(g is f and w == v for g, w in calls[:i])
 
 
 class TestPrepare:

@@ -287,6 +287,32 @@ class TestKernelOracles:
             assert_same(got, want)
             assert list(got.terms) == list(want.terms)
 
+    def test_constant_power_forms_no_product(self, monkeypatch):
+        # a constant's power is its coefficient's ring power, with the
+        # repeated product's terms and certificate
+        products = []
+        real_mul = Poly.mul
+
+        def mul(a, b, T=None):
+            products.append((a, b))
+            return real_mul(a, b, T)
+
+        monkeypatch.setattr(Poly, "mul", mul)
+        ctx = VarContext(2)
+        for field in SWEEP_FIELDS:
+            values = ([field.from_int(v) for v in (1, -1, 2, -3)] if field.characteristic == 0
+                      else [field.element(i) for i in range(1, field.order)])
+            if field != ZZ and field.characteristic == 0:
+                values.append(field.div(field.from_int(3), field.from_int(-2)))
+            for c in values:
+                for trunc in (None, 1, 4):
+                    f = Poly.constant(ctx, field, c, trunc)
+                    for T in (None, 1, 3):
+                        for n in range(1, 8):
+                            got = f.pow_(n, T)
+                            assert_same(got, repeated_pow(f, n, T))
+        assert products == []
+
     def test_negative_power_raises(self, QQ):
         x = mk("x1 + z", 1, QQ)
         with pytest.raises(ValidationError):
@@ -404,9 +430,10 @@ class TestPowerSubstitute:
 
     def test_no_product_by_one_on_the_three_stage_example(self, F2, monkeypatch):
         # the monic top's group is the constant 1 in the descent and in back
-        # substitution; it contributes the replacement's power as it is
-        products = []
-        real_mul = Poly.mul
+        # substitution; it contributes the replacement's power as it is, and
+        # the result starts from the first group, so no sum adds to zero
+        products, sums = [], []
+        real_mul, real_add = Poly.mul, Poly.add
         home = kappainv.poly.power_substitute.__code__
 
         def mul(a, b, T=None):
@@ -414,12 +441,19 @@ class TestPowerSubstitute:
                 products.append(a.is_one() or b.is_one())
             return real_mul(a, b, T)
 
+        def add(a, b, T=None):
+            if sys._getframe(1).f_code is home:
+                sums.append(a.is_zero() or b.is_zero())
+            return real_add(a, b, T)
+
         monkeypatch.setattr(Poly, "mul", mul)
+        monkeypatch.setattr(Poly, "add", add)
         wf = weierstrass_validate(
             parse_polynomial("z^8 + x1^12*x2^24 + x1^15*x2^30", VarContext(2), F2))
         pres = classify(wf).presentation
         assert back_substitute(pres.final, pres.relations) == wf.poly
         assert products and not any(products)
+        assert sums and not any(sums)
 
 
 class TestTranslate:

@@ -344,6 +344,39 @@ class TestSubresultantStart:
             assert got == want
             assert zero_operand and not any(zero_operand)
 
+    def test_constant_powers_form_no_product(self, QQ, F7, monkeypatch):
+        # h^delta, h^(k-1) and the last subresultant's c^k raise a constant
+        # by its coefficient: no Poly.mul runs inside a constant's power
+        constant_powers, products, inside = [], [], []
+        real_pow, real_mul = Poly.pow_, Poly.mul
+
+        def pow_(p, n, T=None):
+            inside.append(n > 1 and list(p.terms) == [(0,) * p.ctx.nvars])
+            if inside[-1]:
+                constant_powers.append(n)
+            try:
+                return real_pow(p, n, T)
+            finally:
+                inside.pop()
+
+        def mul(a, b, T=None):
+            if any(inside):
+                products.append((a, b))
+            return real_mul(a, b, T)
+
+        for text, d in [("z^4 - 2*x1^3*z^2 + x1*z + x1^6", 1), ("z^3 + x1*x2*z + x2^5", 2),
+                        ("z^6 + x1*z^3 + x2^5", 2), ("z^16 - 3*x1^5*x2^7", 2),
+                        ("z^9 + x1*x2*z^8 - x1^10 - 2*x2^12", 2)]:
+            for field in (QQ, F7):
+                wf = mkw(text, d, field)
+                want = sylvester_resultant(wf.poly)
+                monkeypatch.setattr(Poly, "pow_", pow_)
+                monkeypatch.setattr(Poly, "mul", mul)
+                got = discriminant_z(wf).disc
+                monkeypatch.undo()
+                assert got == want
+        assert constant_powers and products == []
+
     def test_binomial_sweep_against_the_closed_form(self, QQ, F5, F7):
         # the closed form itself, on two values worked by hand
         assert binomial_resultant(4, mk("-3*x1^5*x2^7", 2, QQ)) == mk("-6912*x1^15*x2^21", 2, QQ)
