@@ -292,9 +292,30 @@ def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
     return f.add(step, T)
 
 
-def _search_at_power(f, In, vertex, stage, relations, power, depth, T):
-    """Search from f, whose initial form at the vertex is In, for the given power."""
-    if len(In.terms) > 1:
+def _direct_fit(In: Poly, main_var: str):
+    """A number every power _decompose_at can fit In at divides; None if it fits none.
+
+    It is the gcd of the main degree and the exponents of the single w-free
+    term.  A one-term In gets no direct check.  A non-monic In raises as
+    _decompose_at does.
+    """
+    if len(In.terms) <= 1:
+        return None
+    midx = In.ctx.var_index(main_var)
+    N = max(e[midx] for e in In.terms)
+    if N < 1 or In.terms.get(In.ctx.unit(main_var, N)) != In.ring.one:
+        raise ContractViolation("initial form is not monic in the main variable")
+    wfree = [e for e in In.terms if e[midx] == 0]
+    return gcd(N, *wfree[0]) if len(wfree) == 1 else None
+
+
+def _search_at_power(f, In, fit, vertex, stage, relations, power, depth, T):
+    """Search from f for the given power.
+
+    In is f's initial form at the vertex and fit its _direct_fit, both read
+    once per node.
+    """
+    if fit is not None and fit % power == 0:
         res = _decompose_at(In, stage.main_var, power, f.ctx, f.ring)
         if isinstance(res, (BinomialPower, FieldExtensionRequired)):
             return f, res
@@ -307,8 +328,9 @@ def _search_at_power(f, In, vertex, stage, relations, power, depth, T):
         for expo in ordered:
             if all(a >= b for a, b in zip(expo, tail)):
                 f2 = _apply_rewrite(f, expo, rel, T)
-                found = _search_at_power(f2, stage.initial(f2, vertex), vertex, stage,
-                                         relations, power, depth - 1, T)
+                In2 = stage.initial(f2, vertex)
+                found = _search_at_power(f2, In2, _direct_fit(In2, stage.main_var), vertex,
+                                         stage, relations, power, depth - 1, T)
                 if found is not None:
                     return found
     return None
@@ -324,25 +346,20 @@ def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
     search fixes the candidate power first, largest divisor first, so a
     rewrite that realizes a larger power beats a direct match at a smaller
     one.  stage is the stage's projection, built from the arguments when
-    not given.  When no rewrite can run (no relations, or depth <= 0), only
-    the powers dividing the main degree and every exponent of the single
-    w-free term are tried: _decompose_at fits no other power.
+    not given.  Each node's initial form is read once for the powers
+    _decompose_at can fit there (_direct_fit); the direct check runs only
+    at those, and rewrites are explored at every power.  When no rewrite
+    can run (no relations, or depth <= 0), only those powers are tried.
     """
     vertex = tuple(vertex)
     stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
     In = stage.initial(f, vertex)  # shared by every power
+    fit = _direct_fit(In, main_var)
     powers = _divisors_desc(top_exp)
-    if len(In.terms) > 1 and (depth <= 0 or not relations):
-        # only the direct check runs: read In's shape once
-        midx = f.ctx.var_index(main_var)
-        N = max(e[midx] for e in In.terms)
-        if N < 1 or In.terms.get(f.ctx.unit(main_var, N)) != f.ring.one:
-            raise ContractViolation("initial form is not monic in the main variable")
-        wfree = [e for e in In.terms if e[midx] == 0]
-        fit = gcd(N, *wfree[0]) if len(wfree) == 1 else None
+    if depth <= 0 or not relations:
         powers = [] if fit is None else [p for p in powers if fit % p == 0]
     for power in powers:
-        found = _search_at_power(f, In, vertex, stage, relations, power, depth, T)
+        found = _search_at_power(f, In, fit, vertex, stage, relations, power, depth, T)
         if found is not None:
             f2, outcome = found
             return outcome, (f if isinstance(outcome, FieldExtensionRequired) else f2)

@@ -1,5 +1,8 @@
 """Exact rational geometry of orthant polyhedra conv(S) + R_{>=0}^d.
 
+A kappa stage's points are ints: each is scaled by one common denominator
+fixed when the stage is built, and only the vertices become Fractions.
+
 A polyhedron is stored by its minimal vertex set.  Membership of a point in
 conv(S) + R_{>=0}^d is decided first by exact dominance tests (inside when
 p dominates a generator, outside when a coordinate of p is below its minimum
@@ -112,12 +115,13 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
     A generator is a vertex exactly when it is not a member of the hull of
     the others, so a single removal pass is canonical.  It runs on the Pareto
     minima only, since a point that weakly dominates a distinct (lex-smaller)
-    point is no vertex (Kung, Luccio and Preparata, JACM 1975).
+    point is no vertex (Kung, Luccio and Preparata, JACM 1975).  Coordinates
+    are kept as given, so int points give int vertices and membership among
+    them needs no scaling.
     """
     check_dimension(d)
     kept = []
-    for q in sorted({tuple(c if type(c) is Fraction else Fraction(c) for c in pt)
-                     for pt in points}):
+    for q in sorted({tuple(pt) for pt in points}):
         if len(q) != d:
             raise ContractViolation(f"dimension mismatch: {q} has not {d} coordinates")
         if not any(all(a <= b for a, b in zip(s, q)) for s in kept):
@@ -145,56 +149,63 @@ def polyhedron_leq(P: OrthantPolyhedron, Q: OrthantPolyhedron) -> bool:
     return all(member(v, Q.vertices) for v in P.vertices)
 
 
-def term_point(expo, d: int, main_idx: int, top_exp: int, aux_weights):
-    """Weighted point (A + sum_j e_j * w_j) / (top_exp - e_main) of one term.
-
-    aux_weights maps absolute variable index -> weight vector for every
-    auxiliary variable other than the main one; returns None for the monic
-    top slot (denominator zero is the caller's contract to exclude).
-    """
-    den = top_exp - expo[main_idx]
-    if den <= 0:
-        return None
-    num = [Fraction(expo[i]) for i in range(d)]
-    for i in range(d, len(expo)):
-        if i == main_idx or expo[i] == 0:
-            continue
-        w = aux_weights.get(i)
-        if w is None:
-            raise ConfigurationError(
-                f"missing weight for occurring auxiliary variable at index {i}")
-        for c in range(d):
-            num[c] += expo[i] * Fraction(w[c])
-    return tuple(c / den for c in num)
-
-
 class StageProjection:
-    """The weighted projection of one kappa stage, each term's point computed once.
+    """The weighted projection of one kappa stage, on integers.
 
     Holds the stage's context, main variable index, monic top monomial and
-    auxiliary weight index (absolute variable index -> weight vector), and
-    memoizes term points by exponent, so every polynomial of the stage shares
-    them.  Only polynomials in that context may be passed.
+    auxiliary weights (absolute variable index -> weight vector), and one
+    scale S = lcm(weight denominators) * lcm(1..top_exp), fixed here.  The
+    point (A + sum_j e_j * w_j) / (top_exp - e_main) of a term, times S, is
+    an int tuple; it is memoized by exponent, so every polynomial of the
+    stage shares it.  The hull's vertices alone become Fractions.  Only
+    polynomials in the stage's context may be passed.
     """
 
     def __init__(self, ctx, main_var: str, top_exp: int, weights: dict):
         self.ctx, self.main_var, self.top_exp = ctx, main_var, top_exp
         self.midx = ctx.var_index(main_var)
         self.top = ctx.unit(main_var, top_exp)
-        self.aux = {ctx.var_index(name): vec for name, vec in weights.items()}
+        # S times each weight is an int, and S times each point, since every
+        # denominator top_exp - e_main divides lcm(1..top_exp)
+        den = math.lcm(*(c.denominator for vec in weights.values() for c in vec))
+        self.scale = S = den * math.lcm(*range(1, top_exp + 1))
+        self.aux = {ctx.var_index(name): tuple(c.numerator * (S // c.denominator) for c in vec)
+                    for name, vec in weights.items()}
         self.points = {}
 
     def point(self, e):
+        """S times the weighted point of the term with exponent e, memoized."""
         pt = self.points.get(e)
         if pt is None:
-            pt = self.points[e] = term_point(e, self.ctx.d, self.midx, self.top_exp, self.aux)
+            pt = self.points[e] = self.scaled_point(e)
         return pt
+
+    def scaled_point(self, e):
+        """S times the weighted point of a term below the monic top, as ints."""
+        d, S = self.ctx.d, self.scale
+        num = [S * a for a in e[:d]]
+        for i in range(d, len(e)):
+            if i == self.midx or e[i] == 0:
+                continue
+            w = self.aux.get(i)
+            if w is None:
+                raise ConfigurationError(
+                    f"missing weight for occurring auxiliary variable at index {i}")
+            for c in range(d):
+                num[c] += e[i] * w[c]
+        den = self.top_exp - e[self.midx]
+        return tuple(c // den for c in num)
 
     def initial(self, f: Poly, vertex) -> Poly:
         """Monic top plus every term whose weighted point equals the vertex."""
-        midx, top_exp, top, point = self.midx, self.top_exp, self.top, self.point
+        midx, top_exp, top, point, S = self.midx, self.top_exp, self.top, self.point, self.scale
+        scaled = []  # S times the vertex; None for a coordinate no int point has
+        for c in vertex:
+            q, r = divmod(c.numerator * S, c.denominator)
+            scaled.append(None if r else q)
+        v = tuple(scaled)
         terms = {e: c for e, c in f.terms.items()
-                 if e == top or (e[midx] < top_exp and point(e) == vertex)}
+                 if e == top or (e[midx] < top_exp and point(e) == v)}
         return Poly(f.ctx, f.ring, terms, f.trunc)
 
     def polyhedron(self, f: Poly) -> OrthantPolyhedron:
@@ -209,7 +220,9 @@ class StageProjection:
                     raise ContractViolation(f"term exceeds the monic degree in {self.main_var}")
                 continue
             pts.append(self.point(e))
-        return hull_vertices(pts, self.ctx.d)
+        P = hull_vertices(pts, self.ctx.d)
+        S = self.scale
+        return OrthantPolyhedron(P.d, tuple(tuple(Fraction(c, S) for c in v) for v in P.vertices))
 
 
 def weighted_projected_polyhedron(f: Poly, main_var: str, top_exp: int,

@@ -10,7 +10,6 @@ from kappainv import (NOT_BINOMIAL, BinomialPower, ContractViolation, KappaConfi
                       verify_overweight)
 import kappainv.kappa
 import kappainv.poly
-import kappainv.polyhedron
 from kappainv.polyhedron import StageProjection
 from kappainv.kappa import FieldExtensionRequired, PrepStatus, _apply_rewrite
 from conftest import mk, mkw, rand_poly, sample_relations
@@ -273,6 +272,136 @@ class TestPowerFilter:
         assert calls == [1]
 
 
+def unfiltered_binomialize(f, vertex, main_var, top_exp, relations, weights, depth=3, T=None,
+                           stage=None):
+    """binomialize_modulo without the shape filter: the direct check runs at
+    every power on every node of the rewrite search."""
+    vertex = tuple(vertex)
+    stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
+
+    def search(g, In, power, depth):
+        if len(In.terms) > 1:
+            res = kappainv.kappa._decompose_at(In, main_var, power, g.ctx, g.ring)
+            if isinstance(res, (BinomialPower, FieldExtensionRequired)):
+                return g, res
+        if depth <= 0 or not relations:
+            return None
+        ordered = [e for e, _ in In.sorted_terms() if e != stage.top]
+        for rel in reversed(list(relations)):
+            tail = g.ctx.pad(rel.tail_expo)
+            for expo in ordered:
+                if all(a >= b for a, b in zip(expo, tail)):
+                    g2 = _apply_rewrite(g, expo, rel, T)
+                    found = search(g2, stage.initial(g2, vertex), power, depth - 1)
+                    if found is not None:
+                        return found
+        return None
+
+    In = stage.initial(f, vertex)
+    for power in kappainv.kappa._divisors_desc(top_exp):
+        found = search(f, In, power, depth)
+        if found is not None:
+            g, outcome = found
+            return outcome, (f if isinstance(outcome, FieldExtensionRequired) else g)
+    return NOT_BINOMIAL, f
+
+
+class TestShapeFilterWithRelations:
+    """With relations, the direct check runs only at the powers a node's shape admits.
+
+    The oracle is the unfiltered search; the calls are the engine's own
+    calls with relations on multi-stage inputs, and seeded perturbations of
+    them.
+    """
+
+    INPUTS = [("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, "F2"),
+              ("z^4 - 2*x1^3*z^2 - 4*x1^5*z + x1^6 - x1^7", 1, "QQ"),
+              ("z^4 + x1^6", 1, "F2"),
+              ("z^4 - 2*x1^3*z^2 + x1^6 - x1^7", 1, "F5")]
+
+    def engine_calls(self, request, monkeypatch):
+        """Every binomialize_modulo call with relations while computing kappa of INPUTS."""
+        calls = []
+        real = kappainv.kappa.binomialize_modulo
+
+        def recording(f, vertex, main_var, top_exp, relations, weights, depth=3, T=None,
+                      stage=None):
+            if relations:
+                calls.append((f, tuple(vertex), main_var, top_exp, list(relations),
+                              dict(weights), depth, T, stage))
+            return real(f, vertex, main_var, top_exp, relations, weights, depth, T, stage)
+
+        with monkeypatch.context() as m:
+            m.setattr(kappainv.kappa, "binomialize_modulo", recording)
+            for text, d, field in self.INPUTS:
+                compute_kappa(mkw(text, d, request.getfixturevalue(field)))
+        return calls
+
+    @staticmethod
+    def perturbed(rng, f, top):
+        """f, or f with one term below the top rescaled, dropped or shifted, or a non-monic top."""
+        ring, terms = f.ring, dict(f.terms)
+        below = [e for e in terms if e != top]
+        move = rng.randrange(5)
+        if move == 1 and below and ring.order != 2:
+            e = rng.choice(below)
+            terms[e] = ring.mul(terms[e], ring.from_int(rng.choice([2, 3, -1])))
+        elif move == 2 and below:
+            del terms[rng.choice(below)]
+        elif move == 3 and below:
+            e = list(rng.choice(below))
+            e[rng.randrange(len(e))] += 1
+            if tuple(e) != top:
+                terms[tuple(e)] = ring.one
+        elif move == 4 and ring.order != 2:
+            terms[top] = ring.from_int(2)
+        return Poly(f.ctx, ring, {e: c for e, c in terms.items() if not ring.is_zero(c)},
+                    f.trunc)
+
+    def test_matches_the_unfiltered_search(self, request, monkeypatch):
+        rng = random.Random(1515)
+        calls = self.engine_calls(request, monkeypatch)
+        assert len(calls) >= 4
+        seen = set()
+        for f, vertex, main_var, top_exp, relations, weights, _, T, stage in calls:
+            for _ in range(40):
+                g = self.perturbed(rng, f, stage.top)
+                depth = rng.randrange(4)
+                args = (g, vertex, main_var, top_exp, relations, weights, depth, T, stage)
+                try:
+                    want = unfiltered_binomialize(*args)
+                except ContractViolation:
+                    with pytest.raises(ContractViolation, match="not monic"):
+                        binomialize_modulo(*args)
+                    seen.add("non-monic")
+                    continue
+                got = binomialize_modulo(*args)
+                assert got[0] == want[0]
+                assert got[1] == want[1]
+                assert (got[1] is g) == (want[1] is g)
+                seen.add("rewritten" if want[1] is not g else type(want[0]).__name__)
+        assert {"rewritten", "BinomialPower", "_NotBinomialType", "non-monic"} <= seen
+
+    def test_fewer_decompositions(self, request, monkeypatch):
+        calls = self.engine_calls(request, monkeypatch)
+        counts = []
+        real = kappainv.kappa._decompose_at
+
+        def counting(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kappainv.kappa, "_decompose_at", counting)
+        for search in (unfiltered_binomialize, binomialize_modulo):
+            counts.append(0)
+            for call in calls:
+                search(*call)
+        # five calls: two at the three-stage example's second stage, one at its
+        # third, and one at the second stage of each char-0 and GF(5) input
+        assert len(calls) == 5
+        assert counts == [26, 6]
+
+
 class TestOneBinomializationPerPair:
     """Each (polynomial, vertex) pair is binomialized once: the stage reuses preparation's."""
 
@@ -393,24 +522,24 @@ class TestComputeKappa:
         ]
 
     def test_each_stage_point_computed_once(self, F2, monkeypatch):
-        # every (stage, exponent) point is computed once, though the stage's
-        # polynomials ask for many of them again
+        # every (stage, exponent) int point is computed once, though the
+        # stage's polynomials ask for many of them again
         computed, asked = [], []
-        term_point, point = kappainv.polyhedron.term_point, StageProjection.point
+        scaled_point, point = StageProjection.scaled_point, StageProjection.point
 
-        def counting_term_point(e, d, midx, top_exp, aux):
-            computed.append((aux, e))  # aux is the stage's own dict, kept alive here
-            return term_point(e, d, midx, top_exp, aux)
+        def counting_scaled_point(stage, e):
+            computed.append((stage, e))  # the stage is kept alive here, so ids stay distinct
+            return scaled_point(stage, e)
 
         def counting_point(stage, e):
             asked.append(e)
             return point(stage, e)
 
-        monkeypatch.setattr(kappainv.polyhedron, "term_point", counting_term_point)
+        monkeypatch.setattr(StageProjection, "scaled_point", counting_scaled_point)
         monkeypatch.setattr(StageProjection, "point", counting_point)
         res = compute_kappa(mkw("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, F2))
         assert len(res.invariant.vertices) == 3
-        keys = [(id(aux), e) for aux, e in computed]
+        keys = [(id(stage), e) for stage, e in computed]
         assert len(keys) == len(set(keys))
         assert len(asked) > len(computed)
 

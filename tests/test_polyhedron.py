@@ -145,6 +145,27 @@ class TestDominanceShortcuts:
                     pts = pareto_heavy(rng, d, m)
                     assert hull_vertices(pts, d).vertices == hull_oracle(pts)
 
+    def test_int_points_keep_their_type(self):
+        # the same values as ints, as Fractions and mixed give the same vertices;
+        # int coordinates come back as ints
+        rng = random.Random(45)
+        for d in range(1, 5):
+            for m in range(1, 9):
+                for _ in range(3):
+                    pts = pareto_heavy(rng, d, m)
+                    scale = math.lcm(*(c.denominator for pt in pts for c in pt))
+                    ints = [tuple(int(c * scale) for c in pt) for pt in pts]
+                    fracs = [tuple(map(Fraction, pt)) for pt in ints]
+                    mixed = [tuple(rng.choice([int, Fraction])(c) for c in pt) for pt in ints]
+                    want = hull_vertices(fracs, d).vertices
+                    assert want == hull_oracle(ints)
+                    got = hull_vertices(ints, d).vertices
+                    assert got == want
+                    assert all(type(c) is int for v in got for c in v)
+                    assert hull_vertices(mixed, d).vertices == want
+                    for p in ints[:2] + [tuple(c + rng.randrange(-2, 2) for c in ints[-1])]:
+                        assert member(p, ints) == member(p, fracs) == member_oracle(p, ints)
+
     def test_dimension_one_never_runs_the_simplex(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the simplex ran at d = 1")
@@ -361,8 +382,29 @@ def test_dimension_bound_enforced():
         hull_vertices([tuple(F(1) for _ in range(9))], 9)
 
 
+def term_point(expo, d: int, main_idx: int, top_exp: int, aux_weights):
+    """The weighted point (A + sum_j e_j * w_j) / (top_exp - e_main) of one term, in Fractions.
+
+    aux_weights maps absolute variable index -> weight vector for every
+    auxiliary variable other than the main one.  This is the stage's
+    former runtime path, kept as the oracle for its int points.
+    """
+    den = top_exp - expo[main_idx]
+    num = [Fraction(expo[i]) for i in range(d)]
+    for i in range(d, len(expo)):
+        if i == main_idx or expo[i] == 0:
+            continue
+        w = aux_weights.get(i)
+        if w is None:
+            raise ConfigurationError(
+                f"missing weight for occurring auxiliary variable at index {i}")
+        for c in range(d):
+            num[c] += expo[i] * Fraction(w[c])
+    return tuple(c / den for c in num)
+
+
 class TestStageProjection:
-    """The stage's memoized points against term_point and hull_vertices on raw terms."""
+    """The stage's int points against term_point and hull_vertices on raw terms."""
 
     AUX = ("z", "u1", "u2", "u3")
 
@@ -372,8 +414,7 @@ class TestStageProjection:
         ctx = f.ctx
         midx, top = ctx.var_index(main), ctx.unit(main, top_exp)
         aux = {ctx.var_index(name): vec for name, vec in weights.items()}
-        points = {e: kappainv.polyhedron.term_point(e, ctx.d, midx, top_exp, aux)
-                  for e in f.terms if e != top}
+        points = {e: term_point(e, ctx.d, midx, top_exp, aux) for e in f.terms if e != top}
         P = hull_vertices(list(points.values()), ctx.d)
 
         def initial(v):
@@ -383,14 +424,18 @@ class TestStageProjection:
 
     def test_memo_matches_the_raw_oracle(self, QQ, F2, F5):
         rng = random.Random(1202)
-        reused = 0
-        for trial in range(60):
+        reused = missing = 0
+        # top exponents 1-16, then one stage whose scale lcm(1..43) is large
+        for trial, top_exp in enumerate([rng.randint(1, 16) for _ in range(90)] + [43]):
             field = [QQ, F2, F5][trial % 3]
             d, k = rng.randint(1, 3), rng.randint(1, 3)
             ctx = VarContext(d, self.AUX[:k + 1])
-            main, top_exp = self.AUX[k], rng.randint(2, 5)
-            weights = {name: tuple(F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(d))
+            main = self.AUX[k]
+            weights = {name: tuple(F(rng.randint(0, 12), rng.randint(1, 7)) for _ in range(d))
                        for name in self.AUX[:k]}
+            # now and then a stage lacks one weight, and terms in that variable raise
+            if trial % 7 == 3:
+                del weights[rng.choice(self.AUX[:k])]
             stage = StageProjection(ctx, main, top_exp, weights)
             # the stage's polynomials draw from one pool of exponents, as the
             # engine's rewrites and translations do
@@ -404,14 +449,33 @@ class TestStageProjection:
                     if not field.is_zero(c):
                         terms[e] = c
                 f = Poly(ctx, field, terms)
-                P, initial = self.oracle(f, main, top_exp, weights)
-                assert stage.polyhedron(f) == P
+                try:
+                    P, initial = self.oracle(f, main, top_exp, weights)
+                except ConfigurationError as exc:
+                    with pytest.raises(ConfigurationError, match=str(exc)):
+                        stage.polyhedron(f)
+                    missing += 1
+                    continue
+                got = stage.polyhedron(f)
+                assert got == P
+                assert all(type(c) is Fraction for v in got.vertices for c in v)
                 for v in P.vertices:
                     assert stage.initial(f, v) == initial(v)
                 asked += (len(f.terms) - 1) * (1 + len(P.vertices))
             assert len(stage.points) <= len(pool)
             reused += asked - len(stage.points)
         assert reused > 0
+        assert missing > 0
+
+    def test_off_grid_vertex_has_no_terms(self, QQ):
+        # 13/24 is off the stage's 1/S grid (S = 2 * lcm(1, 2, 3) = 12), though
+        # S * 13/24 rounds down to S * 1/2: only the top is kept
+        ctx = VarContext(1, ("z", "u1"))
+        stage = StageProjection(ctx, "u1", 3, {"z": (F(1, 2),)})
+        f = parse_polynomial("u1^3 + x1*u1 + z*u1^2", ctx, QQ)
+        assert stage.polyhedron(f).vertices == ((F(1, 2),),)
+        assert stage.initial(f, (F(1, 2),)) == f
+        assert stage.initial(f, (F(13, 24),)) == parse_polynomial("u1^3", ctx, QQ)
 
     def test_checks_are_kept(self, QQ):
         ctx = VarContext(2, ("z", "u1", "u2"))
