@@ -10,19 +10,17 @@ initial ideals, fiber comparison).
 from .deform import (GhostReport, InitialIdealReport, IntegerLift,
                      default_tropical_weight, eliminate_to_hypersurface,
                      ghost_monomials, initial_forms_weighted, lift_presentation)
-from .errors import (ConfigurationError, ContractViolation, EmptyPolyhedronError,
-                     EngineError, KappaInvError, ParseError, UnsupportedLiftError,
-                     ValidationError)
-from .kappa import (NOT_BINOMIAL, BinomialPower, FieldExtensionRequired, KappaConfig,
-                    KappaInvariant, KappaResult, OverweightPresentation, Terminal,
-                    binomial_power_decompose, binomialize_modulo, compute_kappa,
-                    initial_form, prepare_polyhedron, verify_overweight)
+from .errors import (ConfigurationError, ContractViolation, EngineError, KappaInvError,
+                     ParseError, UnsupportedLiftError, ValidationError)
+from .kappa import (NOT_BINOMIAL, BinomialPower, KappaConfig, KappaInvariant, KappaResult,
+                    OverweightPresentation, Terminal, binomial_power_decompose,
+                    binomialize_modulo, compute_kappa, initial_form, prepare_polyhedron,
+                    verify_overweight)
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, back_substitute,
                    normal_form, parse_polynomial, power_substitute, substitute,
                    weierstrass_validate)
-from .polyhedron import (OrthantPolyhedron, hull_vertices, lex_min_vertex, member,
-                         polyhedron_leq, projected_polyhedron,
-                         weighted_projected_polyhedron)
+from .polyhedron import (OrthantPolyhedron, hull_vertices, member, polyhedron_leq,
+                         projected_polyhedron, weighted_projected_polyhedron)
 from .quasiord import (ClassificationReport, DiscriminantReport, classify,
                        discriminant_z, is_monomial_times_unit)
 from .ring import QQ, ZZ, Field, lift_coeff, reduce_coeff
@@ -31,17 +29,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinomialPower", "ClassificationReport", "ConfigurationError", "ContractViolation",
-    "DiscriminantReport", "EmptyPolyhedronError", "EngineError", "Field",
-    "FieldExtensionRequired", "GhostReport", "InitialIdealReport", "IntegerLift",
-    "KappaConfig", "KappaInvError", "KappaInvariant", "KappaResult", "NOT_BINOMIAL",
-    "OrthantPolyhedron", "OverweightPresentation", "ParseError", "Poly", "QQ",
-    "Relation", "Terminal", "UnsupportedLiftError", "ValidationError", "VarContext",
-    "WeierstrassPoly", "ZZ", "back_substitute", "binomial_power_decompose",
-    "binomialize_modulo", "classify", "compute_kappa", "default_tropical_weight",
-    "discriminant_z", "eliminate_to_hypersurface", "ghost_monomials", "hull_vertices",
-    "initial_form", "initial_forms_weighted", "is_monomial_times_unit", "lex_min_vertex",
-    "lift_coeff", "lift_presentation", "member", "normal_form",
-    "parse_polynomial", "polyhedron_leq", "power_substitute", "prepare_polyhedron",
-    "projected_polyhedron", "reduce_coeff", "substitute", "verify_overweight",
-    "weierstrass_validate", "weighted_projected_polyhedron",
+    "DiscriminantReport", "EngineError", "Field", "GhostReport", "InitialIdealReport",
+    "IntegerLift", "KappaConfig", "KappaInvError", "KappaInvariant", "KappaResult",
+    "NOT_BINOMIAL", "OrthantPolyhedron", "OverweightPresentation", "ParseError", "Poly",
+    "QQ", "Relation", "Terminal", "UnsupportedLiftError", "ValidationError",
+    "VarContext", "WeierstrassPoly", "ZZ", "back_substitute",
+    "binomial_power_decompose", "binomialize_modulo", "classify", "compute_kappa",
+    "default_tropical_weight", "discriminant_z", "eliminate_to_hypersurface",
+    "ghost_monomials", "hull_vertices", "initial_form", "initial_forms_weighted",
+    "is_monomial_times_unit", "lift_coeff", "lift_presentation", "member",
+    "normal_form", "parse_polynomial", "polyhedron_leq", "power_substitute",
+    "prepare_polyhedron", "projected_polyhedron", "reduce_coeff", "substitute",
+    "verify_overweight", "weierstrass_validate", "weighted_projected_polyhedron",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -312,8 +313,19 @@ def run_batch(args) -> int:
             worst = EXIT_INPUT_ERROR
         elif code == EXIT_INCONCLUSIVE and worst != EXIT_INPUT_ERROR:
             worst = EXIT_INCONCLUSIVE
-    print("\n".join(blocks))
-    return worst
+    return _emit("\n".join(blocks), worst)
+
+
+def _emit(out: str, code: int) -> int:
+    """Print out and return code; a reader that closed the pipe (`| head -1`)
+    ends it quietly, with stdout on os.devnull for the flush at exit."""
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+    return code
 
 
 def main(argv=None) -> int:
@@ -331,8 +343,7 @@ def main(argv=None) -> int:
         field = _build_field(args)
         config = _build_config(args)
         code, report = _DRIVERS[args.command](args.polynomial, args, field, config)
-        print(_render(report, args.json))
-        return code
+        return _emit(_render(report, args.json), code)
     except KappaInvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -31,7 +31,3 @@ class ContractViolation(KappaInvError):
 
 class EngineError(KappaInvError):
     """An internal invariant broke; this is a bug, not bad input."""
-
-
-class EmptyPolyhedronError(KappaInvError):
-    """An operation that needs a vertex was applied to the empty polyhedron."""

@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
@@ -45,14 +46,6 @@ class _NotBinomialType:
 
 
 NOT_BINOMIAL = _NotBinomialType()
-
-
-@dataclass(frozen=True)
-class FieldExtensionRequired:
-    """A decomposition pattern fit, but the needed root lives in an extension."""
-
-    power: int
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -174,10 +167,6 @@ class KappaResult:
 # initial forms
 # ---------------------------------------------------------------------------
 
-def _vertex_str(v) -> str:
-    return "(" + ", ".join(str(c) for c in v) + ")"
-
-
 def initial_form(f: Poly, vertex, main_var: str, top_exp: int, weights: dict) -> Poly:
     """Monic top plus every term whose weighted point equals the given vertex."""
     stage = StageProjection(f.ctx, main_var, top_exp, weights)
@@ -194,77 +183,65 @@ def _divisors_desc(n: int) -> list:
     return [e for e in range(n, 0, -1) if n % e == 0]
 
 
-def _binom_mod(n: int, k: int, char: int) -> int:
-    num = 1
-    for i in range(k):
-        num = num * (n - i) // (i + 1)
-    return num % char if char else num
+class _Shape(NamedTuple):
+    """What a binomial power needs of an initial form, read once per node."""
+
+    degree: int        # N, the degree in the main variable
+    free_expo: tuple   # exponent of the single main-variable-free term
+    free_coeff: object
+    fit: int           # gcd(N, *free_expo): every power that can fit divides it
 
 
-def _decompose_at(In: Poly, main_var: str, power: int, ctx: VarContext, ring):
-    """Try to read In as (w^inner - c*tail)^power; None if the shape does not fit."""
-    midx = ctx.var_index(main_var)
-    N = max((e[midx] for e in In.terms), default=0)
-    if N < 1 or In.terms.get(ctx.unit(main_var, N)) != ring.one:
-        raise ContractViolation("initial form is not monic in the main variable")
-    if N % power:
+def _read_shape(In: Poly, main_var: str):
+    """In's shape, or None when In is one term or has no single term free of
+    the main variable (no power fits it then).  A non-monic In raises."""
+    if len(In.terms) <= 1:
         return None
-    inner = N // power
+    midx = In.ctx.var_index(main_var)
+    N = max(e[midx] for e in In.terms)
+    if N < 1 or In.terms.get(In.ctx.unit(main_var, N)) != In.ring.one:
+        raise ContractViolation("initial form is not monic in the main variable")
     wfree = [(e, c) for e, c in In.terms.items() if e[midx] == 0]
     if len(wfree) != 1:
         return None
-    gexpo, gamma = wfree[0]
-    if any(v % power for v in gexpo):
+    (gexpo, gamma), = wfree
+    return _Shape(N, gexpo, gamma, gcd(N, *gexpo))
+
+
+def _decompose_at(In: Poly, shape: _Shape, power: int, main_var: str, ring):
+    """Read In as (w^(N/power) - c*tail)^power; None if the shape or no root fits.
+
+    shape is _read_shape(In).  c runs over the solutions of c^power =
+    (-1)^power * free_coeff in the coefficient field: over Q and finite
+    fields an extension never adds one that fits, since the least j0 > 0
+    with C(power, j0) nonzero in the field puts (-c)^j0 in the field, and
+    these fields are perfect.
+    """
+    if shape.degree % power or any(v % power for v in shape.free_expo):
         return None
-    tail = tuple(v // power for v in gexpo)
-    target = gamma if power % 2 == 0 else ring.neg(gamma)  # c^e = (-1)^e * gamma
-    roots = ring.all_nth_roots(target, power)
-    if not roots:
-        if _pattern_support_matches(In, midx, inner, power, tail, ctx, ring):
-            return FieldExtensionRequired(power, ring.root_extension_degree(target, power))
-        return None
-    for c in roots:
-        bp = BinomialPower(main_var, inner, power, c, tail)
-        if bp.expand(ctx, ring) == In:
+    tail = tuple(v // power for v in shape.free_expo)
+    gamma = shape.free_coeff
+    for c in ring.all_nth_roots(gamma if power % 2 == 0 else ring.neg(gamma), power):
+        bp = BinomialPower(main_var, shape.degree // power, power, c, tail)
+        if bp.expand(In.ctx, ring) == In:
             return bp
     return None
-
-
-def _pattern_support_matches(In, midx, inner, power, tail, ctx, ring) -> bool:
-    # support-level check used only when the root is missing: the terms must
-    # sit exactly on the binomial grid, with the slots surviving in this
-    # characteristic all present
-    char = ring.characteristic
-    grid = set()
-    required = set()
-    for j in range(power + 1):
-        e = [t * j for t in tail]
-        e[midx] = inner * (power - j)
-        e = tuple(e)
-        grid.add(e)
-        if _binom_mod(power, j, char) != 0:
-            required.add(e)
-    support = set(In.terms)
-    return required <= support <= grid
 
 
 def binomial_power_decompose(In: Poly, main_var: str, ring=None):
     """Maximal-power binomial decomposition of a vertex initial form.
 
-    Divisors of the main degree are tried in decreasing order; the first full
-    expansion match wins.  A pattern blocked only by a missing root in the
-    coefficient field preempts smaller powers and reports the extension
-    degree that would unblock it.
+    The shape is read once, then every divisor of the main degree is tried
+    in decreasing order; the first full expansion match wins, and
+    NOT_BINOMIAL means no power matches.
     """
-    ring = ring or In.ring
-    ctx = In.ctx
-    midx = ctx.var_index(main_var)
-    N = max((e[midx] for e in In.terms), default=0)
-    if N < 1:
+    midx = In.ctx.var_index(main_var)
+    if not any(e[midx] for e in In.terms):
         raise ContractViolation("main variable does not occur")
-    for power in _divisors_desc(N):
-        res = _decompose_at(In, main_var, power, ctx, ring)
-        if isinstance(res, (BinomialPower, FieldExtensionRequired)):
+    shape = _read_shape(In, main_var)
+    for power in _divisors_desc(shape.degree) if shape else ():
+        res = _decompose_at(In, shape, power, main_var, ring or In.ring)
+        if res is not None:
             return res
     return NOT_BINOMIAL
 
@@ -292,33 +269,16 @@ def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
     return f.add(step, T)
 
 
-def _direct_fit(In: Poly, main_var: str):
-    """A number every power _decompose_at can fit In at divides; None if it fits none.
+def _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T):
+    """Search from f for the given power: (outcome, poly) on a match, else None.
 
-    It is the gcd of the main degree and the exponents of the single w-free
-    term.  A one-term In gets no direct check.  A non-monic In raises as
-    _decompose_at does.
+    In is f's initial form at the vertex and shape its _read_shape, both
+    read once per node.
     """
-    if len(In.terms) <= 1:
-        return None
-    midx = In.ctx.var_index(main_var)
-    N = max(e[midx] for e in In.terms)
-    if N < 1 or In.terms.get(In.ctx.unit(main_var, N)) != In.ring.one:
-        raise ContractViolation("initial form is not monic in the main variable")
-    wfree = [e for e in In.terms if e[midx] == 0]
-    return gcd(N, *wfree[0]) if len(wfree) == 1 else None
-
-
-def _search_at_power(f, In, fit, vertex, stage, relations, power, depth, T):
-    """Search from f for the given power.
-
-    In is f's initial form at the vertex and fit its _direct_fit, both read
-    once per node.
-    """
-    if fit is not None and fit % power == 0:
-        res = _decompose_at(In, stage.main_var, power, f.ctx, f.ring)
-        if isinstance(res, (BinomialPower, FieldExtensionRequired)):
-            return f, res
+    if shape is not None and shape.fit % power == 0:
+        res = _decompose_at(In, shape, power, stage.main_var, f.ring)
+        if res is not None:
+            return res, f
     if depth <= 0 or not relations:
         return None
     ctx = f.ctx
@@ -329,7 +289,7 @@ def _search_at_power(f, In, fit, vertex, stage, relations, power, depth, T):
             if all(a >= b for a, b in zip(expo, tail)):
                 f2 = _apply_rewrite(f, expo, rel, T)
                 In2 = stage.initial(f2, vertex)
-                found = _search_at_power(f2, In2, _direct_fit(In2, stage.main_var), vertex,
+                found = _search_at_power(f2, In2, _read_shape(In2, stage.main_var), vertex,
                                          stage, relations, power, depth - 1, T)
                 if found is not None:
                     return found
@@ -341,28 +301,27 @@ def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
     """Binomial-power form of the initial form at a vertex, modulo relations.
 
     Returns (outcome, poly): outcome is a BinomialPower (with poly rewritten
-    along the successful chain of relation moves, heavier residue kept),
-    NOT_BINOMIAL, or FieldExtensionRequired (with poly the input f).  The
-    search fixes the candidate power first, largest divisor first, so a
-    rewrite that realizes a larger power beats a direct match at a smaller
-    one.  stage is the stage's projection, built from the arguments when
-    not given.  Each node's initial form is read once for the powers
-    _decompose_at can fit there (_direct_fit); the direct check runs only
-    at those, and rewrites are explored at every power.  When no rewrite
-    can run (no relations, or depth <= 0), only those powers are tried.
+    along the successful chain of relation moves, heavier residue kept) or
+    NOT_BINOMIAL (with poly the input f).  The search fixes the candidate
+    power first, largest divisor first, so a rewrite that realizes a larger
+    power beats a direct match at a smaller one.  stage is the stage's
+    projection, built from the arguments when not given.  Each node's
+    initial form is read once (_read_shape); the direct check runs only at
+    the powers dividing its fit, and rewrites are explored at every power.
+    When no rewrite can run (no relations, or depth <= 0), only those
+    powers are tried.
     """
     vertex = tuple(vertex)
     stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
     In = stage.initial(f, vertex)  # shared by every power
-    fit = _direct_fit(In, main_var)
+    shape = _read_shape(In, main_var)
     powers = _divisors_desc(top_exp)
     if depth <= 0 or not relations:
-        powers = [] if fit is None else [p for p in powers if fit % p == 0]
+        powers = [] if shape is None else [p for p in powers if shape.fit % p == 0]
     for power in powers:
-        found = _search_at_power(f, In, fit, vertex, stage, relations, power, depth, T)
+        found = _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T)
         if found is not None:
-            f2, outcome = found
-            return outcome, (f if isinstance(outcome, FieldExtensionRequired) else f2)
+            return found
     return NOT_BINOMIAL, f
 
 
@@ -398,11 +357,6 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
             outcome, f2 = binomialize_modulo(f, v, main_var, top_exp, relations,
                                              weights, config.depth, T, stage)
             decomposed[v] = f, (outcome, f2)
-            if isinstance(outcome, FieldExtensionRequired):
-                diagnostics.append(
-                    f"solving the vertex {_vertex_str(v)} needs a degree-{outcome.degree} "
-                    "field extension")
-                return PrepareResult(f, P, PrepStatus.INCONCLUSIVE, eliminations, diagnostics)
             if outcome is NOT_BINOMIAL:
                 processed.add(v)
                 continue
@@ -513,12 +467,6 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
             break
         v = P.vertices[0]
         outcome, f = prep.decomposition
-        if isinstance(outcome, FieldExtensionRequired):
-            diagnostics.append(
-                f"decomposition at {_vertex_str(v)} needs a degree-{outcome.degree} "
-                "field extension")
-            terminal = Terminal.INCONCLUSIVE
-            break
         if outcome is NOT_BINOMIAL:
             diagnostics.append("initial form not a binomial power; input may be reducible")
             terminal = Terminal.INCONCLUSIVE

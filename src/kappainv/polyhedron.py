@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigurationError, ContractViolation, EmptyPolyhedronError
+from .errors import ConfigurationError, ContractViolation
 from .poly import Poly, WeierstrassPoly
 
 MAX_DIMENSION = 8
@@ -134,12 +134,6 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
         else:
             i += 1
     return OrthantPolyhedron(d, tuple(kept))
-
-
-def lex_min_vertex(P: OrthantPolyhedron):
-    if P.is_empty:
-        raise EmptyPolyhedronError("the empty polyhedron has no vertices")
-    return P.vertices[0]
 
 
 def polyhedron_leq(P: OrthantPolyhedron, Q: OrthantPolyhedron) -> bool:

@@ -268,16 +268,6 @@ class Field:
         l0 = (la // g) * pow(n // g, -1, period) % period
         return sorted(exp[l0 + j * period] for j in range(g))
 
-    def nth_root(self, a, n: int):
-        """A deterministic n-th root of a, or None.
-
-        Finite fields take the smallest root in enumeration order; over Q the
-        root is the real one matching the sign of a (odd n) or the positive
-        one (even n, a > 0).
-        """
-        roots = self.all_nth_roots(a, n)
-        return roots[0] if roots else None
-
     def root_extension_degree(self, a, n: int, bound: int = 64) -> int:
         """Smallest k' with an n-th root of a in GF(q^k'), by order arithmetic.
 

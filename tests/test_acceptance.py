@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+import kappainv
 import kappainv.kappa as kappa_mod
 from kappainv import (BinomialPower, Field, KappaConfig, Poly, Terminal, VarContext,
                       back_substitute, binomial_power_decompose, classify,
@@ -200,10 +201,10 @@ def test_criterion_7_property_suites(monkeypatch):
     recorded = []
     original = kappa_mod._decompose_at
 
-    def recording(In, main_var, power, ctx, ring):
-        res = original(In, main_var, power, ctx, ring)
+    def recording(In, shape, power, main_var, ring):
+        res = original(In, shape, power, main_var, ring)
         if isinstance(res, BinomialPower):
-            recorded.append((res, In, ctx, ring))
+            recorded.append((res, In, In.ctx, ring))
         return res
 
     monkeypatch.setattr(kappa_mod, "_decompose_at", recording)
@@ -262,3 +263,10 @@ def test_criterion_7_property_suites(monkeypatch):
         rep = discriminant_z(weierstrass_validate(f))
         want = s1.sub(s2).mul(s1.sub(s2))
         assert rep.disc == want or rep.disc == want.neg()
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from the package must leave __all__ with it
+    missing = [name for name in kappainv.__all__ if not hasattr(kappainv, name)]
+    assert missing == []
+    assert len(set(kappainv.__all__)) == len(kappainv.__all__)

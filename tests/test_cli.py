@@ -17,12 +17,22 @@ def run(capsys, argv):
     return code, out
 
 
-def run_module(argv):
+def run_module(argv, stdout=subprocess.PIPE):
     """`python -m kappainv ...` in a child that imports this checkout's src first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "kappainv", *argv],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def run_module_into_a_closed_pipe(argv):
+    """run_module with stdout on a pipe whose read end is closed first."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_module(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
 
 
 class TestClassify:
@@ -217,6 +227,51 @@ class TestBatch:
         code, _ = run(capsys, ["classify", "--char", "2", "--vars", "1",
                                "--trunc", "1", "--batch", str(batch)])
         assert code == 2
+
+
+class TestNoFieldExtensionNote:
+    """Verdicts that moved when the field-extension outcome went away: over Q
+    and finite fields no extension makes an initial form a binomial power."""
+
+    def test_two_vertex_preparation_goes_on(self, capsys):
+        # the vertex (1, 0) carries z^2 + x1*z + 2*x1^2, not a square over any
+        # extension of GF(5); preparation passes it as it passes any other
+        code, out = run(capsys, ["kappa", "--char", "5", "--vars", "2",
+                                 "z^2 + x1*z + 2*x1^2 + x2^3"])
+        assert code == 0
+        assert out == ("kappa = (-1)\n"
+                       "note: prepared polyhedron has 2 vertices "
+                       "(translation-minimal preparation)\n")
+
+    def test_two_distinct_factors_over_the_rationals(self, capsys):
+        # (z - (1+i)*x1^3)(z - (1-i)*x1^3): two distinct factors over every extension
+        code, out = run(capsys, ["classify", "--vars", "1", "z^2 - 2*x1^3*z + 2*x1^6"])
+        assert code == 2
+        assert "kappa = (inconclusive)\n" in out
+        assert "note: initial form not a binomial power; input may be reducible\n" in out
+        assert "extension" not in out
+
+
+class TestClosedPipe:
+    """`kappainv ... | head -1`: a reader that closed the pipe gets no error
+    line, and the exit code is the command's own."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "--char", "2", "--vars", "1", "z^2 - x1^3"], 0),
+        (["classify", "--char", "5", "--vars", "1", "z^2 + x1*z + 2*x1^2"], 2),
+    ])
+    def test_single_command(self, argv, code):
+        proc = run_module_into_a_closed_pipe(argv)
+        assert proc.stderr == ""
+        assert proc.returncode == code
+
+    def test_batch(self, tmp_path):
+        batch = tmp_path / "inputs.txt"
+        batch.write_text("z^2 - x1^3\nz^2 + x1*z + 2*x1^2\n")
+        proc = run_module_into_a_closed_pipe(["classify", "--char", "5", "--vars", "1",
+                                              "--batch", str(batch)])
+        assert proc.stderr == ""
+        assert proc.returncode == 2
 
 
 class TestDimensionBound:

@@ -1,17 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from kappainv import (NOT_BINOMIAL, BinomialPower, ContractViolation, KappaConfig, Poly,
-                      Relation, Terminal, VarContext, back_substitute,
+from kappainv import (NOT_BINOMIAL, BinomialPower, ConfigurationError, ContractViolation,
+                      Field, KappaConfig, Poly, Relation, Terminal, VarContext, back_substitute,
                       binomial_power_decompose, binomialize_modulo, compute_kappa,
                       initial_form, parse_polynomial, prepare_polyhedron, substitute,
                       verify_overweight)
 import kappainv.kappa
 import kappainv.poly
 from kappainv.polyhedron import StageProjection
-from kappainv.kappa import FieldExtensionRequired, PrepStatus, _apply_rewrite
+from kappainv.kappa import PrepStatus, _apply_rewrite
 from conftest import mk, mkw, rand_poly, sample_relations
 
 
@@ -72,11 +73,10 @@ class TestDecompose:
         assert (bp.inner_exp, bp.power, bp.coeff) == (1, 2, Fraction(-1))
 
     def test_field_extension_signal(self, F5):
-        # full binomial grid, but c^2 = 2 has no solution mod 5
+        # full binomial grid, but (z - c*x1)^2 needs -2c = 1, so c = 2, and
+        # c^2 = 4 != 2 in every extension of GF(5): no extension helps
         In = mk("z^2 + x1*z + 2*x1^2", 1, F5)
-        res = binomial_power_decompose(In, "z")
-        assert isinstance(res, FieldExtensionRequired)
-        assert res.degree == 2
+        assert binomial_power_decompose(In, "z") is NOT_BINOMIAL
 
     def test_missing_cross_term_in_odd_char_falls_through(self, F5):
         # without the x1*z slot the e=2 pattern is impossible in char 5,
@@ -86,18 +86,59 @@ class TestDecompose:
         assert (bp.inner_exp, bp.power) == (2, 1)
 
     def test_field_extension_over_rationals(self, QQ):
-        # the full grid with an irrational square root: degree bound e
+        # the full grid, but the cross term forces c = -1/2 and c^2 = 1/4 != 2
+        # over every extension of Q: two distinct factors, never a square
         In = mk("z^2 + x1*z + 2*x1^2", 1, QQ)
-        res = binomial_power_decompose(In, "z")
-        assert isinstance(res, FieldExtensionRequired)
-        assert res.degree == 2
+        assert binomial_power_decompose(In, "z") is NOT_BINOMIAL
 
     def test_char0_missing_cross_term_falls_through(self, QQ):
-        # z^2 - 2x1^2 has no root in Q, but in char 0 the cross term would be
-        # forced, so the support check rejects e=2 and e=1 matches instead
+        # z^2 - 2x1^2 has no root in Q, and in char 0 the cross term would be
+        # forced, so e=2 fails and e=1 matches instead
         In = mk("z^2 - 2*x1^2", 1, QQ)
         bp = binomial_power_decompose(In, "z")
         assert (bp.inner_exp, bp.power) == (2, 1)
+
+
+def first_extension(p, m):
+    """GF(p^m) over the first monic modulus, constant term first, that Field accepts."""
+    for low in itertools.product(range(p), repeat=m):
+        try:
+            return Field.finite(p, m, low + (1,))
+        except ConfigurationError:
+            continue  # reducible over GF(p)
+    raise AssertionError(f"no irreducible modulus of degree {m} over GF({p})")
+
+
+class TestNoExtensionHelps:
+    """Over GF(p), an initial form that is not a binomial power is not one
+    over any GF(p^m) either: the least j0 > 0 with C(e, j0) nonzero mod p
+    puts (-c)^j0 in GF(p), and x -> x^j0 is a bijection there."""
+
+    def test_exhaustive_sweep(self):
+        ctx = VarContext(1, ("z",))
+        forms = 0
+        seen = set()
+        for p in (2, 3, 5, 7):
+            base = Field.finite(p)
+            extensions = [first_extension(p, m) for m in (2, 3, 4, 6) if p ** m <= 2 ** 16]
+            for e in range(2, 5):
+                # z^e + c_e*x1^e, c_e != 0, with any coefficients on z^(e-j)*x1^j
+                for cs in itertools.product(range(p), repeat=e):
+                    if cs[-1] == 0:
+                        continue
+                    terms = {(0, e): 1}
+                    terms.update({(j, e - j): c for j, c in enumerate(cs, 1) if c})
+                    want = None
+                    for field in [base] + extensions:
+                        res = binomial_power_decompose(Poly(ctx, field, terms), "z")
+                        got = res if res is NOT_BINOMIAL else res.power
+                        if want is None:
+                            want = got
+                        assert got == want, (p, field.extension_degree, terms)
+                    seen.add(want)
+                    forms += 1
+        assert forms == 3106
+        assert seen == {NOT_BINOMIAL, 1, 2, 3, 4}
 
 
 class TestBinomializeModulo:
@@ -230,17 +271,18 @@ class TestPowerFilter:
                 assert outcome == want
                 assert f2 is f
             seen.add(type(want).__name__)
-        assert seen == {"BinomialPower", "FieldExtensionRequired", "_NotBinomialType"}
+        assert seen == {"BinomialPower", "_NotBinomialType"}
 
     @pytest.mark.parametrize("text, d, field", [
         ("z^2 + x1*x2*z + 2*x1^2*x2^2", 2, "QQ"),
         ("z^2 + x1*z + 2*x1^2", 1, "F5"),
     ])
     def test_field_extension_required(self, request, text, d, field):
+        # the full binomial grid with no fitting root: no extension has one
         f = mk(text, d, request.getfixturevalue(field))
         v = tuple(F(1) for _ in range(d))
         want = binomial_power_decompose(initial_form(f, v, "z", 2, {}), "z")
-        assert want == FieldExtensionRequired(2, 2)
+        assert want is NOT_BINOMIAL
         for depth in (0, 3):
             assert binomialize_modulo(f, v, "z", 2, [], {}, depth) == (want, f)
 
@@ -258,9 +300,9 @@ class TestPowerFilter:
         calls = []
         real = kappainv.kappa._decompose_at
 
-        def counting(In, main_var, power, ctx, ring):
+        def counting(In, shape, power, main_var, ring):
             calls.append(power)
-            return real(In, main_var, power, ctx, ring)
+            return real(In, shape, power, main_var, ring)
 
         monkeypatch.setattr(kappainv.kappa, "_decompose_at", counting)
         wf = mkw("z^12 - 5*x1^7*x2^11", 2, QQ)
@@ -280,9 +322,10 @@ def unfiltered_binomialize(f, vertex, main_var, top_exp, relations, weights, dep
     stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
 
     def search(g, In, power, depth):
-        if len(In.terms) > 1:
-            res = kappainv.kappa._decompose_at(In, main_var, power, g.ctx, g.ring)
-            if isinstance(res, (BinomialPower, FieldExtensionRequired)):
+        shape = kappainv.kappa._read_shape(In, main_var)
+        if shape is not None:
+            res = kappainv.kappa._decompose_at(In, shape, power, main_var, g.ring)
+            if res is not None:
                 return g, res
         if depth <= 0 or not relations:
             return None
@@ -302,7 +345,7 @@ def unfiltered_binomialize(f, vertex, main_var, top_exp, relations, weights, dep
         found = search(f, In, power, depth)
         if found is not None:
             g, outcome = found
-            return outcome, (f if isinstance(outcome, FieldExtensionRequired) else g)
+            return outcome, g
     return NOT_BINOMIAL, f
 
 
@@ -586,9 +629,12 @@ class TestComputeKappa:
         assert any("binomial" in d for d in res.diagnostics)
 
     def test_field_extension_inconclusive(self, F5):
+        # no extension of GF(5) makes this initial form a square (see
+        # TestDecompose), so it gets the not-binomial note
         res = compute_kappa(mkw("z^2 + x1*z + 2*x1^2", 1, F5))
         assert res.invariant.terminal is Terminal.INCONCLUSIVE
-        assert any("extension" in d for d in res.diagnostics)
+        assert res.diagnostics == [
+            "initial form not a binomial power; input may be reducible"]
 
 
 FIXTURES_INF = [

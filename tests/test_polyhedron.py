@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 import kappainv.polyhedron
-from kappainv import (ConfigurationError, ContractViolation, EmptyPolyhedronError,
-                      KappaConfig, Poly, VarContext, hull_vertices, lex_min_vertex, member,
-                      parse_polynomial, polyhedron_leq, prepare_polyhedron,
-                      projected_polyhedron, weighted_projected_polyhedron)
+from kappainv import (ConfigurationError, ContractViolation, KappaConfig, Poly, VarContext,
+                      hull_vertices, member, parse_polynomial, polyhedron_leq,
+                      prepare_polyhedron, projected_polyhedron, weighted_projected_polyhedron)
 from kappainv.polyhedron import StageProjection
 from conftest import mk, mkw
 
@@ -311,21 +310,6 @@ class TestHull:
             rng.shuffle(shuffled)
             assert hull_vertices(shuffled, d).vertices == P.vertices
 
-
-class TestLexMin:
-    def test_two_vertices(self):
-        P = hull_vertices([(F(3, 2), F(1, 2)), (F(1, 2), F(3, 2))], 2)
-        assert lex_min_vertex(P) == (F(1, 2), F(3, 2))
-
-    def test_single(self):
-        assert lex_min_vertex(hull_vertices([(F(3, 2),)], 1)) == (F(3, 2),)
-
-    def test_dominated_pair(self):
-        assert lex_min_vertex(hull_vertices([(F(1), F(5)), (F(1), F(2))], 2)) == (F(1), F(2))
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyPolyhedronError):
-            lex_min_vertex(hull_vertices([], 1))
 
 
 class TestProjected:
