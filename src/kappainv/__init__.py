@@ -13,9 +13,8 @@ from .deform import (GhostReport, InitialIdealReport, IntegerLift,
 from .errors import (ConfigurationError, ContractViolation, EngineError, KappaInvError,
                      ParseError, UnsupportedLiftError, ValidationError)
 from .kappa import (NOT_BINOMIAL, BinomialPower, KappaConfig, KappaInvariant, KappaResult,
-                    OverweightPresentation, Terminal, binomial_power_decompose,
-                    binomialize_modulo, compute_kappa, initial_form, prepare_polyhedron,
-                    verify_overweight)
+                    OverweightPresentation, Terminal, binomialize_modulo, compute_kappa,
+                    prepare_polyhedron, verify_overweight)
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, back_substitute,
                    normal_form, parse_polynomial, power_substitute, substitute,
                    weierstrass_validate)
@@ -23,7 +22,7 @@ from .polyhedron import (OrthantPolyhedron, hull_vertices, member, polyhedron_le
                          projected_polyhedron, weighted_projected_polyhedron)
 from .quasiord import (ClassificationReport, DiscriminantReport, classify,
                        discriminant_z, is_monomial_times_unit)
-from .ring import QQ, ZZ, Field, lift_coeff, reduce_coeff
+from .ring import QQ, ZZ, Field, lift_coeff
 
 __version__ = "0.1.0"
 
@@ -33,12 +32,11 @@ __all__ = [
     "IntegerLift", "KappaConfig", "KappaInvError", "KappaInvariant", "KappaResult",
     "NOT_BINOMIAL", "OrthantPolyhedron", "OverweightPresentation", "ParseError", "Poly",
     "QQ", "Relation", "Terminal", "UnsupportedLiftError", "ValidationError",
-    "VarContext", "WeierstrassPoly", "ZZ", "back_substitute",
-    "binomial_power_decompose", "binomialize_modulo", "classify", "compute_kappa",
-    "default_tropical_weight", "discriminant_z", "eliminate_to_hypersurface",
-    "ghost_monomials", "hull_vertices", "initial_form", "initial_forms_weighted",
+    "VarContext", "WeierstrassPoly", "ZZ", "back_substitute", "binomialize_modulo",
+    "classify", "compute_kappa", "default_tropical_weight", "discriminant_z",
+    "eliminate_to_hypersurface", "ghost_monomials", "hull_vertices", "initial_forms_weighted",
     "is_monomial_times_unit", "lift_coeff", "lift_presentation", "member",
     "normal_form", "parse_polynomial", "polyhedron_leq", "power_substitute",
-    "prepare_polyhedron", "projected_polyhedron", "reduce_coeff", "substitute",
+    "prepare_polyhedron", "projected_polyhedron", "substitute",
     "verify_overweight", "weierstrass_validate", "weighted_projected_polyhedron",
 ]

@@ -199,10 +199,13 @@ def _parse_lambda(args, d: int):
             f"--lambda takes comma-separated rationals, got {args.lam!r}") from None
 
 
-def _input_weierstrass(text: str, args, field: Field):
+def _input_context(args) -> VarContext:
     check_dimension(args.d)  # before any d-long exponent is built
-    ctx = VarContext(args.d)
-    f = parse_polynomial(text, ctx, field).truncate(args.trunc)
+    return VarContext(args.d)
+
+
+def _input_weierstrass(text: str, args, field: Field):
+    f = parse_polynomial(text, _input_context(args), field).truncate(args.trunc)
     return weierstrass_validate(f)
 
 
@@ -294,9 +297,12 @@ def run_batch(args) -> int:
     """Classify one polynomial per line of args.batch; output keeps the input order.
 
     With --json the output is JSON Lines: one compact object per input line.
+    An error in the flags (field, configuration, variable count) ends the
+    run before any line is read.
     """
     field = _build_field(args)
     config = _build_config(args)
+    _input_context(args)
     with open(args.batch, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]

@@ -1,7 +1,8 @@
 """Integer lifts of overweight presentations and their fiber comparison.
 
-The lift keeps the structural signs of each relation (head minus tail minus
-corrections) and lifts prime-field coefficients canonically into
+Each lifted relation is the engine's Relation over ZZ: the same head, tail
+and corrections with their structural signs (head minus tail minus
+corrections), the prime-field coefficients lifted canonically into
 {0, ..., p-1}; the final equation lifts coefficient-wise.  Reducing every
 coefficient mod p recovers the source presentation, while over the
 integers the eliminated hypersurface generally acquires ghost monomials:
@@ -15,27 +16,20 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, UnsupportedLiftError
 from .kappa import OverweightPresentation
-from .poly import Poly, VarContext, substitute
+from .poly import Poly, Relation, VarContext, back_substitute
 from .ring import ZZ, lift_coeff
-
-
-@dataclass
-class LiftedRelation:
-    var: str
-    rhs: Poly        # over ZZ: head - tail - corrections
-    generator: Poly  # u_j - rhs over ZZ
 
 
 @dataclass
 class IntegerLift:
     prime: int
-    relations: list          # LiftedRelation, chain order
+    relations: list          # Relation over ZZ, chain order
     final: Poly              # over ZZ, coefficient-wise canonical lift
     weights: dict
     ctx: VarContext
 
     def generators(self) -> list:
-        return [r.generator for r in self.relations] + [self.final]
+        return [rel.generator(self.ctx) for rel in self.relations] + [self.final]
 
 
 @dataclass
@@ -62,31 +56,18 @@ def lift_presentation(pres: OverweightPresentation) -> IntegerLift:
     field = pres.ring
     if field.characteristic == 0:
         raise UnsupportedLiftError("the presentation is already in characteristic 0")
-    p = field.characteristic
     ctx = pres.ctx
-    lifted = []
-    for rel in pres.relations:
-        terms = {}
-        for sign, c, mono in rel.structural_pieces():
-            key = ctx.pad(mono)
-            val = terms.get(key, 0) + sign * lift_coeff(field, c)
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
-        rhs = Poly(ctx, ZZ, terms)
-        gen = Poly.variable(ctx, ZZ, rel.var).sub(rhs)
-        lifted.append(LiftedRelation(rel.var, rhs, gen))
+    lifted = [Relation(rel.var, rel.head_var, rel.head_exp, lift_coeff(field, rel.tail_coeff),
+                       rel.tail_expo, ctx, ZZ,
+                       [(lift_coeff(field, c), m) for c, m in rel.corrections])
+              for rel in pres.relations]
     final = _lift_poly(pres.final.in_context(ctx), field)
-    return IntegerLift(p, lifted, final, dict(pres.weights), ctx)
+    return IntegerLift(field.characteristic, lifted, final, dict(pres.weights), ctx)
 
 
 def eliminate_to_hypersurface(lift: IntegerLift) -> Poly:
     """Substitute each relation rhs for its variable, innermost first; exact over ZZ."""
-    h = lift.final
-    for rel in reversed(lift.relations):
-        h = substitute(h, rel.var, rel.rhs)
-    return h
+    return back_substitute(lift.final, lift.relations)
 
 
 def ghost_monomials(lift: IntegerLift) -> GhostReport:

@@ -164,18 +164,6 @@ class KappaResult:
 
 
 # ---------------------------------------------------------------------------
-# initial forms
-# ---------------------------------------------------------------------------
-
-def initial_form(f: Poly, vertex, main_var: str, top_exp: int, weights: dict) -> Poly:
-    """Monic top plus every term whose weighted point equals the given vertex."""
-    stage = StageProjection(f.ctx, main_var, top_exp, weights)
-    if tuple(vertex) not in stage.polyhedron(f).vertices:
-        raise ContractViolation(f"{vertex} is not a vertex of the projected polyhedron")
-    return stage.initial(f, tuple(vertex))
-
-
-# ---------------------------------------------------------------------------
 # binomial power recognition
 # ---------------------------------------------------------------------------
 
@@ -228,24 +216,6 @@ def _decompose_at(In: Poly, shape: _Shape, power: int, main_var: str, ring):
     return None
 
 
-def binomial_power_decompose(In: Poly, main_var: str, ring=None):
-    """Maximal-power binomial decomposition of a vertex initial form.
-
-    The shape is read once, then every divisor of the main degree is tried
-    in decreasing order; the first full expansion match wins, and
-    NOT_BINOMIAL means no power matches.
-    """
-    midx = In.ctx.var_index(main_var)
-    if not any(e[midx] for e in In.terms):
-        raise ContractViolation("main variable does not occur")
-    shape = _read_shape(In, main_var)
-    for power in _divisors_desc(shape.degree) if shape else ():
-        res = _decompose_at(In, shape, power, main_var, ring or In.ring)
-        if res is not None:
-            return res
-    return NOT_BINOMIAL
-
-
 # ---------------------------------------------------------------------------
 # binomialization modulo the relation stack
 # ---------------------------------------------------------------------------
@@ -255,8 +225,8 @@ def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
 
     Relation j reads u_j = rhs_j = w^{n_j} - c_j * tail_j - sum(corrections),
     so c_j * tail_j = w^{n_j} - u_j - sum(corrections).  Substituting that in
-    the term coeff*x^expo adds coeff/c_j * x^(expo-tail) * (rhs_j - u_j) to f:
-    the working polynomial changes by a multiple of the relation generator
+    the term coeff*x^expo adds -coeff/c_j * x^(expo-tail) * (u_j - rhs_j) to
+    f: the working polynomial changes by a multiple of the relation generator
     only.  The result is deliberately NOT normal-formed: the upward rewrite
     (head powers at their bound) is what makes the binomial shape visible,
     and normalizing here would cancel the move.
@@ -264,9 +234,8 @@ def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
     ctx = f.ctx
     ring = f.ring
     rest = tuple(a - b for a, b in zip(expo, ctx.pad(rel.tail_expo)))
-    generator = rel.rhs_poly(ctx).sub(Poly.variable(ctx, ring, rel.var))
-    step = generator.mul_monomial(rest, ring.div(f.terms[expo], rel.tail_coeff))
-    return f.add(step, T)
+    scale = ring.neg(ring.div(f.terms[expo], rel.tail_coeff))
+    return f.add(rel.generator(ctx).mul_monomial(rest, scale), T)
 
 
 def _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T):
@@ -429,8 +398,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
     top_exp = wf.n
     pending = None
     budget_used = 0
-    presentation = None
-    terminal = None
+    terminal = final_head = None
 
     while True:
         stage = StageProjection(f.ctx, main, top_exp, weights)
@@ -455,9 +423,6 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
                 head_level = tuple(relations[-1].head_exp * Fraction(c)
                                    for c in weights[relations[-1].head_var])
                 weights[main] = head_level
-            presentation = OverweightPresentation(
-                tuple(relations), f, None, {**_unit_weights(f.ctx.d), **weights},
-                f.ctx, ring)
             break
         if len(P.vertices) > 1:
             diagnostics.append(
@@ -483,10 +448,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
             raise EngineError("stage multiplicities failed to descend strictly")
         weights[main] = v
         if bp.power == 1:
-            terminal = Terminal.INFINITY
-            presentation = OverweightPresentation(
-                tuple(relations), f, bp, {**_unit_weights(f.ctx.d), **weights},
-                f.ctx, ring)
+            terminal, final_head = Terminal.INFINITY, bp
             break
         # descend: introduce the next chain variable for the binomial head
         newvar = f"u{len(relations) + 1}"
@@ -503,7 +465,11 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
 
     invariant = KappaInvariant(tuple(vertices), terminal, T, budget_used,
                                tuple(mults), tuple(inner))
-    if presentation is not None:
+    presentation = None
+    if terminal is Terminal.INFINITY:
+        presentation = OverweightPresentation(
+            tuple(relations), f, final_head, {**_unit_weights(f.ctx.d), **weights},
+            f.ctx, ring)
         ok, violations = verify_overweight(presentation)
         if not ok:
             raise EngineError(f"emitted presentation failed its overweight self-check: {violations}")

@@ -11,10 +11,13 @@ unknown"; every stored term then has x-degree < T and certificates only
 ever tighten under arithmetic.  A certificate of None means the value is
 exact.
 
-The module also owns the relation stack used by the classification engine:
-each Relation defines a new variable u_j as a binomial head minus a list of
-correction monomials, and normal_form rewrites head powers downward so the
-tower degree bounds hold.
+The module also owns the relation stack used by the classification engine
+and by the integer lift: each Relation defines a new variable u_j as a
+binomial head minus a list of correction monomials, over the engine's field
+or, lifted, over Z.  Its generator u_j - rhs serves the downward rewriting
+of normal_form (which keeps the tower degree bounds), the engine's upward
+rewrites and the lift's ideal; back_substitute eliminates a stack in either
+ring.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import operator
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .errors import EngineError, ParseError, UnsupportedLiftError, ValidationError
-from .ring import ZZ, lift_coeff
+from .errors import EngineError, ParseError, ValidationError
 
 _NORMAL_FORM_FUEL = 512
 
@@ -46,9 +48,6 @@ class VarContext:
     @property
     def nvars(self) -> int:
         return self.d + len(self.aux)
-
-    def names(self):
-        return [f"x{i + 1}" for i in range(self.d)] + list(self.aux)
 
     def var_index(self, name: str) -> int:
         if name.startswith("x") and name[1:].isdigit():
@@ -716,7 +715,8 @@ class Relation:
 
     The head variable w is the previous chain variable (z for the first
     relation).  Corrections accumulate while solvable vertices of the
-    enclosing stage are eliminated by translations of u_j.
+    enclosing stage are eliminated by translations of u_j.  ring is the
+    engine's field, or ZZ for a relation of the integer lift.
     """
 
     var: str
@@ -741,13 +741,16 @@ class Relation:
                 terms[key] = s
         return Poly(ctx, ring, terms)
 
+    def generator(self, ctx=None) -> Poly:
+        """u_j - rhs, the relation's generator of the ideal."""
+        ctx = ctx or self.ctx
+        return Poly.variable(ctx, self.ring, self.var).sub(self.rhs_poly(ctx))
+
     def replacement_poly(self, ctx=None) -> Poly:
         """w^head_exp as u_j + w^head_exp - rhs = u_j + tail + corrections (downward rewriting)."""
         ctx = ctx or self.ctx
-        ring = self.ring
-        u_plus_head = {ctx.unit(self.var): ring.one,
-                       ctx.unit(self.head_var, self.head_exp): ring.one}
-        return Poly(ctx, ring, u_plus_head).sub(self.rhs_poly(ctx))
+        head = Poly.monomial(ctx, self.ring, ctx.unit(self.head_var, self.head_exp))
+        return self.generator(ctx).add(head)
 
     def structural_pieces(self):
         """Signed pieces of the rhs: [(+1, head), (-1, c, tail), (-1, c_k, m_k), ...]."""
@@ -761,26 +764,20 @@ class Relation:
     def structural_str(self) -> str:
         """Canonical display "u1 - (z^2 - x1^3*x2^6 - ...)" with structural signs.
 
-        Prime-field coefficients are shown through their canonical integer
-        lift so the binomial minus sign stays visible in every characteristic;
-        where lift_coeff has no canonical lift, the structural signs are literal.
+        In characteristic 0 each sign folds into its coefficient, so a
+        negative tail coefficient shows as "+".  A GF(q) value is never
+        negative, so each structural sign is printed as written.
         """
         ring = self.ring
-        view = ZZ if ring.characteristic > 0 else ring
-        pieces = []
-        try:
-            for sign, c, mono in self.structural_pieces():
-                v = lift_coeff(ring, c) if ring.characteristic > 0 else c
-                v = v if sign > 0 else view.neg(v)
-                if not view.is_zero(v):
-                    pieces.append((v, mono))
-        except UnsupportedLiftError:
-            segs = []
-            for i, (sign, c, mono) in enumerate(self.structural_pieces()):
-                body = format_signed_terms([(c, mono)], self.ctx, ring)
-                segs.append(body if i == 0 else ("- " if sign < 0 else "+ ") + body)
-            return f"{self.var} - ({' '.join(segs)})"
-        return f"{self.var} - ({format_signed_terms(pieces, self.ctx, view)})"
+        if ring.characteristic == 0:
+            pieces = [(c if sign > 0 else ring.neg(c), mono)
+                      for sign, c, mono in self.structural_pieces()]
+            return f"{self.var} - ({format_signed_terms(pieces, self.ctx, ring)})"
+        segs = []
+        for i, (sign, c, mono) in enumerate(self.structural_pieces()):
+            body = format_signed_terms([(c, mono)], self.ctx, ring)
+            segs.append(body if i == 0 else ("- " if sign < 0 else "+ ") + body)
+        return f"{self.var} - ({' '.join(segs)})"
 
 
 def normal_form(f: Poly, relations, T=None) -> Poly:

@@ -494,10 +494,3 @@ def lift_coeff(field: Field, a) -> int:
             f"lift of GF({field.characteristic}^{field.extension_degree}) values is unsupported; "
             "only prime fields lift canonically")
     return int(a)
-
-
-def reduce_coeff(n: int, p: int) -> int:
-    """Reduction of an integer into GF(p)."""
-    if not is_prime(p):
-        raise ConfigurationError(f"{p} is not prime")
-    return n % p

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import Field, Poly, Relation, VarContext, parse_polynomial, weierstrass_validate
+from kappainv import (NOT_BINOMIAL, ZZ, ContractViolation, Field, Poly, Relation,
+                      UnsupportedLiftError, VarContext, lift_coeff, parse_polynomial,
+                      weierstrass_validate)
+from kappainv.kappa import _decompose_at, _divisors_desc, _read_shape
+from kappainv.poly import format_signed_terms
+from kappainv.polyhedron import StageProjection
+from kappainv.ring import is_prime
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +76,62 @@ def sample_relations(field):
 
     return [rel(field.one), rel(c(2)),
             rel(c(3), [(c(2), (4,)), (field.from_fraction(1, 3), (3, 0)), (c(4), (2, 1))])]
+
+
+# -- oracles: former runtime helpers with no runtime caller ----------------------
+
+def reduce_coeff(n, p):
+    """Reduction of an integer into GF(p)."""
+    assert is_prime(p)
+    return n % p
+
+
+def initial_form(f, vertex, main_var, top_exp, weights):
+    """Monic top plus every term whose weighted point equals the given vertex."""
+    stage = StageProjection(f.ctx, main_var, top_exp, weights)
+    if tuple(vertex) not in stage.polyhedron(f).vertices:
+        raise ContractViolation(f"{vertex} is not a vertex of the projected polyhedron")
+    return stage.initial(f, tuple(vertex))
+
+
+def binomial_power_decompose(In, main_var, ring=None):
+    """Maximal-power binomial decomposition of a vertex initial form.
+
+    The shape is read once, then every divisor of the main degree is tried
+    in decreasing order; the first full expansion match wins, and
+    NOT_BINOMIAL means no power matches.
+    """
+    midx = In.ctx.var_index(main_var)
+    if not any(e[midx] for e in In.terms):
+        raise ContractViolation("main variable does not occur")
+    shape = _read_shape(In, main_var)
+    for power in _divisors_desc(shape.degree) if shape else ():
+        res = _decompose_at(In, shape, power, main_var, ring or In.ring)
+        if res is not None:
+            return res
+    return NOT_BINOMIAL
+
+
+def lifted_structural_str(rel):
+    """A relation's display through the canonical integer lift of its coefficients.
+
+    Prime-field coefficients are shown as their lifts into {0, ..., p-1}
+    with the structural signs applied over Z; where lift_coeff has no
+    canonical lift (GF(p^k), k > 1), the structural signs are literal.
+    """
+    ring = rel.ring
+    view = ZZ if ring.characteristic > 0 else ring
+    pieces = []
+    try:
+        for sign, c, mono in rel.structural_pieces():
+            v = lift_coeff(ring, c) if ring.characteristic > 0 else c
+            v = v if sign > 0 else view.neg(v)
+            if not view.is_zero(v):
+                pieces.append((v, mono))
+    except UnsupportedLiftError:
+        segs = []
+        for i, (sign, c, mono) in enumerate(rel.structural_pieces()):
+            body = format_signed_terms([(c, mono)], rel.ctx, ring)
+            segs.append(body if i == 0 else ("- " if sign < 0 else "+ ") + body)
+        return f"{rel.var} - ({' '.join(segs)})"
+    return f"{rel.var} - ({format_signed_terms(pieces, rel.ctx, view)})"

@@ -13,15 +13,14 @@ from fractions import Fraction
 import kappainv
 import kappainv.kappa as kappa_mod
 from kappainv import (BinomialPower, Field, KappaConfig, Poly, Terminal, VarContext,
-                      back_substitute, binomial_power_decompose, classify,
-                      compute_kappa, default_tropical_weight, eliminate_to_hypersurface,
-                      ghost_monomials, initial_forms_weighted, lift_presentation,
-                      member, parse_polynomial, prepare_polyhedron, substitute,
-                      verify_overweight, weierstrass_validate)
+                      back_substitute, classify, compute_kappa, default_tropical_weight,
+                      eliminate_to_hypersurface, ghost_monomials, initial_forms_weighted,
+                      lift_presentation, member, parse_polynomial, prepare_polyhedron,
+                      substitute, verify_overweight, weierstrass_validate)
 from kappainv.poly import format_monomial
 from kappainv.ring import ZZ
 from test_polyhedron import member_oracle
-from conftest import mk, mkw
+from conftest import binomial_power_decompose, mk, mkw
 
 
 def F(a, b=1):

@@ -22,6 +22,7 @@ of unity, computed exactly in Z[t]/Phi_N(t).  With no engine code involved:
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import random
 import signal
@@ -31,7 +32,7 @@ from itertools import product
 
 import pytest
 
-from kappainv import (QQ, Poly, Terminal, VarContext, classify, compute_kappa,
+from kappainv import (QQ, Field, Poly, Terminal, VarContext, classify, compute_kappa,
                       weierstrass_validate)
 from conftest import mk
 
@@ -296,4 +297,59 @@ def test_known_answer(branch):
         rep = classify(wf)
     assert rep.kappa == inv
     assert rep.teissier is True and rep.quasi_ordinary is True
+    assert rep.discriminant.monomial_unit.exponent == want["disc"]
+
+
+# -- the sweep mod p ------------------------------------------------------------
+#
+# f has integer coefficients, so it reduces mod every prime.  The reduction
+# is tame when p divides neither N (the lcm of the exponents' denominators;
+# every prime factor of the degree n divides N) nor any coefficient of zeta.  Each branch is reduced once,
+# at a tame prime in {2, 3, 5, 7} drawn by seed (2 is tame only when N is
+# odd).  That a tame reduction keeps the char-0 kappa and discriminant
+# exponent is measured on these branches, not proven; the wild reductions
+# have no oracle yet.
+
+def tame_primes(b: Branch) -> list:
+    N, _ = b.conjugates()
+    coeffs = list(b.coeffs) + [c for _, c in b.extra]
+    return [p for p in (2, 3, 5, 7) if N % p and all(c % p for c in coeffs)]
+
+
+_prime_rng = random.Random(SEED)
+MOD_P = [(b, _prime_rng.choice(tame_primes(b))) for b in BRANCHES]
+
+
+@functools.cache
+def reduced_mod_p(index: int):
+    """(p, the Weierstrass reduction of MOD_P[index] over GF(p), its kappa result)."""
+    branch, p = MOD_P[index]
+    field = Field.finite(p)
+    f = branch.polynomial()
+    wf = weierstrass_validate(
+        Poly(f.ctx, field, {e: field.from_int(int(c)) for e, c in f.terms.items()}))
+    return p, wf, compute_kappa(wf)
+
+
+def test_sweep_mod_p_covers_every_prime():
+    assert {p for _, p in MOD_P} == {2, 3, 5, 7}
+
+
+@pytest.mark.parametrize("index", [
+    pytest.param(i, id=f"{i:03d} p={p} {b.name}") for i, (b, p) in enumerate(MOD_P)])
+def test_tame_reduction_keeps_the_answer(index):
+    branch = MOD_P[index][0]
+    want = branch.expected()
+    _, wf, result = reduced_mod_p(index)
+    assert wf.n == want["n"]
+    inv = result.invariant
+    assert inv.vertices == want["vertices"]
+    assert inv.inner_exponents == want["inner"]
+    assert inv.multiplicities == want["mults"]
+    assert inv.terminal is Terminal.INFINITY
+    if slow_discriminant(branch):
+        return  # kappa only, as in the char-0 sweep
+    with time_limit(LIMIT_S):
+        rep = classify(wf)
+    assert rep.quasi_ordinary is True
     assert rep.discriminant.monomial_unit.exponent == want["disc"]

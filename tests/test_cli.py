@@ -294,13 +294,28 @@ class TestDimensionBound:
         assert code == 0
         assert "kappa = ((3/2, 0, 0, 0, 0, 0, 0, 0), inf)" in out
 
-    def test_batch_reports_the_bound_per_line(self, capsys, tmp_path):
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize("lines", ["z^2 - x1^3\nz^3 - x1^4\n", None],
+                             ids=["two-lines", "no-file"])
+    def test_batch_reports_the_bound_once(self, capsys, tmp_path, mode, lines):
+        # None: no batch file at all, so the bound is checked before it is opened
+        batch = tmp_path / "inputs.txt"
+        if lines is not None:
+            batch.write_text(lines)
+        code = main(["classify", "--char", "2", "--vars", "9", *mode, "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: dimension 9 exceeds the configured bound 8\n"
+        assert captured.out == ""
+
+    def test_batch_without_x_variables_errs_once(self, capsys, tmp_path):
         batch = tmp_path / "inputs.txt"
         batch.write_text("z^2 - x1^3\nz^3 - x1^4\n")
-        code, out = run(capsys, ["classify", "--char", "2", "--vars", "9", "--json",
-                                 "--batch", str(batch)])
+        code = main(["classify", "--vars", "0", "--batch", str(batch)])
+        captured = capsys.readouterr()
         assert code == 1
-        assert out == '{"error":"dimension 9 exceeds the configured bound 8"}\n' * 2
+        assert captured.err == "error: at least one x-variable is required\n"
+        assert captured.out == ""
 
 
 class TestMalformedFlags:

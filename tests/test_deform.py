@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from kappainv import (ConfigurationError, Field, Poly, UnsupportedLiftError, VarContext,
-                      compute_kappa, default_tropical_weight, eliminate_to_hypersurface,
-                      ghost_monomials, initial_forms_weighted, lift_presentation,
-                      parse_polynomial)
+                      back_substitute, compute_kappa, default_tropical_weight,
+                      eliminate_to_hypersurface, ghost_monomials, initial_forms_weighted,
+                      lift_presentation, parse_polynomial)
 from kappainv.poly import format_monomial
 from kappainv.ring import ZZ
 from conftest import mkw
+from test_branches import MOD_P, reduced_mod_p
 
 
 def F(a, b=1):
@@ -45,10 +46,44 @@ class TestLift:
         F2 = Field.finite(2)
         lift = lift_presentation(res.presentation)
         for lifted, rel in zip(lift.relations, res.presentation.relations):
-            reduced = Poly(lift.ctx, F2, {e: c % 2 for e, c in lifted.rhs.terms.items()})
+            rhs = lifted.rhs_poly(lift.ctx)
+            reduced = Poly(lift.ctx, F2, {e: c % 2 for e, c in rhs.terms.items()})
             assert reduced == rel.rhs_poly(lift.ctx)
         reduced_final = Poly(lift.ctx, F2, {e: c % 2 for e, c in lift.final.terms.items()})
         assert reduced_final == res.presentation.final
+
+    @pytest.mark.parametrize("source", [
+        *[pytest.param(("readme", text, d), id=f"README {text}")
+          for text, d in [("z^2 - x1^3", 1), ("z^8 + x1^12*x2^24 + x1^15*x2^30", 2)]],
+        *[pytest.param(("sweep", i), id=f"sweep {i:03d} p={p}")
+          for i, (_, p) in enumerate(MOD_P)]])
+    def test_lift_reduces_to_the_presentation(self, source):
+        # every Teissier presentation of the README and of the tame sweep mod p
+        if source[0] == "readme":
+            p, pres = 2, compute_kappa(mkw(source[1], source[2], Field.finite(2))).presentation
+        else:
+            p, _, result = reduced_mod_p(source[1])
+            pres = result.presentation
+        Fp = Field.finite(p)
+        lift = lift_presentation(pres)
+        ctx = lift.ctx
+
+        def reduce(h):
+            return Poly(ctx, Fp, {e: c % p for e, c in h.terms.items()})
+
+        gens = lift.generators()
+        assert len(gens) == len(pres.relations) + 1
+        for lifted, rel, gen in zip(lift.relations, pres.relations, gens):
+            coeffs = [lifted.tail_coeff] + [c for c, _ in lifted.corrections]
+            assert all(0 < c < p for c in coeffs)  # canonical lifts of nonzero values
+            rhs = lifted.rhs_poly(ctx)
+            assert reduce(rhs) == rel.rhs_poly(ctx)
+            assert gen == Poly.variable(ctx, ZZ, rel.var).sub(rhs)
+        assert gens[-1] == lift.final
+        assert reduce(lift.final) == pres.final
+        h = eliminate_to_hypersurface(lift)
+        assert not any(h.uses_var(rel.var) for rel in pres.relations)
+        assert reduce(h) == back_substitute(pres.final.in_context(ctx), pres.relations)
 
     def test_gf3_coefficient_lifts_canonically(self):
         F3 = Field.finite(3)
@@ -178,7 +213,7 @@ class TestInitialIdeal:
                 rep = initial_forms_weighted(lift, omega)
                 for init, lifted in zip(rep.generators_initial, lift.relations):
                     # rhs = head - tail (no corrections in these fixtures)
-                    assert init == lifted.rhs.neg()
+                    assert init == lifted.rhs_poly(lift.ctx).neg()
 
     def test_ghost_initial_term_breaks_independence(self):
         ctx = VarContext(1, ("z",))

@@ -6,14 +6,14 @@ import pytest
 
 from kappainv import (NOT_BINOMIAL, BinomialPower, ConfigurationError, ContractViolation,
                       Field, KappaConfig, Poly, Relation, Terminal, VarContext, back_substitute,
-                      binomial_power_decompose, binomialize_modulo, compute_kappa,
-                      initial_form, parse_polynomial, prepare_polyhedron, substitute,
-                      verify_overweight)
+                      binomialize_modulo, compute_kappa, parse_polynomial, prepare_polyhedron,
+                      substitute, verify_overweight)
 import kappainv.kappa
 import kappainv.poly
 from kappainv.polyhedron import StageProjection
 from kappainv.kappa import PrepStatus, _apply_rewrite
-from conftest import mk, mkw, rand_poly, sample_relations
+from conftest import (binomial_power_decompose, initial_form, mk, mkw, rand_poly,
+                      sample_relations)
 
 
 def F(a, b=1):

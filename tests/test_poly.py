@@ -9,7 +9,7 @@ from kappainv import (ZZ, BinomialPower, Field, ParseError, Poly, Relation, Vali
                       VarContext, back_substitute, classify, normal_form, parse_polynomial,
                       power_substitute, substitute, weierstrass_validate)
 from kappainv.poly import _min_trunc, _print_key, exact_div, translate
-from conftest import mk, rand_poly, sample_relations
+from conftest import lifted_structural_str, mk, rand_poly, sample_relations
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +583,43 @@ class TestRelationDisplay:
         assert rel.structural_str() == "u1 - (z^2 - x1^3*x2^6)"
         rel.corrections.append((F2.one, (4, 4, 0, 0)))
         assert rel.structural_str() == "u1 - (z^2 - x1^3*x2^6 - x1^4*x2^4)"
+
+    def test_display_matches_the_lifted_rendering(self):
+        # the display folds signs in characteristic 0 and prints them as
+        # written over GF(q); the oracle renders through the integer lift
+        rng = random.Random(17)
+        fields = [Field.rationals(), Field.finite(2), Field.finite(3), Field.finite(5),
+                  Field.finite(7), Field.finite(2, 2, (1, 1, 1)), Field.finite(3, 2, (1, 0, 1))]
+        rationals = [Fraction(c) for c in (1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-5, 3)]
+
+        def coeff(field):
+            if field.characteristic == 0:
+                return rng.choice(rationals)
+            return field.element(rng.randrange(1, field.order))  # nonzero
+
+        seen = set()
+        for _ in range(300):
+            field = rng.choice(fields)
+            d = rng.choice([1, 2])
+            ctx = VarContext(d, ("z", "u1"))
+
+            def mono():  # the length of the context before u1, or the x block only
+                e = tuple(rng.randrange(0, 5) for _ in range(d + 1))
+                return e if rng.random() < 0.7 else e[:d]
+
+            rel = Relation(var="u1", head_var="z", head_exp=rng.randrange(2, 5),
+                           tail_coeff=coeff(field), tail_expo=mono(), ctx=ctx, ring=field,
+                           corrections=[(coeff(field), mono())
+                                        for _ in range(rng.randrange(0, 4))])
+            assert rel.structural_str() == lifted_structural_str(rel)
+            c = rel.tail_coeff
+            seen.add("unit" if c == field.one else "negative" if field.is_negative(c)
+                     else "non-unit")
+        assert seen == {"unit", "non-unit", "negative"}
+        # sample_relations' coefficients are all nonzero in these fields
+        for field in fields[:1] + fields[3:5]:
+            for rel in sample_relations(field):
+                assert rel.structural_str() == lifted_structural_str(rel)
 
     def test_rhs_poly_char2(self, F2):
         ctx = VarContext(2, ("z", "u1"))

@@ -5,9 +5,10 @@ from math import gcd
 
 import pytest
 
-from kappainv import ConfigurationError, Field, UnsupportedLiftError, lift_coeff, reduce_coeff
+from kappainv import ConfigurationError, Field, UnsupportedLiftError, lift_coeff
 from kappainv import ring
 from kappainv.ring import ZZ, integer_nth_root
+from conftest import reduce_coeff
 
 # Reference arithmetic: schoolbook products over GF(p) and enumeration of the
 # whole field.  It shares nothing with the log/antilog tables under test; it
