@@ -12,7 +12,7 @@ from .deform import (GhostReport, InitialIdealReport, IntegerLift,
                      ghost_monomials, initial_forms_weighted, lift_presentation)
 from .errors import (ConfigurationError, ContractViolation, EngineError, KappaInvError,
                      ParseError, UnsupportedLiftError, ValidationError)
-from .kappa import (NOT_BINOMIAL, BinomialPower, KappaConfig, KappaInvariant, KappaResult,
+from .kappa import (BinomialPower, KappaConfig, KappaInvariant, KappaResult,
                     OverweightPresentation, Terminal, binomialize_modulo, compute_kappa,
                     prepare_polyhedron, verify_overweight)
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, back_substitute,
@@ -30,7 +30,7 @@ __all__ = [
     "BinomialPower", "ClassificationReport", "ConfigurationError", "ContractViolation",
     "DiscriminantReport", "EngineError", "Field", "GhostReport", "InitialIdealReport",
     "IntegerLift", "KappaConfig", "KappaInvError", "KappaInvariant", "KappaResult",
-    "NOT_BINOMIAL", "OrthantPolyhedron", "OverweightPresentation", "ParseError", "Poly",
+    "OrthantPolyhedron", "OverweightPresentation", "ParseError", "Poly",
     "QQ", "Relation", "Terminal", "UnsupportedLiftError", "ValidationError",
     "VarContext", "WeierstrassPoly", "ZZ", "back_substitute", "binomialize_modulo",
     "classify", "compute_kappa", "default_tropical_weight", "discriminant_z",

@@ -149,12 +149,9 @@ def _normalized_generator_str(poly: Poly) -> str:
     return poly.format()
 
 
-def _classification_report(result, d: int, truncation_key="certified_truncation") -> list:
-    """The report of a classification result.
-
-    truncation_key=None keeps the certified truncation as a text line only;
-    deform adds its JSON key after its own entries.
-    """
+def _classification_report(result, d: int) -> list:
+    """The report of a classification result, up to its certified truncation
+    line; the caller places the truncation key and the diagnostics."""
     report = [_kappa_entry(result.kappa, d)]
     for key, value in (("teissier", result.teissier), ("quasi_ordinary", result.quasi_ordinary)):
         value = "inconclusive" if value is None else value
@@ -165,9 +162,8 @@ def _classification_report(result, d: int, truncation_key="certified_truncation"
         report.append((None, None, ["weights: " + "; ".join(
             f"{name} -> {_tuple_str(str(c) for c in vec)}"
             for name, vec in result.presentation.weights.items())]))
-    report.append((truncation_key, result.certified_truncation,
-                   [f"certified truncation: {result.certified_truncation}"]))
-    return report + _diagnostics_entries(result.diagnostics)
+    report.append((None, None, [f"certified truncation: {result.certified_truncation}"]))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +215,9 @@ def _input_weierstrass(text: str, args, field: Field):
 def _drive_classify(text, args, field, config):
     result = classify(_input_weierstrass(text, args, field), config)
     code = EXIT_OK if result.decided else EXIT_INCONCLUSIVE
-    return code, _classification_report(result, args.d)
+    report = _classification_report(result, args.d)
+    report.append(("certified_truncation", result.certified_truncation, []))
+    return code, report + _diagnostics_entries(result.diagnostics)
 
 
 def _drive_kappa(text, args, field, config):
@@ -266,7 +264,7 @@ def _drive_deform(text, args, field, config):
                   for e, c in ghosts.ghosts]
     generators = [_normalized_generator_str(g) for g in ideal.generators_initial]
     source = "kappa-derived"
-    report = _classification_report(result, args.d, truncation_key=None)
+    report = _classification_report(result, args.d) + _diagnostics_entries(result.diagnostics)
     report.append((None, None, [f"prime: {lift.prime}", "lift generators:"]
                    + [f"  {g.format()}" for g in lift.generators()]))
     report.append(("hypersurface", hyper, [f"hypersurface over Z: {hyper}"]))

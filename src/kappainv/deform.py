@@ -25,7 +25,6 @@ class IntegerLift:
     prime: int
     relations: list          # Relation over ZZ, chain order
     final: Poly              # over ZZ, coefficient-wise canonical lift
-    weights: dict
     ctx: VarContext
 
     def generators(self) -> list:
@@ -40,7 +39,6 @@ class GhostReport:
 
 @dataclass
 class InitialIdealReport:
-    omega: tuple
     generators_initial: list  # initial form of each generator, over ZZ, unnormalized
     fiber_independent: bool
     witness: object           # (generator index, exponent, coeff) or None
@@ -62,7 +60,7 @@ def lift_presentation(pres: OverweightPresentation) -> IntegerLift:
                        [(lift_coeff(field, c), m) for c, m in rel.corrections])
               for rel in pres.relations]
     final = _lift_poly(pres.final.in_context(ctx), field)
-    return IntegerLift(field.characteristic, lifted, final, dict(pres.weights), ctx)
+    return IntegerLift(field.characteristic, lifted, final, ctx)
 
 
 def eliminate_to_hypersurface(lift: IntegerLift) -> Poly:
@@ -117,7 +115,7 @@ def initial_forms_weighted(lift: IntegerLift, omega) -> InitialIdealReport:
                 fiber_independent = False
                 if witness is None:
                     witness = (gi, e, c)
-    return InitialIdealReport(omega, inits, fiber_independent, witness)
+    return InitialIdealReport(inits, fiber_independent, witness)
 
 
 def default_tropical_weight(pres: OverweightPresentation, lam) -> tuple:

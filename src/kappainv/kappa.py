@@ -33,21 +33,6 @@ class Terminal(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class _NotBinomialType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_BINOMIAL"
-
-
-NOT_BINOMIAL = _NotBinomialType()
-
-
 @dataclass(frozen=True)
 class BinomialPower:
     """(main_var^inner_exp - coeff * x^tail_expo)^power, tail free of main_var."""
@@ -79,7 +64,6 @@ class KappaInvariant:
 
     vertices: tuple
     terminal: Terminal
-    certified_truncation: int
     budget_used: int
     multiplicities: tuple   # (n, e1, e2, ...)
     inner_exponents: tuple  # (n1, n2, ...)
@@ -196,7 +180,7 @@ def _read_shape(In: Poly, main_var: str):
     return _Shape(N, gexpo, gamma, gcd(N, *gexpo))
 
 
-def _decompose_at(In: Poly, shape: _Shape, power: int, main_var: str, ring):
+def _decompose_at(In: Poly, shape: _Shape, power: int, main_var: str):
     """Read In as (w^(N/power) - c*tail)^power; None if the shape or no root fits.
 
     shape is _read_shape(In).  c runs over the solutions of c^power =
@@ -208,7 +192,7 @@ def _decompose_at(In: Poly, shape: _Shape, power: int, main_var: str, ring):
     if shape.degree % power or any(v % power for v in shape.free_expo):
         return None
     tail = tuple(v // power for v in shape.free_expo)
-    gamma = shape.free_coeff
+    gamma, ring = shape.free_coeff, In.ring
     for c in ring.all_nth_roots(gamma if power % 2 == 0 else ring.neg(gamma), power):
         bp = BinomialPower(main_var, shape.degree // power, power, c, tail)
         if bp.expand(In.ctx, ring) == In:
@@ -245,7 +229,7 @@ def _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T):
     read once per node.
     """
     if shape is not None and shape.fit % power == 0:
-        res = _decompose_at(In, shape, power, stage.main_var, f.ring)
+        res = _decompose_at(In, shape, power, stage.main_var)
         if res is not None:
             return res, f
     if depth <= 0 or not relations:
@@ -265,68 +249,62 @@ def _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T):
     return None
 
 
-def binomialize_modulo(f: Poly, vertex, main_var: str, top_exp: int,
-                       relations, weights: dict, depth: int = 3, T=None, stage=None):
-    """Binomial-power form of the initial form at a vertex, modulo relations.
+def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations, depth: int = 3, T=None):
+    """Binomial-power form of the initial form at a vertex of the stage, modulo relations.
 
-    Returns (outcome, poly): outcome is a BinomialPower (with poly rewritten
-    along the successful chain of relation moves, heavier residue kept) or
-    NOT_BINOMIAL (with poly the input f).  The search fixes the candidate
-    power first, largest divisor first, so a rewrite that realizes a larger
-    power beats a direct match at a smaller one.  stage is the stage's
-    projection, built from the arguments when not given.  Each node's
-    initial form is read once (_read_shape); the direct check runs only at
-    the powers dividing its fit, and rewrites are explored at every power.
-    When no rewrite can run (no relations, or depth <= 0), only those
-    powers are tried.
+    Returns (outcome, poly): outcome is a BinomialPower in the stage's main
+    variable (with poly rewritten along the successful chain of relation
+    moves, heavier residue kept) or None, no power (with poly the input f).
+    The search fixes the candidate power first, largest divisor of the
+    stage's top exponent first, so a rewrite that realizes a larger power
+    beats a direct match at a smaller one.  Each node's initial form is read
+    once (_read_shape); the direct check runs only at the powers dividing
+    its fit, and rewrites are explored at every power.  When no rewrite can
+    run (no relations, or depth <= 0), only those powers are tried.
     """
     vertex = tuple(vertex)
-    stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
     In = stage.initial(f, vertex)  # shared by every power
-    shape = _read_shape(In, main_var)
-    powers = _divisors_desc(top_exp)
+    shape = _read_shape(In, stage.main_var)
+    powers = _divisors_desc(stage.top_exp)
     if depth <= 0 or not relations:
         powers = [] if shape is None else [p for p in powers if shape.fit % p == 0]
     for power in powers:
         found = _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T)
         if found is not None:
             return found
-    return NOT_BINOMIAL, f
+    return None, f
 
 
 # ---------------------------------------------------------------------------
 # preparation (solvable-vertex elimination)
 # ---------------------------------------------------------------------------
 
-def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp: int,
-                       config: KappaConfig, pending_relation: Relation = None,
-                       stage: StageProjection = None) -> PrepareResult:
-    """Eliminate solvable vertices by translating the top variable.
+def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
+                       config: KappaConfig) -> PrepareResult:
+    """Eliminate solvable vertices of the stage by translating its main variable.
 
     A vertex is solvable when its (binomialized) initial form is a power of
-    a binomial linear in the top variable; the translation by the solving
-    term strictly shrinks the polyhedron, which is asserted.  Translations
-    are recorded on the pending relation when one is given.  stage is the
-    stage's projection, built from the arguments when not given.  A
-    prepared polyhedron with one vertex comes with that vertex's
-    binomialization of the returned polynomial, reused when it was made on
-    that very polynomial.
+    a binomial linear in the main variable; the translation by the solving
+    term strictly shrinks the polyhedron, which is asserted.  Each
+    translation is recorded on the relation that defines the main variable
+    (none at the z stage).  A prepared polyhedron with one vertex comes with
+    that vertex's binomialization of the returned polynomial, reused when it
+    was made on that very polynomial.
     """
     T = config.truncation
     eliminations = 0
     diagnostics = []
     processed = set()
     decomposed = {}  # vertex -> (polynomial, (outcome, poly)) of its last binomialization
-    stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
+    defining = next((rel for rel in relations if rel.var == stage.main_var), None)
     P = stage.polyhedron(f)
     for _ in range(_PREPARE_FUEL):
         for v in P.vertices:
             if v in processed:
                 continue
-            outcome, f2 = binomialize_modulo(f, v, main_var, top_exp, relations,
-                                             weights, config.depth, T, stage)
+            outcome, f2 = binomialize_modulo(f, v, stage, relations, config.depth, T)
             decomposed[v] = f, (outcome, f2)
-            if outcome is NOT_BINOMIAL:
+            if outcome is None:
                 processed.add(v)
                 continue
             if outcome.inner_exp > 1:
@@ -341,12 +319,12 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
                 diagnostics.append(f"elimination budget ({config.budget}) exhausted")
                 return PrepareResult(f, P, PrepStatus.INCONCLUSIVE, eliminations, diagnostics)
             before = P if f2 is f else stage.polyhedron(f2)
-            f = translate(f2, main_var, outcome.coeff, outcome.tail_expo, T)
-            # the translation redefines the pending variable, so its relation
+            f = translate(f2, stage.main_var, outcome.coeff, outcome.tail_expo, T)
+            # the translation redefines the main variable, so its relation
             # must record the solving term before any head power is rewritten
             # through it
-            if pending_relation is not None:
-                pending_relation.corrections.append((outcome.coeff, tuple(outcome.tail_expo)))
+            if defining is not None:
+                defining.corrections.append((outcome.coeff, tuple(outcome.tail_expo)))
             f = normal_form(f, relations, T)
             P = stage.polyhedron(f)
             if not polyhedron_leq(P, before) or polyhedron_leq(before, P):
@@ -359,8 +337,7 @@ def prepare_polyhedron(f: Poly, relations, weights: dict, main_var: str, top_exp
                 v = P.vertices[0]
                 made_on, decomposition = decomposed[v]
                 if made_on is not f:  # f was rewritten or translated since
-                    decomposition = binomialize_modulo(f, v, main_var, top_exp, relations,
-                                                       weights, config.depth, T, stage)
+                    decomposition = binomialize_modulo(f, v, stage, relations, config.depth, T)
             return PrepareResult(f, P, PrepStatus.PREPARED, eliminations, diagnostics,
                                  decomposition)
     raise EngineError("preparation did not stabilize within its fuel bound")
@@ -396,13 +373,12 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
     inner = []
     main = "z"
     top_exp = wf.n
-    pending = None
     budget_used = 0
     terminal = final_head = None
 
     while True:
         stage = StageProjection(f.ctx, main, top_exp, weights)
-        prep = prepare_polyhedron(f, relations, weights, main, top_exp, config, pending, stage)
+        prep = prepare_polyhedron(f, stage, relations, config)
         f = prep.poly
         budget_used += prep.eliminations
         diagnostics.extend(prep.diagnostics)
@@ -432,7 +408,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
             break
         v = P.vertices[0]
         outcome, f = prep.decomposition
-        if outcome is NOT_BINOMIAL:
+        if outcome is None:
             diagnostics.append("initial form not a binomial power; input may be reducible")
             terminal = Terminal.INCONCLUSIVE
             break
@@ -459,11 +435,10 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
         relations.append(rel)
         f = power_substitute(f, main, bp.inner_exp, rel.replacement_poly(), T)
         f = normal_form(f, relations, T)
-        pending = rel
         main = newvar
         top_exp = bp.power
 
-    invariant = KappaInvariant(tuple(vertices), terminal, T, budget_used,
+    invariant = KappaInvariant(tuple(vertices), terminal, budget_used,
                                tuple(mults), tuple(inner))
     presentation = None
     if terminal is Terminal.INFINITY:

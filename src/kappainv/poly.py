@@ -679,7 +679,8 @@ def derivative(f: Poly, name: str) -> Poly:
 
 @dataclass(frozen=True)
 class WeierstrassPoly:
-    """A polynomial accepted by weierstrass_validate: monic in z, f(0) = 0, no u's."""
+    """A polynomial accepted by weierstrass_validate: monic in z, every other
+    z-coefficient vanishing at the origin, no u's."""
 
     poly: Poly
     n: int
@@ -702,6 +703,12 @@ def weierstrass_validate(f: Poly) -> WeierstrassPoly:
         raise ValidationError("not monic in z: the z-leading coefficient is not 1")
     if not f.ring.is_zero(f.constant_coeff()):
         raise ValidationError("f(0) != 0")
+    # a unit z-coefficient below the top puts a vertex at the origin, where no
+    # binomial power fits
+    units = [e[zidx] for e in f.terms if e != top and not any(e[:ctx.d])]
+    if units:
+        raise ValidationError("not a Weierstrass polynomial: the coefficient of "
+                              f"{format_monomial(ctx.unit('z', min(units)), ctx)} is a unit")
     return WeierstrassPoly(f, n)
 
 

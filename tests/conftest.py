@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import (NOT_BINOMIAL, ZZ, ContractViolation, Field, Poly, Relation,
+from kappainv import (ZZ, ContractViolation, Field, Poly, Relation,
                       UnsupportedLiftError, VarContext, lift_coeff, parse_polynomial,
                       weierstrass_validate)
 from kappainv.kappa import _decompose_at, _divisors_desc, _read_shape
@@ -44,6 +44,11 @@ def mk(text, d, field, aux=("z",)):
 def mkw(text, d, field):
     """Parse and validate a Weierstrass polynomial."""
     return weierstrass_validate(mk(text, d, field))
+
+
+def z_stage(f, n):
+    """The first kappa stage of f: main variable z, top exponent n, no weights."""
+    return StageProjection(f.ctx, "z", n, {})
 
 
 def rand_poly(rng, ctx, field, nterms=4, maxexp=3):
@@ -94,22 +99,22 @@ def initial_form(f, vertex, main_var, top_exp, weights):
     return stage.initial(f, tuple(vertex))
 
 
-def binomial_power_decompose(In, main_var, ring=None):
+def binomial_power_decompose(In, main_var):
     """Maximal-power binomial decomposition of a vertex initial form.
 
     The shape is read once, then every divisor of the main degree is tried
     in decreasing order; the first full expansion match wins, and
-    NOT_BINOMIAL means no power matches.
+    None means no power matches.
     """
     midx = In.ctx.var_index(main_var)
     if not any(e[midx] for e in In.terms):
         raise ContractViolation("main variable does not occur")
     shape = _read_shape(In, main_var)
     for power in _divisors_desc(shape.degree) if shape else ():
-        res = _decompose_at(In, shape, power, main_var, ring or In.ring)
+        res = _decompose_at(In, shape, power, main_var)
         if res is not None:
             return res
-    return NOT_BINOMIAL
+    return None
 
 
 def lifted_structural_str(rel):

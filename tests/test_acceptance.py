@@ -20,7 +20,7 @@ from kappainv import (BinomialPower, Field, KappaConfig, Poly, Terminal, VarCont
 from kappainv.poly import format_monomial
 from kappainv.ring import ZZ
 from test_polyhedron import member_oracle
-from conftest import binomial_power_decompose, mk, mkw
+from conftest import binomial_power_decompose, mk, mkw, z_stage
 
 
 def F(a, b=1):
@@ -124,7 +124,7 @@ def test_criterion_5_initial_ideal_fiber_independence():
 @timed(1.0)
 def test_criterion_6_char0_preparation():
     f = mk("z^2 - 2*x1*z + x1^2 - x1^3", 1, Q)
-    prep = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig())
+    prep = prepare_polyhedron(f, z_stage(f, 2), [], KappaConfig())
     assert prep.eliminations == 1  # the strict-shrink assertion ran exactly once
     assert prep.polyhedron.vertices == ((F(3, 2),),)
     res = compute_kappa(weierstrass_validate(f))
@@ -200,10 +200,10 @@ def test_criterion_7_property_suites(monkeypatch):
     recorded = []
     original = kappa_mod._decompose_at
 
-    def recording(In, shape, power, main_var, ring):
-        res = original(In, shape, power, main_var, ring)
+    def recording(In, shape, power, main_var):
+        res = original(In, shape, power, main_var)
         if isinstance(res, BinomialPower):
-            recorded.append((res, In, In.ctx, ring))
+            recorded.append((res, In, In.ctx, In.ring))
         return res
 
     monkeypatch.setattr(kappa_mod, "_decompose_at", recording)
@@ -237,7 +237,7 @@ def test_criterion_7_property_suites(monkeypatch):
         ok, violations = verify_overweight(pres)                    # (d)
         assert ok, violations
         back = back_substitute(pres.final, pres.relations)          # (c)
-        prepared = prepare_polyhedron(wf.poly, [], {}, "z", wf.n, KappaConfig()).poly
+        prepared = prepare_polyhedron(wf.poly, z_stage(wf.poly, wf.n), [], KappaConfig()).poly
         assert back == prepared
 
     # (e) resultant against the factored-form oracle

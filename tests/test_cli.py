@@ -187,6 +187,40 @@ class TestOtherCommands:
         assert "budget" in out
 
 
+class TestNotWeierstrass:
+    """A unit z-coefficient below the monic top is an input error (exit 1) in
+    every subcommand; a z-coefficient vanishing at the origin is accepted."""
+
+    @pytest.mark.parametrize("command", ["classify", "kappa", "polyhedron", "discriminant",
+                                         "deform"])
+    @pytest.mark.parametrize("char, text", [("0", "z^2 + z"), ("2", "z^2 + z + x1"),
+                                            ("0", "z^3 + x1*z^2 + z"),
+                                            ("2", "z^3 + x1*z^2 + z")])
+    def test_unit_coefficient_exits_1(self, capsys, command, char, text):
+        code = main([command, "--char", char, text])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: not a Weierstrass polynomial: "
+                                "the coefficient of z is a unit\n")
+
+    @pytest.mark.parametrize("char", ["0", "2"])
+    def test_vanishing_coefficient_is_accepted(self, capsys, char):
+        code, out = run(capsys, ["classify", "--char", char, "z^2 + x1*z"])
+        assert code == 2
+        assert "initial form not a binomial power" in out
+
+    def test_batch_reports_the_line(self, capsys, tmp_path):
+        batch = tmp_path / "inputs.txt"
+        batch.write_text("z^2 + z\nz^2 - x1^3\n")
+        code, out = run(capsys, ["classify", "--char", "2", "--json", "--batch", str(batch)])
+        assert code == 1
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert docs[0] == {"error": "not a Weierstrass polynomial: "
+                                    "the coefficient of z is a unit"}
+        assert docs[1]["kappa"]["terminal"] == "inf"
+
+
 class TestBatch:
     def test_order_and_exit_codes(self, capsys, tmp_path):
         batch = tmp_path / "inputs.txt"

@@ -219,7 +219,7 @@ class TestInitialIdeal:
         ctx = VarContext(1, ("z",))
         from kappainv.deform import IntegerLift
         gen = zz_poly("2*z^2 - x1^3", ctx)
-        lift = IntegerLift(2, [], gen, {}, ctx)
+        lift = IntegerLift(2, [], gen, ctx)
         rep = initial_forms_weighted(lift, (F(3), F(2)))
         assert not rep.fiber_independent
         assert rep.witness is not None

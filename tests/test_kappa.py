@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import (NOT_BINOMIAL, BinomialPower, ConfigurationError, ContractViolation,
+from kappainv import (BinomialPower, ConfigurationError, ContractViolation,
                       Field, KappaConfig, Poly, Relation, Terminal, VarContext, back_substitute,
                       binomialize_modulo, compute_kappa, parse_polynomial, prepare_polyhedron,
                       substitute, verify_overweight)
@@ -13,7 +13,7 @@ import kappainv.poly
 from kappainv.polyhedron import StageProjection
 from kappainv.kappa import PrepStatus, _apply_rewrite
 from conftest import (binomial_power_decompose, initial_form, mk, mkw, rand_poly,
-                      sample_relations)
+                      sample_relations, z_stage)
 
 
 def F(a, b=1):
@@ -60,12 +60,12 @@ class TestDecompose:
 
     def test_no_free_term_is_not_binomial(self, QQ):
         In = mk("z^2 + x1*z", 1, QQ)
-        assert binomial_power_decompose(In, "z") is NOT_BINOMIAL
+        assert binomial_power_decompose(In, "z") is None
 
     def test_two_free_terms_is_not_binomial(self, QQ):
         In = mk("z^2 - x1^2 - x1^3", 1, QQ)
         # (3,) is not divisible by 2 and two w-free monomials never fit one tail
-        assert binomial_power_decompose(In, "z") is NOT_BINOMIAL
+        assert binomial_power_decompose(In, "z") is None
 
     def test_negative_choice_of_root(self, QQ):
         In = mk("z^2 + 2*x1*z + x1^2", 1, QQ)
@@ -76,7 +76,7 @@ class TestDecompose:
         # full binomial grid, but (z - c*x1)^2 needs -2c = 1, so c = 2, and
         # c^2 = 4 != 2 in every extension of GF(5): no extension helps
         In = mk("z^2 + x1*z + 2*x1^2", 1, F5)
-        assert binomial_power_decompose(In, "z") is NOT_BINOMIAL
+        assert binomial_power_decompose(In, "z") is None
 
     def test_missing_cross_term_in_odd_char_falls_through(self, F5):
         # without the x1*z slot the e=2 pattern is impossible in char 5,
@@ -89,7 +89,7 @@ class TestDecompose:
         # the full grid, but the cross term forces c = -1/2 and c^2 = 1/4 != 2
         # over every extension of Q: two distinct factors, never a square
         In = mk("z^2 + x1*z + 2*x1^2", 1, QQ)
-        assert binomial_power_decompose(In, "z") is NOT_BINOMIAL
+        assert binomial_power_decompose(In, "z") is None
 
     def test_char0_missing_cross_term_falls_through(self, QQ):
         # z^2 - 2x1^2 has no root in Q, and in char 0 the cross term would be
@@ -131,14 +131,14 @@ class TestNoExtensionHelps:
                     want = None
                     for field in [base] + extensions:
                         res = binomial_power_decompose(Poly(ctx, field, terms), "z")
-                        got = res if res is NOT_BINOMIAL else res.power
+                        got = res if res is None else res.power
                         if want is None:
                             want = got
                         assert got == want, (p, field.extension_degree, terms)
                     seen.add(want)
                     forms += 1
         assert forms == 3106
-        assert seen == {NOT_BINOMIAL, 1, 2, 3, 4}
+        assert seen == {None, 1, 2, 3, 4}
 
 
 class TestBinomializeModulo:
@@ -148,7 +148,8 @@ class TestBinomializeModulo:
                        tail_expo=(3, 6, 0, 0), ctx=ctx, ring=F2)
         f = parse_polynomial("u1^4 + x1^15*x2^30", ctx, F2)
         v = (F(15, 4), F(15, 2))
-        outcome, f2 = binomialize_modulo(f, v, "u1", 4, [rel], {"z": (F(3, 2), F(3))})
+        stage = StageProjection(ctx, "u1", 4, {"z": (F(3, 2), F(3))})
+        outcome, f2 = binomialize_modulo(f, v, stage, [rel])
         assert isinstance(outcome, BinomialPower)
         assert (outcome.inner_exp, outcome.power) == (2, 2)
         assert outcome.tail_expo == (6, 12, 1, 0)
@@ -158,7 +159,8 @@ class TestBinomializeModulo:
         ctx = VarContext(2, ("z", "u1"))
         f = parse_polynomial("u1^4 + x1^12*x2^24*z^2", ctx, F2)
         v = (F(15, 4), F(15, 2))
-        outcome, f2 = binomialize_modulo(f, v, "u1", 4, [], {"z": (F(3, 2), F(3))})
+        stage = StageProjection(ctx, "u1", 4, {"z": (F(3, 2), F(3))})
+        outcome, f2 = binomialize_modulo(f, v, stage, [])
         assert isinstance(outcome, BinomialPower)
         assert f2 is f
 
@@ -168,8 +170,9 @@ class TestBinomializeModulo:
                        tail_expo=(3, 0, 0), ctx=ctx, ring=QQ)
         f = parse_polynomial("u1^2 + x1*z*u1", ctx, QQ)
         v = (F(2),)
-        outcome, f2 = binomialize_modulo(f, v, "u1", 2, [rel], {"z": (F(1),)})
-        assert outcome is NOT_BINOMIAL
+        stage = StageProjection(ctx, "u1", 2, {"z": (F(1),)})
+        outcome, f2 = binomialize_modulo(f, v, stage, [rel])
+        assert outcome is None
         assert f2 is f
 
     def test_root_initial_form_built_once(self, QQ, monkeypatch):
@@ -186,8 +189,9 @@ class TestBinomializeModulo:
             return initial(stage, g, vertex)
 
         monkeypatch.setattr(StageProjection, "initial", counting)
-        outcome, f2 = binomialize_modulo(f, (F(2, 5),), "u1", 6, [rel], {"z": (F(1),)})
-        assert outcome is NOT_BINOMIAL
+        stage = StageProjection(ctx, "u1", 6, {"z": (F(1),)})
+        outcome, f2 = binomialize_modulo(f, (F(2, 5),), stage, [rel])
+        assert outcome is None
         assert f2 is f
         assert built.count(True) == 1
         assert built.count(False) == 4  # the rewritten node under each power builds its own
@@ -267,11 +271,11 @@ class TestPowerFilter:
             rel = Relation(var="u1", head_var="z", head_exp=1, tail_coeff=field.one,
                            tail_expo=(1, 1, 0), ctx=ctx, ring=field)
             for relations, depth in (([], 3), ([rel], 0)):
-                outcome, f2 = binomialize_modulo(f, v, "z", n, relations, {}, depth)
+                outcome, f2 = binomialize_modulo(f, v, z_stage(f, n), relations, depth)
                 assert outcome == want
                 assert f2 is f
             seen.add(type(want).__name__)
-        assert seen == {"BinomialPower", "_NotBinomialType"}
+        assert seen == {"BinomialPower", "NoneType"}
 
     @pytest.mark.parametrize("text, d, field", [
         ("z^2 + x1*x2*z + 2*x1^2*x2^2", 2, "QQ"),
@@ -282,31 +286,30 @@ class TestPowerFilter:
         f = mk(text, d, request.getfixturevalue(field))
         v = tuple(F(1) for _ in range(d))
         want = binomial_power_decompose(initial_form(f, v, "z", 2, {}), "z")
-        assert want is NOT_BINOMIAL
+        assert want is None
         for depth in (0, 3):
-            assert binomialize_modulo(f, v, "z", 2, [], {}, depth) == (want, f)
+            assert binomialize_modulo(f, v, z_stage(f, 2), [], depth) == (want, f)
 
     def test_non_monic_raises_as_the_walk_does(self, QQ):
         f = mk("2*z^2 + x1^3", 1, QQ)
         with pytest.raises(ContractViolation, match="not monic in the main variable"):
-            binomial_power_decompose(StageProjection(f.ctx, "z", 2, {}).initial(f, (F(3, 2),)),
-                                     "z")
+            binomial_power_decompose(z_stage(f, 2).initial(f, (F(3, 2),)), "z")
         for depth in (0, 3):
             with pytest.raises(ContractViolation, match="not monic in the main variable"):
-                binomialize_modulo(f, (F(3, 2),), "z", 2, [], {}, depth)
+                binomialize_modulo(f, (F(3, 2),), z_stage(f, 2), [], depth)
 
     def test_one_decomposition_for_a_coprime_tail(self, QQ, monkeypatch):
         # gcd(12, 7, 11) = 1: the divisors 12, 6, 4, 3 and 2 cannot fit
         calls = []
         real = kappainv.kappa._decompose_at
 
-        def counting(In, shape, power, main_var, ring):
+        def counting(In, shape, power, main_var):
             calls.append(power)
-            return real(In, shape, power, main_var, ring)
+            return real(In, shape, power, main_var)
 
         monkeypatch.setattr(kappainv.kappa, "_decompose_at", counting)
         wf = mkw("z^12 - 5*x1^7*x2^11", 2, QQ)
-        outcome, _ = binomialize_modulo(wf.poly, (F(7, 12), F(11, 12)), "z", 12, [], {})
+        outcome, _ = binomialize_modulo(wf.poly, (F(7, 12), F(11, 12)), z_stage(wf.poly, 12), [])
         assert (outcome.inner_exp, outcome.power) == (12, 1)
         assert calls == [1]
         calls.clear()
@@ -314,17 +317,15 @@ class TestPowerFilter:
         assert calls == [1]
 
 
-def unfiltered_binomialize(f, vertex, main_var, top_exp, relations, weights, depth=3, T=None,
-                           stage=None):
+def unfiltered_binomialize(f, vertex, stage, relations, depth=3, T=None):
     """binomialize_modulo without the shape filter: the direct check runs at
     every power on every node of the rewrite search."""
-    vertex = tuple(vertex)
-    stage = stage or StageProjection(f.ctx, main_var, top_exp, weights)
+    vertex, main_var = tuple(vertex), stage.main_var
 
     def search(g, In, power, depth):
         shape = kappainv.kappa._read_shape(In, main_var)
         if shape is not None:
-            res = kappainv.kappa._decompose_at(In, shape, power, main_var, g.ring)
+            res = kappainv.kappa._decompose_at(In, shape, power, main_var)
             if res is not None:
                 return g, res
         if depth <= 0 or not relations:
@@ -341,12 +342,12 @@ def unfiltered_binomialize(f, vertex, main_var, top_exp, relations, weights, dep
         return None
 
     In = stage.initial(f, vertex)
-    for power in kappainv.kappa._divisors_desc(top_exp):
+    for power in kappainv.kappa._divisors_desc(stage.top_exp):
         found = search(f, In, power, depth)
         if found is not None:
             g, outcome = found
             return outcome, g
-    return NOT_BINOMIAL, f
+    return None, f
 
 
 class TestShapeFilterWithRelations:
@@ -367,12 +368,10 @@ class TestShapeFilterWithRelations:
         calls = []
         real = kappainv.kappa.binomialize_modulo
 
-        def recording(f, vertex, main_var, top_exp, relations, weights, depth=3, T=None,
-                      stage=None):
+        def recording(f, vertex, stage, relations, depth=3, T=None):
             if relations:
-                calls.append((f, tuple(vertex), main_var, top_exp, list(relations),
-                              dict(weights), depth, T, stage))
-            return real(f, vertex, main_var, top_exp, relations, weights, depth, T, stage)
+                calls.append((f, tuple(vertex), stage, list(relations), depth, T))
+            return real(f, vertex, stage, relations, depth, T)
 
         with monkeypatch.context() as m:
             m.setattr(kappainv.kappa, "binomialize_modulo", recording)
@@ -406,11 +405,11 @@ class TestShapeFilterWithRelations:
         calls = self.engine_calls(request, monkeypatch)
         assert len(calls) >= 4
         seen = set()
-        for f, vertex, main_var, top_exp, relations, weights, _, T, stage in calls:
+        for f, vertex, stage, relations, _, T in calls:
             for _ in range(40):
                 g = self.perturbed(rng, f, stage.top)
                 depth = rng.randrange(4)
-                args = (g, vertex, main_var, top_exp, relations, weights, depth, T, stage)
+                args = (g, vertex, stage, relations, depth, T)
                 try:
                     want = unfiltered_binomialize(*args)
                 except ContractViolation:
@@ -423,7 +422,7 @@ class TestShapeFilterWithRelations:
                 assert got[1] == want[1]
                 assert (got[1] is g) == (want[1] is g)
                 seen.add("rewritten" if want[1] is not g else type(want[0]).__name__)
-        assert {"rewritten", "BinomialPower", "_NotBinomialType", "non-monic"} <= seen
+        assert {"rewritten", "BinomialPower", "NoneType", "non-monic"} <= seen
 
     def test_fewer_decompositions(self, request, monkeypatch):
         calls = self.engine_calls(request, monkeypatch)
@@ -474,7 +473,7 @@ class TestOneBinomializationPerPair:
 class TestPrepare:
     def test_one_elimination(self, QQ):
         f = mk("z^2 - 2*x1*z + x1^2 - x1^3", 1, QQ)
-        res = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig())
+        res = prepare_polyhedron(f, z_stage(f, 2), [], KappaConfig())
         assert res.status is PrepStatus.PREPARED
         assert res.eliminations == 1
         assert res.polyhedron.vertices == ((F(3, 2),),)
@@ -482,7 +481,7 @@ class TestPrepare:
 
     def test_already_prepared(self, F2):
         f = mk("z^2 - x1^3", 1, F2)
-        res = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig())
+        res = prepare_polyhedron(f, z_stage(f, 2), [], KappaConfig())
         assert res.status is PrepStatus.PREPARED
         assert res.eliminations == 0
 
@@ -491,7 +490,7 @@ class TestPrepare:
         # oracle: a single translation by x1 + x1^2 lands on z^2 - x1^9
         shifted = substitute(f, "z", mk("z + x1 + x1^2", 1, QQ))
         assert shifted == mk("z^2 - x1^9", 1, QQ)
-        res = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig())
+        res = prepare_polyhedron(f, z_stage(f, 2), [], KappaConfig())
         assert res.status is PrepStatus.PREPARED
         assert res.eliminations == 2
         assert res.polyhedron.vertices == ((F(9, 2),),)
@@ -506,7 +505,7 @@ class TestPrepare:
 
         monkeypatch.setattr(StageProjection, "polyhedron", counting)
         f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)
-        res = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig())
+        res = prepare_polyhedron(f, z_stage(f, 2), [], KappaConfig())
         assert res.eliminations == 2
         assert len(built) == 1 + res.eliminations
 
@@ -527,14 +526,16 @@ class TestPrepare:
         for module in (kappainv.poly, kappainv.kappa):
             monkeypatch.setattr(module, "substitute", refuse, raising=False)
         f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)
-        assert prepare_polyhedron(f, [], {}, "z", 2, KappaConfig()).eliminations == 2
+        assert prepare_polyhedron(f, z_stage(f, 2), [], KappaConfig()).eliminations == 2
         res = compute_kappa(mkw("z^4 + x1^8*z^2 + x1^13*z + x1^6", 1, F2))
         assert res.invariant.as_string(1) == "(3/2, 29/4, inf)"
         assert translated == ["z", "z", "u1"]
+        # preparation records the u1 translation on the relation defining u1
+        assert res.presentation.relations[0].corrections == [(F2.one, (4, 1, 0))]
 
     def test_budget_exhaustion(self, QQ):
         f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)
-        res = prepare_polyhedron(f, [], {}, "z", 2, KappaConfig(budget=1))
+        res = prepare_polyhedron(f, z_stage(f, 2), [], KappaConfig(budget=1))
         assert res.status is PrepStatus.INCONCLUSIVE
         assert res.eliminations == 1
 
@@ -674,7 +675,7 @@ class TestEngineProperties:
             # translations of z shift the input before the relations see it;
             # undo them through the recorded eliminations is not needed here
             # because every fixture's final stage consumed the prepared form
-            prepared = prepare_polyhedron(wf.poly, [], {}, "z", wf.n, KappaConfig()).poly
+            prepared = prepare_polyhedron(wf.poly, z_stage(wf.poly, wf.n), [], KappaConfig()).poly
             assert back == prepared
 
     def test_overweight_self_check(self):

@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from kappainv import compute_kappa
+import kappainv
 from conftest import mkw
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -46,11 +46,18 @@ def test_tracer_sees_the_engine_through_the_stage(F2):
     try:
         tr.begin_case("three-stage")
         # the README's three-stage example in z + x1*x2^2: one elimination,
-        # whose shrink check runs membership tests
-        res = compute_kappa(mkw("z^8 + x1^8*x2^16 + x1^12*x2^24 + x1^15*x2^30", 2, F2))
+        # whose shrink check runs membership tests.  The package attribute is
+        # looked up after install(), so the call goes through the wrapper.
+        res = kappainv.compute_kappa(
+            mkw("z^8 + x1^8*x2^16 + x1^12*x2^24 + x1^15*x2^30", 2, F2))
         tr.end_case()
     finally:
         tr.uninstall()
     assert len(res.invariant.vertices) == 3
     for span in ("polyhedron.hull", "polyhedron.member", "kappa.binomialize"):
         assert tr.calls.get(span, 0) > 0, span
+    # the observers read the wrapped functions' results: a change to their
+    # shape must fail here, not zero a per-layer metric
+    assert tr.counters["kappa.eliminations"] == 1
+    assert tr.counters["kappa.stages"] == 3
+    assert tr.counters["kappa.binomialize.hits"] == tr.calls["kappa.binomialize"] == 5

@@ -574,6 +574,26 @@ class TestWeierstrass:
         with pytest.raises(ValidationError, match="monic"):
             weierstrass_validate(mk("z^2 + x1*z^2 + x1", 1, QQ))
 
+    @pytest.mark.parametrize("text, field, power", [
+        ("z^2 + z", "QQ", "z"),                # z*(1 + z), a smooth germ
+        ("z^2 + z + x1", "F2", "z"),
+        ("z^3 + x1*z^2 + z", "QQ", "z"),
+        ("z^3 + x1*z^2 + z", "F2", "z"),
+        ("z^3 - 2*z^2 + x1^2", "QQ", "z^2"),
+        ("z^3 + z^2 + z + x1", "F2", "z"),     # the lowest unit coefficient is named
+    ])
+    def test_rejects_a_unit_z_coefficient(self, request, text, field, power):
+        # a unit coefficient below the top puts a vertex at the origin
+        with pytest.raises(ValidationError) as err:
+            weierstrass_validate(mk(text, 1, request.getfixturevalue(field)))
+        assert str(err.value) == (
+            f"not a Weierstrass polynomial: the coefficient of {power} is a unit")
+
+    def test_accepts_z_coefficients_vanishing_at_the_origin(self, QQ, F2):
+        for field in (QQ, F2):
+            assert weierstrass_validate(mk("z^2 + x1*z", 1, field)).n == 2
+            assert weierstrass_validate(mk("z^3 + x1*z^2 + x2^3*z + x1^5", 2, field)).n == 3
+
 
 class TestRelationDisplay:
     def test_structural_string_lifts_signs(self, F2):

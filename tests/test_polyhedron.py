@@ -479,4 +479,4 @@ class TestStageProjection:
         with pytest.raises(ConfigurationError, match="missing weight"):
             short.initial(f, (F(1), F(2)))
         with pytest.raises(ConfigurationError, match="missing weight"):
-            prepare_polyhedron(f, [], {"z": (F(1), F(2))}, "u2", 3, KappaConfig(), stage=short)
+            prepare_polyhedron(f, short, [], KappaConfig())

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import kappainv.quasiord
-from kappainv import (ZZ, ContractViolation, Field, Poly, Terminal, VarContext, classify,
-                      discriminant_z, is_monomial_times_unit, weierstrass_validate)
+from kappainv import (ZZ, ContractViolation, Field, Poly, Terminal, VarContext, WeierstrassPoly,
+                      classify, discriminant_z, is_monomial_times_unit, weierstrass_validate)
 from kappainv.poly import derivative
 from kappainv.quasiord import _z_coefficients
 from conftest import mk, mkw
@@ -23,14 +23,18 @@ def rand_series(rng, ctx, field, deg):
 
 
 def rand_weierstrass(rng, field):
-    """z^n, n in 2..5, plus 2-6 terms in 1-2 x-variables (exponents 0..4, coefficients +-1..3)."""
+    """z^n, n in 2..5, plus 2-6 terms in 1-2 x-variables (exponents 0..4, coefficients +-1..3).
+
+    A z-only term may carry a unit coefficient, so the result need not pass
+    weierstrass_validate; discriminant_z needs only a monic polynomial.
+    """
     d, n = rng.randint(1, 2), rng.randint(2, 5)
     terms = {(0,) * d + (n,): field.one}
     for _ in range(rng.randint(2, 6)):
         e = tuple(rng.randint(0, 4) for _ in range(d)) + (rng.randrange(n),)
         if any(e):  # keeps f(0) = 0
             terms[e] = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
-    return weierstrass_validate(Poly(VarContext(d), field, terms))
+    return WeierstrassPoly(Poly(VarContext(d), field, terms), n)
 
 
 def sylvester_matrix(f, g):
@@ -258,7 +262,7 @@ class TestIntegerResultant:
                 e = next(e for e in wf.poly.terms if e != wf.poly.ctx.unit("z", wf.n))
                 terms = dict(wf.poly.terms)
                 terms[e] = terms[e] / 2
-                wf = weierstrass_validate(Poly(wf.poly.ctx, QQ, terms))
+                wf = WeierstrassPoly(Poly(wf.poly.ctx, QQ, terms), wf.n)
             T = rng.choice([None, rng.randint(1, 12)])
             rings.clear()
             rep = discriminant_z(wf, T)
