@@ -149,7 +149,7 @@ def _normalized_generator_str(poly: Poly) -> str:
     return poly.format()
 
 
-def _classification_report(result, d: int) -> list:
+def _classification_report(result, d: int, truncation: int) -> list:
     """The report of a classification result, up to its certified truncation
     line; the caller places the truncation key and the diagnostics."""
     report = [_kappa_entry(result.kappa, d)]
@@ -162,7 +162,7 @@ def _classification_report(result, d: int) -> list:
         report.append((None, None, ["weights: " + "; ".join(
             f"{name} -> {_tuple_str(str(c) for c in vec)}"
             for name, vec in result.presentation.weights.items())]))
-    report.append((None, None, [f"certified truncation: {result.certified_truncation}"]))
+    report.append((None, None, [f"certified truncation: {truncation}"]))
     return report
 
 
@@ -215,8 +215,8 @@ def _input_weierstrass(text: str, args, field: Field):
 def _drive_classify(text, args, field, config):
     result = classify(_input_weierstrass(text, args, field), config)
     code = EXIT_OK if result.decided else EXIT_INCONCLUSIVE
-    report = _classification_report(result, args.d)
-    report.append(("certified_truncation", result.certified_truncation, []))
+    report = _classification_report(result, args.d, config.truncation)
+    report.append(("certified_truncation", config.truncation, []))
     return code, report + _diagnostics_entries(result.diagnostics)
 
 
@@ -264,7 +264,8 @@ def _drive_deform(text, args, field, config):
                   for e, c in ghosts.ghosts]
     generators = [_normalized_generator_str(g) for g in ideal.generators_initial]
     source = "kappa-derived"
-    report = _classification_report(result, args.d) + _diagnostics_entries(result.diagnostics)
+    report = (_classification_report(result, args.d, config.truncation)
+              + _diagnostics_entries(result.diagnostics))
     report.append((None, None, [f"prime: {lift.prime}", "lift generators:"]
                    + [f"  {g.format()}" for g in lift.generators()]))
     report.append(("hypersurface", hyper, [f"hypersurface over Z: {hyper}"]))

@@ -364,6 +364,7 @@ def format_signed_terms(pieces, ctx: VarContext, ring) -> str:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z]\w*)|([+\-*^/])")
+_VARIABLE_RE = re.compile(r"x[0-9]+|z|u[0-9]+")
 
 
 def _tokenize(text: str):
@@ -476,7 +477,7 @@ class _Parser:
         kind, val, pos = self.take()
         if kind != "name":
             raise ParseError("expected a variable", pos)
-        if not re.fullmatch(r"x[0-9]+|z|u[0-9]+", val):
+        if not _VARIABLE_RE.fullmatch(val):
             raise ParseError(f"unknown variable {val!r}", pos)
         try:
             idx = self.ctx.var_index(val)

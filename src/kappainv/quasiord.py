@@ -11,12 +11,10 @@ convention, which covers the purely inseparable case in characteristic p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import ContractViolation
 from .kappa import (KappaConfig, KappaResult, Terminal, compute_kappa)
 from .poly import Poly, WeierstrassPoly, derivative, exact_div
-from .ring import QQ, ZZ
 
 
 @dataclass(frozen=True)
@@ -109,21 +107,16 @@ def discriminant_z(wf: WeierstrassPoly, T=None) -> DiscriminantReport:
     The resultant runs on the stored coefficients as exact polynomials and
     the certificate T of the truncated input is applied once to the result.
     That is sound because the resultant is an integer polynomial in the
-    coefficients, so Res(f mod x^T, g mod x^T) = Res(f, g) mod x^T.  For
-    the same reason a Q input with integer coefficients takes its resultant
-    over Z, where every subresultant division is exact too.
+    coefficients, so Res(f mod x^T, g mod x^T) = Res(f, g) mod x^T.  Over Q
+    an integral value is an int, so a Q input with integer coefficients
+    runs on ints throughout: every subresultant division is exact.
     """
     f = wf.poly if T is None else wf.poly.truncate(T)
-    over_z = f.ring == QQ and all(c.denominator == 1 for c in f.terms.values())
-    h = Poly._of(f.ctx, ZZ, {e: int(c) for e, c in f.terms.items()}, f.trunc) if over_z else f
-    g = derivative(h, "z")
-    disc = Poly.zero(h.ctx, h.ring) if g.is_zero() else determinant(
-        _z_coefficients(h), _z_coefficients(g))
-    terms = disc.truncate(f.trunc).terms
-    if over_z:
-        terms = {e: Fraction(c) for e, c in terms.items()}
+    g = derivative(f, "z")
+    disc = Poly.zero(f.ctx, f.ring) if g.is_zero() else determinant(
+        _z_coefficients(f), _z_coefficients(g))
     # the result carries the certificate even when no term of it reaches T
-    disc = Poly._of(f.ctx, f.ring, terms, f.trunc)
+    disc = Poly._of(f.ctx, f.ring, disc.truncate(f.trunc).terms, f.trunc)
     return DiscriminantReport(disc, disc.trunc is None, is_monomial_times_unit(disc))
 
 
@@ -162,7 +155,6 @@ class ClassificationReport:
     quasi_ordinary: object    # True | False | None
     discriminant: DiscriminantReport
     presentation: object      # OverweightPresentation | None
-    certified_truncation: int
     diagnostics: list = dc_field(default_factory=list)
 
     @property
@@ -189,6 +181,5 @@ def classify(wf: WeierstrassPoly, config: KappaConfig = None) -> ClassificationR
         quasi_ordinary=quasi_ordinary,
         discriminant=disc,
         presentation=result.presentation,
-        certified_truncation=config.truncation,
         diagnostics=list(result.diagnostics),
     )

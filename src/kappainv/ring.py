@@ -1,9 +1,10 @@
 """Exact coefficient arithmetic over Q, GF(p^k) and Z.
 
 Coefficient values are plain Python objects interpreted by a ring object:
-Fraction for Q, int for Z, and for GF(q) the element's enumeration index,
-an int in 0..q-1.  Q and Z compute with Python's own operators.  No floating
-point is used anywhere.
+for Q an int where integral and a Fraction elsewhere, int for Z, and for
+GF(q) the element's enumeration index, an int in 0..q-1.  Q and Z compute
+with Python's own operators; a Q quotient with denominator 1 becomes an int
+again.  No floating point is used anywhere.
 
 Finite fields are desk scale (q = p^k at most 2^16).  Element i is the
 residue whose base-p digits are those of i, so a GF(p) value is the residue
@@ -290,7 +291,7 @@ class Field:
 
 
 class _Operators:
-    """Exact arithmetic by Python's operators: Fraction values for Q, int for Z."""
+    """Exact arithmetic by Python's operators, on int and Fraction values."""
 
     is_zero = staticmethod(operator.not_)
     add = staticmethod(operator.add)
@@ -308,10 +309,10 @@ class _Operators:
 
 
 class RationalField(_Operators, Field):
-    """Q, on Fraction values."""
+    """Q, on int values where integral and Fraction values elsewhere."""
 
     order = None
-    from_int = staticmethod(Fraction)
+    from_int = staticmethod(int)
 
     def __repr__(self):
         return "QQ"
@@ -320,8 +321,13 @@ class RationalField(_Operators, Field):
         raise ConfigurationError("enumeration order is defined for finite fields only")
 
     @staticmethod
-    def inv(a):
-        return 1 / a
+    def div(a, b):
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
+
+    @classmethod
+    def inv(cls, a):
+        return cls.div(1, a)
 
 
 class FiniteField(Field):
@@ -417,16 +423,16 @@ class FiniteField(Field):
         return "(" + " + ".join(reversed(parts)) + ")"
 
 
-def _rational_roots(a: Fraction, n: int) -> list:
+def _rational_roots(a, n: int) -> list:
     if a == 0:
-        return [Fraction(0)]
+        return [0]
     if a < 0 and n % 2 == 0:
         return []
     num = integer_nth_root(abs(a.numerator), n)
     den = integer_nth_root(a.denominator, n)
     if num is None or den is None:
         return []
-    r = Fraction(num, den)
+    r = num if den == 1 else Fraction(num, den)
     if n % 2 == 1:
         return [r if a > 0 else -r]
     return [r, -r]

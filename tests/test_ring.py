@@ -1,7 +1,9 @@
+import ast
 import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from kappainv import ConfigurationError, Field, UnsupportedLiftError, lift_coeff
 from kappainv import ring
 from kappainv.ring import ZZ, integer_nth_root
 from conftest import reduce_coeff
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kappainv"
 
 # Reference arithmetic: schoolbook products over GF(p) and enumeration of the
 # whole field.  It shares nothing with the log/antilog tables under test; it
@@ -133,6 +137,74 @@ class TestNthRoot:
         assert all(schoolbook_pow(F, c, 3) == F.one for c in roots)
         assert roots == sorted(roots)
         assert elapsed < 2.0, f"GF(2^16) root extraction took {elapsed:.2f}s"
+
+
+class TestRationalValues:
+    """Q values are ints where integral and Fractions elsewhere, never floats.
+
+    The oracle is plain Fraction arithmetic; every operation is checked for
+    its value and its type on random values that mix both kinds, zero
+    included.
+    """
+
+    # every root of a value with |numerator|, denominator <= 12 is one of these
+    CANDIDATES = sorted({Fraction(p, q) for p in range(-12, 13) for q in range(1, 13)},
+                        reverse=True)
+
+    @staticmethod
+    def canonical(v) -> bool:
+        """Whether v is an int exactly when it is integral."""
+        return type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+    @staticmethod
+    def sample(rng):
+        num, den = rng.randrange(-12, 13), rng.randrange(1, 13)
+        return rng.choice([num, Fraction(num), Fraction(num, den)])
+
+    def test_against_fraction_arithmetic(self, QQ):
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            a, b = self.sample(rng), self.sample(rng)
+            fa, fb = Fraction(a), Fraction(b)
+            n = rng.randrange(6)
+            for got, want in ((QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+                              (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa),
+                              (QQ.pow_(a, n), fa ** n)):
+                assert got == want and type(got) in (int, Fraction), (a, b, n)
+            assert (QQ.is_zero(a), QQ.is_negative(a)) == (fa == 0, fa < 0)
+            if fb:
+                assert QQ.div(a, b) == fa / fb and self.canonical(QQ.div(a, b)), (a, b)
+                assert QQ.inv(b) == 1 / fb and self.canonical(QQ.inv(b)), b
+            num, den = rng.randrange(-40, 41), rng.randrange(1, 13)
+            got = QQ.from_fraction(num, den)
+            assert got == Fraction(num, den) and self.canonical(got), (num, den)
+        assert type(QQ.from_int(5)) is int and type(QQ.zero) is int and type(QQ.one) is int
+
+    def test_roots_against_search(self, QQ):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            n = rng.randrange(1, 6)
+            r = self.sample(rng)
+            for a in (QQ.pow_(r, n), self.sample(rng)):
+                got = QQ.all_nth_roots(a, n)
+                assert got == [c for c in self.CANDIDATES if c ** n == a], (a, n)
+                assert all(self.canonical(c) for c in got), (a, n)
+
+    def test_division_by_zero_raises(self, QQ):
+        for call in (lambda: QQ.inv(0), lambda: QQ.inv(Fraction(0)), lambda: QQ.div(3, 0),
+                     lambda: QQ.div(Fraction(2, 3), 0), lambda: QQ.from_fraction(1, 0)):
+            with pytest.raises(ZeroDivisionError):
+                call()
+
+
+def test_engine_has_no_true_division():
+    # an int / int quotient is a float; the engine divides by ring.div only
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SRC.is_dir() and found == []
 
 
 class TestAgainstEnumeration:
