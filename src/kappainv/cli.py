@@ -36,7 +36,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_NO_PRESENTATION = 3
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgumentParser(argparse.ArgumentParser):
     """argparse whose usage errors exit 1 (input error), not 2 (inconclusive)."""
 
     def error(self, message):
@@ -54,7 +54,7 @@ class _DeformOnly(argparse.Action):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
-    parser = _Parser(
+    parser = _ArgumentParser(
         prog="kappainv",
         description="Exact classification of Weierstrass hypersurface singularities.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -131,5 +131,5 @@ def default_tropical_weight(pres: OverweightPresentation, lam) -> tuple:
         vec = pres.weights.get(name)
         if vec is None:
             raise ConfigurationError(f"presentation assigns no weight to {name}")
-        omega.append(sum(l * Fraction(v) for l, v in zip(lam, vec)))
+        omega.append(sum(l * v for l, v in zip(lam, vec)))
     return check_weight_vector(omega, ctx)

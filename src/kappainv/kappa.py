@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -96,7 +95,7 @@ class OverweightPresentation:
 
     def weight_of(self, expo) -> tuple:
         d = self.ctx.d
-        total = [Fraction(expo[i]) for i in range(d)]
+        total = list(expo[:d])
         for i in range(d, len(expo)):
             if expo[i] == 0:
                 continue
@@ -105,7 +104,7 @@ class OverweightPresentation:
             if vec is None:
                 raise ConfigurationError(f"no weight assigned to {name}")
             for c in range(d):
-                total[c] += expo[i] * Fraction(vec[c])
+                total[c] += expo[i] * vec[c]
         return tuple(total)
 
     def generator_strings(self) -> list:
@@ -219,7 +218,7 @@ def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
     ring = f.ring
     rest = tuple(a - b for a, b in zip(expo, ctx.pad(rel.tail_expo)))
     scale = ring.neg(ring.div(f.terms[expo], rel.tail_coeff))
-    return f.add(rel.generator(ctx).mul_monomial(rest, scale), T)
+    return f.add(rel.generator(ctx).mul(Poly.monomial(ctx, ring, rest, scale)), T)
 
 
 def _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T):
@@ -348,10 +347,7 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
 # ---------------------------------------------------------------------------
 
 def _unit_weights(d: int) -> dict:
-    out = {}
-    for i in range(d):
-        out[f"x{i + 1}"] = tuple(Fraction(1) if j == i else Fraction(0) for j in range(d))
-    return out
+    return {f"x{i + 1}": tuple(1 if j == i else 0 for j in range(d)) for i in range(d)}
 
 
 def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResult:
@@ -396,9 +392,8 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
             terminal = Terminal.INFINITY
             if main != "z":
                 # assign the head level so downstream weight vectors stay defined
-                head_level = tuple(relations[-1].head_exp * Fraction(c)
-                                   for c in weights[relations[-1].head_var])
-                weights[main] = head_level
+                last = relations[-1]
+                weights[main] = _vec_scale(last.head_exp, weights[last.head_var])
             break
         if len(P.vertices) > 1:
             diagnostics.append(
@@ -456,7 +451,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
 # ---------------------------------------------------------------------------
 
 def _vec_scale(k: int, vec) -> tuple:
-    return tuple(Fraction(k) * Fraction(c) for c in vec)
+    return tuple(k * c for c in vec)
 
 def _strictly_larger(a, b) -> bool:
     """Strictly larger in the componentwise product order: >= everywhere, somewhere >."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .errors import EngineError, ParseError, ValidationError
@@ -223,15 +224,6 @@ class Poly:
     def sub(self, other: "Poly", T=None) -> "Poly":
         return self.add(other.neg(), T)
 
-    def mul_monomial(self, expo, coeff=None) -> "Poly":
-        ring = self.ring
-        coeff = ring.one if coeff is None else coeff
-        expo = tuple(expo)
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(a + b for a, b in zip(e, expo))] = ring.mul(c, coeff)
-        return Poly(self.ctx, ring, out, self.trunc)
-
     def mul(self, other: "Poly", T=None) -> "Poly":
         ctx = _common_ctx(self, other)
         a, b = self.in_context(ctx), other.in_context(ctx)
@@ -363,136 +355,9 @@ def format_signed_terms(pieces, ctx: VarContext, ring) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z]\w*)|([+\-*^/])")
+_TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z]\w*)|([+\-*^/])|(\S)")  # int, name, op, other
 _VARIABLE_RE = re.compile(r"x[0-9]+|z|u[0-9]+")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), pos))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), pos))
-        else:
-            tokens.append(("op", m.group(3), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, ctx: VarContext, ring):
-        self.text = text
-        self.ctx = ctx
-        self.ring = ring
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Poly:
-        terms = {}
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            sign = -1
-        elif kind == "end":
-            raise ParseError("empty polynomial", pos)
-        self._term(terms, sign)
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and val in "+-":
-                self.take()
-                self._term(terms, 1 if val == "+" else -1)
-            else:
-                raise ParseError(f"expected '+' or '-', found {val!r}", pos)
-        return Poly(self.ctx, self.ring, terms)
-
-    def _term(self, terms, sign: int):
-        ring = self.ring
-        kind, val, pos = self.peek()
-        if kind == "int":
-            coeff = self._coeff()
-        elif kind == "name":
-            coeff = ring.one
-        else:
-            raise ParseError("expected a coefficient or a variable", pos)
-        expo = [0] * self.ctx.nvars
-        if kind == "name":
-            self._factor(expo)
-        while True:
-            k, v, p = self.peek()
-            if k == "op" and v == "*":
-                self.take()
-                self._factor(expo)
-            else:
-                break
-        if sign < 0:
-            coeff = ring.neg(coeff)
-        key = tuple(expo)
-        s = ring.add(terms.get(key, ring.zero), coeff)
-        if ring.is_zero(s):
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-
-    def _coeff(self):
-        kind, val, pos = self.take()
-        num = int(val)
-        k, v, p = self.peek()
-        if k == "op" and v == "/":
-            self.take()
-            k2, v2, p2 = self.peek()
-            if k2 != "int":
-                raise ParseError("expected a denominator after '/'", p2)
-            self.take()
-            den = int(v2)
-            if den == 0:
-                raise ParseError("zero denominator", p2)
-            try:
-                return self.ring.from_fraction(num, den)
-            except ZeroDivisionError:
-                raise ParseError(f"{den} has no inverse in {self.ring!r}", p) from None
-        return self.ring.from_int(num)
-
-    def _factor(self, expo):
-        kind, val, pos = self.take()
-        if kind != "name":
-            raise ParseError("expected a variable", pos)
-        if not _VARIABLE_RE.fullmatch(val):
-            raise ParseError(f"unknown variable {val!r}", pos)
-        try:
-            idx = self.ctx.var_index(val)
-        except KeyError:
-            raise ParseError(f"unknown variable {val!r}", pos) from None
-        power = 1
-        k, v, p = self.peek()
-        if k == "op" and v == "^":
-            self.take()
-            k2, v2, p2 = self.peek()
-            if k2 != "int":
-                raise ParseError("malformed exponent", p2)
-            self.take()
-            power = int(v2)
-        expo[idx] += power
+_END = ("", "", "", "")  # the token after the last one
 
 
 def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
@@ -502,8 +367,90 @@ def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
     term := coeff ('*' factor)* | factor ('*' factor)*;
     factor := var ['^' nat]; var := 'x'nat | 'z' | 'u'nat;
     coeff := int | int '/' nat.  Juxtaposition is not multiplication.
+    An unexpected character anywhere is reported before any grammar error.
     """
-    return _Parser(text, ctx, ring).parse()
+    tokens = _TOKEN_RE.findall(text)  # skips whitespace, exactly where \S fails
+
+    def error(message, i) -> ParseError:
+        """The error at token i; positions are found only here, by one rescan."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+        return ParseError(message, starts[i] if i < len(starts) else len(text))
+
+    def literal(i, missing=None) -> int:
+        """The int at token i; missing is the message when token i is none."""
+        if not tokens[i][0]:
+            raise error(missing, i)
+        try:
+            return int(tokens[i][0])
+        except ValueError:  # beyond the interpreter's int-to-string digit limit
+            raise error(f"integer literal longer than {sys.get_int_max_str_digits()} "
+                        "digits", i) from None
+
+    for i, tok in enumerate(tokens):
+        if tok[3]:
+            raise error(f"unexpected character {tok[3]!r}", i)
+    if not tokens:
+        raise error("empty polynomial", 0)
+    tokens.append(_END)
+    terms, nvars = {}, ctx.nvars
+    zero, one, add, is_zero = ring.zero, ring.one, ring.add, ring.is_zero
+    i, sign = (1, "-") if tokens[0][2] == "-" else (0, "+")
+    while True:
+        num, name, _, _ = tokens[i]
+        if num:
+            coeff = literal(i)
+            i += 1
+            if tokens[i][2] == "/":
+                den = literal(i + 1, "expected a denominator after '/'")
+                if den == 0:
+                    raise error("zero denominator", i + 1)
+                try:
+                    coeff = ring.from_fraction(coeff, den)
+                except ZeroDivisionError:
+                    raise error(f"{den} has no inverse in {ring!r}", i) from None
+                i += 2
+            else:
+                coeff = ring.from_int(coeff)
+            more = tokens[i][2] == "*"
+            i += more
+        elif name:
+            coeff, more = one, True
+        else:
+            raise error("expected a coefficient or a variable", i)
+        expo = [0] * nvars
+        while more:
+            name = tokens[i][1]
+            if not name:
+                raise error("expected a variable", i)
+            try:
+                idx = ctx.var_index(name) if _VARIABLE_RE.fullmatch(name) else None
+            except KeyError:
+                idx = None
+            if idx is None:
+                raise error(f"unknown variable {name!r}", i)
+            i += 1
+            if tokens[i][2] == "^":
+                expo[idx] += literal(i + 1, "malformed exponent")
+                i += 2
+            else:
+                expo[idx] += 1
+            more = tokens[i][2] == "*"
+            i += more
+        if sign == "-":
+            coeff = ring.neg(coeff)
+        key = tuple(expo)
+        s = add(terms.get(key, zero), coeff)
+        if is_zero(s):
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+        sign = tokens[i][2]
+        if sign == "+" or sign == "-":
+            i += 1
+        elif tokens[i] == _END:
+            return Poly(ctx, ring, terms)
+        else:
+            raise error(f"expected '+' or '-', found {''.join(tokens[i])!r}", i)
 
 
 # ---------------------------------------------------------------------------

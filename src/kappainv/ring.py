@@ -22,12 +22,13 @@ them and shared by every equal field.
 from __future__ import annotations
 
 import operator
+import sys
 from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .errors import ConfigurationError, UnsupportedLiftError
+from .errors import ConfigurationError, KappaInvError, UnsupportedLiftError
 
 _MAX_FIELD_ORDER = 1 << 16
 # fields whose tables stay cached; the GF(2^16) tables take 384 KiB
@@ -300,7 +301,14 @@ class _Operators:
     mul = staticmethod(operator.mul)
     pow_ = staticmethod(operator.pow)  # a**n for n >= 0 (0**0 is 1)
     abs_value = staticmethod(abs)
-    format_coeff = staticmethod(str)
+
+    @staticmethod
+    def format_coeff(a) -> str:
+        try:
+            return str(a)
+        except ValueError:  # beyond the interpreter's int-to-string digit limit
+            raise KappaInvError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                                "decimal digits, the limit for printing an integer") from None
 
     @staticmethod
     def is_negative(a) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from kappainv.cli import JSON_DUMP_KWARGS, main
+from test_parse import _edited
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -400,3 +402,57 @@ class TestUsageErrors:
         assert proc.stdout.startswith("usage: kappainv classify")
         assert "--lambda" not in proc.stdout
         assert "--lambda" in run_module(["deform", "-h"]).stdout
+
+
+class TestNeverRaises:
+    """Every input ends in an exit code, never in a traceback."""
+
+    FIELDS = [["--char", "0"], ["--char", "2"], ["--char", "3"], ["--char", "5"],
+              ["--char", "2", "--ext", "2", "--modulus", "1,1,1"]]
+    COMMANDS = ["classify", "kappa", "polyhedron", "discriminant", "deform"]
+    LONG = "9" * 5000
+    REPROS = [f"z^2 + {LONG}*x1", f"z^{LONG} + x1", "z^1400 + x1"]
+
+    @staticmethod
+    def weierstrass_text(rng, d):
+        """z^n plus a few terms c * x^a * z^k with k < n and a nonzero."""
+        n = rng.randrange(2, 7)
+        text = f"z^{n}"
+        for _ in range(rng.randrange(1, 4)):
+            xs = "*".join(f"x{i + 1}^{rng.randrange(1, 6)}" for i in range(d)
+                          if i == 0 or rng.random() < 0.5)
+            k = rng.randrange(n)
+            zs = "" if k == 0 else "*z" if k == 1 else f"*z^{k}"
+            text += f" {rng.choice('+-')} {rng.randrange(1, 4)}*{xs}{zs}"
+        return text
+
+    @pytest.mark.parametrize("command", ["classify", "discriminant"])
+    @pytest.mark.parametrize("repro", REPROS, ids=["long-coefficient", "long-exponent",
+                                                   "long-discriminant"])
+    def test_a_too_long_integer_is_one_error_line(self, capsys, command, repro):
+        assert main([command, repro]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{sys.get_int_max_str_digits()}" in captured.err
+
+    def test_seeded_inputs_exit_0_to_3(self, tmp_path):
+        rng = random.Random(500)
+        texts = []
+        for n in range(496):
+            text = self.weierstrass_text(rng, rng.randrange(1, 3))
+            texts.append(_edited(rng, text) if n % 2 else text)
+        texts += self.REPROS
+        calls = []
+        for n, text in enumerate(texts):
+            # a leading space keeps argparse from reading "-z..." as an option
+            text = " " + text if text.startswith("-") else text
+            calls.append([self.COMMANDS[n % 5], "--vars", "2", *rng.choice(self.FIELDS), text])
+        for k in range(6):
+            batch = tmp_path / f"batch{k}.txt"
+            batch.write_text("\n".join(rng.sample(texts, 8) + self.REPROS) + "\n")
+            calls.append(["classify", "--vars", "2", *rng.choice(self.FIELDS),
+                          *(["--json"] if k % 2 else []), "--batch", str(batch)])
+        assert len(calls) >= 500
+        for argv in calls:
+            assert main(argv) in (0, 1, 2, 3), argv

@@ -62,7 +62,7 @@ def sylvester_resultant(f):
 
 def binomial_resultant(n, a):
     """Res_z(z^n + a, n*z^(n-1)) = n^n * a^(n-1), for a free of z."""
-    return a.pow_(n - 1).mul_monomial((0,) * a.ctx.nvars, a.ring.from_int(n ** n))
+    return a.pow_(n - 1).mul(Poly.constant(a.ctx, a.ring, a.ring.from_int(n ** n)))
 
 
 def trinomial_resultant(n, b, a):
@@ -73,9 +73,10 @@ def trinomial_resultant(n, b, a):
     is (-n)^n * f(-(n-1)*b/n), so the resultant is
     a^(n-2) * ((-1)^(n-1) * (n-1)^(n-1) * b^n + n^n * a).
     """
-    zero, ring = (0,) * a.ctx.nvars, a.ring
-    inner = b.pow_(n).mul_monomial(zero, ring.from_int((-1) ** (n - 1) * (n - 1) ** (n - 1)))
-    return a.pow_(n - 2).mul(inner.add(a.mul_monomial(zero, ring.from_int(n ** n))))
+    ctx, ring = a.ctx, a.ring
+    inner = b.pow_(n).mul(
+        Poly.constant(ctx, ring, ring.from_int((-1) ** (n - 1) * (n - 1) ** (n - 1))))
+    return a.pow_(n - 2).mul(inner.add(a.mul(Poly.constant(ctx, ring, ring.from_int(n ** n)))))
 
 
 def det_by_minors(rows):
