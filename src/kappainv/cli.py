@@ -334,7 +334,15 @@ def _emit(out: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    # argparse reads a polynomial that starts with "-" and holds no space,
+    # such as "-x1^3+z^2", as an unknown option; every option but -h starts
+    # with two dashes, so a lone extra with one is the polynomial
+    if len(extras) == 1 and args.polynomial is None and not extras[0].startswith("--"):
+        args.polynomial = extras.pop()
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if getattr(args, "batch", None) is not None:
             if args.polynomial is not None:

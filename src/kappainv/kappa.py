@@ -251,15 +251,17 @@ def _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T):
 def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations, depth: int = 3, T=None):
     """Binomial-power form of the initial form at a vertex of the stage, modulo relations.
 
-    Returns (outcome, poly): outcome is a BinomialPower in the stage's main
-    variable (with poly rewritten along the successful chain of relation
-    moves, heavier residue kept) or None, no power (with poly the input f).
-    The search fixes the candidate power first, largest divisor of the
-    stage's top exponent first, so a rewrite that realizes a larger power
-    beats a direct match at a smaller one.  Each node's initial form is read
-    once (_read_shape); the direct check runs only at the powers dividing
-    its fit, and rewrites are explored at every power.  When no rewrite can
-    run (no relations, or depth <= 0), only those powers are tried.
+    The vertex is on the stage's int lattice, as StageProjection.polyhedron
+    gives it (S times the weighted vertex).  Returns (outcome, poly):
+    outcome is a BinomialPower in the stage's main variable (with poly
+    rewritten along the successful chain of relation moves, heavier residue
+    kept) or None, no power (with poly the input f).  The search fixes the
+    candidate power first, largest divisor of the stage's top exponent
+    first, so a rewrite that realizes a larger power beats a direct match at
+    a smaller one.  Each node's initial form is read once (_read_shape); the
+    direct check runs only at the powers dividing its fit, and rewrites are
+    explored at every power.  When no rewrite can run (no relations, or
+    depth <= 0), only those powers are tried.
     """
     vertex = tuple(vertex)
     In = stage.initial(f, vertex)  # shared by every power
@@ -288,7 +290,8 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
     translation is recorded on the relation that defines the main variable
     (none at the z stage).  A prepared polyhedron with one vertex comes with
     that vertex's binomialization of the returned polynomial, reused when it
-    was made on that very polynomial.
+    was made on that very polynomial.  Vertices stay on the stage's int
+    lattice throughout; only the returned polyhedron is unscaled to Fractions.
     """
     T = config.truncation
     eliminations = 0
@@ -316,7 +319,8 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
             # solvable: translate by the solving term
             if eliminations >= config.budget:
                 diagnostics.append(f"elimination budget ({config.budget}) exhausted")
-                return PrepareResult(f, P, PrepStatus.INCONCLUSIVE, eliminations, diagnostics)
+                return PrepareResult(f, stage.unscale(P), PrepStatus.INCONCLUSIVE, eliminations,
+                                     diagnostics)
             before = P if f2 is f else stage.polyhedron(f2)
             f = translate(f2, stage.main_var, outcome.coeff, outcome.tail_expo, T)
             # the translation redefines the main variable, so its relation
@@ -337,8 +341,8 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
                 made_on, decomposition = decomposed[v]
                 if made_on is not f:  # f was rewritten or translated since
                     decomposition = binomialize_modulo(f, v, stage, relations, config.depth, T)
-            return PrepareResult(f, P, PrepStatus.PREPARED, eliminations, diagnostics,
-                                 decomposition)
+            return PrepareResult(f, stage.unscale(P), PrepStatus.PREPARED, eliminations,
+                                 diagnostics, decomposition)
     raise EngineError("preparation did not stabilize within its fuel bound")
 
 

@@ -1,16 +1,21 @@
 """Exact rational geometry of orthant polyhedra conv(S) + R_{>=0}^d.
 
-A kappa stage's points are ints: each is scaled by one common denominator
-fixed when the stage is built, and only the vertices become Fractions.
+Inside a kappa stage every point and every polyhedron's vertex is an int
+tuple: the stage's weighted points scaled by one common denominator S,
+fixed when the stage is built.  Only what leaves the stage is divided by S
+into Fractions.
 
 A polyhedron is stored by its minimal vertex set.  Membership of a point in
-conv(S) + R_{>=0}^d is decided first by exact dominance tests (inside when
-p dominates a generator, outside when a coordinate of p is below its minimum
-over S), then by an integer-preserving phase-one simplex with Bland's
-rule: the rows are scaled to ints once, and fraction-free pivots keep them
-ints, so there are no tolerances, no cycling and no Fractions in the LP.
-Instances are tiny (d <= 8, a handful of generators), which makes the dense
-tableau the simplest correct choice.
+conv(S) + R_{>=0}^d is decided in tiers, each exact: inside when p
+dominates a generator; outside when a coordinate of p is below its minimum
+over S; against exactly two generators, by intersecting the intervals of
+the segment parameter in closed form; else by an integer-preserving
+phase-one simplex with Bland's rule, whose objective row is pivoted like a
+row.  Points are scaled to ints once (not at all when they are ints
+already), and fraction-free pivots keep them ints, so there are no
+tolerances, no cycling and no Fractions in the LP.  Instances are tiny
+(d <= 8, a handful of generators), which makes the dense tableau the
+simplest correct choice.
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ def member(p, points) -> bool:
     """Whether p lies in conv(points) + R_{>=0}^d.
 
     Feasibility of: lambda >= 0, sum(lambda) = 1, sum(lambda_i s_i) <= p
-    componentwise, decided by dominance tests, then exact phase-one simplex.
+    componentwise, decided by dominance tests, then on ints (scaled once
+    unless every coordinate already is one) by the closed form for two
+    generators or the exact phase-one simplex.
     """
     points = list(points)
     if not points:
@@ -54,19 +61,41 @@ def member(p, points) -> bool:
         return True
     if any(p[r] < min(s[r] for s in points) for r in range(d)):
         return False
-    scale = math.lcm(*(c.denominator for s in (p, *points) for c in s))
-
-    def ints(cs):
-        return [c.numerator * (scale // c.denominator) for c in cs]
-
-    # int rows [A | slack | b]: d coordinate rows scaled by the common
-    # denominator, each with b >= 0 for the artificial start, then convexity
+    if any(type(c) is not int for s in (p, *points) for c in s):
+        scale = math.lcm(*(c.denominator for s in (p, *points) for c in s))
+        p, *points = [[c.numerator * (scale // c.denominator) for c in s] for s in (p, *points)]
+    if len(points) == 2:
+        return _segment_meets(p, *points)
+    # int rows [A | slack | b]: d coordinate rows, each with b >= 0 for the
+    # artificial start, then convexity
     rows = []
     for r in range(d):
-        row = ints([s[r] for s in points]) + [int(c == r) for c in range(d)] + ints([p[r]])
+        row = [s[r] for s in points] + [int(c == r) for c in range(d)] + [p[r]]
         rows.append(row if row[-1] >= 0 else [-v for v in row])
     rows.append([1] * len(points) + [0] * d + [1])
     return _phase_one_feasible(rows, len(points) + d)
+
+
+def _segment_meets(p, a, b) -> bool:
+    """Whether t*a + (1 - t)*b <= p for some t in [0, 1], for int points.
+
+    Coordinate r reads t*(a_r - b_r) <= p_r - b_r: an upper bound on t where
+    a_r > b_r, a lower bound where a_r < b_r, and no bound (or no t) where
+    they are equal.  The bounds are int fractions with positive
+    denominators, starting from [0, 1], compared by cross-multiplication.
+    """
+    lo, lo_den, hi, hi_den = 0, 1, 1, 1
+    for ar, br, pr in zip(a, b, p):
+        c, e = ar - br, pr - br
+        if c > 0:
+            if e * hi_den < hi * c:
+                hi, hi_den = e, c
+        elif c < 0:
+            if e * lo_den < lo * c:
+                lo, lo_den = -e, -c
+        elif e < 0:
+            return False
+    return lo * hi_den <= hi * lo_den
 
 
 def _phase_one_feasible(tab, nstruct) -> bool:
@@ -76,16 +105,18 @@ def _phase_one_feasible(tab, nstruct) -> bool:
     nstruct + r, and its column is never stored, since it never re-enters.
     Edmonds-Bareiss pivots keep tab equal to den times the true tableau, with
     den > 0 the previous pivot, so every division is exact (Bareiss, Math.
-    Comp. 1968; as in Avis' lrs).  Bland's rule rules out cycling.
+    Comp. 1968; as in Avis' lrs).  The objective row, the sum of the rows
+    whose basic variable is artificial, is pivoted like a row.  Bland's rule
+    rules out cycling.
     """
     basis = [nstruct + r for r in range(len(tab))]
+    obj = [sum(col) for col in zip(*tab)]
     den = 1
     while True:
-        arts = [row for row, b in zip(tab, basis) if b >= nstruct]
-        # reduced cost of column j is -sum(arts[.][j]) / den: enter the first negative
-        entering = next((j for j in range(nstruct) if sum(row[j] for row in arts) > 0), None)
+        # reduced cost of column j is -obj[j] / den: enter the first negative
+        entering = next((j for j in range(nstruct) if obj[j] > 0), None)
         if entering is None:
-            return sum(row[-1] for row in arts) == 0
+            return obj[-1] == 0
         # some artificial row has a positive entry, so the ratio test finds a row
         leaving = None
         for r, row in enumerate(tab):
@@ -99,6 +130,8 @@ def _phase_one_feasible(tab, nstruct) -> bool:
             if r != leaving:
                 f = row[entering]
                 tab[r] = [(v * piv - f * w) // den for v, w in zip(row, prow)]
+        f = obj[entering]
+        obj = [(v * piv - f * w) // den for v, w in zip(obj, prow)]
         basis[leaving] = entering
         den = piv
 
@@ -115,8 +148,11 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
     A generator is a vertex exactly when it is not a member of the hull of
     the others, so a single removal pass is canonical.  It runs on the Pareto
     minima only, since a point that weakly dominates a distinct (lex-smaller)
-    point is no vertex (Kung, Luccio and Preparata, JACM 1975).  Coordinates
-    are kept as given, so int points give int vertices and membership among
+    point is no vertex (Kung, Luccio and Preparata, JACM 1975).  The
+    lexicographic minimum under each cyclic order of the coordinates is a
+    vertex with no test, and every other point is first tested against
+    those certified vertices, then against all the others.  Coordinates are
+    kept as given, so int points give int vertices and membership among
     them needs no scaling.
     """
     check_dimension(d)
@@ -126,14 +162,27 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
             raise ContractViolation(f"dimension mismatch: {q} has not {d} coordinates")
         if not any(all(a <= b for a, b in zip(s, q)) for s in kept):
             kept.append(q)
+    certified = _lex_minima(kept, d)
     i = 0
     while i < len(kept):
-        rest = kept[:i] + kept[i + 1:]
-        if rest and member(kept[i], rest):
+        q = kept[i]
+        if q not in certified and (member(q, certified) or (
+                len(kept) - 1 > len(certified) and member(q, kept[:i] + kept[i + 1:]))):
             kept.pop(i)
         else:
             i += 1
     return OrthantPolyhedron(d, tuple(kept))
+
+
+def _lex_minima(points, d: int) -> list:
+    """The least point under each cyclic order of the d coordinates, sorted.
+
+    Each is a vertex of conv(points) + R_{>=0}^d: a combination of points
+    that lies below it can only use points equal to it.
+    """
+    if not points:
+        return []
+    return sorted({min(points, key=lambda q: q[r:] + q[:r]) for r in range(d)})
 
 
 def polyhedron_leq(P: OrthantPolyhedron, Q: OrthantPolyhedron) -> bool:
@@ -151,8 +200,11 @@ class StageProjection:
     scale S = lcm(weight denominators) * lcm(1..top_exp), fixed here.  The
     point (A + sum_j e_j * w_j) / (top_exp - e_main) of a term, times S, is
     an int tuple; it is memoized by exponent, so every polynomial of the
-    stage shares it.  The hull's vertices alone become Fractions.  Only
-    polynomials in the stage's context may be passed.
+    stage shares it.  Inside the stage every polyhedron and vertex stays on
+    this S-scaled int lattice: polyhedron() returns int vertices, and
+    initial() takes one as it comes.  unscale() makes the Fraction vertices
+    of what leaves the stage.  Only polynomials in the stage's context may
+    be passed.
     """
 
     def __init__(self, ctx, main_var: str, top_exp: int, weights: dict):
@@ -191,19 +243,14 @@ class StageProjection:
         return tuple(c // den for c in num)
 
     def initial(self, f: Poly, vertex) -> Poly:
-        """Monic top plus every term whose weighted point equals the vertex."""
-        midx, top_exp, top, point, S = self.midx, self.top_exp, self.top, self.point, self.scale
-        scaled = []  # S times the vertex; None for a coordinate no int point has
-        for c in vertex:
-            q, r = divmod(c.numerator * S, c.denominator)
-            scaled.append(None if r else q)
-        v = tuple(scaled)
+        """Monic top plus every term whose point equals vertex, an int vertex of the stage."""
+        midx, top_exp, top, point = self.midx, self.top_exp, self.top, self.point
         terms = {e: c for e, c in f.terms.items()
-                 if e == top or (e[midx] < top_exp and point(e) == v)}
+                 if e == top or (e[midx] < top_exp and point(e) == vertex)}
         return Poly(f.ctx, f.ring, terms, f.trunc)
 
     def polyhedron(self, f: Poly) -> OrthantPolyhedron:
-        """Hull of the weighted points of all terms below the monic top."""
+        """Hull of the points of all terms below the monic top, on the stage's lattice."""
         midx, top_exp, top = self.midx, self.top_exp, self.top
         if f.terms.get(top) != f.ring.one:
             raise ContractViolation(f"not monic of degree {top_exp} in {self.main_var}")
@@ -214,7 +261,10 @@ class StageProjection:
                     raise ContractViolation(f"term exceeds the monic degree in {self.main_var}")
                 continue
             pts.append(self.point(e))
-        P = hull_vertices(pts, self.ctx.d)
+        return hull_vertices(pts, self.ctx.d)
+
+    def unscale(self, P: OrthantPolyhedron) -> OrthantPolyhedron:
+        """P with every vertex divided by S: the weighted polyhedron, in Fractions."""
         S = self.scale
         return OrthantPolyhedron(P.d, tuple(tuple(Fraction(c, S) for c in v) for v in P.vertices))
 
@@ -226,7 +276,8 @@ def weighted_projected_polyhedron(f: Poly, main_var: str, top_exp: int,
     weights maps auxiliary variable names (z, u1, ...) other than main_var
     to their weight vectors in Q_{>=0}^d.
     """
-    return StageProjection(f.ctx, main_var, top_exp, weights).polyhedron(f)
+    stage = StageProjection(f.ctx, main_var, top_exp, weights)
+    return stage.unscale(stage.polyhedron(f))
 
 
 def projected_polyhedron(f: WeierstrassPoly) -> OrthantPolyhedron:

@@ -93,7 +93,7 @@ def determinant(fc: list, gc: list) -> Poly:
         g = A[0]
         if delta == 1:
             h = g
-        else:
+        elif len(A) > 2 or len(B) > 1:  # else the sequence ends at B[0], and h is not read
             h = g.pow_(delta) if h is None else exact_div(g.pow_(delta), h.pow_(delta - 1))
     # B is a nonzero constant c: the last subresultant is c^deg(A) / h^(deg(A) - 1)
     k = len(A) - 1

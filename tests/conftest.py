@@ -51,6 +51,16 @@ def z_stage(f, n):
     return StageProjection(f.ctx, "z", n, {})
 
 
+def on_lattice(stage, vertex):
+    """S times a weighted vertex: the int vertex the stage works with.
+
+    A coordinate off the stage's 1/S grid stays a Fraction, which no int
+    point equals.
+    """
+    scaled = [Fraction(c) * stage.scale for c in vertex]
+    return tuple(c.numerator if c.denominator == 1 else c for c in scaled)
+
+
 def rand_poly(rng, ctx, field, nterms=4, maxexp=3):
     terms = {}
     for _ in range(rng.randrange(1, nterms + 1)):
@@ -94,9 +104,10 @@ def reduce_coeff(n, p):
 def initial_form(f, vertex, main_var, top_exp, weights):
     """Monic top plus every term whose weighted point equals the given vertex."""
     stage = StageProjection(f.ctx, main_var, top_exp, weights)
-    if tuple(vertex) not in stage.polyhedron(f).vertices:
+    v = on_lattice(stage, vertex)
+    if v not in stage.polyhedron(f).vertices:
         raise ContractViolation(f"{vertex} is not a vertex of the projected polyhedron")
-    return stage.initial(f, tuple(vertex))
+    return stage.initial(f, v)
 
 
 def binomial_power_decompose(In, main_var):

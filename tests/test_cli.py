@@ -396,6 +396,25 @@ class TestUsageErrors:
         assert f"kappainv {command}: error: argument --lambda: applies to deform only" in err
         assert "z^2 - x1^3" not in err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_polynomial_with_a_leading_minus_and_no_space(self, capsys, flags):
+        # argparse reads "-x1^3+z^2" as an unknown option; it is the polynomial
+        code = main(["classify", *flags, "-x1^3+z^2"])
+        got = capsys.readouterr()
+        assert code == main(["classify", *flags, "--", "-x1^3+z^2"]) == 0
+        assert got == capsys.readouterr()
+        assert got.err == "" and "3/2" in got.out
+
+    @pytest.mark.parametrize("polynomial", ["z^2 - x1^3", "-x1^3+z^2"])
+    def test_unknown_option_is_still_a_usage_error(self, capsys, polynomial):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--bogus", polynomial])
+        assert exc.value.code == 1
+        unrecognized = "--bogus" if " " in polynomial else f"--bogus {polynomial}"
+        assert capsys.readouterr() == ("", (
+            "usage: kappainv [-h] {classify,kappa,polyhedron,discriminant,deform} ...\n"
+            f"kappainv: error: unrecognized arguments: {unrecognized}\n"))
+
     def test_help_exits_0(self):
         proc = run_module(["classify", "-h"])
         assert proc.returncode == 0
@@ -445,8 +464,6 @@ class TestNeverRaises:
         texts += self.REPROS
         calls = []
         for n, text in enumerate(texts):
-            # a leading space keeps argparse from reading "-z..." as an option
-            text = " " + text if text.startswith("-") else text
             calls.append([self.COMMANDS[n % 5], "--vars", "2", *rng.choice(self.FIELDS), text])
         for k in range(6):
             batch = tmp_path / f"batch{k}.txt"

@@ -12,7 +12,7 @@ import kappainv.kappa
 import kappainv.poly
 from kappainv.polyhedron import StageProjection
 from kappainv.kappa import PrepStatus, _apply_rewrite
-from conftest import (binomial_power_decompose, initial_form, mk, mkw, rand_poly,
+from conftest import (binomial_power_decompose, initial_form, mk, mkw, on_lattice, rand_poly,
                       sample_relations, z_stage)
 
 
@@ -149,7 +149,7 @@ class TestBinomializeModulo:
         f = parse_polynomial("u1^4 + x1^15*x2^30", ctx, F2)
         v = (F(15, 4), F(15, 2))
         stage = StageProjection(ctx, "u1", 4, {"z": (F(3, 2), F(3))})
-        outcome, f2 = binomialize_modulo(f, v, stage, [rel])
+        outcome, f2 = binomialize_modulo(f, on_lattice(stage, v), stage, [rel])
         assert isinstance(outcome, BinomialPower)
         assert (outcome.inner_exp, outcome.power) == (2, 2)
         assert outcome.tail_expo == (6, 12, 1, 0)
@@ -160,7 +160,7 @@ class TestBinomializeModulo:
         f = parse_polynomial("u1^4 + x1^12*x2^24*z^2", ctx, F2)
         v = (F(15, 4), F(15, 2))
         stage = StageProjection(ctx, "u1", 4, {"z": (F(3, 2), F(3))})
-        outcome, f2 = binomialize_modulo(f, v, stage, [])
+        outcome, f2 = binomialize_modulo(f, on_lattice(stage, v), stage, [])
         assert isinstance(outcome, BinomialPower)
         assert f2 is f
 
@@ -171,7 +171,7 @@ class TestBinomializeModulo:
         f = parse_polynomial("u1^2 + x1*z*u1", ctx, QQ)
         v = (F(2),)
         stage = StageProjection(ctx, "u1", 2, {"z": (F(1),)})
-        outcome, f2 = binomialize_modulo(f, v, stage, [rel])
+        outcome, f2 = binomialize_modulo(f, on_lattice(stage, v), stage, [rel])
         assert outcome is None
         assert f2 is f
 
@@ -190,7 +190,7 @@ class TestBinomializeModulo:
 
         monkeypatch.setattr(StageProjection, "initial", counting)
         stage = StageProjection(ctx, "u1", 6, {"z": (F(1),)})
-        outcome, f2 = binomialize_modulo(f, (F(2, 5),), stage, [rel])
+        outcome, f2 = binomialize_modulo(f, on_lattice(stage, (F(2, 5),)), stage, [rel])
         assert outcome is None
         assert f2 is f
         assert built.count(True) == 1
@@ -271,7 +271,8 @@ class TestPowerFilter:
             rel = Relation(var="u1", head_var="z", head_exp=1, tail_coeff=field.one,
                            tail_expo=(1, 1, 0), ctx=ctx, ring=field)
             for relations, depth in (([], 3), ([rel], 0)):
-                outcome, f2 = binomialize_modulo(f, v, z_stage(f, n), relations, depth)
+                stage = z_stage(f, n)
+                outcome, f2 = binomialize_modulo(f, on_lattice(stage, v), stage, relations, depth)
                 assert outcome == want
                 assert f2 is f
             seen.add(type(want).__name__)
@@ -287,16 +288,17 @@ class TestPowerFilter:
         v = tuple(F(1) for _ in range(d))
         want = binomial_power_decompose(initial_form(f, v, "z", 2, {}), "z")
         assert want is None
+        stage = z_stage(f, 2)
         for depth in (0, 3):
-            assert binomialize_modulo(f, v, z_stage(f, 2), [], depth) == (want, f)
+            assert binomialize_modulo(f, on_lattice(stage, v), stage, [], depth) == (want, f)
 
     def test_non_monic_raises_as_the_walk_does(self, QQ):
         f = mk("2*z^2 + x1^3", 1, QQ)
         with pytest.raises(ContractViolation, match="not monic in the main variable"):
-            binomial_power_decompose(z_stage(f, 2).initial(f, (F(3, 2),)), "z")
+            binomial_power_decompose(z_stage(f, 2).initial(f, (3,)), "z")
         for depth in (0, 3):
             with pytest.raises(ContractViolation, match="not monic in the main variable"):
-                binomialize_modulo(f, (F(3, 2),), z_stage(f, 2), [], depth)
+                binomialize_modulo(f, (3,), z_stage(f, 2), [], depth)
 
     def test_one_decomposition_for_a_coprime_tail(self, QQ, monkeypatch):
         # gcd(12, 7, 11) = 1: the divisors 12, 6, 4, 3 and 2 cannot fit
@@ -309,7 +311,9 @@ class TestPowerFilter:
 
         monkeypatch.setattr(kappainv.kappa, "_decompose_at", counting)
         wf = mkw("z^12 - 5*x1^7*x2^11", 2, QQ)
-        outcome, _ = binomialize_modulo(wf.poly, (F(7, 12), F(11, 12)), z_stage(wf.poly, 12), [])
+        stage = z_stage(wf.poly, 12)
+        outcome, _ = binomialize_modulo(wf.poly, on_lattice(stage, (F(7, 12), F(11, 12))), stage,
+                                        [])
         assert (outcome.inner_exp, outcome.power) == (12, 1)
         assert calls == [1]
         calls.clear()

@@ -9,7 +9,7 @@ from kappainv import (ConfigurationError, ContractViolation, KappaConfig, Poly, 
                       hull_vertices, member, parse_polynomial, polyhedron_leq,
                       prepare_polyhedron, projected_polyhedron, weighted_projected_polyhedron)
 from kappainv.polyhedron import StageProjection
-from conftest import mk, mkw
+from conftest import mk, mkw, on_lattice
 
 
 def F(a, b=1):
@@ -205,7 +205,7 @@ class TestSimplex:
         monkeypatch.setattr(kappainv.polyhedron, "_phase_one_feasible", spy)
         rng = random.Random(53)
         for d in range(2, 7):
-            for m in range(2, 13):
+            for m in range(2, 15):
                 spread = [tuple(Fraction(rng.randrange(0, 13), rng.randrange(1, 13))
                                 for _ in range(d)) for _ in range(m)]
                 for pts in (spread, pareto_heavy(rng, d, m)):
@@ -310,6 +310,121 @@ class TestHull:
             rng.shuffle(shuffled)
             assert hull_vertices(shuffled, d).vertices == P.vertices
 
+
+class TestSegment:
+    """Membership against exactly two generators, decided in closed form."""
+
+    def test_closed_form_against_the_oracle(self, monkeypatch):
+        decided = []
+        segment = kappainv.polyhedron._segment_meets
+
+        def spy(p, a, b):
+            assert all(type(c) is int for c in (*p, *a, *b))
+            decided.append(segment(p, a, b))
+            return decided[-1]
+
+        def refuse(*args):
+            raise AssertionError("the simplex ran on two generators")
+
+        monkeypatch.setattr(kappainv.polyhedron, "_segment_meets", spy)
+        monkeypatch.setattr(kappainv.polyhedron, "_phase_one_feasible", refuse)
+        rng = random.Random(61)
+        kinds = set()
+        for n in range(900):
+            d = rng.randrange(1, 6)
+            a = tuple(rng.randrange(-6, 7) for _ in range(d))
+            b = tuple(rng.randrange(-6, 7) for _ in range(d))
+            if n % 3 == 0:
+                b = a
+            elif n % 3 == 1:  # one coordinate where a_r == b_r
+                r = rng.randrange(d)
+                b = b[:r] + (a[r],) + b[r + 1:]
+            t = Fraction(rng.randrange(0, 9), 8)
+            p = tuple(t * x + (1 - t) * y + Fraction(rng.randrange(-2, 3), rng.randrange(1, 4))
+                      for x, y in zip(a, b))
+            want = member_oracle(p, [a, b])
+            # the same point and segment as ints, as Fractions and mixed
+            scale = math.lcm(*(c.denominator for c in p))
+            ints = [tuple(int(c * scale) for c in q) for q in (p, a, b)]
+            fracs = [tuple(map(Fraction, q)) for q in (p, a, b)]
+            mixed = [tuple(c.numerator if c.denominator == 1 and rng.random() < 0.5 else c
+                           for c in q) for q in fracs]
+            assert kappainv.polyhedron._segment_meets(*ints) == want, (p, a, b)
+            for q, *ab in (ints, fracs, mixed):
+                assert member(q, ab) == want, (q, ab)
+            kinds.add((a == b, any(x == y for x, y in zip(a, b)), min(a + b) < 0))
+        assert len(decided) >= 600
+        assert sum(decided) >= 150 and len(decided) - sum(decided) >= 150
+        assert {(True, True, True), (False, True, True), (False, False, True)} <= kinds
+
+
+TWENTY_THREE = [(0, 24, 24), (3, 24, 21), (4, 24, 20), (6, 24, 18), (8, 24, 16), (9, 21, 21),
+                (9, 24, 15), (12, 20, 20), (12, 21, 18), (12, 24, 12), (15, 21, 15),
+                (16, 20, 16), (18, 18, 18), (18, 21, 12), (20, 20, 12), (21, 18, 15),
+                (24, 16, 16), (24, 18, 12), (27, 15, 15), (28, 16, 12), (30, 15, 12),
+                (36, 12, 12), (39, 42, 42)]
+
+
+def lattice_points(rng, d, m):
+    """m int points: coarse grid points with ties and duplicates, and points
+    inside the segments between them."""
+    pts = [tuple(4 * rng.randrange(0, 4) for _ in range(d))]
+    while len(pts) < m:
+        a, b = rng.choice(pts), rng.choice(pts)
+        t = rng.randrange(0, 5)
+        pts.append(rng.choice([tuple(4 * rng.randrange(0, 4) for _ in range(d)), a,
+                               tuple((t * x + (4 - t) * y) // 4 for x, y in zip(a, b))]))
+    return pts
+
+
+class TestHullCertificates:
+    """hull_vertices keeps each cyclic lex minimum with no test, and tests the
+    other Pareto minima against those certified vertices first."""
+
+    def test_certified_vertices_are_oracle_vertices(self):
+        rng = random.Random(67)
+        ties = 0
+        for d in range(1, 6):
+            for m in range(1, 10):
+                for _ in range(3):
+                    for pts in (pareto_heavy(rng, d, m), lattice_points(rng, d, m)):
+                        certified = kappainv.polyhedron._lex_minima(pts, d)
+                        vertices = hull_oracle(pts)
+                        assert certified and all(q in vertices for q in certified), pts
+                        # a coordinate's minimum reached by two points: the order breaks the tie
+                        ties += any(sum(q[r] == min(s[r] for s in pts) for q in set(pts)) > 1
+                                    for r in range(d))
+        assert ties >= 80
+
+    def test_hull_against_the_oracle(self):
+        rng = random.Random(71)
+        uncertified = 0
+        for d in range(2, 6):
+            for m in range(2, 12):
+                for _ in range(4):
+                    spread = [tuple(rng.randrange(0, 13) for _ in range(d)) for _ in range(m)]
+                    for pts in (spread, pareto_heavy(rng, d, m), lattice_points(rng, d, m)):
+                        got = hull_vertices(pts, d).vertices
+                        assert got == hull_oracle(pts), pts
+                        uncertified += len(got) > len(kappainv.polyhedron._lex_minima(pts, d))
+        assert uncertified >= 90  # vertices that only the test against all the others keeps
+
+    def test_twenty_three_points_run_on_the_certified_vertices(self, monkeypatch):
+        # the first z-stage hull of the towers case translated-classify-p0-d3-n4-t3-s1:
+        # 22 Pareto minima, of which the 3 cyclic lex minima are the vertices; each
+        # of the other 19 takes one simplex run over those 3 generators and the 3
+        # slack columns
+        runs = []
+        simplex = kappainv.polyhedron._phase_one_feasible
+
+        def spy(tab, nstruct):
+            runs.append(nstruct)
+            return simplex(tab, nstruct)
+
+        monkeypatch.setattr(kappainv.polyhedron, "_phase_one_feasible", spy)
+        P = hull_vertices(TWENTY_THREE, 3)
+        assert P.vertices == ((0, 24, 24), (12, 24, 12), (36, 12, 12))
+        assert runs == [3 + 3] * 19
 
 
 class TestProjected:
@@ -441,10 +556,12 @@ class TestStageProjection:
                     missing += 1
                     continue
                 got = stage.polyhedron(f)
-                assert got == P
-                assert all(type(c) is Fraction for v in got.vertices for c in v)
+                assert got.vertices == tuple(on_lattice(stage, v) for v in P.vertices)
+                assert all(type(c) is int for v in got.vertices for c in v)
+                assert stage.unscale(got) == P
+                assert all(type(c) is Fraction for v in stage.unscale(got).vertices for c in v)
                 for v in P.vertices:
-                    assert stage.initial(f, v) == initial(v)
+                    assert stage.initial(f, on_lattice(stage, v)) == initial(v)
                 asked += (len(f.terms) - 1) * (1 + len(P.vertices))
             assert len(stage.points) <= len(pool)
             reused += asked - len(stage.points)
@@ -452,14 +569,17 @@ class TestStageProjection:
         assert missing > 0
 
     def test_off_grid_vertex_has_no_terms(self, QQ):
-        # 13/24 is off the stage's 1/S grid (S = 2 * lcm(1, 2, 3) = 12), though
-        # S * 13/24 rounds down to S * 1/2: only the top is kept
+        # 13/24 is off the stage's 1/S grid (S = 2 * lcm(1, 2, 3) = 12): S * 13/24
+        # is 13/2, no int, though it rounds down to S * 1/2: only the top is kept
         ctx = VarContext(1, ("z", "u1"))
         stage = StageProjection(ctx, "u1", 3, {"z": (F(1, 2),)})
         f = parse_polynomial("u1^3 + x1*u1 + z*u1^2", ctx, QQ)
-        assert stage.polyhedron(f).vertices == ((F(1, 2),),)
-        assert stage.initial(f, (F(1, 2),)) == f
-        assert stage.initial(f, (F(13, 24),)) == parse_polynomial("u1^3", ctx, QQ)
+        assert stage.polyhedron(f).vertices == ((6,),)
+        assert stage.unscale(stage.polyhedron(f)).vertices == ((F(1, 2),),)
+        assert stage.initial(f, (6,)) == f
+        off_grid = on_lattice(stage, (F(13, 24),))
+        assert off_grid == (F(13, 2),)
+        assert stage.initial(f, off_grid) == parse_polynomial("u1^3", ctx, QQ)
 
     def test_checks_are_kept(self, QQ):
         ctx = VarContext(2, ("z", "u1", "u2"))

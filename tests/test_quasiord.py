@@ -380,6 +380,27 @@ class TestSubresultantStart:
                 assert got == want
         assert constant_powers and products == []
 
+    def test_the_last_h_is_not_formed(self, QQ, F7, monkeypatch):
+        # two corners at n = 9: the last step has delta = n - 3 = 6 and ends
+        # the sequence at B[0], which reads no h, so h = g^6 / h^5 (9 more
+        # products) is not formed
+        products = []
+        real_mul = Poly.mul
+
+        def mul(a, b, T=None):
+            products.append((a, b))
+            return real_mul(a, b, T)
+
+        for field in (QQ, F7):
+            wf = mkw("z^9 + x1*x2*z^8 - 2*x1^10 - 3*x2^12", 2, field)
+            want = sylvester_resultant(wf.poly)
+            products.clear()
+            monkeypatch.setattr(Poly, "mul", mul)
+            got = discriminant_z(wf).disc
+            monkeypatch.undo()
+            assert got == want
+            assert len(products) == 29
+
     def test_binomial_sweep_against_the_closed_form(self, QQ, F5, F7):
         # the closed form itself, on two values worked by hand
         assert binomial_resultant(4, mk("-3*x1^5*x2^7", 2, QQ)) == mk("-6912*x1^15*x2^21", 2, QQ)
