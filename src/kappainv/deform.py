@@ -11,6 +11,8 @@ terms whose coefficient is a nonzero multiple of p.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,6 +96,9 @@ def initial_forms_weighted(lift: IntegerLift, omega) -> InitialIdealReport:
     then the mod-p and characteristic-0 initial ideals share their support.
     """
     omega = check_weight_vector(omega, lift.ctx)
+    # omega times the lcm of its denominators orders the terms alike, on ints
+    scale = math.lcm(*(c.denominator for c in omega))
+    weights = [c.numerator * (scale // c.denominator) for c in omega]
     p = lift.prime
     inits = []
     fiber_independent = True
@@ -102,7 +107,7 @@ def initial_forms_weighted(lift: IntegerLift, omega) -> InitialIdealReport:
         best = None
         kept = {}
         for e, c in gen.terms.items():
-            w = sum(omega[i] * e[i] for i in range(len(e)))
+            w = sum(map(operator.mul, weights, e))
             if best is None or w < best:
                 best = w
                 kept = {e: c}

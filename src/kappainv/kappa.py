@@ -14,6 +14,7 @@ emitted), an empty polyhedron (also infinity), a multi-vertex polyhedron
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 from typing import NamedTuple
@@ -43,7 +44,10 @@ class BinomialPower:
     tail_expo: tuple
 
     def expand(self, ctx: VarContext, ring) -> Poly:
-        """The binomial theorem: sum_j C(n, j) * (-coeff)^j * w^(inner*(n-j)) * tail^j."""
+        """The binomial theorem: sum_j C(n, j) * (-coeff)^j * w^(inner*(n-j)) * tail^j.
+
+        The engine never builds it: _decompose_at checks these terms in place.
+        """
         n, w = self.power, ctx.var_index(self.main_var)
         tail, m = ctx.pad(self.tail_expo), ring.neg(self.coeff)
         terms, binom, mj = {}, 1, ring.one
@@ -186,16 +190,37 @@ def _decompose_at(In: Poly, shape: _Shape, power: int, main_var: str):
     (-1)^power * free_coeff in the coefficient field: over Q and finite
     fields an extension never adds one that fits, since the least j0 > 0
     with C(power, j0) nonzero in the field puts (-c)^j0 in the field, and
-    these fields are perfect.
+    these fields are perfect.  A root fits when In holds C(power, j) *
+    (-c)^j at w^(inner*(power-j)) * tail^j for every j, and no other term:
+    each coefficient is checked in place, and the count of nonzero ones
+    against len(In.terms), so no expansion is built.  BinomialPower.expand
+    is the same statement as a Poly.
     """
     if shape.degree % power or any(v % power for v in shape.free_expo):
         return None
     tail = tuple(v // power for v in shape.free_expo)
-    gamma, ring = shape.free_coeff, In.ring
-    for c in ring.all_nth_roots(gamma if power % 2 == 0 else ring.neg(gamma), power):
-        bp = BinomialPower(main_var, shape.degree // power, power, c, tail)
-        if bp.expand(In.ctx, ring) == In:
-            return bp
+    inner, gamma, ring, terms = shape.degree // power, shape.free_coeff, In.ring, In.terms
+    roots = ring.all_nth_roots(gamma if power % 2 == 0 else ring.neg(gamma), power)
+    if not roots:
+        return None
+    # the exponent of w^(inner*(power-j)) * tail^j for j = 0..power
+    w = In.ctx.var_index(main_var)
+    step = tail[:w] + (-inner,) + tail[w + 1:]
+    expos = [In.ctx.unit(main_var, shape.degree)]
+    for _ in range(power):
+        expos.append(tuple(map(operator.add, expos[-1], step)))
+    zero, mul, from_int, is_zero = ring.zero, ring.mul, ring.from_int, ring.is_zero
+    for c in roots:
+        m, mj, binom, nonzero = ring.neg(c), ring.one, 1, 0
+        for j, e in enumerate(expos):
+            want = mul(from_int(binom), mj)
+            if terms.get(e, zero) != want:
+                break
+            nonzero += not is_zero(want)
+            binom, mj = binom * (power - j) // (j + 1), mul(mj, m)
+        else:
+            if nonzero == len(terms):
+                return BinomialPower(main_var, inner, power, c, tail)
     return None
 
 

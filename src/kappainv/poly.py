@@ -33,9 +33,14 @@ _NORMAL_FORM_FUEL = 512
 
 
 class VarContext:
-    """Variable layout: d x-variables plus an ordered auxiliary chain."""
+    """Variable layout: d x-variables plus an ordered auxiliary chain.
 
-    __slots__ = ("d", "aux")
+    names maps every variable name the input grammar can spell that this
+    layout holds (x1..xd and the chain names z, u1, ...) to its index, so
+    parse_polynomial and var_index read a name with one lookup.
+    """
+
+    __slots__ = ("d", "aux", "names")
 
     def __init__(self, d: int, aux=("z",)):
         if d < 1:
@@ -45,12 +50,23 @@ class VarContext:
             raise ValidationError("auxiliary variable names must be unique")
         self.d = d
         self.aux = aux
+        # a chain name of the form x<digits> is never the chain variable: the
+        # string rule of var_index reads it as an x-variable
+        self.names = {name: d + j for j, name in enumerate(aux)
+                      if _VARIABLE_RE.fullmatch(name) and name[0] != "x"}
+        self.names.update((f"x{i + 1}", i) for i in range(d))
 
     @property
     def nvars(self) -> int:
         return self.d + len(self.aux)
 
     def var_index(self, name: str) -> int:
+        """The index of a variable, by the names table and else by the string
+        rule: x<digits> is the x-variable of that number (x01 is x1), any
+        other name a chain variable; KeyError when the layout has none."""
+        i = self.names.get(name)
+        if i is not None:
+            return i
         if name.startswith("x") and name[1:].isdigit():
             i = int(name[1:])
             if 1 <= i <= self.d:
@@ -79,8 +95,9 @@ class VarContext:
 
     def unit(self, name: str, k: int = 1) -> tuple:
         """The exponent of name^k."""
-        idx = self.var_index(name)
-        return tuple(k if i == idx else 0 for i in range(self.nvars))
+        e = [0] * self.nvars
+        e[self.var_index(name)] = k
+        return tuple(e)
 
     def extend(self, name: str) -> "VarContext":
         if self.has_var(name):
@@ -392,7 +409,7 @@ def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
     if not tokens:
         raise error("empty polynomial", 0)
     tokens.append(_END)
-    terms, nvars = {}, ctx.nvars
+    terms, nvars, names = {}, ctx.nvars, ctx.names
     zero, one, add, is_zero = ring.zero, ring.one, ring.add, ring.is_zero
     i, sign = (1, "-") if tokens[0][2] == "-" else (0, "+")
     while True:
@@ -422,10 +439,12 @@ def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
             name = tokens[i][1]
             if not name:
                 raise error("expected a variable", i)
-            try:
-                idx = ctx.var_index(name) if _VARIABLE_RE.fullmatch(name) else None
-            except KeyError:
-                idx = None
+            idx = names.get(name)
+            if idx is None and _VARIABLE_RE.fullmatch(name):
+                try:
+                    idx = ctx.var_index(name)
+                except KeyError:
+                    pass
             if idx is None:
                 raise error(f"unknown variable {name!r}", i)
             i += 1

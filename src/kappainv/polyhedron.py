@@ -20,6 +20,7 @@ simplest correct choice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,10 +151,11 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
     minima only, since a point that weakly dominates a distinct (lex-smaller)
     point is no vertex (Kung, Luccio and Preparata, JACM 1975).  The
     lexicographic minimum under each cyclic order of the coordinates is a
-    vertex with no test, and every other point is first tested against
-    those certified vertices, then against all the others.  Coordinates are
-    kept as given, so int points give int vertices and membership among
-    them needs no scaling.
+    vertex with no test.  Every other point is tested first against each
+    segment between two certified vertices, in closed form; then, when
+    there are three or more, against the hull of all of them; and only then
+    against all the other points.  Coordinates are kept as given, so int
+    points give int vertices and membership among them needs no scaling.
     """
     check_dimension(d)
     kept = []
@@ -166,12 +168,19 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
     i = 0
     while i < len(kept):
         q = kept[i]
-        if q not in certified and (member(q, certified) or (
-                len(kept) - 1 > len(certified) and member(q, kept[:i] + kept[i + 1:]))):
+        if q not in certified and (
+                _above_an_edge(q, certified)
+                or (len(certified) > 2 and member(q, certified))
+                or (len(kept) - 1 > len(certified) and member(q, kept[:i] + kept[i + 1:]))):
             kept.pop(i)
         else:
             i += 1
     return OrthantPolyhedron(d, tuple(kept))
+
+
+def _above_an_edge(q, vertices) -> bool:
+    """Whether q lies in segment(a, b) + R_{>=0}^d for two of the given points."""
+    return any(_segment_meets(q, a, b) for a, b in itertools.combinations(vertices, 2))
 
 
 def _lex_minima(points, d: int) -> list:
@@ -200,11 +209,15 @@ class StageProjection:
     scale S = lcm(weight denominators) * lcm(1..top_exp), fixed here.  The
     point (A + sum_j e_j * w_j) / (top_exp - e_main) of a term, times S, is
     an int tuple; it is memoized by exponent, so every polynomial of the
-    stage shares it.  Inside the stage every polyhedron and vertex stays on
-    this S-scaled int lattice: polyhedron() returns int vertices, and
-    initial() takes one as it comes.  unscale() makes the Fraction vertices
-    of what leaves the stage.  Only polynomials in the stage's context may
-    be passed.
+    stage shares it.  A polynomial's terms below the monic top are grouped
+    by point once (terms_by_point), and the last polynomial's groups are
+    kept by identity, which is safe because a Poly's terms never change:
+    polyhedron() takes the hull of the distinct points, and initial() is
+    one lookup.  Inside the stage every polyhedron and vertex stays on this
+    S-scaled int lattice: polyhedron() returns int vertices, and initial()
+    takes one as it comes.  unscale() makes the Fraction vertices of what
+    leaves the stage.  Only polynomials in the stage's context may be
+    passed.
     """
 
     def __init__(self, ctx, main_var: str, top_exp: int, weights: dict):
@@ -218,6 +231,7 @@ class StageProjection:
         self.aux = {ctx.var_index(name): tuple(c.numerator * (S // c.denominator) for c in vec)
                     for name, vec in weights.items()}
         self.points = {}
+        self._grouped = None, {}, False  # (polynomial, its groups, a term above the top)
 
     def point(self, e):
         """S times the weighted point of the term with exponent e, memoized."""
@@ -242,26 +256,46 @@ class StageProjection:
         den = self.top_exp - e[self.midx]
         return tuple(c // den for c in num)
 
+    def terms_by_point(self, f: Poly):
+        """f's terms below the top degree grouped by point, and whether a term
+        other than the top lies at or above the top degree; read once per
+        polynomial.  Checks nothing else: polyhedron() raises on what it
+        refuses."""
+        last, groups, above = self._grouped
+        if f is last:
+            return groups, above
+        midx, top_exp, top, point = self.midx, self.top_exp, self.top, self.point
+        groups, above = {}, False
+        for e, c in f.terms.items():
+            if e[midx] < top_exp:
+                pt = point(e)
+                group = groups.get(pt)
+                if group is None:
+                    groups[pt] = {e: c}
+                else:
+                    group[e] = c
+            elif e != top:
+                above = True
+        self._grouped = f, groups, above
+        return groups, above
+
     def initial(self, f: Poly, vertex) -> Poly:
         """Monic top plus every term whose point equals vertex, an int vertex of the stage."""
-        midx, top_exp, top, point = self.midx, self.top_exp, self.top, self.point
-        terms = {e: c for e, c in f.terms.items()
-                 if e == top or (e[midx] < top_exp and point(e) == vertex)}
-        return Poly(f.ctx, f.ring, terms, f.trunc)
+        groups, _ = self.terms_by_point(f)
+        terms = dict(groups.get(vertex, ()))
+        top = f.terms.get(self.top)
+        if top is not None:
+            terms[self.top] = top
+        return Poly._of(f.ctx, f.ring, terms, f.trunc)
 
     def polyhedron(self, f: Poly) -> OrthantPolyhedron:
         """Hull of the points of all terms below the monic top, on the stage's lattice."""
-        midx, top_exp, top = self.midx, self.top_exp, self.top
-        if f.terms.get(top) != f.ring.one:
-            raise ContractViolation(f"not monic of degree {top_exp} in {self.main_var}")
-        pts = []
-        for e in f.terms:
-            if e[midx] >= top_exp:
-                if e != top:
-                    raise ContractViolation(f"term exceeds the monic degree in {self.main_var}")
-                continue
-            pts.append(self.point(e))
-        return hull_vertices(pts, self.ctx.d)
+        if f.terms.get(self.top) != f.ring.one:
+            raise ContractViolation(f"not monic of degree {self.top_exp} in {self.main_var}")
+        groups, above = self.terms_by_point(f)
+        if above:
+            raise ContractViolation(f"term exceeds the monic degree in {self.main_var}")
+        return hull_vertices(list(groups), self.ctx.d)
 
     def unscale(self, P: OrthantPolyhedron) -> OrthantPolyhedron:
         """P with every vertex divided by S: the weighted polyhedron, in Fractions."""

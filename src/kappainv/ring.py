@@ -152,7 +152,11 @@ def _log_tables(p: int, k: int, modulus):
     exp[L] is the index of g^L for the smallest primitive element g, and
     log[exp[L]] = L.  zech[L] is log(1 + g^L), or q-1 where 1 + g^L = 0;
     log[0] is q-1 as well.  g is primitive when g^((q-1)/r) != 1 for every
-    prime r dividing q-1.
+    prime r dividing q-1.  When g is x, each step of the walk is a shift:
+    x*v moves the digits of v up one place and adds the top digit times the
+    reduced modulus (x^k = sum low[i]*x^i), on the bits of the index when
+    p = 2 and on the digit list otherwise.  Any other g takes the general
+    Horner product by g.
     """
     q = p ** k
     tests = [(q - 1) // r for r in _prime_factors(q - 1)]
@@ -165,12 +169,19 @@ def _log_tables(p: int, k: int, modulus):
     # the prime subfield (indices below p) has no primitive element when k > 1
     g = next(d for d in ([i // w % p for w in weights] for i in range(p, q))
              if all(_ext_pow(d, e, low, p) != one for e in tests))
-    if p == 2 and g == [0, 1] + [0] * (k - 2):
-        # x is primitive: x*v shifts the bits of v's index and reduces by the modulus
+    x = [0, 1] + [0] * (k - 2)
+    if p == 2 and g == x:
+        # x*v shifts the bits of v's index and reduces by the modulus
         bits = sum(c << j for j, c in enumerate(modulus))
         return _fill(p, q, 1, lambda i: (i << 1) ^ bits if i >> (k - 1) else i << 1, int)
-    return _fill(p, q, one, lambda v: _ext_mul(v, g, low, p),
-                 lambda v: sum(map(operator.mul, v, weights)))
+
+    def shift(v):
+        """x*v: the digits move up one place, plus the top digit times x^k."""
+        t = v[-1]
+        return [(s + t * r) % p for s, r in zip([0] + v[:-1], low)] if t else [0] + v[:-1]
+
+    step = shift if g == x else (lambda v: _ext_mul(v, g, low, p))
+    return _fill(p, q, one, step, lambda v: sum(map(operator.mul, v, weights)))
 
 
 class Field:

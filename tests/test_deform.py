@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from kappainv import (ConfigurationError, Field, Poly, UnsupportedLiftError, VarContext,
                       back_substitute, compute_kappa, default_tropical_weight,
                       eliminate_to_hypersurface, ghost_monomials, initial_forms_weighted,
                       lift_presentation, parse_polynomial)
+from kappainv.deform import InitialIdealReport, IntegerLift, check_weight_vector
 from kappainv.poly import format_monomial
 from kappainv.ring import ZZ
 from conftest import mkw
@@ -217,7 +220,6 @@ class TestInitialIdeal:
 
     def test_ghost_initial_term_breaks_independence(self):
         ctx = VarContext(1, ("z",))
-        from kappainv.deform import IntegerLift
         gen = zz_poly("2*z^2 - x1^3", ctx)
         lift = IntegerLift(2, [], gen, ctx)
         rep = initial_forms_weighted(lift, (F(3), F(2)))
@@ -230,3 +232,52 @@ class TestInitialIdeal:
         lift = lift_presentation(res.presentation)
         with pytest.raises(ConfigurationError):
             initial_forms_weighted(lift, (1, 1, 1))
+
+
+def initial_forms_oracle(lift, omega):
+    """initial_forms_weighted with each term's weight summed in Fractions."""
+    omega = check_weight_vector(omega, lift.ctx)
+    inits, fiber_independent, witness = [], True, None
+    for gi, gen in enumerate(lift.generators()):
+        best, kept = None, {}
+        for e, c in gen.terms.items():
+            w = sum(omega[i] * e[i] for i in range(len(e)))
+            if best is None or w < best:
+                best, kept = w, {e: c}
+            elif w == best:
+                kept[e] = c
+        init = Poly(lift.ctx, ZZ, kept)
+        inits.append(init)
+        for e, c in init.sorted_terms():
+            if c % lift.prime == 0:
+                fiber_independent = False
+                witness = witness or (gi, e, c)
+    return InitialIdealReport(inits, fiber_independent, witness)
+
+
+def test_int_weights_match_the_fraction_oracle():
+    # the deform fixtures (the README presentations, the GF(5) square and the
+    # tame sweep mod p) under seeded lambdas with denominators 1..7
+    fixtures = [("z^2 - x1^3", 1, 2), ("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, 2),
+                ("z^4 + 3*x1^3*z^2 + x1^6", 1, 5)]
+    presentations = [compute_kappa(mkw(text, d, Field.finite(p))).presentation
+                     for text, d, p in fixtures]
+    presentations += [reduced_mod_p(i)[2].presentation for i in range(0, len(MOD_P), 8)]
+    rng = random.Random(2203)
+    ties = witnesses = 0
+    for pres in presentations:
+        lift = lift_presentation(pres)
+        for _ in range(6):
+            lam = tuple(F(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(pres.ctx.d))
+            omega = default_tropical_weight(pres, lam)
+            rep = initial_forms_weighted(lift, omega)
+            assert rep == initial_forms_oracle(lift, omega)
+            ties += sum(len(init.terms) > 1 for init in rep.generators_initial)
+    ctx = VarContext(1, ("z",))
+    ghost = IntegerLift(2, [], zz_poly("2*z^2 - x1^3 + 4*x1*z", ctx), ctx)
+    for _ in range(20):
+        omega = (F(rng.randint(1, 9), rng.randint(1, 7)), F(rng.randint(1, 9), rng.randint(1, 7)))
+        rep = initial_forms_weighted(ghost, omega)
+        assert rep == initial_forms_oracle(ghost, omega)
+        witnesses += rep.witness is not None
+    assert ties > 0 and witnesses > 0

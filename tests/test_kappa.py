@@ -11,7 +11,7 @@ from kappainv import (BinomialPower, ConfigurationError, ContractViolation,
 import kappainv.kappa
 import kappainv.poly
 from kappainv.polyhedron import StageProjection
-from kappainv.kappa import PrepStatus, _apply_rewrite
+from kappainv.kappa import PrepStatus, _apply_rewrite, _decompose_at, _read_shape
 from conftest import (binomial_power_decompose, initial_form, mk, mkw, on_lattice, rand_poly,
                       sample_relations, z_stage)
 
@@ -97,6 +97,104 @@ class TestDecompose:
         In = mk("z^2 - 2*x1^2", 1, QQ)
         bp = binomial_power_decompose(In, "z")
         assert (bp.inner_exp, bp.power) == (2, 1)
+
+
+def decompose_by_expansion(In, shape, power):
+    """_decompose_at by building each candidate's expansion and comparing Polys."""
+    if shape.degree % power or any(v % power for v in shape.free_expo):
+        return None
+    tail = tuple(v // power for v in shape.free_expo)
+    ring, gamma = In.ring, shape.free_coeff
+    for c in ring.all_nth_roots(gamma if power % 2 == 0 else ring.neg(gamma), power):
+        bp = BinomialPower("z", shape.degree // power, power, c, tail)
+        if bp.expand(In.ctx, ring) == In:
+            return bp
+    return None
+
+
+class TestInPlaceCheck:
+    """_decompose_at checks the expected coefficients in place; the oracle
+    expands every candidate with BinomialPower.expand and compares."""
+
+    def test_against_the_expansion(self, QQ, F2, F4, F5):
+        rng = random.Random(2201)
+        F3 = Field.finite(3)
+        ctx = VarContext(2, ("z",))
+        kinds = {}
+        for _ in range(1500):
+            field = rng.choice([QQ, F2, F3, F4, F5])
+            power = rng.randrange(1, 10)
+            inner = rng.randrange(1, 4)
+            tail = (rng.randrange(0, 3), rng.randrange(1, 3), 0)
+            coeff = (F(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2]))
+                     if field.characteristic == 0 else field.element(rng.randrange(1, field.order)))
+            terms = dict(BinomialPower("z", inner, power, coeff, tail).expand(ctx, field).terms)
+            expected = [(tail[0] * j, tail[1] * j, inner * (power - j)) for j in range(power + 1)]
+            # a vanishing C(power, j) leaves a hole in the expansion
+            holes = [e for e in expected if e not in terms]
+            inside = [e for e in terms if 0 < e[2] < inner * power]
+            kind = rng.choice(["exact", "changed", "added", "hole", "removed"])
+            if kind == "changed" and inside:
+                e = rng.choice(inside)
+                terms[e] = field.add(terms[e], field.one)
+                if field.is_zero(terms[e]):  # in GF(2) a change removes the term
+                    del terms[e]
+                    kind = "removed"
+            elif kind == "added":
+                terms[(rng.randrange(1, 9), rng.randrange(0, 9), rng.randrange(1, inner * power + 1))] = (
+                    field.from_int(rng.choice([1, 2, 3])) or field.one)
+            elif kind == "hole" and holes:
+                terms[rng.choice(holes)] = field.one
+            elif kind == "removed" and inside:
+                del terms[rng.choice(inside)]
+            else:
+                kind = "exact"
+            In = Poly(ctx, field, terms)
+            shape = _read_shape(In, "z")
+            if shape is None:
+                continue
+            for p in range(1, shape.degree + 1):
+                want = decompose_by_expansion(In, shape, p)
+                assert _decompose_at(In, shape, p, "z") == want, (field, p, terms)
+                if p == power:
+                    kinds.setdefault(kind, set()).add(want is not None)
+            if holes:
+                kinds.setdefault("vanishing binomial", set()).add(field.characteristic)
+        assert kinds["exact"] == {True}
+        assert all(kinds[k] >= {False} for k in ("changed", "added", "hole", "removed"))
+        assert kinds["vanishing binomial"] == {2, 3, 5}
+
+    def test_readme_examples_never_expand(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("BinomialPower.expand ran in the engine")
+
+        monkeypatch.setattr(BinomialPower, "expand", refuse)
+        F2 = Field.finite(2)
+        results = [compute_kappa(mkw(text, d, F2)) for text, d in README_EXAMPLES]
+        assert [r.invariant.terminal for r in results] == [Terminal.INFINITY, Terminal.MINUS_ONE,
+                                                          Terminal.INFINITY]
+
+    def test_each_polynomial_is_grouped_once(self, monkeypatch):
+        groups_of = {}  # id(f) -> (f, the groups object terms_by_point gave for it)
+        calls = []
+        group = StageProjection.terms_by_point
+
+        def spy(stage, f):
+            got = group(stage, f)
+            calls.append(f)
+            _, groups = groups_of.setdefault(id(f), (f, got[0]))
+            assert groups is got[0], "a polynomial's terms were grouped again"
+            return got
+
+        monkeypatch.setattr(StageProjection, "terms_by_point", spy)
+        F2 = Field.finite(2)
+        for text, d in README_EXAMPLES:
+            compute_kappa(mkw(text, d, F2))
+        assert len(calls) > len(groups_of) > 3  # the polyhedron and initial forms share them
+
+
+README_EXAMPLES = [("z^2 - x1^3", 1), ("z^2 - x1*x2*z - x1^3*x2 - x1*x2^3", 2),
+                   ("z^8 + x1^12*x2^24 + x1^15*x2^30", 2)]
 
 
 def first_extension(p, m):

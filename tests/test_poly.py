@@ -143,6 +143,51 @@ class TestParse:
         assert mk("x1 - x1", 1, QQ).is_zero()
 
 
+def string_rule_index(ctx, name):
+    """var_index by the string rule alone: x<digits> is an x-variable, any
+    other name a chain variable; None where the layout has none."""
+    if name.startswith("x") and name[1:].isdigit():
+        i = int(name[1:])
+        return i - 1 if 1 <= i <= ctx.d else None
+    return ctx.d + ctx.aux.index(name) if name in ctx.aux else None
+
+
+class TestVarIndex:
+    """The names table answers as the string rule does, which stays the fallback."""
+
+    def test_names_table_against_the_string_rule(self):
+        layouts = [(d, aux) for d in (1, 2, 3, 8)
+                   for aux in (("z",), ("z", "u1"), ("z", "u1", "u2", "u3"), ("z", "w"),
+                               ("z", "x1"), ("z", "x9"), ("u01", "z"))]
+        for d, aux in layouts:
+            ctx = VarContext(d, aux)
+            names = ([f"x{i}" for i in range(1, 10)]
+                     + ["x0", "x01", "x001", f"x{d + 1}", f"x0{d}", "z", "u1", "u01", "u2", "w",
+                        "x", "u", "", "X1", "x1 "])
+            for name in names:
+                want = string_rule_index(ctx, name)
+                if want is None:
+                    with pytest.raises(KeyError):
+                        ctx.var_index(name)
+                    assert not ctx.has_var(name)
+                else:
+                    assert ctx.var_index(name) == want, (d, aux, name)
+                    assert ctx.has_var(name)
+
+    def test_parsing_reads_the_table_then_the_rule(self, QQ):
+        ctx = VarContext(2, ("z", "u1"))
+        assert parse_polynomial("x01*x002^2 + u1*z", ctx, QQ) == parse_polynomial(
+            "x1*x2^2 + z*u1", ctx, QQ)
+        for text in ("x0 + z", "x3 + z", "u01 + z", "u2 + z"):
+            with pytest.raises(ParseError, match="unknown variable"):
+                parse_polynomial(text, ctx, QQ)
+        # a chain name outside the grammar is never read as a variable
+        odd = VarContext(1, ("z", "w"))
+        assert odd.var_index("w") == 2
+        with pytest.raises(ParseError, match="unknown variable"):
+            parse_polynomial("w + z", odd, QQ)
+
+
 class TestFormat:
     def test_round_trip_examples(self, QQ, F2):
         for text, d, field in [

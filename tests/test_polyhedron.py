@@ -411,9 +411,10 @@ class TestHullCertificates:
 
     def test_twenty_three_points_run_on_the_certified_vertices(self, monkeypatch):
         # the first z-stage hull of the towers case translated-classify-p0-d3-n4-t3-s1:
-        # 22 Pareto minima, of which the 3 cyclic lex minima are the vertices; each
-        # of the other 19 takes one simplex run over those 3 generators and the 3
-        # slack columns
+        # 22 Pareto minima, of which the 3 cyclic lex minima are the vertices; of
+        # the other 19, 15 lie above a segment between two of them, and each of
+        # the 4 inside the triangle takes one simplex run over those 3 generators
+        # and the 3 slack columns
         runs = []
         simplex = kappainv.polyhedron._phase_one_feasible
 
@@ -424,7 +425,39 @@ class TestHullCertificates:
         monkeypatch.setattr(kappainv.polyhedron, "_phase_one_feasible", spy)
         P = hull_vertices(TWENTY_THREE, 3)
         assert P.vertices == ((0, 24, 24), (12, 24, 12), (36, 12, 12))
-        assert runs == [3 + 3] * 19
+        assert runs == [3 + 3] * 4
+
+
+class TestEdgeCertificates:
+    """hull_vertices tests each uncertified Pareto minimum against the segments
+    between two certified vertices before any simplex; _above_an_edge must
+    never remove a vertex."""
+
+    def test_no_vertex_lies_above_an_edge(self):
+        rng = random.Random(2205)
+        accepted = 0
+        for d in range(1, 6):
+            for m in range(2, 12):
+                for _ in range(4):
+                    for pts in (pareto_heavy(rng, d, m), lattice_points(rng, d, m)):
+                        distinct = sorted(set(pts))
+                        vertices = hull_oracle(pts)
+                        for q in distinct:
+                            others = [s for s in distinct if s != q]
+                            above = kappainv.polyhedron._above_an_edge(q, others)
+                            assert not (above and q in vertices), (q, pts)
+                            accepted += above
+        assert accepted >= 500
+
+    def test_two_certified_vertices_take_no_member_call(self, monkeypatch):
+        # with two certified vertices the segment between them is the whole test
+        calls = []
+        test = kappainv.polyhedron.member
+        monkeypatch.setattr(kappainv.polyhedron, "member",
+                            lambda p, pts: calls.append(len(pts)) or test(p, pts))
+        P = hull_vertices([(0, 4), (1, 3), (2, 2), (4, 0), (1, 4), (3, 1)], 2)
+        assert P.vertices == ((0, 4), (4, 0))
+        assert calls == []
 
 
 class TestProjected:

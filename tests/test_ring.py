@@ -1,5 +1,7 @@
 import ast
+import operator
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -13,6 +15,9 @@ from kappainv.ring import ZZ, integer_nth_root
 from conftest import reduce_coeff
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kappainv"
+sys.path.insert(0, str(SRC.parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 # Reference arithmetic: schoolbook products over GF(p) and enumeration of the
 # whole field.  It shares nothing with the log/antilog tables under test; it
@@ -373,3 +378,58 @@ def test_extension_coefficient_formatting(F4):
     assert F4.format_coeff(F4.add(a, F4.one)) == "(a + 1)"
     assert F4.format_coeff(F4.one) == "1"
     assert F4.format_coeff(F4.zero) == "0"
+
+
+def general_walk(p, k, modulus):
+    """The log tables by the Horner product by g at every step, for any g."""
+    q = p ** k
+    tests = [(q - 1) // r for r in ring._prime_factors(q - 1)]
+    low = [(-c) % p for c in modulus[:k]]
+    one = [1] + [0] * (k - 1)
+    weights = [p ** i for i in range(k)]
+    g = next(d for d in ([i // w % p for w in weights] for i in range(p, q))
+             if all(ring._ext_pow(d, e, low, p) != one for e in tests))
+    return ring._fill(p, q, one, lambda v: ring._ext_mul(v, g, low, p),
+                      lambda v: sum(map(operator.mul, v, weights)))
+
+
+class TestShiftWalk:
+    """The tables of a field whose x is primitive come from the shift walk."""
+
+    @staticmethod
+    def x_primitive_moduli(rng, p, k, count):
+        """count seeded monic irreducible moduli of degree k over GF(p) with x primitive."""
+        q = p ** k
+        tests = [(q - 1) // r for r in ring._prime_factors(q - 1)]
+        x, one, found = [0, 1] + [0] * (k - 2), [1] + [0] * (k - 1), set()
+        while len(found) < count:
+            m = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+            low = [(-c) % p for c in m[:k]]
+            if ring._is_irreducible(m, p) and all(ring._ext_pow(x, e, low, p) != one
+                                                  for e in tests):
+                found.add(m)
+        return sorted(found)
+
+    def test_benchmark_fields_match_the_general_walk(self):
+        built = {f for name in workloads.WORKLOADS for seed in (7, 13)
+                 for f in workloads.fields(workloads.build(name, seed)) if f[1] > 1}
+        assert {p for p, _, _ in built} == {2, 3, 5, 7}
+        for p, k, m in built:
+            assert ring._log_tables(p, k, m) == general_walk(p, k, m), (p, k, m)
+
+    def test_seeded_odd_moduli_match_the_general_walk(self, monkeypatch):
+        rng = random.Random(2207)
+        products = []
+        mul = ring._ext_mul
+        monkeypatch.setattr(ring, "_ext_mul", lambda *a: products.append(1) or mul(*a))
+        # GF(9) has only 2 primitive quadratic moduli, phi(8)/2
+        for p, k, count in ((3, 2, 2), (3, 3, 3), (3, 4, 3), (3, 5, 3), (3, 6, 3),
+                            (5, 2, 3), (5, 3, 3), (5, 4, 3), (7, 2, 3), (7, 3, 3)):
+            for m in self.x_primitive_moduli(rng, p, k, count):
+                products.clear()
+                got = ring._log_tables(p, k, m)
+                # only the generator test, one power of x per prime factor of
+                # q - 1, multiplies; the walk's q - 1 steps shift
+                q = p ** k
+                assert len(products) <= 2 * len(ring._prime_factors(q - 1)) * q.bit_length() < q
+                assert got == general_walk(p, k, m), (p, k, m)
