@@ -187,7 +187,7 @@ def _build_config(args) -> KappaConfig:
 
 def _parse_lambda(args, d: int):
     if args.lam is None:
-        return tuple(Fraction(1) for _ in range(d))
+        return (1,) * d
     try:
         return tuple(Fraction(c) for c in args.lam.split(","))
     except (ValueError, ZeroDivisionError):

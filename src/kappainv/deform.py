@@ -79,8 +79,15 @@ def ghost_monomials(lift: IntegerLift) -> GhostReport:
     return GhostReport(ghosts, h)
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def check_weight_vector(omega, ctx: VarContext) -> tuple:
-    omega = tuple(Fraction(c) for c in omega)
+    omega = tuple(map(_exact, omega))
     if len(omega) != ctx.nvars:
         raise ConfigurationError(
             f"weight vector has {len(omega)} components, expected {ctx.nvars}")
@@ -124,17 +131,26 @@ def initial_forms_weighted(lift: IntegerLift, omega) -> InitialIdealReport:
 
 
 def default_tropical_weight(pres: OverweightPresentation, lam) -> tuple:
-    """Kappa-derived candidate weight: omega_x = lambda, omega_v = <lambda, weight(v)>."""
+    """Kappa-derived candidate weight: omega_x = lambda, omega_v = <lambda, weight(v)>.
+
+    Each omega_v is one sum of ints over the common denominator of lambda
+    and weight(v); initial_forms_weighted checks the whole vector.
+    """
     ctx = pres.ctx
-    lam = tuple(Fraction(c) for c in lam)
+    lam = tuple(map(_exact, lam))
     if len(lam) != ctx.d:
         raise ConfigurationError(f"lambda has {len(lam)} components, expected {ctx.d}")
     if any(c <= 0 for c in lam):
         raise ConfigurationError("lambda must be strictly positive componentwise")
+    L = math.lcm(*(c.denominator for c in lam))
+    lam_num = [c.numerator * (L // c.denominator) for c in lam]
     omega = list(lam)
     for name in ctx.aux:
         vec = pres.weights.get(name)
         if vec is None:
             raise ConfigurationError(f"presentation assigns no weight to {name}")
-        omega.append(sum(l * v for l, v in zip(lam, vec)))
-    return check_weight_vector(omega, ctx)
+        V = math.lcm(*(c.denominator for c in vec))
+        num = sum(l * c.numerator * (V // c.denominator) for l, c in zip(lam_num, vec))
+        den = L * V
+        omega.append(num // den if num % den == 0 else Fraction(num, den))
+    return tuple(omega)

@@ -148,6 +148,9 @@ class KappaResult:
     invariant: KappaInvariant
     presentation: object  # OverweightPresentation or None
     diagnostics: list
+    # a polynomial with the input's discriminant: the z stage's prepared
+    # f(z + h) when its certificate is the truncated input's, else that input
+    disc_input: WeierstrassPoly
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +407,8 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
     while True:
         stage = StageProjection(f.ctx, main, top_exp, weights)
         prep = prepare_polyhedron(f, stage, relations, config)
+        if main == "z":
+            disc_input = WeierstrassPoly(prep.poly if prep.poly.trunc == f.trunc else f, wf.n)
         f = prep.poly
         budget_used += prep.eliminations
         diagnostics.extend(prep.diagnostics)
@@ -472,7 +477,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
         ok, violations = verify_overweight(presentation)
         if not ok:
             raise EngineError(f"emitted presentation failed its overweight self-check: {violations}")
-    return KappaResult(invariant, presentation, diagnostics)
+    return KappaResult(invariant, presentation, diagnostics, disc_input)
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,12 @@ class VarContext:
 
     def var_index(self, name: str) -> int:
         """The index of a variable, by the names table and else by the string
-        rule: x<digits> is the x-variable of that number (x01 is x1), any
-        other name a chain variable; KeyError when the layout has none."""
+        rule: x<ASCII digits> is the x-variable of that number (x01 is x1),
+        any other name a chain variable; KeyError when the layout has none."""
         i = self.names.get(name)
         if i is not None:
             return i
-        if name.startswith("x") and name[1:].isdigit():
+        if name.startswith("x") and name[1:].isascii() and name[1:].isdigit():
             i = int(name[1:])
             if 1 <= i <= self.d:
                 return i - 1

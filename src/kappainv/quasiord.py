@@ -163,10 +163,21 @@ class ClassificationReport:
 
 
 def classify(wf: WeierstrassPoly, config: KappaConfig = None) -> ClassificationReport:
-    """Compute the invariant and the discriminant condition side by side."""
+    """Compute the invariant and the discriminant condition side by side.
+
+    The discriminant is taken from compute_kappa's disc_input: the z stage's
+    prepared f(z + h), often much sparser than the input, when its
+    certificate is that of the truncated input.  For monic f with roots
+    alpha_i, g(z) = f(z + h) is monic with roots alpha_i - h, so
+    Res(g, g') = prod g'(alpha_i - h) = prod f'(alpha_i) = Res(f, f')
+    exactly, with no change of sign.  Both certificates None: nothing was
+    dropped and the results agree term for term.  Both T: they agree mod
+    x^T, and discriminant_z applies T once.  A translation that dropped a
+    term the input kept makes them differ, and then disc_input is the input.
+    """
     config = config or KappaConfig()
     result: KappaResult = compute_kappa(wf, config)
-    disc = discriminant_z(wf, config.truncation)
+    disc = discriminant_z(result.disc_input)
     if result.invariant.terminal is Terminal.INFINITY:
         teissier = True
     elif result.invariant.terminal is Terminal.MINUS_ONE:

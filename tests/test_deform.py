@@ -255,6 +255,13 @@ def initial_forms_oracle(lift, omega):
     return InitialIdealReport(inits, fiber_independent, witness)
 
 
+def tropical_weight_oracle(pres, lam):
+    """default_tropical_weight with each <lambda, weight(v)> summed in Fractions."""
+    lam = [Fraction(c) for c in lam]
+    return tuple(lam) + tuple(sum(l * Fraction(c) for l, c in zip(lam, pres.weights[name]))
+                              for name in pres.ctx.aux)
+
+
 def test_int_weights_match_the_fraction_oracle():
     # the deform fixtures (the README presentations, the GF(5) square and the
     # tame sweep mod p) under seeded lambdas with denominators 1..7
@@ -270,6 +277,9 @@ def test_int_weights_match_the_fraction_oracle():
         for _ in range(6):
             lam = tuple(F(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(pres.ctx.d))
             omega = default_tropical_weight(pres, lam)
+            assert omega == tropical_weight_oracle(pres, lam)
+            # an integral weight is an int, so it prints as the Fraction did
+            assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in omega)
             rep = initial_forms_weighted(lift, omega)
             assert rep == initial_forms_oracle(lift, omega)
             ties += sum(len(init.terms) > 1 for init in rep.generators_initial)

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -144,9 +145,9 @@ class TestParse:
 
 
 def string_rule_index(ctx, name):
-    """var_index by the string rule alone: x<digits> is an x-variable, any
-    other name a chain variable; None where the layout has none."""
-    if name.startswith("x") and name[1:].isdigit():
+    """var_index by the string rule alone: x<ASCII digits> is an x-variable,
+    any other name a chain variable; None where the layout has none."""
+    if re.fullmatch(r"x[0-9]+", name):
         i = int(name[1:])
         return i - 1 if 1 <= i <= ctx.d else None
     return ctx.d + ctx.aux.index(name) if name in ctx.aux else None
@@ -158,12 +159,16 @@ class TestVarIndex:
     def test_names_table_against_the_string_rule(self):
         layouts = [(d, aux) for d in (1, 2, 3, 8)
                    for aux in (("z",), ("z", "u1"), ("z", "u1", "u2", "u3"), ("z", "w"),
-                               ("z", "x1"), ("z", "x9"), ("u01", "z"))]
+                               ("z", "x1"), ("z", "x9"), ("u01", "z"), ("z", "x\u00b2"))]
         for d, aux in layouts:
             ctx = VarContext(d, aux)
             names = ([f"x{i}" for i in range(1, 10)]
                      + ["x0", "x01", "x001", f"x{d + 1}", f"x0{d}", "z", "u1", "u01", "u2", "w",
-                        "x", "u", "", "X1", "x1 "])
+                        "x", "u", "", "X1", "x1 ",
+                        # str.isdigit accepts the superscript two, which
+                        # int() refuses, and the Arabic-Indic one, which
+                        # int() reads as 1: neither spells an x-variable
+                        "x\u00b2", "x\u0661", "x1\u0661"])
             for name in names:
                 want = string_rule_index(ctx, name)
                 if want is None:

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import kappainv.quasiord
-from kappainv import (ZZ, ContractViolation, Field, Poly, Terminal, VarContext, WeierstrassPoly,
-                      classify, discriminant_z, is_monomial_times_unit, weierstrass_validate)
+from kappainv import (ZZ, ContractViolation, Field, KappaConfig, Poly, Terminal, VarContext,
+                      WeierstrassPoly, classify, discriminant_z, is_monomial_times_unit,
+                      weierstrass_validate)
 from kappainv.poly import derivative
-from kappainv.quasiord import _z_coefficients
+from kappainv.quasiord import MonomialUnitStatus, _z_coefficients
 from conftest import mk, mkw
 
 
@@ -541,3 +542,94 @@ class TestClassify:
         assert rep.discriminant.exact is False
         assert rep.discriminant.monomial_unit.status == "inconclusive"
         assert rep.quasi_ordinary is None
+
+
+def translated_binomial(rng, field, d, n, high=None):
+    """(z + s)^n - c*x^A, expanded: s has 1-3 terms of x-degree >= 1, A_i in 1..3n.
+
+    With high, plus x1^high*z: at high = T - 1 a translation of z pushes
+    part of that term to x-degree T, where the truncated input has none.
+    """
+    ctx = VarContext(d)
+    shift = Poly.zero(ctx, field)
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 3) for _ in range(d))
+        if any(e):
+            c = field.from_int(rng.choice([-2, -1, 1, 2, 3]))
+            shift = shift.add(Poly(ctx, field, {e + (0,): c}))
+    A = tuple(rng.randint(1, 3 * n) for _ in range(d))
+    tail = Poly(ctx, field, {A + (0,): field.from_int(rng.choice([-1, 1]))})
+    f = Poly.variable(ctx, field, "z").add(shift).pow_(n).sub(tail)
+    if high is not None:
+        f = f.add(Poly(ctx, field, {(high,) + (0,) * (d - 1) + (1,): field.one}))
+    return weierstrass_validate(f)
+
+
+class TestClassifyDiscriminant:
+    """classify takes the discriminant from the z stage's prepared polynomial;
+    it must report what discriminant_z reports on the raw input."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        seen = []
+        real = kappainv.quasiord.discriminant_z
+
+        def recording(wf, T=None):
+            seen.append(wf)
+            return real(wf, T)
+
+        monkeypatch.setattr(kappainv.quasiord, "discriminant_z", recording)
+        return seen
+
+    @staticmethod
+    def assert_same_report(got, want):
+        assert got.disc == want.disc
+        assert got.disc.trunc == want.disc.trunc
+        assert got.exact == want.exact
+        assert got.monomial_unit == want.monomial_unit
+
+    def test_translated_binomials_against_the_raw_input(self, monkeypatch):
+        seen = self.spy(monkeypatch)
+        rng = random.Random(2301)
+        fields = [Field.rationals(), Field.finite(2), Field.finite(3), Field.finite(5)]
+        prepared = exact = truncated = 0
+        for field in fields:
+            for d in (1, 2, 3):
+                for T in (4, 8, 16, 64):
+                    for high in (None, None, T - 1):
+                        wf = translated_binomial(rng, field, d, rng.randint(2, 4), high)
+                        rep = classify(wf, KappaConfig(truncation=T)).discriminant
+                        raw = discriminant_z(wf, T)
+                        self.assert_same_report(rep, raw)
+                        f_T = wf.poly.truncate(T)
+                        # T applies to the value only when the input reaches it
+                        assert rep.disc == sylvester_resultant(f_T).truncate(f_T.trunc)
+                        prepared += seen[-1].poly != f_T
+                        exact += raw.exact
+                        truncated += not raw.exact
+        # the prepared polynomial stood in for the input, and both
+        # certificates occurred
+        assert prepared > 0 and exact > 0 and truncated > 0
+
+    @pytest.mark.parametrize("text, d, p", [
+        ("z^2 - x1^3", 1, 2), ("z^2 - x1*x2*z - x1^3*x2 - x1*x2^3", 2, 2),
+        ("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, 2), ("z^2 - x1^3", 1, 0),
+        ("z^2 - 2*x1*z + x1^2 - x1^3", 1, 0),
+        ("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, 0),
+    ])
+    def test_readme_examples(self, text, d, p):
+        field = Field.rationals() if p == 0 else Field.finite(p)
+        wf = mkw(text, d, field)
+        self.assert_same_report(classify(wf).discriminant, discriminant_z(wf, 64))
+
+    def test_a_translation_that_drops_a_term_falls_back_to_the_input(self, QQ, monkeypatch):
+        # z -> z - x1 turns x1^63*z into x1^63*z - x1^64, and -x1^64 lies at
+        # T = 64: the prepared discriminant would be the truncated -4*x1^3
+        seen = self.spy(monkeypatch)
+        wf = mkw("z^2 + 2*x1*z + x1^2 - x1^3 + x1^63*z", 1, QQ)
+        rep = classify(wf).discriminant
+        assert seen[0].poly == wf.poly and seen[0].poly.trunc is None
+        assert rep.disc.format() == "-x1^126 - 4*x1^64 - 4*x1^3"
+        assert rep.exact
+        assert rep.monomial_unit == MonomialUnitStatus("yes", (3,))
+        self.assert_same_report(rep, discriminant_z(wf, 64))
