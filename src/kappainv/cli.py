@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .deform import (default_tropical_weight, ghost_monomials,
                      initial_forms_weighted, lift_presentation)
@@ -27,7 +28,6 @@ from .polyhedron import check_dimension, projected_polyhedron
 from .quasiord import classify, discriminant_z
 from .ring import Field
 
-JSON_DUMP_KWARGS = {"indent": 2, "sort_keys": False, "ensure_ascii": False}
 JSON_LINE_KWARGS = {"separators": (",", ":"), "ensure_ascii": False}  # batch JSON Lines
 
 EXIT_OK = 0
@@ -51,9 +51,14 @@ class _DeformOnly(argparse.Action):
         parser.error(f"argument {option_string}: applies to deform only")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """The top parser and its subcommand table, name -> subcommand parser."""
     parser = _ArgumentParser(
         prog="kappainv",
         description="Exact classification of Weierstrass hypersurface singularities.")
@@ -88,19 +93,72 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default all ones)")
         else:  # known here only to say where it belongs
             p.add_argument("--lambda", action=_DeformOnly, help=argparse.SUPPRESS)
-    return parser
+    return parser, sub.choices
+
+
+def parse_known_args(argv):
+    """build_parser().parse_known_args(argv), with the top parser skipped when
+    argv starts with a subcommand.
+
+    The top parser hands everything after a command in first place to that
+    command's parser and sets `command`; this does the same directly.  Help,
+    a missing or unknown command, or a leading option or `--` go to the top
+    parser, with its messages.
+    """
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_known_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    args.command = argv[0]
+    return args, extras
 
 
 # ---------------------------------------------------------------------------
 # reports: one entry per output field, one renderer for text and JSON
 # ---------------------------------------------------------------------------
 
-def _render(report, as_json: bool, json_kwargs=JSON_DUMP_KWARGS) -> str:
-    """The JSON object of the keyed entries, or the text lines of all entries."""
+def _render(report, as_json: bool, json_lines: bool = False) -> str:
+    """The JSON object of the keyed entries, indented or as one JSON Line, or
+    the text lines of all entries."""
     if as_json:
-        return json.dumps({key: value for key, value, _ in report if key is not None},
-                          **json_kwargs)
+        value = {key: value for key, value, _ in report if key is not None}
+        return json.dumps(value, **JSON_LINE_KWARGS) if json_lines else json_text(value)
     return "\n".join(line for _, _, lines in report for line in lines)
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False), byte for byte.
+
+    It takes str, bool, None, int, and lists, tuples and dicts with str keys
+    of them; any other type raises TypeError.  json.dumps with an indent runs
+    the pure-Python encoder; this writes the same text with the C string
+    encoder.  `indent` is the newline and indentation before the value's
+    closing bracket.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([json_text(v, inner) for v in value])
+                + indent + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring(key) + ": " + json_text(v, inner)  # TypeError unless str
+                 for key, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _tuple_str(strs) -> str:
@@ -302,8 +360,15 @@ def run_batch(args) -> int:
     field = _build_field(args)
     config = _build_config(args)
     _input_context(args)
-    with open(args.batch, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    with open(args.batch, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KappaInvError(f"{args.batch} is not UTF-8: byte 0x{data[exc.start]:02x} "
+                            f"at offset {exc.start}") from None
+    # the lines of universal newlines, where "\r\n" adds a blank line dropped below
+    lines = [ln.strip() for ln in text.replace("\r", "\n").split("\n")]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     worst = EXIT_OK
     blocks = []
@@ -312,7 +377,7 @@ def run_batch(args) -> int:
             code, report = _drive_classify(ln, args, field, config)
         except KappaInvError as exc:
             code, report = EXIT_INPUT_ERROR, [("error", str(exc), [f"error: {exc}"])]
-        out = _render(report, args.json, JSON_LINE_KWARGS)
+        out = _render(report, args.json, json_lines=True)
         blocks.append(out if args.json else f"== {ln}\n{out}")
         if code == EXIT_INPUT_ERROR:
             worst = EXIT_INPUT_ERROR
@@ -334,15 +399,14 @@ def _emit(out: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    args, extras = parse_known_args(sys.argv[1:] if argv is None else list(argv))
     # argparse reads a polynomial that starts with "-" and holds no space,
     # such as "-x1^3+z^2", as an unknown option; every option but -h starts
     # with two dashes, so a lone extra with one is the polynomial
     if len(extras) == 1 and args.polynomial is None and not extras[0].startswith("--"):
         args.polynomial = extras.pop()
     if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if getattr(args, "batch", None) is not None:
             if args.polynomial is not None:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from kappainv.cli import JSON_DUMP_KWARGS, main
+from kappainv.cli import main
+from test_cli_front import JSON_DUMP_KWARGS
 from test_parse import _edited
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -256,6 +257,31 @@ class TestBatch:
         assert captured.out == ""
         assert main(["classify", "--char", "2", "--batch", "", "z^3 - x1^4"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize("data, error", [
+        (b"z^2 - x1^3\n\xff\n", "byte 0xff at offset 11"),
+        (b"z^2 - x1^3\n" * 1000 + b"z^2 - x1^\xc33\n", "byte 0xc3 at offset 11009"),
+    ], ids=["second-line", "past-the-first-read"])
+    def test_a_file_that_is_not_utf8_is_one_error_line(self, capsys, tmp_path, mode,
+                                                       data, error):
+        batch = tmp_path / "inputs.txt"
+        batch.write_bytes(data)
+        code = main(["classify", *mode, "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {batch} is not UTF-8: {error}\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_line_ends(self, capsys, tmp_path, mode):
+        # universal newlines: "\r\n" and a lone "\r" end a line as "\n" does
+        batch = tmp_path / "inputs.txt"
+        batch.write_bytes(b"# cusps\nz^2 - x1^3\nz^3 - x1^4\n\n z^4 + x1^6 \n")
+        code, want = run(capsys, ["classify", *mode, "--batch", str(batch)])
+        batch.write_bytes(b"# cusps\r\nz^2 - x1^3\rz^3 - x1^4\r\n\r z^4 + x1^6 ")
+        assert run(capsys, ["classify", *mode, "--batch", str(batch)]) == (code, want)
+        assert want.count("kappa") == 3
 
     def test_batch_inconclusive_exit(self, capsys, tmp_path):
         batch = tmp_path / "inputs.txt"
