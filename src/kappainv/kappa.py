@@ -2,13 +2,13 @@
 
 Stage by stage, the engine minimizes the (weighted) projected polyhedron of
 the working polynomial under translations of the top chain variable,
-records the single remaining vertex, decomposes the initial form there as a
-binomial power (rewriting modulo the relation stack when the raw initial
-form is not one), and descends by introducing a fresh chain variable for
-the binomial.  The stage multiplicities strictly descend, so the run ends
-with multiplicity one (terminal infinity, an overweight presentation is
-emitted), an empty polyhedron (also infinity), a multi-vertex polyhedron
-(terminal -1, translation-minimal), or resource exhaustion (inconclusive).
+records the single remaining vertex, decomposes the initial form there as
+the one binomial power its lattice order admits (rewriting modulo the
+relation stack if need be), and descends by a fresh chain variable for the
+binomial.  The multiplicities strictly descend, so the run ends with
+multiplicity one (terminal infinity, with an overweight presentation), an
+empty polyhedron (also infinity), a multi-vertex polyhedron (terminal -1,
+translation-minimal), or inconclusive: no such power, or resources exhausted.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field as dc_field
-from math import gcd
 from typing import NamedTuple
 
 from .errors import ConfigurationError, ContractViolation, EngineError
@@ -157,17 +156,12 @@ class KappaResult:
 # binomial power recognition
 # ---------------------------------------------------------------------------
 
-def _divisors_desc(n: int) -> list:
-    return [e for e in range(n, 0, -1) if n % e == 0]
-
-
 class _Shape(NamedTuple):
     """What a binomial power needs of an initial form, read once per node."""
 
     degree: int        # N, the degree in the main variable
     free_expo: tuple   # exponent of the single main-variable-free term
     free_coeff: object
-    fit: int           # gcd(N, *free_expo): every power that can fit divides it
 
 
 def _read_shape(In: Poly, main_var: str):
@@ -183,7 +177,7 @@ def _read_shape(In: Poly, main_var: str):
     if len(wfree) != 1:
         return None
     (gexpo, gamma), = wfree
-    return _Shape(N, gexpo, gamma, gcd(N, *gexpo))
+    return _Shape(N, gexpo, gamma)
 
 
 def _decompose_at(In: Poly, shape: _Shape, power: int, main_var: str):
@@ -249,13 +243,12 @@ def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
     return f.add(rel.generator(ctx).mul(Poly.monomial(ctx, ring, rest, scale)), T)
 
 
-def _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T):
-    """Search from f for the given power: (outcome, poly) on a match, else None.
-
-    In is f's initial form at the vertex and shape its _read_shape, both
-    read once per node.
-    """
-    if shape is not None and shape.fit % power == 0:
+def _search_at_power(f, vertex, stage, relations, power, depth, T):
+    """(outcome, poly) at the first of f and its rewrites, depth-first, whose
+    initial form is the given power; None if there is none."""
+    In = stage.initial(f, vertex)
+    shape = _read_shape(In, stage.main_var)
+    if shape is not None:
         res = _decompose_at(In, shape, power, stage.main_var)
         if res is not None:
             return res, f
@@ -267,10 +260,8 @@ def _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T):
         tail = ctx.pad(rel.tail_expo)
         for expo in ordered:
             if all(a >= b for a, b in zip(expo, tail)):
-                f2 = _apply_rewrite(f, expo, rel, T)
-                In2 = stage.initial(f2, vertex)
-                found = _search_at_power(f2, In2, _read_shape(In2, stage.main_var), vertex,
-                                         stage, relations, power, depth - 1, T)
+                found = _search_at_power(_apply_rewrite(f, expo, rel, T), vertex, stage,
+                                         relations, power, depth - 1, T)
                 if found is not None:
                     return found
     return None
@@ -283,25 +274,15 @@ def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations, depth
     gives it (S times the weighted vertex).  Returns (outcome, poly):
     outcome is a BinomialPower in the stage's main variable (with poly
     rewritten along the successful chain of relation moves, heavier residue
-    kept) or None, no power (with poly the input f).  The search fixes the
-    candidate power first, largest divisor of the stage's top exponent
-    first, so a rewrite that realizes a larger power beats a direct match at
-    a smaller one.  Each node's initial form is read once (_read_shape); the
-    direct check runs only at the powers dividing its fit, and rewrites are
-    explored at every power.  When no rewrite can run (no relations, or
-    depth <= 0), only those powers are tried.
+    kept) or None, no power (with poly the input f).  Only the power of
+    StageProjection.power is searched for, to the given depth: a tail has
+    weight inner * vertex, in the stage's lattice, so the vertex's order r
+    there divides inner at every node.  No power with inner > r is tried.
     """
     vertex = tuple(vertex)
-    In = stage.initial(f, vertex)  # shared by every power
-    shape = _read_shape(In, stage.main_var)
-    powers = _divisors_desc(stage.top_exp)
-    if depth <= 0 or not relations:
-        powers = [] if shape is None else [p for p in powers if shape.fit % p == 0]
-    for power in powers:
-        found = _search_at_power(f, In, shape, vertex, stage, relations, power, depth, T)
-        if found is not None:
-            return found
-    return None, f
+    power = stage.power(vertex)
+    found = power and _search_at_power(f, vertex, stage, relations, power, depth, T)
+    return found or (None, f)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ simplest correct choice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -215,9 +216,9 @@ class StageProjection:
     polyhedron() takes the hull of the distinct points, and initial() is
     one lookup.  Inside the stage every polyhedron and vertex stays on this
     S-scaled int lattice: polyhedron() returns int vertices, and initial()
-    takes one as it comes.  unscale() makes the Fraction vertices of what
-    leaves the stage.  Only polynomials in the stage's context may be
-    passed.
+    and power() take one as it comes.  unscale() makes the Fraction vertices
+    of what leaves the stage.  Only polynomials in the stage's context may
+    be passed.
     """
 
     def __init__(self, ctx, main_var: str, top_exp: int, weights: dict):
@@ -232,6 +233,17 @@ class StageProjection:
                     for name, vec in weights.items()}
         self.points = {}
         self._grouped = None, {}, False  # (polynomial, its groups, a term above the top)
+
+    @functools.cached_property
+    def residues(self) -> set:
+        """S times the lattice Z^d + sum(Z * weight), mod S: each weight adds
+        the cosets of its multiples below its order."""
+        S, residues = self.scale, {(0,) * self.ctx.d}
+        for w in self.aux.values():
+            order = next(m for m in itertools.count(1) if tuple(m * c % S for c in w) in residues)
+            residues = {tuple((a + j * c) % S for a, c in zip(r, w))
+                        for r in residues for j in range(order)}
+        return residues
 
     def point(self, e):
         """S times the weighted point of the term with exponent e, memoized."""
@@ -287,6 +299,12 @@ class StageProjection:
         if top is not None:
             terms[self.top] = top
         return Poly._of(f.ctx, f.ring, terms, f.trunc)
+
+    def power(self, vertex):
+        """top_exp // r for the int vertex's order r modulo the lattice; None unless r | top_exp."""
+        S = self.scale
+        r = next(r for r in itertools.count(1) if tuple(r * c % S for c in vertex) in self.residues)
+        return None if self.top_exp % r else self.top_exp // r
 
     def polyhedron(self, f: Poly) -> OrthantPolyhedron:
         """Hull of the points of all terms below the monic top, on the stage's lattice."""

@@ -5,7 +5,7 @@ import pytest
 from kappainv import (ZZ, ContractViolation, Field, Poly, Relation,
                       UnsupportedLiftError, VarContext, lift_coeff, parse_polynomial,
                       weierstrass_validate)
-from kappainv.kappa import _decompose_at, _divisors_desc, _read_shape
+from kappainv.kappa import _decompose_at, _read_shape
 from kappainv.poly import format_signed_terms
 from kappainv.polyhedron import StageProjection
 from kappainv.ring import is_prime
@@ -110,6 +110,11 @@ def initial_form(f, vertex, main_var, top_exp, weights):
     return stage.initial(f, v)
 
 
+def divisors_desc(n):
+    """The divisors of n, largest first: the powers the oracles below walk."""
+    return [e for e in range(n, 0, -1) if n % e == 0]
+
+
 def binomial_power_decompose(In, main_var):
     """Maximal-power binomial decomposition of a vertex initial form.
 
@@ -121,7 +126,7 @@ def binomial_power_decompose(In, main_var):
     if not any(e[midx] for e in In.terms):
         raise ContractViolation("main variable does not occur")
     shape = _read_shape(In, main_var)
-    for power in _divisors_desc(shape.degree) if shape else ():
+    for power in divisors_desc(shape.degree) if shape else ():
         res = _decompose_at(In, shape, power, main_var)
         if res is not None:
             return res

@@ -142,7 +142,7 @@ FIXTURES = [
     ("z^4 + 3*x1^3*z^2 + x1^6", 1, Field.finite(5)),
     ("z^2 + 2*x1^3", 1, Field.finite(3)),
     ("z^2 - x1^3", 1, Q),
-    ("z^2 - x1^2*x2^2", 2, Q),
+    ("z^2 - x1^3*x2", 2, Q),
 ]
 
 
@@ -217,6 +217,11 @@ def test_criterion_7_property_suites(monkeypatch):
         mults = res.invariant.multiplicities
         assert all(x > y for x, y in zip(mults, mults[1:]))        # (f)
         presentations.append((wf, res))
+    # the reducible (z - x1*x2)(z + x1*x2): its sole vertex (1, 1) has
+    # lattice order 1, and z^2 - x1^2*x2^2 is no square
+    res = compute_kappa(mkw("z^2 - x1^2*x2^2", 2, Q))
+    assert res.invariant.terminal is Terminal.INCONCLUSIVE
+    assert res.presentation is None
 
     for _ in range(200):
         wf, expected_steps = random_prepared_family(rng)

@@ -32,8 +32,8 @@ from itertools import product
 
 import pytest
 
-from kappainv import (QQ, Field, Poly, Terminal, VarContext, classify, compute_kappa,
-                      weierstrass_validate)
+from kappainv import (QQ, Field, KappaConfig, Poly, Terminal, VarContext, classify,
+                      compute_kappa, substitute, weierstrass_validate)
 from conftest import mk
 
 SEED = 20250202
@@ -300,6 +300,32 @@ def test_known_answer(branch):
     assert rep.discriminant.monomial_unit.exponent == want["disc"]
 
 
+def mirror_product(branch: Branch):
+    """f(z) * (-1)^n * f(-z), the branch times the branch of -zeta, or None
+    when the two are one branch and the product is f^2."""
+    f = branch.polynomial()
+    n = branch.expected()["n"]
+    mirror = substitute(f, "z", Poly.variable(f.ctx, QQ, "z").neg())
+    mirror = mirror if n % 2 == 0 else mirror.neg()
+    return None if mirror == f else f.mul(mirror)
+
+
+def test_mirror_products_are_never_inf():
+    # two distinct branches make a reducible f, which has no overweight
+    # presentation: the lattice gives each stage's power, so no stage can
+    # settle on a larger inner exponent and end in inf
+    products = 0
+    for branch in BRANCHES:
+        if branch.expected()["n"] > 4:
+            continue
+        g = mirror_product(branch)
+        if g is not None:
+            res = compute_kappa(weierstrass_validate(g))
+            assert res.invariant.terminal is not Terminal.INFINITY, branch.name
+            products += 1
+    assert products == 30
+
+
 # -- the sweep mod p ------------------------------------------------------------
 #
 # f has integer coefficients, so it reduces mod every prime.  The reduction
@@ -353,3 +379,64 @@ def test_tame_reduction_keeps_the_answer(index):
         rep = classify(wf)
     assert rep.quasi_ordinary is True
     assert rep.discriminant.monomial_unit.exponent == want["disc"]
+
+
+# -- the rewrite depth ------------------------------------------------------------
+#
+# A shallow rewrite search may stop a stage early, but must not give another
+# definitive kappa: at depths 0-2, kappa equals the deep answer or is
+# inconclusive on the vertices found so far.  The deep answer is depth 8 for
+# the README tower and the benchmark's four-stage tower, and the known answer
+# for a seeded slice of the sweep, over Q and reduced mod p (depth 8 is no
+# reference there: a g = 3 branch of the slice raises at depth 5 and runs
+# for minutes at depth 6).
+
+DEPTH_TOWERS = [pytest.param(text, T, id=name) for name, text, T in [
+    ("readme-tower", "z^8 + x1^12*x2^24 + x1^15*x2^30", 64),
+    ("four-stage-tower", "z^16 + x1^24*x2^48 + x1^30*x2^60 + x1^63*x2^126", 256)]]
+DEPTH_SLICE = random.Random(SEED + 5).sample(range(len(BRANCHES)), 24)
+
+# inputs that a shallow search gives another definitive kappa, by name
+SHALLOW = {
+    "2*x^(1/2,1/2) + 2*x^(3/2,1) + 2*x^(2,7/4) + -2*x^(5/2,1)": (
+        "at depth 0 the third stage's solvable vertices need a rewrite to show, so "
+        "preparation stops at two vertices and reports -1 where depth 1 gives inf"),
+}
+
+
+def assert_depth_keeps(wf, T, vertices):
+    inconclusive = 0
+    for depth in (0, 1, 2):
+        inv = compute_kappa(wf, KappaConfig(truncation=T, depth=depth)).invariant
+        if inv.terminal is Terminal.INCONCLUSIVE:
+            assert inv.vertices == vertices[:len(inv.vertices)], depth
+            inconclusive += 1
+        else:
+            assert (inv.vertices, inv.terminal) == (vertices, Terminal.INFINITY), depth
+    return inconclusive
+
+
+@pytest.mark.parametrize("text, T", DEPTH_TOWERS)
+def test_depth_keeps_the_tower_kappa(text, T):
+    wf = weierstrass_validate(mk(text, 2, Field.finite(2)))
+    deep = compute_kappa(wf, KappaConfig(truncation=T, depth=8)).invariant
+    assert deep.terminal is Terminal.INFINITY
+    assert assert_depth_keeps(wf, T, deep.vertices) >= 1  # depth 0 stops at stage 2
+
+
+def _depth_params():
+    out = []
+    for i in DEPTH_SLICE:
+        b, p = MOD_P[i]
+        marks = ()
+        if b.name in SHALLOW:
+            marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=SHALLOW[b.name])
+        out += [pytest.param(i, q, id=f"{i:03d} p={q} {b.name}", marks=marks) for q in (0, p)]
+    return out
+
+
+@pytest.mark.parametrize("index, p", _depth_params())
+def test_depth_keeps_the_branch_kappa(index, p):
+    branch = BRANCHES[index]
+    wf = reduced_mod_p(index)[1] if p else weierstrass_validate(branch.polynomial())
+    assert_depth_keeps(wf, 64, branch.expected()["vertices"])

@@ -53,6 +53,18 @@ class TestClassify:
         assert "kappa = (3/2, inf)" in out
         assert "teissier: True" in out
 
+    def test_shallow_depth_is_inconclusive(self, capsys):
+        # at depth 0 the second stage cannot reach its square: its vertex
+        # (15/4, 15/2) has order 2 modulo Z^2 + Z*(3/2, 3), so u1^4 must be
+        # read as (u1^2 - ...)^2, which takes one rewrite; the first stage stays
+        code, out = run(capsys, ["classify", "--char", "2", "--vars", "2", "--depth", "0",
+                                 "z^8 + x1^12*x2^24 + x1^15*x2^30"])
+        assert code == 2
+        assert out.splitlines()[:3] == ["kappa = ((3/2, 3), inconclusive)",
+                                        "stage multiplicities: 8 > 4",
+                                        "teissier: inconclusive"]
+        assert "note: initial form not a binomial power; input may be reducible" in out
+
     def test_truncation_inconclusive_exit_code(self, capsys):
         code, out = run(capsys, ["classify", "--char", "2", "--vars", "2", "--trunc", "2",
                                  "z^8 + x1^12*x2^24 + x1^15*x2^30"])

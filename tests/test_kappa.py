@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ import kappainv.kappa
 import kappainv.poly
 from kappainv.polyhedron import StageProjection
 from kappainv.kappa import PrepStatus, _apply_rewrite, _decompose_at, _read_shape
-from conftest import (binomial_power_decompose, initial_form, mk, mkw, on_lattice, rand_poly,
-                      sample_relations, z_stage)
+from conftest import (binomial_power_decompose, divisors_desc, initial_form, mk, mkw, on_lattice,
+                      rand_poly, sample_relations, z_stage)
+from test_branches import lattice_orders
 
 
 def F(a, b=1):
@@ -274,25 +276,26 @@ class TestBinomializeModulo:
         assert f2 is f
 
     def test_root_initial_form_built_once(self, QQ, monkeypatch):
-        # top exponent 6 tries the powers 6, 3, 2 and 1 on the same root
         ctx = VarContext(1, ("z", "u1"))
         rel = Relation(var="u1", head_var="z", head_exp=2, tail_coeff=QQ.one,
                        tail_expo=(1, 1, 0), ctx=ctx, ring=QQ)
-        f = parse_polynomial("u1^6 + x1*z*u1", ctx, QQ)
         built = []
         initial = StageProjection.initial
-
-        def counting(stage, g, vertex):
-            built.append(g is f)
-            return initial(stage, g, vertex)
-
-        monkeypatch.setattr(StageProjection, "initial", counting)
+        monkeypatch.setattr(StageProjection, "initial",
+                            lambda stage, g, vertex: built.append(g) or initial(stage, g, vertex))
         stage = StageProjection(ctx, "u1", 6, {"z": (F(1),)})
-        outcome, f2 = binomialize_modulo(f, on_lattice(stage, (F(2, 5),)), stage, [rel])
-        assert outcome is None
-        assert f2 is f
-        assert built.count(True) == 1
-        assert built.count(False) == 4  # the rewritten node under each power builds its own
+        for text, vertex, root, rewritten in [
+                # order 5 does not divide the top exponent 6: no power, no search
+                ("u1^6 + x1*z*u1", F(2, 5), 0, 0),
+                # order 3: the one power 2, and one rewritten node below the root
+                ("u1^6 + x1*z*u1^3", F(2, 3), 1, 1)]:
+            f = parse_polynomial(text, ctx, QQ)
+            built.clear()
+            outcome, f2 = binomialize_modulo(f, on_lattice(stage, (vertex,)), stage, [rel])
+            assert outcome is None
+            assert f2 is f
+            assert [g is f for g in built].count(True) == root
+            assert len(built) - root == rewritten
 
     def test_rewrite_keeps_the_class_modulo_the_relation(self, QQ, F5):
         # a rewrite adds a multiple of u1 - rhs, so eliminating u1 undoes it
@@ -321,9 +324,11 @@ class TestBinomializeModulo:
 
 
 class TestPowerFilter:
-    """With no rewrite to run, binomialize_modulo tries only the powers In admits.
+    """With no rewrite to run, binomialize_modulo tries the lattice's power only.
 
-    The oracle is binomial_power_decompose, the full divisor walk.
+    The oracle is binomial_power_decompose, the full divisor walk.  Every
+    power it finds has r | inner, for r the vertex's order modulo Z^d; the
+    engine finds the same where inner = r, and (None, f) where inner > r.
     """
 
     def case(self, rng, ctx, field):
@@ -366,6 +371,12 @@ class TestPowerFilter:
                 want = binomial_power_decompose(initial_form(f, v, "z", n, {}), "z")
             except ContractViolation:
                 continue  # without its w-free term the point may not be a vertex
+            r = math.lcm(*(c.denominator for c in v))
+            if want is not None:
+                assert want.inner_exp % r == 0
+                if want.inner_exp > r:
+                    seen.add("inner > r")
+                    want = None
             rel = Relation(var="u1", head_var="z", head_exp=1, tail_coeff=field.one,
                            tail_expo=(1, 1, 0), ctx=ctx, ring=field)
             for relations, depth in (([], 3), ([rel], 0)):
@@ -374,7 +385,7 @@ class TestPowerFilter:
                 assert outcome == want
                 assert f2 is f
             seen.add(type(want).__name__)
-        assert seen == {"BinomialPower", "NoneType"}
+        assert seen == {"BinomialPower", "NoneType", "inner > r"}
 
     @pytest.mark.parametrize("text, d, field", [
         ("z^2 + x1*x2*z + 2*x1^2*x2^2", 2, "QQ"),
@@ -399,7 +410,7 @@ class TestPowerFilter:
                 binomialize_modulo(f, (3,), z_stage(f, 2), [], depth)
 
     def test_one_decomposition_for_a_coprime_tail(self, QQ, monkeypatch):
-        # gcd(12, 7, 11) = 1: the divisors 12, 6, 4, 3 and 2 cannot fit
+        # the vertex (7/12, 11/12) has order 12 modulo Z^2: only the power 1 is tried
         calls = []
         real = kappainv.kappa._decompose_at
 
@@ -420,8 +431,8 @@ class TestPowerFilter:
 
 
 def unfiltered_binomialize(f, vertex, stage, relations, depth=3, T=None):
-    """binomialize_modulo without the shape filter: the direct check runs at
-    every power on every node of the rewrite search."""
+    """The rewrite search at every divisor of the top exponent, largest first,
+    with the direct check at every node."""
     vertex, main_var = tuple(vertex), stage.main_var
 
     def search(g, In, power, depth):
@@ -444,7 +455,7 @@ def unfiltered_binomialize(f, vertex, stage, relations, depth=3, T=None):
         return None
 
     In = stage.initial(f, vertex)
-    for power in kappainv.kappa._divisors_desc(stage.top_exp):
+    for power in divisors_desc(stage.top_exp):
         found = search(f, In, power, depth)
         if found is not None:
             g, outcome = found
@@ -452,12 +463,22 @@ def unfiltered_binomialize(f, vertex, stage, relations, depth=3, T=None):
     return None, f
 
 
-class TestShapeFilterWithRelations:
-    """With relations, the direct check runs only at the powers a node's shape admits.
+def stage_order(stage, vertex):
+    """The order of an int vertex of the stage modulo Z^d + the chain weights."""
+    S = stage.scale
+    chain = [tuple(Fraction(c, S) for c in w) for w in stage.aux.values()]
+    return lattice_orders(chain + [tuple(Fraction(c, S) for c in vertex)])[-1]
 
-    The oracle is the unfiltered search; the calls are the engine's own
-    calls with relations on multi-stage inputs, and seeded perturbations of
-    them.
+
+class TestShapeFilterWithRelations:
+    """With relations, the rewrite search runs at the lattice's power only.
+
+    The oracle is the unfiltered search at every divisor; the calls are the
+    engine's own calls with relations on multi-stage inputs, and seeded
+    perturbations of them.  Every power the oracle finds has r | inner, for
+    r the vertex's order modulo the stage's lattice (lattice_orders over
+    the chain weights); the engine finds the same where inner = r, and
+    (None, g) where inner > r.
     """
 
     INPUTS = [("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, "F2"),
@@ -519,12 +540,18 @@ class TestShapeFilterWithRelations:
                         binomialize_modulo(*args)
                     seen.add("non-monic")
                     continue
+                r = stage_order(stage, vertex)
+                if want[0] is not None:
+                    assert want[0].inner_exp % r == 0
+                    if want[0].inner_exp > r:
+                        seen.add("inner > r")
+                        want = None, g
                 got = binomialize_modulo(*args)
                 assert got[0] == want[0]
                 assert got[1] == want[1]
                 assert (got[1] is g) == (want[1] is g)
                 seen.add("rewritten" if want[1] is not g else type(want[0]).__name__)
-        assert {"rewritten", "BinomialPower", "NoneType", "non-monic"} <= seen
+        assert {"rewritten", "BinomialPower", "NoneType", "non-monic", "inner > r"} <= seen
 
     def test_fewer_decompositions(self, request, monkeypatch):
         calls = self.engine_calls(request, monkeypatch)
@@ -541,9 +568,12 @@ class TestShapeFilterWithRelations:
             for call in calls:
                 search(*call)
         # five calls: two at the three-stage example's second stage, one at its
-        # third, and one at the second stage of each char-0 and GF(5) input
+        # third, and one at the second stage of each char-0 and GF(5) input;
+        # the engine's calls are at the one lattice power, and two of them
+        # return at _decompose_at's first test (the power divides the main
+        # degree and the w-free exponents)
         assert len(calls) == 5
-        assert counts == [26, 6]
+        assert counts == [26, 8]
 
 
 class TestOneBinomializationPerPair:
@@ -669,7 +699,8 @@ class TestComputeKappa:
 
     def test_each_stage_point_computed_once(self, F2, monkeypatch):
         # every (stage, exponent) int point is computed once, though the
-        # stage's polynomials ask for many of them again
+        # stage's polynomials ask for some of them again: the second stage's
+        # translation keeps most of its source's exponents
         computed, asked = [], []
         scaled_point, point = StageProjection.scaled_point, StageProjection.point
 
@@ -683,8 +714,8 @@ class TestComputeKappa:
 
         monkeypatch.setattr(StageProjection, "scaled_point", counting_scaled_point)
         monkeypatch.setattr(StageProjection, "point", counting_point)
-        res = compute_kappa(mkw("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, F2))
-        assert len(res.invariant.vertices) == 3
+        res = compute_kappa(mkw("z^4 + x1^8*z^2 + x1^13*z + x1^6", 1, F2))
+        assert res.invariant.budget_used == 1
         keys = [(id(stage), e) for stage, e in computed]
         assert len(keys) == len(set(keys))
         assert len(asked) > len(computed)
@@ -717,12 +748,14 @@ class TestComputeKappa:
         assert res.invariant.terminal is Terminal.INCONCLUSIVE
 
     def test_not_binomial_diagnostic(self, QQ):
-        # z^2 - x1^2 - x1^3 = (z - s)(z + s) for the unit series s, so the
-        # single-vertex initial form z^2 - x1^2 - hmm: both x-terms sit at
-        # distinct points; the vertex (1,) carries z^2 - x1^2 which does
-        # decompose; x1^3 then solves away nothing (n=2), ending at e=1.
+        # z^2 - x1^2 - x1^3 = (z - s)(z + s) for the unit series s: the sole
+        # vertex 1 is in Z, order 1, so only the power 2 fits, and its
+        # initial form z^2 - x1^2 is no square (it is (z^2 - x1^2)^1, inner 2)
         res = compute_kappa(mkw("z^2 - x1^2 - x1^3", 1, QQ))
-        assert res.invariant.terminal is Terminal.INFINITY
+        assert res.invariant.terminal is Terminal.INCONCLUSIVE
+        assert res.invariant.vertices == ()
+        assert res.diagnostics == [
+            "initial form not a binomial power; input may be reducible"]
 
     def test_reducible_with_shared_vertex_flags(self, QQ):
         # z^2 - 2 x1 z + x1^2 - x1^2 = z^2 - 2 x1 z: not Weierstrass-friendly;

@@ -10,6 +10,7 @@ from kappainv import (ConfigurationError, ContractViolation, KappaConfig, Poly, 
                       prepare_polyhedron, projected_polyhedron, weighted_projected_polyhedron)
 from kappainv.polyhedron import StageProjection
 from conftest import mk, mkw, on_lattice
+from test_branches import lattice_orders
 
 
 def F(a, b=1):
@@ -633,3 +634,57 @@ class TestStageProjection:
             short.initial(f, (F(1), F(2)))
         with pytest.raises(ConfigurationError, match="missing weight"):
             prepare_polyhedron(f, short, [], KappaConfig())
+
+
+class TestStagePower:
+    """StageProjection.power against lattice_orders, the branch sweep's walk
+    over the residues mod Z^d in Fractions: top_exp // r for the vertex's
+    order r modulo Z^d + the chain weights, or None when r does not divide
+    top_exp."""
+
+    AUX = ("z", "u1", "u2", "u3")
+
+    def power(self, chain, vertex, top_exp):
+        """(StageProjection.power, the lattice_orders answer) for a Fraction vertex."""
+        k, d = len(chain), len(vertex)
+        ctx = VarContext(d, self.AUX[:k + 1])
+        stage = StageProjection(ctx, self.AUX[k], top_exp, dict(zip(self.AUX, chain)))
+        v = on_lattice(stage, vertex)
+        assert all(type(c) is int for c in v), "off the stage's grid: never a vertex"
+        r = lattice_orders(list(chain) + [vertex])[-1]
+        return stage.power(v), (None if top_exp % r else top_exp // r), r
+
+    @pytest.mark.parametrize("chain, vertex, top_exp, want", [
+        ((), (F(3, 2),), 4, 2),                                    # r = 2
+        ((), (F(2, 5),), 6, None),                                 # r = 5 does not divide 6
+        ((), (F(1, 7), F(1, 8)), 8, None),                         # r = 56 exceeds 8
+        (((F(3, 2), F(3)),), (F(15, 4), F(15, 2)), 4, 2),          # the README tower
+        (((F(3, 2), F(3)), (F(15, 4), F(15, 2))), (F(63, 8), F(63, 4)), 2, 1),
+        (((F(3, 2),),), (F(27, 8),), 8, 2),                        # r = 4, inner 4
+        (((F(1, 2), F(0)), (F(0), F(1, 3))), (F(1, 2), F(1, 3)), 6, 6),  # in the lattice
+    ])
+    def test_known_orders(self, chain, vertex, top_exp, want):
+        got, oracle, _ = self.power(chain, vertex, top_exp)
+        assert got == oracle == want
+
+    def test_seeded_chains(self):
+        rng = random.Random(2501)
+        kinds = set()
+        for _ in range(300):
+            d, k = rng.randint(1, 3), rng.randint(0, 3)
+            # a weight has one denominator, as a stage vertex over the lattice
+            # before it; the chain's orders multiply to at most 16, as the
+            # inner exponents of a degree-16 tower do
+            chain = []
+            while len(chain) < k:
+                q = rng.randint(2, 8)
+                w = tuple(F(rng.randint(0, 3 * q), q) for _ in range(d))
+                if math.prod(lattice_orders(chain + [w])) <= 16:
+                    chain.append(w)
+            # top exponents from 8 up put every denominator 2-8 on the stage's grid
+            top_exp = rng.randint(8, 16)
+            vertex = tuple(F(rng.randint(0, 24), rng.randint(2, 8)) for _ in range(d))
+            got, want, r = self.power(chain, vertex, top_exp)
+            assert got == want, (chain, vertex, top_exp)
+            kinds.add("divides" if want else "exceeds" if r > top_exp else "does not divide")
+        assert kinds == {"divides", "exceeds", "does not divide"}

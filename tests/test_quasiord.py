@@ -488,34 +488,40 @@ class TestClassify:
         assert rep.quasi_ordinary is True
 
     def test_char0_cross_check_fixtures(self, QQ):
-        # terminal infinity iff the discriminant is a unit times a monomial,
-        # verified instance by instance
+        # on irreducible inputs, terminal infinity iff the discriminant is a
+        # unit times a monomial, verified instance by instance; the reducible
+        # (z - x1*x2)(z + x1*x2) is quasi-ordinary, and its sole vertex
+        # (1, 1), of lattice order 1, admits only the power 2, which
+        # z^2 - x1^2*x2^2 is not: kappa is inconclusive, not inf
         cases = [
-            ("z^2 - x1^3", 1, True),
-            ("z^2 - 2*x1*z + x1^2 - x1^3", 1, True),
-            ("z^2 - x1^2*x2^2", 2, True),
-            ("z^2 - x1^3 - x2^3", 2, False),
-            ("z^2 - x1*x2*z - x1^3*x2 - x1*x2^3", 2, False),
+            ("z^2 - x1^3", 1, Terminal.INFINITY, True),
+            ("z^2 - 2*x1*z + x1^2 - x1^3", 1, Terminal.INFINITY, True),
+            ("z^2 - x1^2*x2^2", 2, Terminal.INCONCLUSIVE, True),
+            ("z^2 - x1^3 - x2^3", 2, Terminal.MINUS_ONE, False),
+            ("z^2 - x1*x2*z - x1^3*x2 - x1*x2^3", 2, Terminal.MINUS_ONE, False),
         ]
-        for text, d, expect_inf in cases:
+        for text, d, terminal, qo in cases:
             rep = classify(mkw(text, d, QQ))
-            got_inf = rep.kappa.terminal is Terminal.INFINITY
-            assert got_inf == expect_inf, text
-            assert rep.quasi_ordinary == expect_inf, text
+            assert rep.kappa.terminal is terminal, text
+            assert rep.quasi_ordinary == qo, text
 
     def test_char0_cross_check_two_stage(self, QQ):
-        # the inseparable-flavored input, read over Q: the second-stage
-        # rewrite is impossible over any extension (the would-be square is a
-        # product of distinct binomials), so the chain terminates at stage
-        # one; the discriminant condition agrees
+        # the inseparable-flavored input, read over Q, is a product of two
+        # conjugate quartics: the second stage's vertex (15/4, 15/2) has
+        # order 2 modulo Z^2 + Z*(3/2, 3), and the square it admits is
+        # impossible over any extension (it would be a product of distinct
+        # binomials), so the second stage is inconclusive; the discriminant
+        # is still a unit times a monomial
         from kappainv import Poly, VarContext
         ctx = VarContext(2)
         a = mk("x1^3*x2^6", 2, QQ)
         z = Poly.variable(ctx, QQ, "z")
         f = z.mul(z).sub(a).pow_(4).sub(mk("x1^15*x2^30", 2, QQ))
         rep = classify(weierstrass_validate(f))
-        assert rep.kappa.terminal is Terminal.INFINITY
-        assert len(rep.kappa.vertices) == 2
+        assert rep.kappa.terminal is Terminal.INCONCLUSIVE
+        assert rep.kappa.vertices == ((Fraction(3, 2), Fraction(3)),)
+        assert rep.kappa.multiplicities == (8, 4)
+        assert rep.teissier is None
         assert rep.quasi_ordinary is True
         assert rep.discriminant.monomial_unit.status == "yes"
 
