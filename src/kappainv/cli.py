@@ -77,8 +77,6 @@ def _parsers():
                         help="truncation certificate for total x-degree (default 64)")
     common.add_argument("--budget", type=int, default=256, metavar="B",
                         help="vertex-elimination budget per stage (default 256)")
-    common.add_argument("--depth", type=int, default=3, metavar="N",
-                        help="rewrite depth of the binomialization search (default 3)")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("polynomial", nargs="?", default=None,
                         help="polynomial in x1..xd and z (see the input grammar)")
@@ -240,7 +238,7 @@ def _build_field(args) -> Field:
 
 
 def _build_config(args) -> KappaConfig:
-    return KappaConfig(truncation=args.trunc, budget=args.budget, depth=args.depth)
+    return KappaConfig(truncation=args.trunc, budget=args.budget)
 
 
 def _parse_lambda(args, d: int):

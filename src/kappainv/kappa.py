@@ -2,21 +2,20 @@
 
 Stage by stage, the engine minimizes the (weighted) projected polyhedron of
 the working polynomial under translations of the top chain variable,
-records the single remaining vertex, decomposes the initial form there as
-the one binomial power its lattice order admits (rewriting modulo the
-relation stack if need be), and descends by a fresh chain variable for the
-binomial.  The multiplicities strictly descend, so the run ends with
-multiplicity one (terminal infinity, with an overweight presentation), an
-empty polyhedron (also infinity), a multi-vertex polyhedron (terminal -1,
+records the single remaining vertex, reads the initial form there as the
+one binomial power its lattice order admits, in the graded ring of the
+relation stack's leading binomials, and descends by a fresh chain variable
+for the binomial.  The working polynomial is always in normal form.  The
+multiplicities strictly descend, so the run ends with multiplicity one
+(terminal infinity, with an overweight presentation), an empty polyhedron
+(also infinity), a multi-vertex polyhedron (terminal -1,
 translation-minimal), or inconclusive: no such power, or resources exhausted.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple
 
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
@@ -40,24 +39,7 @@ class BinomialPower:
     inner_exp: int
     power: int
     coeff: object
-    tail_expo: tuple
-
-    def expand(self, ctx: VarContext, ring) -> Poly:
-        """The binomial theorem: sum_j C(n, j) * (-coeff)^j * w^(inner*(n-j)) * tail^j.
-
-        The engine never builds it: _decompose_at checks these terms in place.
-        """
-        n, w = self.power, ctx.var_index(self.main_var)
-        tail, m = ctx.pad(self.tail_expo), ring.neg(self.coeff)
-        terms, binom, mj = {}, 1, ring.one
-        for j in range(n + 1):
-            c = ring.mul(ring.from_int(binom), mj)
-            if not ring.is_zero(c):
-                e = [t * j for t in tail]
-                e[w] += self.inner_exp * (n - j)
-                terms[tuple(e)] = c
-            binom, mj = binom * (n - j) // (j + 1), ring.mul(mj, m)
-        return Poly._of(ctx, ring, terms, None)
+    tail_expo: tuple  # a standard monomial
 
 
 @dataclass(frozen=True)
@@ -120,11 +102,10 @@ class OverweightPresentation:
 class KappaConfig:
     truncation: int = 64
     budget: int = 256
-    depth: int = 3
 
     def __post_init__(self):
-        if self.truncation < 1 or self.budget < 1 or self.depth < 0:
-            raise ConfigurationError("truncation and budget must be >= 1, depth >= 0")
+        if self.truncation < 1 or self.budget < 1:
+            raise ConfigurationError("truncation and budget must be >= 1")
 
 
 class PrepStatus(enum.Enum):
@@ -139,7 +120,7 @@ class PrepareResult:
     status: PrepStatus
     eliminations: int
     diagnostics: list = dc_field(default_factory=list)
-    decomposition: tuple = None  # (outcome, poly) at a prepared polyhedron's sole vertex
+    decomposition: object = None  # the BinomialPower or None at a prepared sole vertex
 
 
 @dataclass
@@ -153,136 +134,80 @@ class KappaResult:
 
 
 # ---------------------------------------------------------------------------
-# binomial power recognition
+# binomial powers in the graded ring
 # ---------------------------------------------------------------------------
 
-class _Shape(NamedTuple):
-    """What a binomial power needs of an initial form, read once per node."""
-
-    degree: int        # N, the degree in the main variable
-    free_expo: tuple   # exponent of the single main-variable-free term
-    free_coeff: object
-
-
-def _read_shape(In: Poly, main_var: str):
-    """In's shape, or None when In is one term or has no single term free of
-    the main variable (no power fits it then).  A non-monic In raises."""
-    if len(In.terms) <= 1:
-        return None
-    midx = In.ctx.var_index(main_var)
-    N = max(e[midx] for e in In.terms)
-    if N < 1 or In.terms.get(In.ctx.unit(main_var, N)) != In.ring.one:
-        raise ContractViolation("initial form is not monic in the main variable")
-    wfree = [(e, c) for e, c in In.terms.items() if e[midx] == 0]
-    if len(wfree) != 1:
-        return None
-    (gexpo, gamma), = wfree
-    return _Shape(N, gexpo, gamma)
-
-
-def _decompose_at(In: Poly, shape: _Shape, power: int, main_var: str):
-    """Read In as (w^(N/power) - c*tail)^power; None if the shape or no root fits.
-
-    shape is _read_shape(In).  c runs over the solutions of c^power =
-    (-1)^power * free_coeff in the coefficient field: over Q and finite
-    fields an extension never adds one that fits, since the least j0 > 0
-    with C(power, j0) nonzero in the field puts (-c)^j0 in the field, and
-    these fields are perfect.  A root fits when In holds C(power, j) *
-    (-c)^j at w^(inner*(power-j)) * tail^j for every j, and no other term:
-    each coefficient is checked in place, and the count of nonzero ones
-    against len(In.terms), so no expansion is built.  BinomialPower.expand
-    is the same statement as a Poly.
-    """
-    if shape.degree % power or any(v % power for v in shape.free_expo):
-        return None
-    tail = tuple(v // power for v in shape.free_expo)
-    inner, gamma, ring, terms = shape.degree // power, shape.free_coeff, In.ring, In.terms
-    roots = ring.all_nth_roots(gamma if power % 2 == 0 else ring.neg(gamma), power)
-    if not roots:
-        return None
-    # the exponent of w^(inner*(power-j)) * tail^j for j = 0..power
-    w = In.ctx.var_index(main_var)
-    step = tail[:w] + (-inner,) + tail[w + 1:]
-    expos = [In.ctx.unit(main_var, shape.degree)]
-    for _ in range(power):
-        expos.append(tuple(map(operator.add, expos[-1], step)))
-    zero, mul, from_int, is_zero = ring.zero, ring.mul, ring.from_int, ring.is_zero
-    for c in roots:
-        m, mj, binom, nonzero = ring.neg(c), ring.one, 1, 0
-        for j, e in enumerate(expos):
-            want = mul(from_int(binom), mj)
-            if terms.get(e, zero) != want:
-                break
-            nonzero += not is_zero(want)
-            binom, mj = binom * (power - j) // (j + 1), mul(mj, m)
-        else:
-            if nonzero == len(terms):
-                return BinomialPower(main_var, inner, power, c, tail)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# binomialization modulo the relation stack
-# ---------------------------------------------------------------------------
-
-def _apply_rewrite(f: Poly, expo: tuple, rel: Relation, T) -> Poly:
-    """Replace one term's tail_j divisor through relation j, exactly.
-
-    Relation j reads u_j = rhs_j = w^{n_j} - c_j * tail_j - sum(corrections),
-    so c_j * tail_j = w^{n_j} - u_j - sum(corrections).  Substituting that in
-    the term coeff*x^expo adds -coeff/c_j * x^(expo-tail) * (u_j - rhs_j) to
-    f: the working polynomial changes by a multiple of the relation generator
-    only.  The result is deliberately NOT normal-formed: the upward rewrite
-    (head powers at their bound) is what makes the binomial shape visible,
-    and normalizing here would cancel the move.
-    """
-    ctx = f.ctx
-    ring = f.ring
-    rest = tuple(a - b for a, b in zip(expo, ctx.pad(rel.tail_expo)))
-    scale = ring.neg(ring.div(f.terms[expo], rel.tail_coeff))
-    return f.add(rel.generator(ctx).mul(Poly.monomial(ctx, ring, rest, scale)), T)
-
-
-def _search_at_power(f, vertex, stage, relations, power, depth, T):
-    """(outcome, poly) at the first of f and its rewrites, depth-first, whose
-    initial form is the given power; None if there is none."""
-    In = stage.initial(f, vertex)
-    shape = _read_shape(In, stage.main_var)
-    if shape is not None:
-        res = _decompose_at(In, shape, power, stage.main_var)
-        if res is not None:
-            return res, f
-    if depth <= 0 or not relations:
-        return None
-    ctx = f.ctx
-    ordered = [e for e, _ in In.sorted_terms() if e != stage.top]
-    for rel in reversed(list(relations)):
-        tail = ctx.pad(rel.tail_expo)
-        for expo in ordered:
-            if all(a >= b for a, b in zip(expo, tail)):
-                found = _search_at_power(_apply_rewrite(f, expo, rel, T), vertex, stage,
-                                         relations, power, depth - 1, T)
-                if found is not None:
-                    return found
-    return None
-
-
-def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations, depth: int = 3, T=None):
-    """Binomial-power form of the initial form at a vertex of the stage, modulo relations.
+def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations):
+    """The binomial power that f's initial form at a vertex of the stage is,
+    modulo the relations; (outcome, f) with outcome a BinomialPower in the
+    stage's main variable w, or None when there is none.
 
     The vertex is on the stage's int lattice, as StageProjection.polyhedron
-    gives it (S times the weighted vertex).  Returns (outcome, poly):
-    outcome is a BinomialPower in the stage's main variable (with poly
-    rewritten along the successful chain of relation moves, heavier residue
-    kept) or None, no power (with poly the input f).  Only the power of
-    StageProjection.power is searched for, to the given depth: a tail has
-    weight inner * vertex, in the stage's lattice, so the vertex's order r
-    there divides inner at every node.  No power with inner > r is tried.
+    gives it (S times the weighted vertex).  The one power is p =
+    StageProjection.power, so inner = r, the vertex's order modulo the
+    stage's lattice.  f is in normal form: every chain variable but w is
+    below its relation's head exponent, so its terms are standard monomials
+    times powers of w, and distinct standard monomials have distinct
+    weights.  Modulo the relations, and up to heavier terms, each relation
+    is its leading binomial u_(k-1)^(n_k) = c_k * tail_k: this graded ring
+    is the toric one that a Teissier singularity deforms (Teissier, Fields
+    Inst. Commun. 33, 2003; Gonzalez Perez, Ann. Inst. Fourier 53, 2003).
+    The tail t is the standard monomial of weight inner * vertex, and those
+    binomials reduce t^j, top down, to kappa_j * s_j.  So the initial form
+    is (w^inner - c*t)^p there exactly when it holds C(p, j) * (-c)^j *
+    kappa_j at w^(inner*(p-j)) * s_j for j = 0..p, and no other term.  c
+    runs over the solutions of c^p * kappa_p = (-1)^p times the w-free
+    coefficient in the coefficient field: over Q and finite fields an
+    extension never adds one that fits, since the least j0 > 0 with C(p,
+    j0) nonzero in the field puts (-c)^j0 in the field, and these fields
+    are perfect.  Each coefficient is read in place, and the count of
+    nonzero ones checked against the terms at the vertex, so no initial
+    form or expansion is built.  A non-monic f raises.
     """
-    vertex = tuple(vertex)
+    vertex, ring = tuple(vertex), f.ring
     power = stage.power(vertex)
-    found = power and _search_at_power(f, vertex, stage, relations, power, depth, T)
-    return found or (None, f)
+    if power is None:
+        return None, f
+    if f.terms.get(stage.top) != ring.one:
+        raise ContractViolation("initial form is not monic in the main variable")
+    inner = stage.top_exp // power
+    t = stage.standard_monomial(tuple(inner * c for c in vertex))
+    at = stage.terms_by_point(f)[0].get(vertex)
+    if t is None or at is None:
+        return None, f
+    # (exponent of w^(inner*(power-j)) * s_j, kappa_j) for j = 1..power, with
+    # kappa_j * s_j = kappa_(j-1) * s_(j-1) * t reduced by each binomial
+    # u_(k-1)^(n_k) -> c_k * tail_k, from the last relation down
+    ctx, w = f.ctx, stage.midx
+    binomials = [(ctx.var_index(rel.head_var), rel.head_exp, ctx.pad(rel.tail_expo),
+                  rel.tail_coeff) for rel in reversed(relations)]
+    expected, s, kappa = [], [0] * len(t), ring.one
+    for j in range(1, power + 1):
+        s = [a + b for a, b in zip(s, t)]
+        for i, n_k, tail, c_k in binomials:
+            while s[i] >= n_k:
+                s[i] -= n_k
+                s = [a + b for a, b in zip(s, tail)]
+                kappa = ring.mul(kappa, c_k)
+        expected.append((tuple(s[:w]) + (inner * (power - j),) + tuple(s[w + 1:]), kappa))
+    free, kappa_p = expected[-1]
+    gamma = at.get(free)
+    if gamma is None:
+        return None, f
+    gamma = ring.div(gamma if power % 2 == 0 else ring.neg(gamma), kappa_p)
+    zero, mul, from_int, is_zero = ring.zero, ring.mul, ring.from_int, ring.is_zero
+    for c in ring.all_nth_roots(gamma, power):
+        m, mj, binom, nonzero = ring.neg(c), ring.one, 1, 0
+        for j, (e, kappa_j) in enumerate(expected, 1):
+            binom, mj = binom * (power - j + 1) // j, mul(mj, m)
+            want = mul(from_int(binom), mul(mj, kappa_j))
+            if at.get(e, zero) != want:
+                break
+            nonzero += not is_zero(want)
+        else:
+            if nonzero == len(at):
+                return BinomialPower(stage.main_var, inner, power, c, t), f
+    return None, f
 
 
 # ---------------------------------------------------------------------------
@@ -293,45 +218,40 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
                        config: KappaConfig) -> PrepareResult:
     """Eliminate solvable vertices of the stage by translating its main variable.
 
-    A vertex is solvable when its (binomialized) initial form is a power of
-    a binomial linear in the main variable; the translation by the solving
-    term strictly shrinks the polyhedron, which is asserted.  Each
+    A vertex is solvable when its initial form is, in the graded ring, a
+    power of a binomial linear in the main variable; the translation by the
+    solving term strictly shrinks the polyhedron, which is asserted.  Each
     translation is recorded on the relation that defines the main variable
-    (none at the z stage).  A prepared polyhedron with one vertex comes with
-    that vertex's binomialization of the returned polynomial, reused when it
-    was made on that very polynomial.  Vertices stay on the stage's int
-    lattice throughout; only the returned polyhedron is unscaled to Fractions.
+    (none at the z stage), and its result is taken to normal form, so every
+    polynomial the stage reads is in normal form.  A prepared polyhedron
+    with one vertex comes with that vertex's binomialization, reused when
+    it was made on the returned polynomial.  Vertices stay on the stage's
+    int lattice throughout; only the returned polyhedron is unscaled to
+    Fractions.
     """
     T = config.truncation
     eliminations = 0
     diagnostics = []
     processed = set()
-    decomposed = {}  # vertex -> (polynomial, (outcome, poly)) of its last binomialization
+    decomposed = {}  # vertex -> (polynomial, outcome) of its last binomialization
     defining = next((rel for rel in relations if rel.var == stage.main_var), None)
     P = stage.polyhedron(f)
     for _ in range(_PREPARE_FUEL):
         for v in P.vertices:
             if v in processed:
                 continue
-            outcome, f2 = binomialize_modulo(f, v, stage, relations, config.depth, T)
-            decomposed[v] = f, (outcome, f2)
-            if outcome is None:
+            outcome = binomialize_modulo(f, v, stage, relations)[0]
+            decomposed[v] = f, outcome
+            if outcome is None or outcome.inner_exp > 1:
                 processed.add(v)
-                continue
-            if outcome.inner_exp > 1:
-                processed.add(v)
-                if f2 is not f:
-                    f = f2
-                    P = stage.polyhedron(f)
-                    break
                 continue
             # solvable: translate by the solving term
             if eliminations >= config.budget:
                 diagnostics.append(f"elimination budget ({config.budget}) exhausted")
                 return PrepareResult(f, stage.unscale(P), PrepStatus.INCONCLUSIVE, eliminations,
                                      diagnostics)
-            before = P if f2 is f else stage.polyhedron(f2)
-            f = translate(f2, stage.main_var, outcome.coeff, outcome.tail_expo, T)
+            before = P
+            f = translate(f, stage.main_var, outcome.coeff, outcome.tail_expo, T)
             # the translation redefines the main variable, so its relation
             # must record the solving term before any head power is rewritten
             # through it
@@ -348,8 +268,8 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
             if len(P.vertices) == 1:
                 v = P.vertices[0]
                 made_on, decomposition = decomposed[v]
-                if made_on is not f:  # f was rewritten or translated since
-                    decomposition = binomialize_modulo(f, v, stage, relations, config.depth, T)
+                if made_on is not f:  # f was translated since
+                    decomposition = binomialize_modulo(f, v, stage, relations)[0]
             return PrepareResult(f, stage.unscale(P), PrepStatus.PREPARED, eliminations,
                                  diagnostics, decomposition)
     raise EngineError("preparation did not stabilize within its fuel bound")
@@ -417,12 +337,11 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
             terminal = Terminal.MINUS_ONE
             break
         v = P.vertices[0]
-        outcome, f = prep.decomposition
-        if outcome is None:
+        bp = prep.decomposition
+        if bp is None:
             diagnostics.append("initial form not a binomial power; input may be reducible")
             terminal = Terminal.INCONCLUSIVE
             break
-        bp = outcome
         if bp.inner_exp * bp.power != top_exp:
             raise EngineError("binomial degrees do not multiply to the stage multiplicity")
         if bp.inner_exp == 1:

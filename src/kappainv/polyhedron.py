@@ -213,12 +213,12 @@ class StageProjection:
     stage shares it.  A polynomial's terms below the monic top are grouped
     by point once (terms_by_point), and the last polynomial's groups are
     kept by identity, which is safe because a Poly's terms never change:
-    polyhedron() takes the hull of the distinct points, and initial() is
-    one lookup.  Inside the stage every polyhedron and vertex stays on this
-    S-scaled int lattice: polyhedron() returns int vertices, and initial()
-    and power() take one as it comes.  unscale() makes the Fraction vertices
-    of what leaves the stage.  Only polynomials in the stage's context may
-    be passed.
+    polyhedron() takes the hull of the distinct points, and the terms at a
+    vertex are one lookup.  Inside the stage every polyhedron and vertex
+    stays on this S-scaled int lattice: polyhedron() returns int vertices,
+    power() takes one as it comes, and standard_monomial() an int weight.
+    unscale() makes the Fraction vertices of what leaves the stage.  Only
+    polynomials in the stage's context may be passed.
     """
 
     def __init__(self, ctx, main_var: str, top_exp: int, weights: dict):
@@ -235,15 +235,36 @@ class StageProjection:
         self._grouped = None, {}, False  # (polynomial, its groups, a term above the top)
 
     @functools.cached_property
-    def residues(self) -> set:
-        """S times the lattice Z^d + sum(Z * weight), mod S: each weight adds
-        the cosets of its multiples below its order."""
-        S, residues = self.scale, {(0,) * self.ctx.d}
+    def levels(self) -> list:
+        """S times the lattices Z^d + Z * w_1 + ... + Z * w_k mod S, k = 0, 1, ...,
+        for the weights in chain order: each weight adds the cosets of its
+        multiples below its order."""
+        S, levels = self.scale, [{(0,) * self.ctx.d}]
         for w in self.aux.values():
-            order = next(m for m in itertools.count(1) if tuple(m * c % S for c in w) in residues)
-            residues = {tuple((a + j * c) % S for a, c in zip(r, w))
-                        for r in residues for j in range(order)}
-        return residues
+            below = levels[-1]
+            order = next(m for m in itertools.count(1) if tuple(m * c % S for c in w) in below)
+            levels.append({tuple((a + j * c) % S for a, c in zip(r, w))
+                           for r in below for j in range(order)})
+        return levels
+
+    def standard_monomial(self, weight):
+        """The exponent of x^a times the chain variables, each below its order,
+        whose weight is the int weight given (S times a weighted point); None
+        when weight is off the lattice or a would be negative.  Distinct such
+        monomials have distinct weights, and the exponents are read top-down:
+        the last chain variable's is the least b with weight - b * w in the
+        level below."""
+        S, e, rest = self.scale, [0] * self.ctx.nvars, tuple(weight)
+        if tuple(c % S for c in rest) not in self.levels[-1]:
+            return None
+        for (i, w), below in zip(reversed(self.aux.items()), reversed(self.levels[:-1])):
+            b = next(b for b in itertools.count()
+                     if tuple((c - b * x) % S for c, x in zip(rest, w)) in below)
+            e[i], rest = b, tuple(c - b * x for c, x in zip(rest, w))
+        if any(c < 0 for c in rest):
+            return None
+        e[:self.ctx.d] = (c // S for c in rest)
+        return tuple(e)
 
     def point(self, e):
         """S times the weighted point of the term with exponent e, memoized."""
@@ -291,19 +312,10 @@ class StageProjection:
         self._grouped = f, groups, above
         return groups, above
 
-    def initial(self, f: Poly, vertex) -> Poly:
-        """Monic top plus every term whose point equals vertex, an int vertex of the stage."""
-        groups, _ = self.terms_by_point(f)
-        terms = dict(groups.get(vertex, ()))
-        top = f.terms.get(self.top)
-        if top is not None:
-            terms[self.top] = top
-        return Poly._of(f.ctx, f.ring, terms, f.trunc)
-
     def power(self, vertex):
         """top_exp // r for the int vertex's order r modulo the lattice; None unless r | top_exp."""
         S = self.scale
-        r = next(r for r in itertools.count(1) if tuple(r * c % S for c in vertex) in self.residues)
+        r = next(r for r in itertools.count(1) if tuple(r * c % S for c in vertex) in self.levels[-1])
         return None if self.top_exp % r else self.top_exp // r
 
     def polyhedron(self, f: Poly) -> OrthantPolyhedron:

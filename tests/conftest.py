@@ -1,11 +1,12 @@
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
-from kappainv import (ZZ, ContractViolation, Field, Poly, Relation,
+from kappainv import (ZZ, BinomialPower, ContractViolation, Field, Poly, Relation,
                       UnsupportedLiftError, VarContext, lift_coeff, parse_polynomial,
                       weierstrass_validate)
-from kappainv.kappa import _decompose_at, _read_shape
 from kappainv.poly import format_signed_terms
 from kappainv.polyhedron import StageProjection
 from kappainv.ring import is_prime
@@ -101,18 +102,173 @@ def reduce_coeff(n, p):
     return n % p
 
 
+def stage_initial(stage, f, vertex):
+    """Monic top plus every term whose point equals vertex, an int vertex of the
+    stage: one lookup in the stage's groups."""
+    groups, _ = stage.terms_by_point(f)
+    terms = dict(groups.get(vertex, ()))
+    top = f.terms.get(stage.top)
+    if top is not None:
+        terms[stage.top] = top
+    return Poly(f.ctx, f.ring, terms, f.trunc)
+
+
 def initial_form(f, vertex, main_var, top_exp, weights):
     """Monic top plus every term whose weighted point equals the given vertex."""
     stage = StageProjection(f.ctx, main_var, top_exp, weights)
     v = on_lattice(stage, vertex)
     if v not in stage.polyhedron(f).vertices:
         raise ContractViolation(f"{vertex} is not a vertex of the projected polyhedron")
-    return stage.initial(f, v)
+    return stage_initial(stage, f, v)
 
 
 def divisors_desc(n):
     """The divisors of n, largest first: the powers the oracles below walk."""
     return [e for e in range(n, 0, -1) if n % e == 0]
+
+
+def expand(bp, ctx, ring):
+    """The binomial theorem: sum_j C(n, j) * (-coeff)^j * w^(inner*(n-j)) * tail^j."""
+    n, w = bp.power, ctx.var_index(bp.main_var)
+    tail, m = ctx.pad(bp.tail_expo), ring.neg(bp.coeff)
+    terms, binom, mj = {}, 1, ring.one
+    for j in range(n + 1):
+        c = ring.mul(ring.from_int(binom), mj)
+        if not ring.is_zero(c):
+            e = [t * j for t in tail]
+            e[w] += bp.inner_exp * (n - j)
+            terms[tuple(e)] = c
+        binom, mj = binom * (n - j) // (j + 1), ring.mul(mj, m)
+    return Poly(ctx, ring, terms)
+
+
+def leading_reduce(e, coeff, relations, ctx, ring):
+    """coeff * x^e reduced by the relations' leading binomials, u_(k-1)^(n_k)
+    -> c_k * tail_k, from the last relation down: (exponent, coefficient)."""
+    e = list(e)
+    for rel in reversed(list(relations)):
+        i = ctx.var_index(rel.head_var)
+        q, e[i] = divmod(e[i], rel.head_exp)
+        e = [a + q * b for a, b in zip(e, ctx.pad(rel.tail_expo))]
+        for _ in range(q):
+            coeff = ring.mul(coeff, rel.tail_coeff)
+    return tuple(e), coeff
+
+
+def graded_expand(bp, ctx, ring, relations):
+    """expand(bp) in the graded ring: every term reduced by leading_reduce."""
+    terms = {}
+    for e, c in expand(bp, ctx, ring).terms.items():
+        e, c = leading_reduce(e, c, relations, ctx, ring)
+        terms[e] = ring.add(terms.get(e, ring.zero), c)
+    return Poly(ctx, ring, terms)
+
+
+class Shape(NamedTuple):
+    """What a binomial power needs of an initial form, read once per node."""
+
+    degree: int        # N, the degree in the main variable
+    free_expo: tuple   # exponent of the single main-variable-free term
+    free_coeff: object
+
+
+def read_shape(In, main_var):
+    """In's shape, or None when In is one term or has no single term free of
+    the main variable (no power fits it then).  A non-monic In raises."""
+    if len(In.terms) <= 1:
+        return None
+    midx = In.ctx.var_index(main_var)
+    N = max(e[midx] for e in In.terms)
+    if N < 1 or In.terms.get(In.ctx.unit(main_var, N)) != In.ring.one:
+        raise ContractViolation("initial form is not monic in the main variable")
+    wfree = [(e, c) for e, c in In.terms.items() if e[midx] == 0]
+    if len(wfree) != 1:
+        return None
+    (gexpo, gamma), = wfree
+    return Shape(N, gexpo, gamma)
+
+
+def decompose_at(In, shape, power, main_var):
+    """Read In literally as (w^(N/power) - c*tail)^power, tail the w-free
+    exponent divided by power; None if the shape or no root fits.
+
+    c runs over the solutions of c^power = (-1)^power * free_coeff; each
+    expected coefficient is read in place, and the nonzero ones counted
+    against len(In.terms).
+    """
+    if shape.degree % power or any(v % power for v in shape.free_expo):
+        return None
+    tail = tuple(v // power for v in shape.free_expo)
+    inner, gamma, ring, terms = shape.degree // power, shape.free_coeff, In.ring, In.terms
+    roots = ring.all_nth_roots(gamma if power % 2 == 0 else ring.neg(gamma), power)
+    w = In.ctx.var_index(main_var)
+    step = tail[:w] + (-inner,) + tail[w + 1:]
+    expos = [In.ctx.unit(main_var, shape.degree)]
+    for _ in range(power):
+        expos.append(tuple(map(operator.add, expos[-1], step)))
+    for c in roots:
+        m, mj, binom, nonzero = ring.neg(c), ring.one, 1, 0
+        for j, e in enumerate(expos):
+            want = ring.mul(ring.from_int(binom), mj)
+            if terms.get(e, ring.zero) != want:
+                break
+            nonzero += not ring.is_zero(want)
+            binom, mj = binom * (power - j) // (j + 1), ring.mul(mj, m)
+        else:
+            if nonzero == len(terms):
+                return BinomialPower(main_var, inner, power, c, tail)
+    return None
+
+
+def apply_rewrite(f, expo, rel, T):
+    """Replace one term's tail divisor through the relation, exactly.
+
+    The relation reads u = w^n - c * tail - corrections, so c * tail = w^n -
+    u - corrections: the term coeff * x^expo gains -coeff/c * x^(expo-tail)
+    * (u - rhs), a multiple of the relation's generator.  The result is not
+    normal-formed: the upward move is what makes a literal binomial show.
+    """
+    ctx, ring = f.ctx, f.ring
+    rest = tuple(a - b for a, b in zip(expo, ctx.pad(rel.tail_expo)))
+    scale = ring.neg(ring.div(f.terms[expo], rel.tail_coeff))
+    return f.add(rel.generator(ctx).mul(Poly.monomial(ctx, ring, rest, scale)), T)
+
+
+def search_binomialize(f, vertex, stage, relations, depth=8, T=None, powers=None):
+    """The rewrite search that binomialization once was: (outcome, g) at the
+    first of f and its upward rewrites, depth-first to the given depth,
+    whose initial form at the vertex is literally a binomial power; (None, f)
+    if there is none.  powers are the powers tried at every node, largest
+    first: by default the one the lattice admits.  Its cost grows
+    exponentially with the depth."""
+    vertex = tuple(vertex)
+    if powers is None:
+        powers = [p for p in [stage.power(vertex)] if p]
+
+    def search(g, power, depth):
+        In = stage_initial(stage, g, vertex)
+        shape = read_shape(In, stage.main_var)
+        if shape is not None:
+            res = decompose_at(In, shape, power, stage.main_var)
+            if res is not None:
+                return res, g
+        if depth <= 0 or not relations:
+            return None
+        ordered = [e for e, _ in In.sorted_terms() if e != stage.top]
+        for rel in reversed(list(relations)):
+            tail = g.ctx.pad(rel.tail_expo)
+            for expo in ordered:
+                if all(a >= b for a, b in zip(expo, tail)):
+                    found = search(apply_rewrite(g, expo, rel, T), power, depth - 1)
+                    if found is not None:
+                        return found
+        return None
+
+    for power in powers:
+        found = search(f, power, depth)
+        if found is not None:
+            return found
+    return None, f
 
 
 def binomial_power_decompose(In, main_var):
@@ -125,9 +281,9 @@ def binomial_power_decompose(In, main_var):
     midx = In.ctx.var_index(main_var)
     if not any(e[midx] for e in In.terms):
         raise ContractViolation("main variable does not occur")
-    shape = _read_shape(In, main_var)
+    shape = read_shape(In, main_var)
     for power in divisors_desc(shape.degree) if shape else ():
-        res = _decompose_at(In, shape, power, main_var)
+        res = decompose_at(In, shape, power, main_var)
         if res is not None:
             return res
     return None

@@ -20,7 +20,8 @@ from kappainv import (BinomialPower, Field, KappaConfig, Poly, Terminal, VarCont
 from kappainv.poly import format_monomial
 from kappainv.ring import ZZ
 from test_polyhedron import member_oracle
-from conftest import binomial_power_decompose, mk, mkw, z_stage
+from conftest import (binomial_power_decompose, expand, graded_expand, mk, mkw, stage_initial,
+                      z_stage)
 
 
 def F(a, b=1):
@@ -178,7 +179,8 @@ def test_criterion_7_property_suites(monkeypatch):
         assert member(p, pts) == member_oracle(p, pts)
 
     # (b) re-expansion identity: randomized decompositions plus every
-    # BinomialPower the engine constructs during the fixture runs
+    # BinomialPower the engine constructs during the fixture runs, whose
+    # expansion holds in the graded ring
     for _ in range(200):
         field = rng.choice([F2, Field.finite(5), Q])
         ctx = VarContext(1, ("z",))
@@ -188,25 +190,27 @@ def test_criterion_7_property_suites(monkeypatch):
                  else field.element(rng.randrange(1, field.order)))
         tail = (rng.randrange(1, 4), 0)
         bp = BinomialPower("z", inner, power, coeff, tail)
-        In = bp.expand(ctx, field)
+        In = expand(bp, ctx, field)
         zdeg = max(e[1] for e in In.terms)
         if zdeg != inner * power:
             continue  # characteristic collapsed the top term; not a valid fixture
         got = binomial_power_decompose(In, "z")
         assert isinstance(got, BinomialPower)
-        assert got.expand(ctx, field) == In
+        assert expand(got, ctx, field) == In
         assert got.power >= power
 
+    # the engine's powers hold in the graded ring: each one's expansion,
+    # reduced by the relations' leading binomials, is the initial form
     recorded = []
-    original = kappa_mod._decompose_at
+    original = kappa_mod.binomialize_modulo
 
-    def recording(In, shape, power, main_var):
-        res = original(In, shape, power, main_var)
-        if isinstance(res, BinomialPower):
-            recorded.append((res, In, In.ctx, In.ring))
+    def recording(f, vertex, stage, relations):
+        res = original(f, vertex, stage, relations)
+        if isinstance(res[0], BinomialPower):
+            recorded.append((res[0], stage_initial(stage, f, vertex), list(relations)))
         return res
 
-    monkeypatch.setattr(kappa_mod, "_decompose_at", recording)
+    monkeypatch.setattr(kappa_mod, "binomialize_modulo", recording)
 
     # fixture runs drive (b, c, d, f) on every emitted presentation
     presentations = []
@@ -232,10 +236,11 @@ def test_criterion_7_property_suites(monkeypatch):
         assert all(x > y for x, y in zip(mults, mults[1:]))        # (f)
         presentations.append((wf, res))
 
-    monkeypatch.setattr(kappa_mod, "_decompose_at", original)
+    monkeypatch.setattr(kappa_mod, "binomialize_modulo", original)
     assert len(recorded) >= 200
-    for bp, In, ctx, ring in recorded:                              # (b)
-        assert bp.expand(ctx, ring) == In
+    assert any(relations for _, _, relations in recorded)
+    for bp, In, relations in recorded:                              # (b)
+        assert graded_expand(bp, In.ctx, In.ring, relations) == In
 
     for wf, res in presentations:
         pres = res.presentation

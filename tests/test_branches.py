@@ -36,9 +36,13 @@ from pathlib import Path
 
 import pytest
 
-from kappainv import (QQ, Field, KappaConfig, Poly, Terminal, VarContext, classify, cli,
-                      compute_kappa, substitute, weierstrass_validate)
-from conftest import mk
+import kappainv.kappa as kappa_mod
+from kappainv import (QQ, BinomialPower, Field, KappaConfig, Poly, Terminal, VarContext, classify,
+                      cli, compute_kappa, substitute, weierstrass_validate)
+from conftest import leading_reduce, mk, search_binomialize
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SEED = 20250202
 SWEEP = 192
@@ -410,65 +414,80 @@ def test_tame_reduction_keeps_the_answer(index):
     assert rep.discriminant.monomial_unit.exponent == want["disc"]
 
 
-# -- the rewrite depth ------------------------------------------------------------
+# -- binomial powers without a search ------------------------------------------
 #
-# A shallow rewrite search may stop a stage early, but must not give another
-# definitive kappa: at depths 0-2, kappa equals the deep answer or is
-# inconclusive on the vertices found so far.  The deep answer is depth 8 for
-# the README tower and the benchmark's four-stage tower, and the known answer
-# for a seeded slice of the sweep, over Q and reduced mod p (depth 8 is no
-# reference there: a g = 3 branch of the slice raises at depth 5 and runs
-# for minutes at depth 6).
+# A stage reads its binomial power in the graded ring, in one pass, with no
+# depth to choose.  The rewrite search it replaced stopped early at depths
+# 0-2 on the README tower and on some of the sweep: it reported -1 on branch
+# 201 at depth 0, and on branch 196 it raised at depth 5 and ran for minutes
+# at depth 6.  Each tower must give the answer that search gave at depth 8,
+# and each branch of a seeded slice of the sweep, over Q and reduced mod p,
+# its known answer, within LIMIT_S.
 
-DEPTH_TOWERS = [pytest.param(text, T, id=name) for name, text, T in [
-    ("readme-tower", "z^8 + x1^12*x2^24 + x1^15*x2^30", 64),
-    ("four-stage-tower", "z^16 + x1^24*x2^48 + x1^30*x2^60 + x1^63*x2^126", 256)]]
+DEPTH_TOWERS = [pytest.param(text, T, vertices, id=name) for name, text, T, vertices in [
+    ("readme-tower", "z^8 + x1^12*x2^24 + x1^15*x2^30", 64,
+     ((F(3, 2), F(3)), (F(15, 4), F(15, 2)), (F(63, 8), F(63, 4)))),
+    ("four-stage-tower", "z^16 + x1^24*x2^48 + x1^30*x2^60 + x1^63*x2^126", 256,
+     ((F(3, 2), F(3)), (F(15, 4), F(15, 2)), (F(63, 8), F(63, 4)), (F(735, 16), F(735, 8))))]]
 DEPTH_SLICE = random.Random(SEED + 5).sample(range(len(BRANCHES)), 24)
 
-# inputs that a shallow search gives another definitive kappa, by name
-SHALLOW = {
-    "2*x^(1/2,1/2) + 2*x^(3/2,1) + 2*x^(2,7/4) + -2*x^(5/2,1)": (
-        "at depth 0 the third stage's solvable vertices need a rewrite to show, so "
-        "preparation stops at two vertices and reports -1 where depth 1 gives inf"),
-}
+
+def assert_known_kappa(wf, T, vertices):
+    with time_limit(LIMIT_S):
+        inv = compute_kappa(wf, KappaConfig(truncation=T)).invariant
+    assert (inv.vertices, inv.terminal) == (vertices, Terminal.INFINITY)
 
 
-def assert_depth_keeps(wf, T, vertices):
-    inconclusive = 0
-    for depth in (0, 1, 2):
-        inv = compute_kappa(wf, KappaConfig(truncation=T, depth=depth)).invariant
-        if inv.terminal is Terminal.INCONCLUSIVE:
-            assert inv.vertices == vertices[:len(inv.vertices)], depth
-            inconclusive += 1
-        else:
-            assert (inv.vertices, inv.terminal) == (vertices, Terminal.INFINITY), depth
-    return inconclusive
+@pytest.mark.parametrize("text, T, vertices", DEPTH_TOWERS)
+def test_depth_keeps_the_tower_kappa(text, T, vertices):
+    assert_known_kappa(weierstrass_validate(mk(text, 2, Field.finite(2))), T, vertices)
 
 
-@pytest.mark.parametrize("text, T", DEPTH_TOWERS)
-def test_depth_keeps_the_tower_kappa(text, T):
-    wf = weierstrass_validate(mk(text, 2, Field.finite(2)))
-    deep = compute_kappa(wf, KappaConfig(truncation=T, depth=8)).invariant
-    assert deep.terminal is Terminal.INFINITY
-    assert assert_depth_keeps(wf, T, deep.vertices) >= 1  # depth 0 stops at stage 2
-
-
-def _depth_params():
-    out = []
-    for i in DEPTH_SLICE:
-        b, p = MOD_P[i]
-        marks = ()
-        if b.name in SHALLOW:
-            marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=SHALLOW[b.name])
-        out += [pytest.param(i, q, id=f"{i:03d} p={q} {b.name}", marks=marks) for q in (0, p)]
-    return out
-
-
-@pytest.mark.parametrize("index, p", _depth_params())
+@pytest.mark.parametrize("index, p", [
+    pytest.param(i, q, id=f"{i:03d} p={q} {MOD_P[i][0].name}")
+    for i in DEPTH_SLICE for q in (0, MOD_P[i][1])])
 def test_depth_keeps_the_branch_kappa(index, p):
     branch = BRANCHES[index]
     wf = reduced_mod_p(index)[1] if p else weierstrass_validate(branch.polynomial())
-    assert_depth_keeps(wf, 64, branch.expected()["vertices"])
+    assert_known_kappa(wf, 64, branch.expected()["vertices"])
+
+
+def test_graded_check_matches_the_search(monkeypatch):
+    # every binomialization the engine makes on the sweep, over Q and mod p,
+    # and on the benchmark's towers, against the rewrite search to depth 8:
+    # where the search finds a power, the check finds the same one, its tail
+    # t' reduced to the standard kappa * t (so c = c' * kappa); where the
+    # search finds none, neither does the check
+    inputs = [wf for index, (branch, _) in enumerate(MOD_P)
+              for wf in (weierstrass_validate(branch.polynomial()), reduced_mod_p(index)[1])]
+    calls = []
+    real = kappa_mod.binomialize_modulo
+
+    def recording(f, vertex, stage, relations):
+        res = real(f, vertex, stage, relations)
+        calls.append((f, vertex, stage, list(relations), res))
+        return res
+
+    monkeypatch.setattr(kappa_mod, "binomialize_modulo", recording)
+    for wf in inputs:
+        compute_kappa(wf)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for case in workloads.build("towers", 7):
+            cli.main(list(case.argv))
+    seen = set()
+    for f, vertex, stage, relations, (got, poly) in calls:
+        assert poly is f
+        want, found_on = search_binomialize(f, vertex, stage, relations, 8, T=f.trunc)
+        if want is None:
+            assert got is None
+            seen.add("none")
+            continue
+        tail, kappa = leading_reduce(want.tail_expo, f.ring.one, relations, f.ctx, f.ring)
+        assert got == BinomialPower(want.main_var, want.inner_exp, want.power,
+                                    f.ring.mul(want.coeff, kappa), tail)
+        seen.add("after a rewrite" if found_on is not f else "direct")
+    assert seen == {"none", "direct", "after a rewrite"}
+    assert len(calls) > 1200
 
 
 # -- kappa predicts the discriminant on the benchmark --------------------------
@@ -481,8 +500,6 @@ def test_depth_keeps_the_branch_kappa(index, p):
 # over GF(2) has kappa (3/2, inf) and discriminant x1^10.  An output whose
 # truncated discriminant leaves quasi-ordinary inconclusive has no exponent.
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("seed", [7, 13])

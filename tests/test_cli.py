@@ -53,17 +53,19 @@ class TestClassify:
         assert "kappa = (3/2, inf)" in out
         assert "teissier: True" in out
 
-    def test_shallow_depth_is_inconclusive(self, capsys):
-        # at depth 0 the second stage cannot reach its square: its vertex
-        # (15/4, 15/2) has order 2 modulo Z^2 + Z*(3/2, 3), so u1^4 must be
-        # read as (u1^2 - ...)^2, which takes one rewrite; the first stage stays
-        code, out = run(capsys, ["classify", "--char", "2", "--vars", "2", "--depth", "0",
+    def test_depth_is_a_usage_error(self, capsys):
+        # a stage reads its binomial power in one pass, so there is no rewrite
+        # depth to set: --depth is an unknown option, exit 1 like every usage
+        # error, and the README tower it once cut short gets its full answer
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--char", "2", "--vars", "2", "--depth", "0",
+                  "z^8 + x1^12*x2^24 + x1^15*x2^30"])
+        assert exc.value.code == 1
+        assert "error: unrecognized arguments: --depth" in capsys.readouterr().err
+        code, out = run(capsys, ["classify", "--char", "2", "--vars", "2",
                                  "z^8 + x1^12*x2^24 + x1^15*x2^30"])
-        assert code == 2
-        assert out.splitlines()[:3] == ["kappa = ((3/2, 3), inconclusive)",
-                                        "stage multiplicities: 8 > 4",
-                                        "teissier: inconclusive"]
-        assert "note: initial form not a binomial power; input may be reducible" in out
+        assert code == 0
+        assert out.startswith("kappa = ((3/2, 3), (15/4, 15/2), (63/8, 63/4), inf)\n")
 
     def test_truncation_inconclusive_exit_code(self, capsys):
         code, out = run(capsys, ["classify", "--char", "2", "--vars", "2", "--trunc", "2",

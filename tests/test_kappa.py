@@ -7,14 +7,16 @@ import pytest
 
 from kappainv import (BinomialPower, ConfigurationError, ContractViolation,
                       Field, KappaConfig, Poly, Relation, Terminal, VarContext, back_substitute,
-                      binomialize_modulo, compute_kappa, parse_polynomial, prepare_polyhedron,
-                      substitute, verify_overweight)
+                      binomialize_modulo, compute_kappa, normal_form, parse_polynomial,
+                      prepare_polyhedron, substitute, verify_overweight)
+import conftest
 import kappainv.kappa
 import kappainv.poly
 from kappainv.polyhedron import StageProjection
-from kappainv.kappa import PrepStatus, _apply_rewrite, _decompose_at, _read_shape
-from conftest import (binomial_power_decompose, divisors_desc, initial_form, mk, mkw, on_lattice,
-                      rand_poly, sample_relations, z_stage)
+from kappainv.kappa import PrepStatus
+from conftest import (apply_rewrite, binomial_power_decompose, divisors_desc, expand, initial_form,
+                      leading_reduce, mk, mkw, on_lattice, rand_poly, read_shape, sample_relations,
+                      search_binomialize, stage_initial, z_stage)
 from test_branches import lattice_orders
 
 
@@ -51,7 +53,7 @@ class TestDecompose:
         assert (bp.inner_exp, bp.power) == (2, 4)
         assert bp.coeff == 1
         assert bp.tail_expo[:2] == (3, 6)
-        assert bp.expand(In.ctx, F2) == In
+        assert expand(bp, In.ctx, F2) == In
 
     def test_char0_square(self, QQ):
         In = mk("z^2 - 2*x1*z + x1^2", 1, QQ)
@@ -101,22 +103,25 @@ class TestDecompose:
         assert (bp.inner_exp, bp.power) == (2, 1)
 
 
-def decompose_by_expansion(In, shape, power):
-    """_decompose_at by building each candidate's expansion and comparing Polys."""
-    if shape.degree % power or any(v % power for v in shape.free_expo):
+def decompose_by_expansion(In, power):
+    """The binomial power of In with the given power, by building each
+    candidate's expansion and comparing Polys; None if none fits."""
+    shape = read_shape(In, "z")
+    if shape is None or shape.degree % power or any(v % power for v in shape.free_expo):
         return None
     tail = tuple(v // power for v in shape.free_expo)
     ring, gamma = In.ring, shape.free_coeff
     for c in ring.all_nth_roots(gamma if power % 2 == 0 else ring.neg(gamma), power):
         bp = BinomialPower("z", shape.degree // power, power, c, tail)
-        if bp.expand(In.ctx, ring) == In:
+        if expand(bp, In.ctx, ring) == In:
             return bp
     return None
 
 
 class TestInPlaceCheck:
-    """_decompose_at checks the expected coefficients in place; the oracle
-    expands every candidate with BinomialPower.expand and compares."""
+    """binomialize_modulo checks the expected coefficients in place; the
+    oracle expands every candidate of the lattice's power and compares it
+    with the initial form."""
 
     def test_against_the_expansion(self, QQ, F2, F4, F5):
         rng = random.Random(2201)
@@ -130,51 +135,63 @@ class TestInPlaceCheck:
             tail = (rng.randrange(0, 3), rng.randrange(1, 3), 0)
             coeff = (F(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2]))
                      if field.characteristic == 0 else field.element(rng.randrange(1, field.order)))
-            terms = dict(BinomialPower("z", inner, power, coeff, tail).expand(ctx, field).terms)
+            terms = dict(expand(BinomialPower("z", inner, power, coeff, tail), ctx, field).terms)
             expected = [(tail[0] * j, tail[1] * j, inner * (power - j)) for j in range(power + 1)]
             # a vanishing C(power, j) leaves a hole in the expansion
             holes = [e for e in expected if e not in terms]
             inside = [e for e in terms if 0 < e[2] < inner * power]
-            kind = rng.choice(["exact", "changed", "added", "hole", "removed"])
+            n = inner * power
+            # at the lattice's power (inner = r) every term at the vertex has a
+            # slot in the form, so a term added there fills a hole
+            kind = rng.choice(["exact", "changed", "hole", "removed"])
             if kind == "changed" and inside:
                 e = rng.choice(inside)
                 terms[e] = field.add(terms[e], field.one)
                 if field.is_zero(terms[e]):  # in GF(2) a change removes the term
                     del terms[e]
                     kind = "removed"
-            elif kind == "added":
-                terms[(rng.randrange(1, 9), rng.randrange(0, 9), rng.randrange(1, inner * power + 1))] = (
-                    field.from_int(rng.choice([1, 2, 3])) or field.one)
             elif kind == "hole" and holes:
                 terms[rng.choice(holes)] = field.one
             elif kind == "removed" and inside:
                 del terms[rng.choice(inside)]
             else:
                 kind = "exact"
-            In = Poly(ctx, field, terms)
-            shape = _read_shape(In, "z")
-            if shape is None:
-                continue
-            for p in range(1, shape.degree + 1):
-                want = decompose_by_expansion(In, shape, p)
-                assert _decompose_at(In, shape, p, "z") == want, (field, p, terms)
-                if p == power:
-                    kinds.setdefault(kind, set()).add(want is not None)
+            f = Poly(ctx, field, terms)
+            stage = z_stage(f, n)
+            v = on_lattice(stage, tuple(F(t, inner) for t in tail[:2]))
+            p = stage.power(v)
+            want = p and decompose_by_expansion(stage_initial(stage, f, v), p)
+            assert binomialize_modulo(f, v, stage, []) == (want, f), (field, terms)
+            if p == power:
+                kinds.setdefault(kind, set()).add(want is not None)
             if holes:
                 kinds.setdefault("vanishing binomial", set()).add(field.characteristic)
         assert kinds["exact"] == {True}
-        assert all(kinds[k] >= {False} for k in ("changed", "added", "hole", "removed"))
+        assert all(kinds[k] >= {False} for k in ("changed", "hole", "removed"))
         assert kinds["vanishing binomial"] == {2, 3, 5}
 
     def test_readme_examples_never_expand(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("BinomialPower.expand ran in the engine")
+        # the engine reads each coefficient where it is: a binomialization
+        # builds neither an expansion nor the initial form it checks
+        calls = []
+        real = kappainv.kappa.binomialize_modulo
 
-        monkeypatch.setattr(BinomialPower, "expand", refuse)
+        def refuse(*args, **kw):
+            raise AssertionError("a binomialization built a Poly")
+
+        def guarded(*args):
+            calls.append(args)
+            with monkeypatch.context() as m:
+                for name in ("__init__", "_of"):
+                    m.setattr(Poly, name, refuse)
+                return real(*args)
+
+        monkeypatch.setattr(kappainv.kappa, "binomialize_modulo", guarded)
         F2 = Field.finite(2)
         results = [compute_kappa(mkw(text, d, F2)) for text, d in README_EXAMPLES]
         assert [r.invariant.terminal for r in results] == [Terminal.INFINITY, Terminal.MINUS_ONE,
                                                           Terminal.INFINITY]
+        assert len(calls) >= 5
 
     def test_each_polynomial_is_grouped_once(self, monkeypatch):
         groups_of = {}  # id(f) -> (f, the groups object terms_by_point gave for it)
@@ -243,6 +260,9 @@ class TestNoExtensionHelps:
 
 class TestBinomializeModulo:
     def test_stage_one_rewrite(self, F2):
+        # the tail x1^6*x2^12*z is the standard monomial of weight 2v, and its
+        # square reduces through z^2 -> x1^3*x2^6 to the w-free term: the
+        # power the rewrite search reached after one rewrite, with f as it is
         ctx = VarContext(2, ("z", "u1"))
         rel = Relation(var="u1", head_var="z", head_exp=2, tail_coeff=F2.one,
                        tail_expo=(3, 6, 0, 0), ctx=ctx, ring=F2)
@@ -253,7 +273,12 @@ class TestBinomializeModulo:
         assert isinstance(outcome, BinomialPower)
         assert (outcome.inner_exp, outcome.power) == (2, 2)
         assert outcome.tail_expo == (6, 12, 1, 0)
-        assert f2 == parse_polynomial("u1^4 + x1^12*x2^24*z^2 + x1^12*x2^24*u1", ctx, F2)
+        assert f2 is f
+        searched = [search_binomialize(f, on_lattice(stage, v), stage, [rel], depth)
+                    for depth in (0, 1)]
+        assert searched[0] == (None, f)
+        assert searched[1] == (outcome, parse_polynomial(
+            "u1^4 + x1^12*x2^24*z^2 + x1^12*x2^24*u1", ctx, F2))
 
     def test_depth_zero_direct(self, F2):
         ctx = VarContext(2, ("z", "u1"))
@@ -263,6 +288,20 @@ class TestBinomializeModulo:
         outcome, f2 = binomialize_modulo(f, on_lattice(stage, v), stage, [])
         assert isinstance(outcome, BinomialPower)
         assert f2 is f
+
+    def test_a_term_off_the_form_is_refused(self, F2):
+        # a polynomial out of normal form may hold, at the vertex, a term that
+        # no slot of the form expects: here x1^12*x2^24*z^2 beside the w-free
+        # x1^15*x2^30 of (u1^2 - x1^6*x2^12*z)^2 in characteristic 2
+        ctx = VarContext(2, ("z", "u1"))
+        rel = Relation(var="u1", head_var="z", head_exp=2, tail_coeff=F2.one,
+                       tail_expo=(3, 6, 0, 0), ctx=ctx, ring=F2)
+        stage = StageProjection(ctx, "u1", 4, {"z": (F(3, 2), F(3))})
+        v = on_lattice(stage, (F(15, 4), F(15, 2)))
+        f = parse_polynomial("u1^4 + x1^15*x2^30", ctx, F2)
+        assert binomialize_modulo(f, v, stage, [rel])[0] is not None
+        g = f.add(parse_polynomial("x1^12*x2^24*z^2", ctx, F2))
+        assert binomialize_modulo(g, v, stage, [rel]) == (None, g)
 
     def test_no_applicable_rewrite(self, QQ):
         ctx = VarContext(1, ("z", "u1"))
@@ -275,27 +314,30 @@ class TestBinomializeModulo:
         assert outcome is None
         assert f2 is f
 
-    def test_root_initial_form_built_once(self, QQ, monkeypatch):
+    def test_no_polynomial_is_built(self, QQ, monkeypatch):
         ctx = VarContext(1, ("z", "u1"))
         rel = Relation(var="u1", head_var="z", head_exp=2, tail_coeff=QQ.one,
                        tail_expo=(1, 1, 0), ctx=ctx, ring=QQ)
-        built = []
-        initial = StageProjection.initial
-        monkeypatch.setattr(StageProjection, "initial",
-                            lambda stage, g, vertex: built.append(g) or initial(stage, g, vertex))
         stage = StageProjection(ctx, "u1", 6, {"z": (F(1),)})
-        for text, vertex, root, rewritten in [
-                # order 5 does not divide the top exponent 6: no power, no search
-                ("u1^6 + x1*z*u1", F(2, 5), 0, 0),
-                # order 3: the one power 2, and one rewritten node below the root
-                ("u1^6 + x1*z*u1^3", F(2, 3), 1, 1)]:
+        for text, vertex, grouped in [
+                # order 5 does not divide the top exponent 6: no power, no read
+                ("u1^6 + x1*z*u1", F(2, 5), False),
+                # order 3: the one power 2, read from the groups in place, where
+                # the rewrite search built the root's initial form and one
+                # rewritten node's
+                ("u1^6 + x1*z*u1^3", F(2, 3), True)]:
             f = parse_polynomial(text, ctx, QQ)
-            built.clear()
-            outcome, f2 = binomialize_modulo(f, on_lattice(stage, (vertex,)), stage, [rel])
+            read = []
+            with monkeypatch.context() as m:
+                for name in ("__init__", "_of"):
+                    m.setattr(Poly, name, lambda *args, **kw: pytest.fail("a Poly was built"))
+                m.setattr(StageProjection, "terms_by_point",
+                          lambda stage, g, real=StageProjection.terms_by_point:
+                          read.append(g) or real(stage, g))
+                outcome, f2 = binomialize_modulo(f, on_lattice(stage, (vertex,)), stage, [rel])
             assert outcome is None
             assert f2 is f
-            assert [g is f for g in built].count(True) == root
-            assert len(built) - root == rewritten
+            assert read == ([f] if grouped else [])
 
     def test_rewrite_keeps_the_class_modulo_the_relation(self, QQ, F5):
         # a rewrite adds a multiple of u1 - rhs, so eliminating u1 undoes it
@@ -309,7 +351,7 @@ class TestBinomializeModulo:
             tail = ctx.pad(rel.tail_expo)
             for e in f.terms:
                 if all(a >= b for a, b in zip(e, tail)):
-                    g = _apply_rewrite(f, e, rel, None)
+                    g = apply_rewrite(f, e, rel, None)
                     assert back_substitute(g, [rel]) == back_substitute(f, [rel])
                     # the term's tail is gone; corrections on the tail's
                     # monomial put back -coeff * (their sum) / c at e
@@ -339,7 +381,7 @@ class TestPowerFilter:
         coeff = (Fraction(rng.choice([1, -1, 2, -3])) if field.characteristic == 0
                  else field.element(rng.randrange(1, field.order)))
         bp = BinomialPower("z", n // power, power, coeff, tail)
-        terms = dict(bp.expand(ctx, field).terms)
+        terms = dict(expand(bp, ctx, field).terms)
         top, free = ctx.unit("z", n), ctx.pad(tuple(t * power for t in tail))
         inner = [e for e in terms if e not in (top, free)]
         move = rng.randrange(5)
@@ -379,9 +421,9 @@ class TestPowerFilter:
                     want = None
             rel = Relation(var="u1", head_var="z", head_exp=1, tail_coeff=field.one,
                            tail_expo=(1, 1, 0), ctx=ctx, ring=field)
-            for relations, depth in (([], 3), ([rel], 0)):
+            for relations in ([], [rel]):
                 stage = z_stage(f, n)
-                outcome, f2 = binomialize_modulo(f, on_lattice(stage, v), stage, relations, depth)
+                outcome, f2 = binomialize_modulo(f, on_lattice(stage, v), stage, relations)
                 assert outcome == want
                 assert f2 is f
             seen.add(type(want).__name__)
@@ -398,27 +440,25 @@ class TestPowerFilter:
         want = binomial_power_decompose(initial_form(f, v, "z", 2, {}), "z")
         assert want is None
         stage = z_stage(f, 2)
-        for depth in (0, 3):
-            assert binomialize_modulo(f, on_lattice(stage, v), stage, [], depth) == (want, f)
+        assert binomialize_modulo(f, on_lattice(stage, v), stage, []) == (want, f)
 
     def test_non_monic_raises_as_the_walk_does(self, QQ):
         f = mk("2*z^2 + x1^3", 1, QQ)
         with pytest.raises(ContractViolation, match="not monic in the main variable"):
-            binomial_power_decompose(z_stage(f, 2).initial(f, (3,)), "z")
-        for depth in (0, 3):
-            with pytest.raises(ContractViolation, match="not monic in the main variable"):
-                binomialize_modulo(f, (3,), z_stage(f, 2), [], depth)
+            binomial_power_decompose(stage_initial(z_stage(f, 2), f, (3,)), "z")
+        with pytest.raises(ContractViolation, match="not monic in the main variable"):
+            binomialize_modulo(f, (3,), z_stage(f, 2), [])
 
     def test_one_decomposition_for_a_coprime_tail(self, QQ, monkeypatch):
         # the vertex (7/12, 11/12) has order 12 modulo Z^2: only the power 1 is tried
         calls = []
-        real = kappainv.kappa._decompose_at
+        real = Field.all_nth_roots
 
-        def counting(In, shape, power, main_var):
+        def counting(field, a, power):
             calls.append(power)
-            return real(In, shape, power, main_var)
+            return real(field, a, power)
 
-        monkeypatch.setattr(kappainv.kappa, "_decompose_at", counting)
+        monkeypatch.setattr(Field, "all_nth_roots", counting)
         wf = mkw("z^12 - 5*x1^7*x2^11", 2, QQ)
         stage = z_stage(wf.poly, 12)
         outcome, _ = binomialize_modulo(wf.poly, on_lattice(stage, (F(7, 12), F(11, 12))), stage,
@@ -430,39 +470,6 @@ class TestPowerFilter:
         assert calls == [1]
 
 
-def unfiltered_binomialize(f, vertex, stage, relations, depth=3, T=None):
-    """The rewrite search at every divisor of the top exponent, largest first,
-    with the direct check at every node."""
-    vertex, main_var = tuple(vertex), stage.main_var
-
-    def search(g, In, power, depth):
-        shape = kappainv.kappa._read_shape(In, main_var)
-        if shape is not None:
-            res = kappainv.kappa._decompose_at(In, shape, power, main_var)
-            if res is not None:
-                return g, res
-        if depth <= 0 or not relations:
-            return None
-        ordered = [e for e, _ in In.sorted_terms() if e != stage.top]
-        for rel in reversed(list(relations)):
-            tail = g.ctx.pad(rel.tail_expo)
-            for expo in ordered:
-                if all(a >= b for a, b in zip(expo, tail)):
-                    g2 = _apply_rewrite(g, expo, rel, T)
-                    found = search(g2, stage.initial(g2, vertex), power, depth - 1)
-                    if found is not None:
-                        return found
-        return None
-
-    In = stage.initial(f, vertex)
-    for power in divisors_desc(stage.top_exp):
-        found = search(f, In, power, depth)
-        if found is not None:
-            g, outcome = found
-            return outcome, g
-    return None, f
-
-
 def stage_order(stage, vertex):
     """The order of an int vertex of the stage modulo Z^d + the chain weights."""
     S = stage.scale
@@ -471,14 +478,17 @@ def stage_order(stage, vertex):
 
 
 class TestShapeFilterWithRelations:
-    """With relations, the rewrite search runs at the lattice's power only.
+    """With relations, the graded check against the rewrite search.
 
-    The oracle is the unfiltered search at every divisor; the calls are the
-    engine's own calls with relations on multi-stage inputs, and seeded
-    perturbations of them.  Every power the oracle finds has r | inner, for
-    r the vertex's order modulo the stage's lattice (lattice_orders over
-    the chain weights); the engine finds the same where inner = r, and
-    (None, g) where inner > r.
+    The oracle is the search at every divisor, to depth 8; the calls are
+    the engine's own calls with relations on multi-stage inputs, and seeded
+    perturbations of them, taken to normal form as the engine's
+    polynomials are.  Every power the oracle finds has r | inner, for r the
+    vertex's order modulo the stage's lattice (lattice_orders over the
+    chain weights).  Where inner = r the engine finds the same power with
+    the standard tail: the oracle's tail t' reduces by the relations'
+    leading binomials to kappa * t, so c = c' * kappa.  Where inner > r, or
+    the oracle finds none, the engine finds none.
     """
 
     INPUTS = [("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, "F2"),
@@ -491,10 +501,10 @@ class TestShapeFilterWithRelations:
         calls = []
         real = kappainv.kappa.binomialize_modulo
 
-        def recording(f, vertex, stage, relations, depth=3, T=None):
+        def recording(f, vertex, stage, relations):
             if relations:
-                calls.append((f, tuple(vertex), stage, list(relations), depth, T))
-            return real(f, vertex, stage, relations, depth, T)
+                calls.append((f, tuple(vertex), stage, list(relations)))
+            return real(f, vertex, stage, relations)
 
         with monkeypatch.context() as m:
             m.setattr(kappainv.kappa, "binomialize_modulo", recording)
@@ -528,59 +538,120 @@ class TestShapeFilterWithRelations:
         calls = self.engine_calls(request, monkeypatch)
         assert len(calls) >= 4
         seen = set()
-        for f, vertex, stage, relations, _, T in calls:
+        for f, vertex, stage, relations in calls:
             for _ in range(40):
-                g = self.perturbed(rng, f, stage.top)
-                depth = rng.randrange(4)
-                args = (g, vertex, stage, relations, depth, T)
+                g = normal_form(self.perturbed(rng, f, stage.top), relations)
                 try:
-                    want = unfiltered_binomialize(*args)
+                    want, found_on = search_binomialize(g, vertex, stage, relations, 8,
+                                                        powers=divisors_desc(stage.top_exp))
                 except ContractViolation:
-                    with pytest.raises(ContractViolation, match="not monic"):
-                        binomialize_modulo(*args)
+                    if stage.power(vertex) is None:
+                        assert binomialize_modulo(g, vertex, stage, relations) == (None, g)
+                    else:
+                        with pytest.raises(ContractViolation, match="not monic"):
+                            binomialize_modulo(g, vertex, stage, relations)
                     seen.add("non-monic")
                     continue
                 r = stage_order(stage, vertex)
-                if want[0] is not None:
-                    assert want[0].inner_exp % r == 0
-                    if want[0].inner_exp > r:
+                if want is not None:
+                    assert want.inner_exp % r == 0
+                    if want.inner_exp > r:
                         seen.add("inner > r")
-                        want = None, g
-                got = binomialize_modulo(*args)
-                assert got[0] == want[0]
-                assert got[1] == want[1]
-                assert (got[1] is g) == (want[1] is g)
-                seen.add("rewritten" if want[1] is not g else type(want[0]).__name__)
+                        want = None
+                got, g2 = binomialize_modulo(g, vertex, stage, relations)
+                assert g2 is g
+                if want is None:
+                    assert got is None
+                    seen.add("NoneType")
+                    continue
+                tail, kappa = leading_reduce(want.tail_expo, g.ring.one, relations, g.ctx, g.ring)
+                assert got == BinomialPower(want.main_var, want.inner_exp, want.power,
+                                            g.ring.mul(want.coeff, kappa), tail)
+                seen.add("rewritten" if found_on is not g else "BinomialPower")
         assert {"rewritten", "BinomialPower", "NoneType", "non-monic", "inner > r"} <= seen
 
     def test_fewer_decompositions(self, request, monkeypatch):
         calls = self.engine_calls(request, monkeypatch)
-        counts = []
-        real = kappainv.kappa._decompose_at
+        decompositions, roots = [0], []
+        real_decompose, real_roots = conftest.decompose_at, Field.all_nth_roots
 
         def counting(*args):
-            counts[-1] += 1
-            return real(*args)
+            decompositions[0] += 1
+            return real_decompose(*args)
 
-        monkeypatch.setattr(kappainv.kappa, "_decompose_at", counting)
-        for search in (unfiltered_binomialize, binomialize_modulo):
-            counts.append(0)
-            for call in calls:
-                search(*call)
-        # five calls: two at the three-stage example's second stage, one at its
-        # third, and one at the second stage of each char-0 and GF(5) input;
-        # the engine's calls are at the one lattice power, and two of them
-        # return at _decompose_at's first test (the power divides the main
-        # degree and the w-free exponents)
-        assert len(calls) == 5
-        assert counts == [26, 8]
+        monkeypatch.setattr(conftest, "decompose_at", counting)
+        for call in calls:
+            search_binomialize(*call, 3, powers=divisors_desc(call[2].top_exp))
+        monkeypatch.setattr(Field, "all_nth_roots",
+                            lambda field, a, n: roots.append(n) or real_roots(field, a, n))
+        hits = [isinstance(binomialize_modulo(*call)[0], BinomialPower) for call in calls]
+        # four calls: one at each later stage of the three-stage example, and
+        # one at the second stage of each char-0 and GF(5) input.  The search
+        # at every divisor, to depth 3, makes 21 literal checks; the engine
+        # extracts one root per call, at the lattice's power.  The GF(5)
+        # stage, u1^2 - x1^7, has power 2 and no square: the cross term
+        # -2c * x1^2*z*u1 is missing
+        assert len(calls) == 4
+        assert decompositions == [21]
+        assert (roots, hits) == ([2, 1, 1, 2], [True, True, True, False])
+
+
+class TestLevelCancels:
+    """The descent leaves nothing at the stage's level.
+
+    The check reads f's initial form as (w^inner - c*t)^p in the graded
+    ring; the next stage substitutes w^inner -> u + c*t + corrections and
+    takes the normal form.  With u weighted at inner * v, the level top * v
+    must then hold exactly u^p, and every other term must be strictly
+    heavier: the graded expansion cancels exactly, and what normal_form
+    adds beyond the leading binomials is heavier.
+    """
+
+    @pytest.mark.parametrize("text, T", [
+        ("z^8 + x1^12*x2^24 + x1^15*x2^30", 64),
+        ("z^16 + x1^24*x2^48 + x1^30*x2^60 + x1^63*x2^126", 256)])
+    def test_at_every_stage(self, F2, monkeypatch, text, T):
+        substituted, normalized = [], {}
+        real_sub, real_nf = kappainv.kappa.power_substitute, kappainv.kappa.normal_form
+
+        def sub(f, name, k, replacement, T=None):
+            out = real_sub(f, name, k, replacement, T)
+            substituted.append((name, k, out))
+            return out
+
+        def nf(f, relations, T=None):
+            out = normal_form(f, relations, T)
+            normalized[id(f)] = out
+            return out
+
+        monkeypatch.setattr(kappainv.kappa, "power_substitute", sub)
+        monkeypatch.setattr(kappainv.kappa, "normal_form", nf)
+        res = compute_kappa(mkw(text, 2, F2), KappaConfig(truncation=T))
+        assert res.invariant.terminal is Terminal.INFINITY
+        weights = res.presentation.weights
+        mults = res.invariant.multiplicities
+        assert len(substituted) == len(mults) - 2
+        for i, (main, inner, g) in enumerate(substituted):
+            g = normalized[id(g)]
+            u, power = f"u{i + 1}", mults[i + 1]
+            w = {**weights, u: tuple(inner * c for c in weights[main])}
+            level = tuple(mults[i] * c for c in weights[main])
+            at_level, d = {}, g.ctx.d
+            for e, c in g.terms.items():
+                wt = tuple(sum(k * w[g.ctx.var_name(j)][a] if j >= d else k * (j == a)
+                               for j, k in enumerate(e)) for a in range(d))
+                if wt == level:
+                    at_level[e] = c
+                else:
+                    assert all(a >= b for a, b in zip(wt, level)), (main, e)
+            assert at_level == {g.ctx.unit(u, power): F2.one}, main
 
 
 class TestOneBinomializationPerPair:
     """Each (polynomial, vertex) pair is binomialized once: the stage reuses preparation's."""
 
     @pytest.mark.parametrize("text, d, field, kappa", [
-        # preparation adopts a rewritten polynomial at the later stages
+        # the later stages read their powers in the graded ring
         ("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, "F2",
          "((3/2, 3), (15/4, 15/2), (63/8, 63/4), inf)"),
         ("z^2 + x1^3", 1, "F2", "(3/2, inf)"),
@@ -828,14 +899,15 @@ class TestEngineProperties:
         for In, var, field in samples:
             bp = binomial_power_decompose(In, var)
             assert isinstance(bp, BinomialPower)
-            assert bp.expand(In.ctx, field) == In
+            assert expand(bp, In.ctx, field) == In
 
 
 class TestDegreeSixteenTower:
     def test_non_quadratic_inner_head(self, F2):
         # (z^2 + x^3)^8 + x^27 in characteristic 2: the second stage
-        # decomposes as (u1^4 + x^12 z)^2 after one rewrite, so the inner
-        # exponent is 4 and the multiplicity chain skips: 16 > 8 > 2 > 1
+        # decomposes as (u1^4 + x^12 z)^2, whose tail squared reduces through
+        # z^2 -> x^3 to x^27, so the inner exponent is 4 and the multiplicity
+        # chain skips: 16 > 8 > 2 > 1
         wf = mkw("z^16 + x1^24 + x1^27", 1, F2)
         f = wf.poly
         res = compute_kappa(wf)
@@ -886,7 +958,7 @@ class TestTranslationThenNormalForm:
         # normalized right away, so the relation must already record the
         # solving term; a stale rhs drifts the germ by exactly that term
         wf = mkw("z^6 + x1^6*z^5 + x1^4", 1, F2)
-        res = compute_kappa(wf, KappaConfig(truncation=48, budget=48, depth=2))
+        res = compute_kappa(wf, KappaConfig(truncation=48, budget=48))
         assert res.invariant.terminal is Terminal.INFINITY
         assert res.invariant.multiplicities == (6, 2, 1)
         pres = res.presentation

@@ -60,7 +60,9 @@ def test_tracer_sees_the_engine_through_the_stage(F2):
     # shape must fail here, not zero a per-layer metric
     assert tr.counters["kappa.eliminations"] == 1
     assert tr.counters["kappa.stages"] == 3
-    assert tr.counters["kappa.binomialize.hits"] == tr.calls["kappa.binomialize"] == 5
+    # one binomialization per vertex read: the eliminated one, then each
+    # stage's sole vertex, every one a hit
+    assert tr.counters["kappa.binomialize.hits"] == tr.calls["kappa.binomialize"] == 4
 
 
 def test_classify_enters_each_discriminant_span_once(QQ):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from kappainv import (ConfigurationError, ContractViolation, KappaConfig, Poly, 
                       hull_vertices, member, parse_polynomial, polyhedron_leq,
                       prepare_polyhedron, projected_polyhedron, weighted_projected_polyhedron)
 from kappainv.polyhedron import StageProjection
-from conftest import mk, mkw, on_lattice
+from conftest import mk, mkw, on_lattice, stage_initial
 from test_branches import lattice_orders
 
 
@@ -571,7 +572,7 @@ class TestStageProjection:
                 del weights[rng.choice(self.AUX[:k])]
             stage = StageProjection(ctx, main, top_exp, weights)
             # the stage's polynomials draw from one pool of exponents, as the
-            # engine's rewrites and translations do
+            # engine's translations and normal forms do
             pool = [tuple(rng.randint(0, 3) for _ in range(d + k)) + (rng.randrange(top_exp),)
                     for _ in range(8)]
             asked = 0
@@ -595,7 +596,7 @@ class TestStageProjection:
                 assert stage.unscale(got) == P
                 assert all(type(c) is Fraction for v in stage.unscale(got).vertices for c in v)
                 for v in P.vertices:
-                    assert stage.initial(f, on_lattice(stage, v)) == initial(v)
+                    assert stage_initial(stage, f, on_lattice(stage, v)) == initial(v)
                 asked += (len(f.terms) - 1) * (1 + len(P.vertices))
             assert len(stage.points) <= len(pool)
             reused += asked - len(stage.points)
@@ -610,10 +611,10 @@ class TestStageProjection:
         f = parse_polynomial("u1^3 + x1*u1 + z*u1^2", ctx, QQ)
         assert stage.polyhedron(f).vertices == ((6,),)
         assert stage.unscale(stage.polyhedron(f)).vertices == ((F(1, 2),),)
-        assert stage.initial(f, (6,)) == f
+        assert stage_initial(stage, f, (6,)) == f
         off_grid = on_lattice(stage, (F(13, 24),))
         assert off_grid == (F(13, 2),)
-        assert stage.initial(f, off_grid) == parse_polynomial("u1^3", ctx, QQ)
+        assert stage_initial(stage, f, off_grid) == parse_polynomial("u1^3", ctx, QQ)
 
     def test_checks_are_kept(self, QQ):
         ctx = VarContext(2, ("z", "u1", "u2"))
@@ -631,7 +632,7 @@ class TestStageProjection:
         with pytest.raises(ConfigurationError, match="missing weight"):
             short.polyhedron(f)
         with pytest.raises(ConfigurationError, match="missing weight"):
-            short.initial(f, (F(1), F(2)))
+            stage_initial(short, f, (F(1), F(2)))
         with pytest.raises(ConfigurationError, match="missing weight"):
             prepare_polyhedron(f, short, [], KappaConfig())
 
@@ -688,3 +689,37 @@ class TestStagePower:
             assert got == want, (chain, vertex, top_exp)
             kinds.add("divides" if want else "exceeds" if r > top_exp else "does not divide")
         assert kinds == {"divides", "exceeds", "does not divide"}
+
+    def test_standard_monomials(self):
+        # the oracle tries every chain exponent below its order: a weight has
+        # at most one x^a * z^b0 * u1^b1 ... with a >= 0 integral, by the
+        # distinct-weights argument, and standard_monomial reads it top-down
+        rng = random.Random(2701)
+        kinds = set()
+        for _ in range(300):
+            d, k = rng.randint(1, 2), rng.randint(0, 3)
+            chain = []
+            while len(chain) < k:
+                q = rng.randint(2, 4)
+                w = tuple(F(rng.randint(0, 3 * q), q) for _ in range(d))
+                if math.prod(lattice_orders(chain + [w])) <= 16:
+                    chain.append(w)
+            orders = lattice_orders(chain) if chain else []
+            ctx = VarContext(d, self.AUX[:k + 1])
+            stage = StageProjection(ctx, self.AUX[k], 8, dict(zip(self.AUX, chain)))
+            S = stage.scale
+            weight = tuple(F(rng.randint(-2, 24), rng.choice([1, 2, 3, 4])) for _ in range(d))
+            if chain and rng.random() < 0.5:  # a standard monomial's weight
+                a = [rng.randint(0, 3) for _ in range(d)]
+                b = [rng.randrange(o) for o in orders]
+                weight = tuple(a[j] + sum(bj * w[j] for bj, w in zip(b, chain)) for j in range(d))
+            want = []
+            for b in itertools.product(*(range(o) for o in orders)):
+                a = [F(c) - sum(bj * w[j] for bj, w in zip(b, chain)) for j, c in enumerate(weight)]
+                if all(c.denominator == 1 and c >= 0 for c in a):
+                    want.append(tuple(int(c) for c in a) + b + (0,))
+            assert len(want) <= 1
+            got = stage.standard_monomial(tuple(int(c * S) for c in weight))
+            assert got == (want[0] if want else None), (chain, weight)
+            kinds.add(bool(want))
+        assert kinds == {True, False}
