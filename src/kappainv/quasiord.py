@@ -6,15 +6,24 @@ condition (a unit times a monomial) is insensitive to that choice.  It is
 computed by the subresultant pseudo-remainder sequence in z over the
 polynomial ring in x, about deg f pseudo-divisions.  Res(f, 0) = 0 by
 convention, which covers the purely inseparable case in characteristic p.
+
+The sequence runs on packed monomials (Monagan and Pearce, CASC 2007): a
+coefficient maps one int key per term, the total degree over x1, x2, ...
+in W-bit fields under guard bits, to its value; a monomial product is one
+int addition, and int order is graded.  Each subresultant coefficient, g
+and h is a Sylvester minor of total degree <= (2m - 1) * D0 (m = deg f, D0
+the largest total degree of a coefficient), so every undivided
+pseudo-remainder, power and divisor stays <= (m + 2)(2m - 1) * D0 < 2^W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import lshift
 
 from .errors import ContractViolation
 from .kappa import (KappaConfig, KappaResult, Terminal, compute_kappa)
-from .poly import Poly, WeierstrassPoly, derivative, exact_div
+from .poly import Poly, WeierstrassPoly, derivative
 
 
 @dataclass(frozen=True)
@@ -40,29 +49,96 @@ def _z_coefficients(f: Poly) -> list:
     return [Poly._of(ctx, f.ring, buckets.get(k, {}), None) for k in range(max(buckets), -1, -1)]
 
 
-def _prem(A: list, B: list) -> list:
+def _neg(a: dict, ring) -> dict:
+    return {k: ring.neg(c) for k, c in a.items()}
+
+
+def _sub(a: dict, b: dict, ring) -> dict:
+    out, sub, zero = dict(a), ring.sub, ring.zero
+    for k, c in b.items():
+        s = out[k] = sub(out.get(k, zero), c)
+        if ring.is_zero(s):
+            del out[k]
+    return out
+
+
+def _mul(a: dict, b: dict, ring) -> dict:
+    """a * b: the product of two monomials is the sum of their keys."""
+    rmul, radd, is_zero = ring.mul, ring.add, ring.is_zero
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = out.get(k)
+            if s is None:
+                out[k] = rmul(ca, cb)  # over a domain, nonzero
+            elif is_zero(s := radd(s, rmul(ca, cb))):
+                del out[k]
+            else:
+                out[k] = s
+    return out
+
+
+def _pow(a: dict, n: int, ring) -> dict:
+    """a^n for n >= 1; a constant is raised by its coefficient, with no product."""
+    if len(a) == 1 and 0 in a:
+        return {0: ring.pow_(a[0], n)}
+    out = a
+    for _ in range(n - 1):
+        out = _mul(out, a, ring)
+    return out
+
+
+def _div(a: dict, b: dict, ring, guard: int) -> dict:
+    """a / b, exact, or ValueError: (k | guard) - kb subtracts every field
+    at once, and a field of kb above k's clears that field's guard bit."""
+    kb = max(b)
+    cb, rmul, rsub, rdiv, zero = b[kb], ring.mul, ring.sub, ring.div, ring.zero
+    rem, out = dict(a), {}
+    if len(b) == 1:  # a monomial divides term by term
+        for k, c in a.items():
+            q = (k | guard) - kb
+            if q & guard != guard:
+                raise ValueError("not exactly divisible")
+            out[q ^ guard] = rdiv(c, cb)
+        return out
+    while rem:
+        kr = max(rem)  # the leading term: int order is the graded order
+        q = (kr | guard) - kb
+        if q & guard != guard:
+            raise ValueError("not exactly divisible")
+        q ^= guard
+        c = out[q] = rdiv(rem[kr], cb)
+        for kg, cg in b.items():  # rem -= c * x^q * b; its leading term cancels
+            s = rem[kg + q] = rsub(rem.get(kg + q, zero), rmul(c, cg))
+            if ring.is_zero(s):
+                del rem[kg + q]
+    return out
+
+
+def _prem(A: list, B: list, ring) -> list:
     """The pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B, leading zeros dropped.
 
     No product by a leading coefficient equal to 1 is formed, and a zero
-    coefficient is carried as it is: no product, difference or scaling has a
-    zero operand.
+    coefficient ({}) is carried as it is: no product, difference or scaling
+    has a zero operand.
     """
-    lead = B[0]
-    unit = lead.is_one()
+    one, lead = {0: ring.one}, B[0]
+    unit = lead == one
     R = A
     steps = len(A) - len(B) + 1
     while len(R) >= len(B):
         top = R[0]
-        tail = B[1:] if top.is_one() else [b if b.is_zero() else top.mul(b) for b in B[1:]]
-        rest = R[1:] if unit else [r if r.is_zero() else lead.mul(r) for r in R[1:]]
-        R = [r if t.is_zero() else t.neg() if r.is_zero() else r.sub(t)
+        tail = B[1:] if top == one else [b and _mul(top, b, ring) for b in B[1:]]
+        rest = R[1:] if unit else [r and _mul(lead, r, ring) for r in R[1:]]
+        R = [r if not t else _neg(t, ring) if not r else _sub(r, t, ring)
              for r, t in zip(rest, tail)] + rest[len(tail):]
         steps -= 1
-        while R and R[0].is_zero():
+        while R and not R[0]:
             R = R[1:]
     if steps > 0 and not unit:
-        scale = lead.pow_(steps)
-        R = [r if r.is_zero() else scale.mul(r) for r in R]
+        scale = _pow(lead, steps, ring)
+        R = [r and _mul(scale, r, ring) for r in R]
     return R
 
 
@@ -74,31 +150,44 @@ def determinant(fc: list, gc: list) -> Poly:
     1971; Cohen, Algorithm 3.3.7): every division by g * h^delta and by h^k
     is exact in the polynomial ring of the coefficients.  g and h start at
     1 (None here), so the first step divides by nothing.  Zero coefficients
-    are carried as they are, never multiplied, subtracted or divided.
+    are carried as they are, never multiplied, subtracted or divided.  Keys
+    are packed as the module notes say, W the bit length of the bound.
     """
-    A, B = fc, gc
-    g = h = None
-    sign = 1
+    ctx, ring, coeffs = fc[0].ctx, fc[0].ring, fc + gc
+    nvars, zidx = ctx.nvars, ctx.var_index("z")
+    d0 = max([sum(e) for p in coeffs for e in p.terms])  # a coefficient has no z
+    width = ((len(fc) + 1) * (2 * len(fc) - 3) * d0).bit_length()
+    shift, top = width + 1, (width + 1) * (nvars - 1)
+    guard = int(("1" + "0" * width) * nvars, 2)  # the bit above each field
+    offsets = [top - shift * (i + (i < zidx)) for i in range(nvars)]
+    offsets[zidx] = top + shift  # above every key: z packs and unpacks as 0
+    A, B = ([p.terms and {sum(map(lshift, e, offsets), sum(e) << top): c
+                          for e, c in p.terms.items()} for p in ps] for ps in (fc, gc))
+    g, h, sign = None, None, 1
     while len(B) > 1:
         delta = len(A) - len(B)
         if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
             sign = -sign
-        R = _prem(A, B)
+        R = _prem(A, B, ring)
         if not R:
-            return Poly.zero(fc[0].ctx, fc[0].ring)
+            return Poly.zero(ctx, ring)
         if g is not None:
-            divisor = g.mul(h.pow_(delta))
-            R = [r if r.is_zero() else exact_div(r, divisor) for r in R]
+            divisor = _mul(g, _pow(h, delta, ring), ring)
+            R = [r and _div(r, divisor, ring, guard) for r in R]
         A, B = B, R
         g = A[0]
         if delta == 1:
             h = g
         elif len(A) > 2 or len(B) > 1:  # else the sequence ends at B[0], and h is not read
-            h = g.pow_(delta) if h is None else exact_div(g.pow_(delta), h.pow_(delta - 1))
+            h = _pow(g, delta, ring) if h is None else _div(
+                _pow(g, delta, ring), _pow(h, delta - 1, ring), ring, guard)
     # B is a nonzero constant c: the last subresultant is c^deg(A) / h^(deg(A) - 1)
     k = len(A) - 1
-    res = B[0].pow_(k) if h is None or k == 1 else exact_div(B[0].pow_(k), h.pow_(k - 1))
-    return res if sign > 0 else res.neg()
+    res = _pow(B[0], k, ring) if h is None or k == 1 else _div(
+        _pow(B[0], k, ring), _pow(h, k - 1, ring), ring, guard)
+    mask = (1 << width) - 1
+    return Poly._of(ctx, ring, {tuple(key >> o & mask for o in offsets): c for key, c in
+                                (res if sign > 0 else _neg(res, ring)).items()}, None)
 
 
 def discriminant_z(wf: WeierstrassPoly, T=None) -> DiscriminantReport:

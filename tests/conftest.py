@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import pytest
 
+import kappainv.quasiord as quasiord
 from kappainv import (ZZ, BinomialPower, ContractViolation, Field, Poly, Relation,
                       UnsupportedLiftError, VarContext, lift_coeff, parse_polynomial,
                       weierstrass_validate)
@@ -312,3 +313,59 @@ def lifted_structural_str(rel):
             segs.append(body if i == 0 else ("- " if sign < 0 else "+ ") + body)
         return f"{rel.var} - ({' '.join(segs)})"
     return f"{rel.var} - ({format_signed_terms(pieces, rel.ctx, view)})"
+
+
+# -- the discriminant kernel's packed keys ----------------------------------------
+
+def key_bound(fc, gc):
+    """(bound, W) for determinant(fc, gc): every total degree the subresultant
+    sequence forms is at most (m + 2)(2m - 1) * D0, and W is its bit length."""
+    m = len(fc) - 1
+    bound = (m + 2) * (2 * m - 1) * max(sum(e) for p in fc + gc for e in p.terms)
+    return bound, bound.bit_length()
+
+
+def pack(p, width):
+    """p as determinant packs it: the total degree in the top field, then the
+    exponents of x1, x2, ... (z left out), each field W bits under a guard bit."""
+    zidx = p.ctx.var_index("z")
+    out = {}
+    for e, c in p.terms.items():
+        key = sum(e)
+        for i, v in enumerate(e):
+            if i != zidx:
+                key = key << (width + 1) | v
+        out[key] = c
+    return out
+
+
+def guard_bits(width, nfields):
+    return sum(1 << ((width + 1) * i + width) for i in range(nfields))
+
+
+def watch_key_bound(monkeypatch):
+    """Wrap the kernel's determinant and _mul: every key a product forms must
+    have each field, guard bit included, within the documented bound, and a
+    top field equal to the sum of the others.  Returns a dict whose "keys"
+    counts the keys checked."""
+    seen = {"keys": 0}
+    real_det, real_mul = quasiord.determinant, quasiord._mul
+
+    def determinant(fc, gc):
+        seen["bound"], seen["width"] = key_bound(fc, gc)
+        seen["nfields"] = fc[0].ctx.nvars
+        return real_det(fc, gc)
+
+    def mul(a, b, ring):
+        out = real_mul(a, b, ring)
+        step, n = seen["width"] + 1, seen["nfields"]
+        for key in out:
+            fields = [key >> (step * i) & ((1 << step) - 1) for i in range(n)]
+            assert key >> (step * n) == 0 and max(fields) <= seen["bound"], (key, seen)
+            assert fields[-1] == sum(fields[:-1])
+        seen["keys"] += len(out)
+        return out
+
+    monkeypatch.setattr(quasiord, "determinant", determinant)
+    monkeypatch.setattr(quasiord, "_mul", mul)
+    return seen

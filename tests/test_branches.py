@@ -38,8 +38,8 @@ import pytest
 
 import kappainv.kappa as kappa_mod
 from kappainv import (QQ, BinomialPower, Field, KappaConfig, Poly, Terminal, VarContext, classify,
-                      cli, compute_kappa, substitute, weierstrass_validate)
-from conftest import leading_reduce, mk, search_binomialize
+                      cli, compute_kappa, discriminant_z, substitute, weierstrass_validate)
+from conftest import leading_reduce, mk, search_binomialize, watch_key_bound
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -258,17 +258,17 @@ LIMIT_S = 1
 # inputs the engine misses, by name: (the exception it fails with, why)
 KNOWN = {
     FOUND[0].name: (
-        TimeoutError, "kappa is right, but discriminant_z takes about 75 s on this "
+        TimeoutError, "kappa is right, but discriminant_z takes about 13 s on this "
         "79-term degree-8 f: the subresultant coefficients swell to thousands of "
-        "terms, and exact_div scans the remainder for its leading term at every step"),
+        "terms, so even on packed monomials the term count keeps it far over 1 s"),
 }
 
 
 def slow_discriminant(b: Branch) -> bool:
     """d = 2 and g = 3 with a higher term: f has 61 to 90 terms, and its
-    discriminant takes from about 1 s to 75 s (without the higher term, f has
-    25 to 29 terms and takes at most 0.2 s).  Their kappa is checked; their
-    discriminant only on FOUND[0], a strict xfail that pins the cost."""
+    discriminant takes from about 1.5 s to 13 s (without the higher term, f
+    has 25 to 29 terms and takes under 0.05 s).  Their kappa is checked;
+    their discriminant only on FOUND[0], a strict xfail that pins the cost."""
     return b.d == 2 and len(b.lambdas) == 3 and bool(b.extra)
 
 
@@ -329,6 +329,21 @@ def test_known_answer(branch):
     assert rep.teissier is True and rep.quasi_ordinary is True
     assert rep.discriminant.monomial_unit.exponent == want["disc"]
     assert kappa_disc_exponent(inv.vertices, inv.multiplicities, branch.d) == want["disc"]
+
+
+def test_packed_keys_stay_within_the_bound(monkeypatch):
+    # the discriminant of every branch of the sweep, over Q and reduced mod
+    # p, but the slow ones: every key a product forms keeps each field
+    # within (m + 2)(2m - 1) * D0
+    seen = watch_key_bound(monkeypatch)
+    for index, (branch, _) in enumerate(MOD_P):
+        if slow_discriminant(branch):
+            continue
+        exponent = branch.expected()["disc"]
+        rep = discriminant_z(weierstrass_validate(branch.polynomial()))
+        assert rep.monomial_unit.exponent == exponent, branch.name
+        assert discriminant_z(reduced_mod_p(index)[1]).monomial_unit.exponent == exponent
+    assert seen["keys"] > 0
 
 
 def mirror_product(branch: Branch):

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +11,13 @@ import kappainv.quasiord
 from kappainv import (ZZ, ContractViolation, Field, KappaConfig, Poly, Terminal, VarContext,
                       WeierstrassPoly, classify, discriminant_z, is_monomial_times_unit,
                       weierstrass_validate)
-from kappainv.poly import derivative
-from kappainv.quasiord import MonomialUnitStatus, _z_coefficients
-from conftest import mk, mkw
+from kappainv import cli
+from kappainv.poly import derivative, exact_div
+from kappainv.quasiord import MonomialUnitStatus, _div, _z_coefficients
+from conftest import guard_bits, mk, mkw, pack, watch_key_bound
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def rand_series(rng, ctx, field, deg):
@@ -286,29 +294,28 @@ class TestSubresultantStart:
     ])
     def test_monic_input_makes_no_division_or_product_by_one(self, QQ, F7, monkeypatch, text, d):
         by_one = []
-        real_div, real_mul = kappainv.quasiord.exact_div, Poly.mul
+        real_div, real_mul = kappainv.quasiord._div, kappainv.quasiord._mul
 
-        def is_one(p):
-            return p.terms == {(0,) * p.ctx.nvars: p.ring.one}
+        def is_one(p, ring):
+            return p == {0: ring.one}
 
-        def exact_div(a, b):
-            by_one.append(("exact_div", is_one(b)))
-            return real_div(a, b)
+        def div(a, b, ring, guard):
+            by_one.append(("div", is_one(b, ring)))
+            return real_div(a, b, ring, guard)
 
-        def mul(a, b, T=None):
-            by_one.append(("mul", is_one(a) or is_one(b)))
-            return real_mul(a, b, T)
+        def mul(a, b, ring):
+            by_one.append(("mul", is_one(a, ring) or is_one(b, ring)))
+            return real_mul(a, b, ring)
 
-        monkeypatch.setattr(kappainv.quasiord, "exact_div", exact_div)
-        monkeypatch.setattr(Poly, "mul", mul)
+        monkeypatch.setattr(kappainv.quasiord, "_div", div)
+        monkeypatch.setattr(kappainv.quasiord, "_mul", mul)
         for field in (QQ, F7):
             wf = mkw(text, d, field)
             want = sylvester_resultant(wf.poly)
             by_one.clear()
             assert discriminant_z(wf).disc == want
-            assert ("exact_div", False) in by_one
-            assert ("exact_div", True) not in by_one and ("mul", True) not in by_one
-
+            assert ("div", False) in by_one
+            assert ("div", True) not in by_one and ("mul", True) not in by_one
 
     @pytest.mark.parametrize("text, d, oracle", [
         ("z^4 - 2*x1^3*z^2 + x1*z + x1^6", 1, None),
@@ -320,28 +327,29 @@ class TestSubresultantStart:
          lambda F: trinomial_resultant(9, mk("x1*x2", 2, F), mk("-x1^10 - 2*x2^12", 2, F))),
     ])
     def test_zero_coefficients_are_carried(self, QQ, F7, monkeypatch, text, d, oracle):
-        # no product, sum or division is formed with a zero operand
+        # no product, difference or division is formed with a zero operand
         zero_operand = []
-        real_div, real_mul, real_add = kappainv.quasiord.exact_div, Poly.mul, Poly.add
+        kernel = kappainv.quasiord
+        real_div, real_mul, real_sub = kernel._div, kernel._mul, kernel._sub
 
-        def exact_div(a, b):
-            zero_operand.append(a.is_zero() or b.is_zero())
-            return real_div(a, b)
+        def div(a, b, ring, guard):
+            zero_operand.append(not a or not b)
+            return real_div(a, b, ring, guard)
 
-        def mul(a, b, T=None):
-            zero_operand.append(a.is_zero() or b.is_zero())
-            return real_mul(a, b, T)
+        def mul(a, b, ring):
+            zero_operand.append(not a or not b)
+            return real_mul(a, b, ring)
 
-        def add(a, b, T=None):
-            zero_operand.append(a.is_zero() or b.is_zero())
-            return real_add(a, b, T)
+        def sub(a, b, ring):
+            zero_operand.append(not a or not b)
+            return real_sub(a, b, ring)
 
         for field in (QQ, F7):
             wf = mkw(text, d, field)
             want = sylvester_resultant(wf.poly) if oracle is None else oracle(field)
-            monkeypatch.setattr(kappainv.quasiord, "exact_div", exact_div)
-            monkeypatch.setattr(Poly, "mul", mul)
-            monkeypatch.setattr(Poly, "add", add)
+            monkeypatch.setattr(kernel, "_div", div)
+            monkeypatch.setattr(kernel, "_mul", mul)
+            monkeypatch.setattr(kernel, "_sub", sub)
             zero_operand.clear()
             got = discriminant_z(wf).disc
             monkeypatch.undo()
@@ -350,23 +358,23 @@ class TestSubresultantStart:
 
     def test_constant_powers_form_no_product(self, QQ, F7, monkeypatch):
         # h^delta, h^(k-1) and the last subresultant's c^k raise a constant
-        # by its coefficient: no Poly.mul runs inside a constant's power
+        # by its coefficient: no _mul runs inside a constant's power
         constant_powers, products, inside = [], [], []
-        real_pow, real_mul = Poly.pow_, Poly.mul
+        real_pow, real_mul = kappainv.quasiord._pow, kappainv.quasiord._mul
 
-        def pow_(p, n, T=None):
-            inside.append(n > 1 and list(p.terms) == [(0,) * p.ctx.nvars])
+        def pow_(a, n, ring):
+            inside.append(n > 1 and list(a) == [0])
             if inside[-1]:
                 constant_powers.append(n)
             try:
-                return real_pow(p, n, T)
+                return real_pow(a, n, ring)
             finally:
                 inside.pop()
 
-        def mul(a, b, T=None):
+        def mul(a, b, ring):
             if any(inside):
                 products.append((a, b))
-            return real_mul(a, b, T)
+            return real_mul(a, b, ring)
 
         for text, d in [("z^4 - 2*x1^3*z^2 + x1*z + x1^6", 1), ("z^3 + x1*x2*z + x2^5", 2),
                         ("z^6 + x1*z^3 + x2^5", 2), ("z^16 - 3*x1^5*x2^7", 2),
@@ -374,8 +382,8 @@ class TestSubresultantStart:
             for field in (QQ, F7):
                 wf = mkw(text, d, field)
                 want = sylvester_resultant(wf.poly)
-                monkeypatch.setattr(Poly, "pow_", pow_)
-                monkeypatch.setattr(Poly, "mul", mul)
+                monkeypatch.setattr(kappainv.quasiord, "_pow", pow_)
+                monkeypatch.setattr(kappainv.quasiord, "_mul", mul)
                 got = discriminant_z(wf).disc
                 monkeypatch.undo()
                 assert got == want
@@ -386,17 +394,17 @@ class TestSubresultantStart:
         # the sequence at B[0], which reads no h, so h = g^6 / h^5 (9 more
         # products) is not formed
         products = []
-        real_mul = Poly.mul
+        real_mul = kappainv.quasiord._mul
 
-        def mul(a, b, T=None):
+        def mul(a, b, ring):
             products.append((a, b))
-            return real_mul(a, b, T)
+            return real_mul(a, b, ring)
 
         for field in (QQ, F7):
             wf = mkw("z^9 + x1*x2*z^8 - 2*x1^10 - 3*x2^12", 2, field)
             want = sylvester_resultant(wf.poly)
             products.clear()
-            monkeypatch.setattr(Poly, "mul", mul)
+            monkeypatch.setattr(kappainv.quasiord, "_mul", mul)
             got = discriminant_z(wf).disc
             monkeypatch.undo()
             assert got == want
@@ -422,6 +430,159 @@ class TestSubresultantStart:
             report = discriminant_z(wf)
             assert report.exact and report.disc == binomial_resultant(n, a)
 
+
+# -- the packed kernel against the Poly-based sequence it replaced ---------------
+
+def oracle_prem(A: list, B: list) -> list:
+    """The pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B on Poly
+    coefficients, leading zeros dropped."""
+    lead = B[0]
+    unit = lead.is_one()
+    R = A
+    steps = len(A) - len(B) + 1
+    while len(R) >= len(B):
+        top = R[0]
+        tail = B[1:] if top.is_one() else [b if b.is_zero() else top.mul(b) for b in B[1:]]
+        rest = R[1:] if unit else [r if r.is_zero() else lead.mul(r) for r in R[1:]]
+        R = [r if t.is_zero() else t.neg() if r.is_zero() else r.sub(t)
+             for r, t in zip(rest, tail)] + rest[len(tail):]
+        steps -= 1
+        while R and R[0].is_zero():
+            R = R[1:]
+    if steps > 0 and not unit:
+        scale = lead.pow_(steps)
+        R = [r if r.is_zero() else scale.mul(r) for r in R]
+    return R
+
+
+def oracle_determinant(fc: list, gc: list) -> Poly:
+    """det Syl(f, g) by the subresultant sequence on Poly coefficients, with
+    Poly.mul, Poly.pow_ and exact_div: the runtime path before packing."""
+    A, B = fc, gc
+    g = h = None
+    sign = 1
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        if len(A) % 2 == 0 and len(B) % 2 == 0:
+            sign = -sign
+        R = oracle_prem(A, B)
+        if not R:
+            return Poly.zero(fc[0].ctx, fc[0].ring)
+        if g is not None:
+            divisor = g.mul(h.pow_(delta))
+            R = [r if r.is_zero() else exact_div(r, divisor) for r in R]
+        A, B = B, R
+        g = A[0]
+        if delta == 1:
+            h = g
+        elif len(A) > 2 or len(B) > 1:
+            h = g.pow_(delta) if h is None else exact_div(g.pow_(delta), h.pow_(delta - 1))
+    k = len(A) - 1
+    res = B[0].pow_(k) if h is None or k == 1 else exact_div(B[0].pow_(k), h.pow_(k - 1))
+    return res if sign > 0 else res.neg()
+
+
+KERNEL_FIELDS = {
+    "Q-int": Field.rationals(), "Q-fraction": Field.rationals(), "GF(7)": Field.finite(7),
+    "GF(2^8)": Field.finite(2, 8, workloads.MODULI[(2, 8)]),
+    "GF(5^4)": Field.finite(5, 4, workloads.MODULI[(5, 4)]),
+}
+
+
+def kernel_input(rng, name, d, n, shape):
+    """A monic f of z-degree n in d x-variables over the named field.
+
+    "dense": every z^k below n has a coefficient of one or two terms with
+    exponents up to 1.  "corner": shaped like the benchmark's two-corner
+    family, z^n + c*m*z^(n-1) + two z-free terms of degree up to n + 3.
+    """
+    field = KERNEL_FIELDS[name]
+
+    def coeff():
+        if name == "Q-int":
+            return rng.choice([-3, -2, -1, 1, 2, 3])
+        if name == "Q-fraction":
+            return field.div(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4]))
+        return field.element(rng.randrange(1, field.order))
+
+    def mono(top, k):
+        return tuple(rng.randint(0, top) for _ in range(d)) + (k,)
+
+    terms = {(0,) * d + (n,): field.one}
+    if shape == "dense":
+        for k in range(n):
+            for _ in range(rng.randint(1, 2)):
+                terms[mono(1, k)] = coeff()
+    else:
+        terms[mono(1, n - 1)] = coeff()
+        for _ in range(2):
+            terms[mono(n + 3, 0)] = coeff()
+    return Poly(VarContext(d), field, terms)
+
+
+# the sequence on a dense f swells fast with n * d (about 0.3 s for kernel and
+# oracle at n = 12, d = 1 over Q with fractions), so dense inputs stop at n * d = 10
+def kernel_cases():
+    rng = random.Random(20261020)
+    for name in KERNEL_FIELDS:
+        for d in (1, 2, 3):
+            for n in range(2, 17):
+                for shape in ("dense", "corner") if n * d <= 10 else ("corner",):
+                    f = kernel_input(rng, name, d, n, shape)
+                    g = derivative(f, "z")
+                    if not g.is_zero():
+                        yield f"{name} d={d} n={n} {shape}", f, g
+
+
+class TestPackedKernel:
+    """determinant on packed keys, against the Poly-based sequence and Sylvester."""
+
+    def test_matches_the_oracle_and_sylvester(self, monkeypatch):
+        seen = watch_key_bound(monkeypatch)
+        checked = sylvester = 0
+        for label, f, g in kernel_cases():
+            fc, gc = _z_coefficients(f), _z_coefficients(g)
+            got = kappainv.quasiord.determinant(fc, gc)
+            assert got == oracle_determinant(fc, gc), label
+            assert got.trunc is None and got.ring == f.ring
+            if f.ring.characteristic == 0 and all(type(c) is int for c in f.terms.values()):
+                assert all(type(c) is int for c in got.terms.values()), label
+            if len(fc) + len(gc) <= 11:  # the Sylvester expansion grows as 2^size
+                assert got == sylvester_resultant(f), label
+                sylvester += 1
+            checked += 1
+        assert (checked, sylvester) == (300, 110) and seen["keys"] > 0
+
+    def test_every_benchmark_determinant(self, monkeypatch):
+        # every determinant the three workloads take at seeds 7 and 13
+        inputs = []
+        real = kappainv.quasiord.determinant
+
+        def determinant(fc, gc):
+            inputs.append((fc, gc))
+            return real(fc, gc)
+
+        monkeypatch.setattr(kappainv.quasiord, "determinant", determinant)
+        for seed in (7, 13):
+            for name in sorted(workloads.WORKLOADS):
+                for case in workloads.build(name, seed):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        cli.main(list(case.argv))
+        monkeypatch.undo()
+        assert len(inputs) == 780
+        for fc, gc in inputs:
+            assert real(fc, gc) == oracle_determinant(fc, gc)
+
+    @pytest.mark.parametrize("num, den", [("x1^2 + x2", "x1"), ("x1^2 + 1", "x1 + 1")])
+    def test_div_rejects_non_divisors(self, QQ, F7, num, den):
+        for field in (QQ, F7):
+            a, b = mk(num, 2, field), mk(den, 2, field)
+            width = 3
+            with pytest.raises(ValueError, match="not exactly divisible"):
+                _div(pack(a, width), pack(b, width), field, guard_bits(width, 3))
+            # the product is divided back exactly
+            prod = pack(a.mul(b), width)
+            assert _div(prod, pack(b, width), field, guard_bits(width, 3)) == pack(a, width)
 
 class TestMonomialUnit:
     def test_yes(self, F2):
