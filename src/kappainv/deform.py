@@ -133,24 +133,21 @@ def initial_forms_weighted(lift: IntegerLift, omega) -> InitialIdealReport:
 def default_tropical_weight(pres: OverweightPresentation, lam) -> tuple:
     """Kappa-derived candidate weight: omega_x = lambda, omega_v = <lambda, weight(v)>.
 
-    Each omega_v is one sum of ints over the common denominator of lambda
-    and weight(v); initial_forms_weighted checks the whole vector.
+    Each omega_v is one sum of ints over L * D, for the denominators L of
+    lambda and D of the chain; initial_forms_weighted checks the whole vector.
     """
-    ctx = pres.ctx
+    ctx, chain = pres.ctx, pres.chain
     lam = tuple(map(_exact, lam))
     if len(lam) != ctx.d:
         raise ConfigurationError(f"lambda has {len(lam)} components, expected {ctx.d}")
     if any(c <= 0 for c in lam):
         raise ConfigurationError("lambda must be strictly positive componentwise")
     L = math.lcm(*(c.denominator for c in lam))
-    lam_num = [c.numerator * (L // c.denominator) for c in lam]
+    lam_num, den = [c.numerator * (L // c.denominator) for c in lam], L * chain.D
     omega = list(lam)
-    for name in ctx.aux:
-        vec = pres.weights.get(name)
-        if vec is None:
+    for name, w in zip(ctx.aux, chain.weights):  # one weight or None per variable
+        if w is None:
             raise ConfigurationError(f"presentation assigns no weight to {name}")
-        V = math.lcm(*(c.denominator for c in vec))
-        num = sum(l * c.numerator * (V // c.denominator) for l, c in zip(lam_num, vec))
-        den = L * V
+        num = sum(map(operator.mul, lam_num, w))
         omega.append(num // den if num % den == 0 else Fraction(num, den))
     return tuple(omega)

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
                    normal_form, power_substitute, translate)
-from .polyhedron import OrthantPolyhedron, StageProjection, polyhedron_leq
+from .polyhedron import ChainLattice, OrthantPolyhedron, StageProjection, polyhedron_leq
 
 _PREPARE_FUEL = 4096
 
@@ -65,32 +66,26 @@ class KappaInvariant:
 
 @dataclass
 class OverweightPresentation:
-    """Relation stack plus final equation, with per-variable weight vectors.
+    """Relation stack plus final equation, with the run's chain lattice.
 
-    weights maps every variable to a vector in Q^d: x_i to the i-th unit
-    vector, z and the chain variables to the recorded vertices.
+    The chain weighs z and the chain variables by the recorded vertices;
+    weights names every weight vector in Q^d, x_i's the i-th unit vector.
     """
 
     relations: tuple
     final: Poly
     final_head: object  # BinomialPower or None (empty-polyhedron terminal)
-    weights: dict
+    chain: ChainLattice
     ctx: VarContext
     ring: object
 
-    def weight_of(self, expo) -> tuple:
-        d = self.ctx.d
-        total = list(expo[:d])
-        for i in range(d, len(expo)):
-            if expo[i] == 0:
-                continue
-            name = self.ctx.var_name(i)
-            vec = self.weights.get(name)
-            if vec is None:
-                raise ConfigurationError(f"no weight assigned to {name}")
-            for c in range(d):
-                total[c] += expo[i] * vec[c]
-        return tuple(total)
+    @property
+    def weights(self) -> dict:
+        d, D = self.ctx.d, self.chain.D
+        named = {f"x{i + 1}": tuple(int(i == j) for j in range(d)) for i in range(d)}
+        named.update((self.ctx.var_name(d + j), tuple(Fraction(c, D) for c in w))
+                      for j, w in enumerate(self.chain.weights) if w is not None)
+        return named
 
     def generator_strings(self) -> list:
         lines = [rel.structural_str() for rel in self.relations]
@@ -279,10 +274,6 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
 # the full construction
 # ---------------------------------------------------------------------------
 
-def _unit_weights(d: int) -> dict:
-    return {f"x{i + 1}": tuple(1 if j == i else 0 for j in range(d)) for i in range(d)}
-
-
 def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResult:
     """Run the staged construction and assemble the invariant.
 
@@ -296,7 +287,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
     ring = f.ring
     diagnostics = []
     relations = []
-    weights = {}
+    chain = ChainLattice(f.ctx.d)
     vertices = []
     mults = [wf.n]
     inner = []
@@ -306,7 +297,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
     terminal = final_head = None
 
     while True:
-        stage = StageProjection(f.ctx, main, top_exp, weights)
+        stage = StageProjection(f.ctx, main, top_exp, chain)
         prep = prepare_polyhedron(f, stage, relations, config)
         if main == "z":
             disc_input = WeierstrassPoly(prep.poly if prep.poly.trunc == f.trunc else f, wf.n)
@@ -325,10 +316,9 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
                 terminal = Terminal.INCONCLUSIVE
                 break
             terminal = Terminal.INFINITY
-            if main != "z":
-                # assign the head level so downstream weight vectors stay defined
-                last = relations[-1]
-                weights[main] = _vec_scale(last.head_exp, weights[last.head_var])
+            # the head level weighs the main variable (z, at the z stage, gets no weight)
+            chain = chain.extend(tuple(relations[-1].head_exp * c for c in vertices[-1])
+                                 if relations else None)
             break
         if len(P.vertices) > 1:
             diagnostics.append(
@@ -351,7 +341,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
         mults.append(bp.power)
         if mults[-1] >= mults[-2]:
             raise EngineError("stage multiplicities failed to descend strictly")
-        weights[main] = v
+        chain = chain.extend(v)
         if bp.power == 1:
             terminal, final_head = Terminal.INFINITY, bp
             break
@@ -371,9 +361,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
                                tuple(mults), tuple(inner))
     presentation = None
     if terminal is Terminal.INFINITY:
-        presentation = OverweightPresentation(
-            tuple(relations), f, final_head, {**_unit_weights(f.ctx.d), **weights},
-            f.ctx, ring)
+        presentation = OverweightPresentation(tuple(relations), f, final_head, chain, f.ctx, ring)
         ok, violations = verify_overweight(presentation)
         if not ok:
             raise EngineError(f"emitted presentation failed its overweight self-check: {violations}")
@@ -384,49 +372,36 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
 # overweight verification
 # ---------------------------------------------------------------------------
 
-def _vec_scale(k: int, vec) -> tuple:
-    return tuple(k * c for c in vec)
-
-def _strictly_larger(a, b) -> bool:
-    """Strictly larger in the componentwise product order: >= everywhere, somewhere >."""
-    return all(x >= y for x, y in zip(a, b)) and a != b
-
-
 def verify_overweight(pres: OverweightPresentation):
     """Check the head-weight ties and that every tail monomial is strictly heavier.
 
-    Returns (ok, violations); violations name the offending monomials.
+    Returns (ok, violations); violations name the offending monomials and
+    print weights as the CLI prints vertices.
     """
     violations = []
-    ctx = pres.ctx
+    ctx, chain = pres.ctx, pres.chain
 
-    def check_block(label, head_var, head_exp, tail_coeff_expo, h_monomials):
-        v = pres.weights.get(head_var)
-        if v is None:
-            violations.append(f"{label}: no weight for head variable {head_var}")
-            return
-        level = _vec_scale(head_exp, v)
-        if tail_coeff_expo is not None:
-            w = pres.weight_of(tail_coeff_expo)
-            if w != level:
-                violations.append(
-                    f"{label}: tail {format_monomial(tail_coeff_expo, ctx)} has weight {w}, "
-                    f"head level is {level}")
+    def shown(w):
+        return "(" + ", ".join(str(Fraction(c, chain.D)) for c in w) + ")"
+
+    def check_block(label, head, tail, h_monomials):
+        level, w = chain.weight_of(head), chain.weight_of(tail)
+        if w != level:
+            violations.append(f"{label}: tail {format_monomial(tail, ctx)} has weight "
+                              f"{shown(w)}, head level is {shown(level)}")
         for mono in h_monomials:
-            w = pres.weight_of(mono)
-            if not _strictly_larger(w, level):
-                violations.append(
-                    f"{label}: {format_monomial(mono, ctx)} has weight {w}, "
-                    f"not above the head level {level}")
+            w = chain.weight_of(mono)
+            if w == level or any(a < b for a, b in zip(w, level)):
+                violations.append(f"{label}: {format_monomial(mono, ctx)} has weight "
+                                  f"{shown(w)}, not above the head level {shown(level)}")
 
     for rel in pres.relations:
-        check_block(f"relation {rel.var}", rel.head_var, rel.head_exp,
+        check_block(f"relation {rel.var}", ctx.unit(rel.head_var, rel.head_exp),
                     ctx.pad(rel.tail_expo), [ctx.pad(m) for _, m in rel.corrections])
 
-    if pres.final_head is not None:
-        bp = pres.final_head
-        head = ctx.unit(bp.main_var, bp.inner_exp)
-        tail = ctx.pad(bp.tail_expo)
-        h_monos = [e for e in pres.final.terms if e not in (head, tail)]
-        check_block("final equation", bp.main_var, bp.inner_exp, tail, h_monos)
+    bp = pres.final_head
+    if bp is not None:
+        head, tail = ctx.unit(bp.main_var, bp.inner_exp), ctx.pad(bp.tail_expo)
+        check_block("final equation", head, tail,
+                    [e for e in pres.final.terms if e not in (head, tail)])
     return (not violations), violations

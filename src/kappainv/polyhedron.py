@@ -1,9 +1,9 @@
 """Exact rational geometry of orthant polyhedra conv(S) + R_{>=0}^d.
 
-Inside a kappa stage every point and every polyhedron's vertex is an int
-tuple: the stage's weighted points scaled by one common denominator S,
-fixed when the stage is built.  Only what leaves the stage is divided by S
-into Fractions.
+A kappa run weighs its variables in one ChainLattice, as ints over one
+denominator D.  Inside a stage every point and every polyhedron's vertex is
+an int tuple over S = D * lcm(1..top_exp), fixed when the stage is built.
+Only what leaves the stage is divided by S into Fractions.
 
 A polyhedron is stored by its minimal vertex set.  Membership of a point in
 conv(S) + R_{>=0}^d is decided in tiers, each exact: inside when p
@@ -202,69 +202,105 @@ def polyhedron_leq(P: OrthantPolyhedron, Q: OrthantPolyhedron) -> bool:
     return all(member(v, Q.vertices) for v in P.vertices)
 
 
+class ChainLattice:
+    """The lattice Z^d + Z*w_z + Z*w_u1 + ... of one kappa run, on ints: one
+    denominator D, the weights D*w of z, u1, ... in chain order (None for a
+    variable with none), and the residues mod D of the lattice, each mapped
+    to the chain exponents below their orders that reach it.  extend() makes
+    a new chain, so a stage keeps its answers.  The methods read int vectors
+    over D*m, as a stage's S = D * lcm(1..top_exp) gives them."""
+
+    def __init__(self, d: int, D: int = 1, weights: tuple = (), below: ChainLattice = None):
+        self.d, self.D, self.weights, self.below = d, D, weights, below
+
+    def extend(self, weight) -> ChainLattice:
+        """The chain with one more variable, weighing weight (ints or Fractions) or nothing."""
+        D = math.lcm(self.D, *(c.denominator for c in weight or ()))
+        k, w = D // self.D, weight and tuple(c.numerator * (D // c.denominator) for c in weight)
+        return ChainLattice(self.d, D, tuple(v and tuple(k * c for c in v) for v in self.weights)
+                            + (w,), self)
+
+    @functools.cached_property
+    def residues(self) -> dict:
+        """The chain below's residues translated by j times the last weight, for
+        each j below its order, with j appended to their exponents; made once."""
+        below = self.below
+        if below is None:
+            return {(0,) * self.d: ()}
+        # a variable with no weight adds the coset of 0 alone
+        w, D = self.weights[-1] or (0,) * self.d, self.D
+        k = D // below.D
+        js = range(below.order(w, k))
+        return {tuple((k * a + j * c) % D for a, c in zip(r, w)): b + (j,)
+                for r, b in below.residues.items() for j in js}
+
+    def order(self, v, m: int) -> int:
+        """The least r > 0 with r*v/(D*m) in the lattice, a multiple of the
+        least r0 with r0*v/m integral."""
+        r0 = m // math.gcd(m, *v)
+        u, D, residues = [r0 * c // m for c in v], self.D, self.residues
+        return r0 * next(t for t in itertools.count(1) if tuple(t * c % D for c in u) in residues)
+
+    def weight_of(self, e, skip: int = -1) -> list:
+        """D times the weight of the monomial with exponent e, leaving out index skip."""
+        d, weights = self.d, self.weights
+        num = [self.D * a for a in e[:d]]
+        for i in range(d, len(e)):
+            if e[i] and i != skip:
+                w = weights[i - d] if i - d < len(weights) else None
+                if w is None:
+                    raise ConfigurationError(
+                        f"missing weight for occurring auxiliary variable at index {i}")
+                for c in range(d):
+                    num[c] += e[i] * w[c]
+        return num
+
+    def standard_monomial(self, weight, m: int):
+        """The exponent of x^a times the chain variables, each below its order,
+        of weight weight / (D*m); None when there is none.  Distinct such
+        monomials have distinct weights, so the residue names the chain's."""
+        if any(c % m for c in weight):
+            return None
+        rest = [c // m for c in weight]
+        b = self.residues.get(tuple(c % self.D for c in rest))
+        if b is None:
+            return None
+        for bj, w in zip(b, self.weights):
+            if bj:
+                rest = [c - bj * x for c, x in zip(rest, w)]
+        return None if min(rest) < 0 else tuple(c // self.D for c in rest) + b
+
+
 class StageProjection:
     """The weighted projection of one kappa stage, on integers.
 
     Holds the stage's context, main variable index, monic top monomial and
-    auxiliary weights (absolute variable index -> weight vector), and one
-    scale S = lcm(weight denominators) * lcm(1..top_exp), fixed here.  The
-    point (A + sum_j e_j * w_j) / (top_exp - e_main) of a term, times S, is
-    an int tuple; it is memoized by exponent, so every polynomial of the
-    stage shares it.  A polynomial's terms below the monic top are grouped
-    by point once (terms_by_point), and the last polynomial's groups are
-    kept by identity, which is safe because a Poly's terms never change:
+    the chain lattice of the variables before the main one; S = D *
+    lcm(1..top_exp) for the chain's D.  S times the point (A + sum_j e_j *
+    w_j) / (top_exp - e_main) of a term is an int tuple, as top_exp - e_main
+    divides lcm(1..top_exp); it is memoized by exponent for every polynomial
+    of the stage.  A polynomial's terms below the monic top are grouped by
+    point once (terms_by_point), and the last polynomial's groups are kept
+    by identity, which is safe because a Poly's terms never change:
     polyhedron() takes the hull of the distinct points, and the terms at a
-    vertex are one lookup.  Inside the stage every polyhedron and vertex
-    stays on this S-scaled int lattice: polyhedron() returns int vertices,
-    power() takes one as it comes, and standard_monomial() an int weight.
-    unscale() makes the Fraction vertices of what leaves the stage.  Only
-    polynomials in the stage's context may be passed.
+    vertex are one lookup.  Every polyhedron, vertex and weight inside the
+    stage stays over S; unscale() makes the Fraction vertices of what
+    leaves it.  Only polynomials in the stage's context may be passed.
     """
 
-    def __init__(self, ctx, main_var: str, top_exp: int, weights: dict):
-        self.ctx, self.main_var, self.top_exp = ctx, main_var, top_exp
+    def __init__(self, ctx, main_var: str, top_exp: int, chain: ChainLattice):
+        self.ctx, self.main_var, self.top_exp, self.chain = ctx, main_var, top_exp, chain
         self.midx = ctx.var_index(main_var)
         self.top = ctx.unit(main_var, top_exp)
-        # S times each weight is an int, and S times each point, since every
-        # denominator top_exp - e_main divides lcm(1..top_exp)
-        den = math.lcm(*(c.denominator for vec in weights.values() for c in vec))
-        self.scale = S = den * math.lcm(*range(1, top_exp + 1))
-        self.aux = {ctx.var_index(name): tuple(c.numerator * (S // c.denominator) for c in vec)
-                    for name, vec in weights.items()}
+        self.factor = math.lcm(*range(1, top_exp + 1))
+        self.scale = chain.D * self.factor
         self.points = {}
         self._grouped = None, {}, False  # (polynomial, its groups, a term above the top)
 
-    @functools.cached_property
-    def levels(self) -> list:
-        """S times the lattices Z^d + Z * w_1 + ... + Z * w_k mod S, k = 0, 1, ...,
-        for the weights in chain order: each weight adds the cosets of its
-        multiples below its order."""
-        S, levels = self.scale, [{(0,) * self.ctx.d}]
-        for w in self.aux.values():
-            below = levels[-1]
-            order = next(m for m in itertools.count(1) if tuple(m * c % S for c in w) in below)
-            levels.append({tuple((a + j * c) % S for a, c in zip(r, w))
-                           for r in below for j in range(order)})
-        return levels
-
     def standard_monomial(self, weight):
-        """The exponent of x^a times the chain variables, each below its order,
-        whose weight is the int weight given (S times a weighted point); None
-        when weight is off the lattice or a would be negative.  Distinct such
-        monomials have distinct weights, and the exponents are read top-down:
-        the last chain variable's is the least b with weight - b * w in the
-        level below."""
-        S, e, rest = self.scale, [0] * self.ctx.nvars, tuple(weight)
-        if tuple(c % S for c in rest) not in self.levels[-1]:
-            return None
-        for (i, w), below in zip(reversed(self.aux.items()), reversed(self.levels[:-1])):
-            b = next(b for b in itertools.count()
-                     if tuple((c - b * x) % S for c, x in zip(rest, w)) in below)
-            e[i], rest = b, tuple(c - b * x for c, x in zip(rest, w))
-        if any(c < 0 for c in rest):
-            return None
-        e[:self.ctx.d] = (c // S for c in rest)
-        return tuple(e)
+        """ChainLattice.standard_monomial of an int weight over S, in the stage's context."""
+        e = self.chain.standard_monomial(weight, self.factor)
+        return None if e is None else self.ctx.pad(e)
 
     def point(self, e):
         """S times the weighted point of the term with exponent e, memoized."""
@@ -275,19 +311,8 @@ class StageProjection:
 
     def scaled_point(self, e):
         """S times the weighted point of a term below the monic top, as ints."""
-        d, S = self.ctx.d, self.scale
-        num = [S * a for a in e[:d]]
-        for i in range(d, len(e)):
-            if i == self.midx or e[i] == 0:
-                continue
-            w = self.aux.get(i)
-            if w is None:
-                raise ConfigurationError(
-                    f"missing weight for occurring auxiliary variable at index {i}")
-            for c in range(d):
-                num[c] += e[i] * w[c]
-        den = self.top_exp - e[self.midx]
-        return tuple(c // den for c in num)
+        m, den = self.factor, self.top_exp - e[self.midx]
+        return tuple(m * c // den for c in self.chain.weight_of(e, self.midx))
 
     def terms_by_point(self, f: Poly):
         """f's terms below the top degree grouped by point, and whether a term
@@ -314,8 +339,7 @@ class StageProjection:
 
     def power(self, vertex):
         """top_exp // r for the int vertex's order r modulo the lattice; None unless r | top_exp."""
-        S = self.scale
-        r = next(r for r in itertools.count(1) if tuple(r * c % S for c in vertex) in self.levels[-1])
+        r = self.chain.order(vertex, self.factor)
         return None if self.top_exp % r else self.top_exp // r
 
     def polyhedron(self, f: Poly) -> OrthantPolyhedron:
@@ -337,10 +361,13 @@ def weighted_projected_polyhedron(f: Poly, main_var: str, top_exp: int,
                                   weights: dict) -> OrthantPolyhedron:
     """Hull of the weighted points of all terms below the monic top.
 
-    weights maps auxiliary variable names (z, u1, ...) other than main_var
-    to their weight vectors in Q_{>=0}^d.
+    weights maps the names of the auxiliary variables before main_var (z,
+    u1, ...) to their weight vectors in Q_{>=0}^d.
     """
-    stage = StageProjection(f.ctx, main_var, top_exp, weights)
+    ctx, chain = f.ctx, ChainLattice(f.ctx.d)
+    for name in ctx.aux[:ctx.var_index(main_var) - ctx.d]:
+        chain = chain.extend(weights.get(name))
+    stage = StageProjection(ctx, main_var, top_exp, chain)
     return stage.unscale(stage.polyhedron(f))
 
 

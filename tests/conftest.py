@@ -9,7 +9,7 @@ from kappainv import (ZZ, BinomialPower, ContractViolation, Field, Poly, Relatio
                       UnsupportedLiftError, VarContext, lift_coeff, parse_polynomial,
                       weierstrass_validate)
 from kappainv.poly import format_signed_terms
-from kappainv.polyhedron import StageProjection
+from kappainv.polyhedron import ChainLattice, StageProjection
 from kappainv.ring import is_prime
 
 
@@ -50,7 +50,17 @@ def mkw(text, d, field):
 
 def z_stage(f, n):
     """The first kappa stage of f: main variable z, top exponent n, no weights."""
-    return StageProjection(f.ctx, "z", n, {})
+    return StageProjection(f.ctx, "z", n, ChainLattice(f.ctx.d))
+
+
+def stage_of(ctx, main_var, top_exp, weights):
+    """The stage whose chain weighs the variables before main_var as the dict
+    of names says, with no weight for a name it lacks, as
+    weighted_projected_polyhedron builds it."""
+    chain = ChainLattice(ctx.d)
+    for name in ctx.aux[:ctx.var_index(main_var) - ctx.d]:
+        chain = chain.extend(weights.get(name))
+    return StageProjection(ctx, main_var, top_exp, chain)
 
 
 def on_lattice(stage, vertex):
@@ -116,7 +126,7 @@ def stage_initial(stage, f, vertex):
 
 def initial_form(f, vertex, main_var, top_exp, weights):
     """Monic top plus every term whose weighted point equals the given vertex."""
-    stage = StageProjection(f.ctx, main_var, top_exp, weights)
+    stage = stage_of(f.ctx, main_var, top_exp, weights)
     v = on_lattice(stage, vertex)
     if v not in stage.polyhedron(f).vertices:
         raise ContractViolation(f"{vertex} is not a vertex of the projected polyhedron")

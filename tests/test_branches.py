@@ -505,6 +505,45 @@ def test_graded_check_matches_the_search(monkeypatch):
     assert len(calls) > 1200
 
 
+def test_presentation_weights_come_from_the_vertices(monkeypatch):
+    # every presentation of the sweep, over Q and mod p, and of the seed-7
+    # towers weighs x_i by the i-th unit vector, z by gamma_1 and u_j by
+    # gamma_(j+1); after an empty terminal the last variable, which no
+    # vertex weighs, gets its relation's head level n_g * gamma_g; the
+    # repeated factors (z^2 + x1^3)^2 over GF(2) and GF(5) and (z + x1)^2
+    # over GF(2) end that way, the last at the z stage
+    results = [compute_kappa(weierstrass_validate(b.polynomial())) for b in BRANCHES]
+    results += [reduced_mod_p(index)[2] for index in range(len(MOD_P))]
+    results += [compute_kappa(weierstrass_validate(mk(text, 1, Field.finite(p))))
+                for text, p in [("z^4 + x1^6", 2), ("z^4 + 2*x1^3*z^2 + x1^6", 5),
+                                ("z^2 + x1^2", 2)]]
+    real = kappa_mod.compute_kappa
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    for module in (cli, sys.modules["kappainv.quasiord"]):
+        monkeypatch.setattr(module, "compute_kappa", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for case in workloads.build("towers", 7):
+            cli.main(list(case.argv))
+    assert len(results) > 2 * len(BRANCHES) + 3
+    ends = set()
+    for res in results:
+        pres, inv = res.presentation, res.invariant
+        if pres is None:
+            continue
+        d, aux = pres.ctx.d, pres.ctx.aux
+        want = {f"x{i + 1}": tuple(int(i == j) for j in range(d)) for i in range(d)}
+        want.update(zip(aux, inv.vertices))
+        if pres.final_head is None and inv.vertices:
+            want[aux[-1]] = tuple(inv.inner_exponents[-1] * c for c in inv.vertices[-1])
+        assert pres.weights == want
+        ends.add("head" if pres.final_head else "empty" if inv.vertices else "empty z stage")
+    assert ends == {"head", "empty", "empty z stage"}
+
+
 # -- kappa predicts the discriminant on the benchmark --------------------------
 #
 # classify reaches its two verdicts through code the two sides do not share:

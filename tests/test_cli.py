@@ -181,6 +181,14 @@ class TestOtherCommands:
         assert code == 0
         assert "ghost monomials: none" in out
 
+    @pytest.mark.parametrize("char, text", [("2", "z^2 + x1^2"), ("3", "z^3")])
+    def test_deform_after_an_empty_z_stage(self, capsys, char, text):
+        # f is a power of z + h, so the z stage's polyhedron is empty and z
+        # gets no weight: the kappa-derived omega has no entry for z
+        assert main(["deform", "--char", char, text]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: presentation assigns no weight to z\n")
+
     def test_deform_rejects_characteristic_zero(self, capsys):
         code = main(["deform", "--char", "0", "--vars", "1", "z^2 - x1^3"])
         assert code == 1

@@ -9,8 +9,8 @@ import kappainv.polyhedron
 from kappainv import (ConfigurationError, ContractViolation, KappaConfig, Poly, VarContext,
                       hull_vertices, member, parse_polynomial, polyhedron_leq,
                       prepare_polyhedron, projected_polyhedron, weighted_projected_polyhedron)
-from kappainv.polyhedron import StageProjection
-from conftest import mk, mkw, on_lattice, stage_initial
+from kappainv.polyhedron import ChainLattice, StageProjection
+from conftest import mk, mkw, on_lattice, stage_initial, stage_of
 from test_branches import lattice_orders
 
 
@@ -570,7 +570,7 @@ class TestStageProjection:
             # now and then a stage lacks one weight, and terms in that variable raise
             if trial % 7 == 3:
                 del weights[rng.choice(self.AUX[:k])]
-            stage = StageProjection(ctx, main, top_exp, weights)
+            stage = stage_of(ctx, main, top_exp, weights)
             # the stage's polynomials draw from one pool of exponents, as the
             # engine's translations and normal forms do
             pool = [tuple(rng.randint(0, 3) for _ in range(d + k)) + (rng.randrange(top_exp),)
@@ -607,7 +607,7 @@ class TestStageProjection:
         # 13/24 is off the stage's 1/S grid (S = 2 * lcm(1, 2, 3) = 12): S * 13/24
         # is 13/2, no int, though it rounds down to S * 1/2: only the top is kept
         ctx = VarContext(1, ("z", "u1"))
-        stage = StageProjection(ctx, "u1", 3, {"z": (F(1, 2),)})
+        stage = stage_of(ctx, "u1", 3, {"z": (F(1, 2),)})
         f = parse_polynomial("u1^3 + x1*u1 + z*u1^2", ctx, QQ)
         assert stage.polyhedron(f).vertices == ((6,),)
         assert stage.unscale(stage.polyhedron(f)).vertices == ((F(1, 2),),)
@@ -618,7 +618,7 @@ class TestStageProjection:
 
     def test_checks_are_kept(self, QQ):
         ctx = VarContext(2, ("z", "u1", "u2"))
-        stage = StageProjection(ctx, "u2", 3, {"z": (F(1), F(2)), "u1": (F(3), F(1, 2))})
+        stage = stage_of(ctx, "u2", 3, {"z": (F(1), F(2)), "u1": (F(3), F(1, 2))})
         ok = parse_polynomial("u2^3 + x1*z*u2 + x2^2*u1", ctx, QQ)
         assert stage.polyhedron(ok).vertices  # fills the memo first
         for text in ("2*u2^3 + x1*z*u2", "u2^2 + x1*z"):
@@ -627,7 +627,7 @@ class TestStageProjection:
         for text in ("u2^3 + x1*u2^4", "u2^3 + x1*u2^3"):
             with pytest.raises(ContractViolation, match="exceeds the monic degree"):
                 stage.polyhedron(parse_polynomial(text, ctx, QQ))
-        short = StageProjection(ctx, "u2", 3, {"z": (F(1), F(2))})
+        short = stage_of(ctx, "u2", 3, {"z": (F(1), F(2))})
         f = parse_polynomial("u2^3 + x2^2*u1", ctx, QQ)
         with pytest.raises(ConfigurationError, match="missing weight"):
             short.polyhedron(f)
@@ -649,7 +649,7 @@ class TestStagePower:
         """(StageProjection.power, the lattice_orders answer) for a Fraction vertex."""
         k, d = len(chain), len(vertex)
         ctx = VarContext(d, self.AUX[:k + 1])
-        stage = StageProjection(ctx, self.AUX[k], top_exp, dict(zip(self.AUX, chain)))
+        stage = stage_of(ctx, self.AUX[k], top_exp, dict(zip(self.AUX, chain)))
         v = on_lattice(stage, vertex)
         assert all(type(c) is int for c in v), "off the stage's grid: never a vertex"
         r = lattice_orders(list(chain) + [vertex])[-1]
@@ -690,10 +690,25 @@ class TestStagePower:
             kinds.add("divides" if want else "exceeds" if r > top_exp else "does not divide")
         assert kinds == {"divides", "exceeds", "does not divide"}
 
+    @staticmethod
+    def standard_oracle(chain, weight):
+        """The one x^a * z^b0 * u1^b1 ... with a >= 0 integral and each b_j
+        below its order, of the given Fraction weight, by trying every b;
+        None if there is none."""
+        orders = lattice_orders(chain) if chain else []
+        want = []
+        for b in itertools.product(*(range(o) for o in orders)):
+            a = [F(c) - sum(bj * w[j] for bj, w in zip(b, chain)) for j, c in enumerate(weight)]
+            if all(c.denominator == 1 and c >= 0 for c in a):
+                want.append(tuple(int(c) for c in a) + b)
+        assert len(want) <= 1
+        return want[0] if want else None
+
     def test_standard_monomials(self):
         # the oracle tries every chain exponent below its order: a weight has
         # at most one x^a * z^b0 * u1^b1 ... with a >= 0 integral, by the
-        # distinct-weights argument, and standard_monomial reads it top-down
+        # distinct-weights argument, and standard_monomial reads it from the
+        # residue of the weight
         rng = random.Random(2701)
         kinds = set()
         for _ in range(300):
@@ -706,20 +721,70 @@ class TestStagePower:
                     chain.append(w)
             orders = lattice_orders(chain) if chain else []
             ctx = VarContext(d, self.AUX[:k + 1])
-            stage = StageProjection(ctx, self.AUX[k], 8, dict(zip(self.AUX, chain)))
+            stage = stage_of(ctx, self.AUX[k], 8, dict(zip(self.AUX, chain)))
             S = stage.scale
             weight = tuple(F(rng.randint(-2, 24), rng.choice([1, 2, 3, 4])) for _ in range(d))
             if chain and rng.random() < 0.5:  # a standard monomial's weight
                 a = [rng.randint(0, 3) for _ in range(d)]
                 b = [rng.randrange(o) for o in orders]
                 weight = tuple(a[j] + sum(bj * w[j] for bj, w in zip(b, chain)) for j in range(d))
-            want = []
-            for b in itertools.product(*(range(o) for o in orders)):
-                a = [F(c) - sum(bj * w[j] for bj, w in zip(b, chain)) for j, c in enumerate(weight)]
-                if all(c.denominator == 1 and c >= 0 for c in a):
-                    want.append(tuple(int(c) for c in a) + b + (0,))
-            assert len(want) <= 1
+            want = self.standard_oracle(chain, weight)
             got = stage.standard_monomial(tuple(int(c * S) for c in weight))
-            assert got == (want[0] if want else None), (chain, weight)
+            assert got == (want and want + (0,)), (chain, weight)
             kinds.add(bool(want))
         assert kinds == {True, False}
+
+    def test_chains_extend_one_vertex_at_a_time(self):
+        # a chain grows by one vertex per stage, as in a kappa run, and a
+        # vertex may bring a new denominator.  Before each extension the
+        # vertex's order is the lattice_orders walk's, and after it every
+        # standard monomial is the oracle's.  A stage built on an earlier
+        # chain gives the same power, standard_monomial and point after
+        # every later extension.
+        rng = random.Random(2902)
+        kinds = set()
+        for _ in range(120):
+            d = rng.randint(1, 3)
+            weights, chain, stages = [], ChainLattice(d), []
+            for k in range(rng.randint(1, 4)):
+                top_exp = rng.randint(8, 12)
+                stage = StageProjection(VarContext(d, self.AUX[:k + 1]), self.AUX[k], top_exp,
+                                        chain)
+                S = stage.scale
+                # a vertex, a weight and a term below the top, over S; every
+                # denominator 2..8 is on the stage's grid
+                probes = [(tuple(int(F(rng.randint(0, 24), rng.randint(2, 8)) * S)
+                                 for _ in range(d)),
+                           tuple(int(F(rng.randint(0, 24), rng.randint(1, 4)) * S)
+                                 for _ in range(d)),
+                           tuple(rng.randint(0, 3) for _ in range(d + k))
+                           + (rng.randrange(top_exp),)) for _ in range(4)]
+                answers = [(stage.power(v), stage.standard_monomial(w), stage.scaled_point(e))
+                           for v, w, e in probes]
+                stages.append((stage, probes, answers))
+                while True:
+                    q = rng.randint(2, 6)
+                    vertex = tuple(F(rng.randint(0, 3 * q), q) for _ in range(d))
+                    if math.prod(lattice_orders(weights + [vertex])) <= 24:
+                        break
+                m = math.lcm(*(c.denominator for c in vertex))
+                r = chain.order(tuple(int(c * chain.D * m) for c in vertex), m)
+                assert r == lattice_orders(weights + [vertex])[-1], (weights, vertex)
+                weights.append(vertex)
+                before, chain = chain, chain.extend(vertex)
+                assert chain.D == math.lcm(before.D, m)
+                kinds.add("new denominator" if chain.D > before.D else "same denominator")
+                kinds.add("in the lattice" if r == 1 else "order > 1")
+                orders = lattice_orders(weights)
+                b = [rng.randrange(o) for o in orders]
+                for weight in [tuple(rng.randint(0, 3) + sum(bj * w[j] for bj, w in zip(b, weights))
+                                     for j in range(d)),
+                               tuple(F(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(d))]:
+                    got = chain.standard_monomial(tuple(int(c * chain.D * 12) for c in weight), 12)
+                    assert got == self.standard_oracle(weights, weight), (weights, weight)
+                    kinds.add("standard" if got else "none")
+                for stage, probes, answers in stages:
+                    assert [(stage.power(v), stage.standard_monomial(w), stage.scaled_point(e))
+                            for v, w, e in probes] == answers
+        assert kinds == {"new denominator", "same denominator", "in the lattice", "order > 1",
+                         "standard", "none"}
