@@ -205,9 +205,10 @@ def _normalized_generator_str(poly: Poly) -> str:
     return poly.format()
 
 
-def _classification_report(result, d: int, truncation: int) -> list:
+def _classification_report(result, d: int, truncation: int, text: bool) -> list:
     """The report of a classification result, up to its certified truncation
-    line; the caller places the truncation key and the diagnostics."""
+    line; the caller places the truncation key and the diagnostics.  The
+    text-only entries are built for text output only."""
     report = [_kappa_entry(result.kappa, d)]
     for key, value in (("teissier", result.teissier), ("quasi_ordinary", result.quasi_ordinary)):
         value = "inconclusive" if value is None else value
@@ -215,10 +216,12 @@ def _classification_report(result, d: int, truncation: int) -> list:
     report.append(_discriminant_entry(result.discriminant))
     if result.presentation is not None:
         report.append(_presentation_entry(result.presentation))
-        report.append((None, None, ["weights: " + "; ".join(
-            f"{name} -> {_tuple_str(str(c) for c in vec)}"
-            for name, vec in result.presentation.weights.items())]))
-    report.append((None, None, [f"certified truncation: {truncation}"]))
+        if text:
+            report.append((None, None, ["weights: " + "; ".join(
+                f"{name} -> {_tuple_str(str(c) for c in vec)}"
+                for name, vec in result.presentation.weights.items())]))
+    if text:
+        report.append((None, None, [f"certified truncation: {truncation}"]))
     return report
 
 
@@ -264,14 +267,14 @@ def _input_weierstrass(text: str, args, field: Field):
 # ---------------------------------------------------------------------------
 # subcommand drivers: each returns (exit_code, report), where a report is an
 # ordered list of entries (json_key, json_value, text_lines).  A key of None
-# makes an entry text only; an entry without lines is JSON only.  A new output
-# field is one new entry.
+# makes an entry text only, and such an entry is built only for text output;
+# an entry without lines is JSON only.  A new output field is one new entry.
 # ---------------------------------------------------------------------------
 
 def _drive_classify(text, args, field, config):
     result = classify(_input_weierstrass(text, args, field), config)
     code = EXIT_OK if result.decided else EXIT_INCONCLUSIVE
-    report = _classification_report(result, args.d, config.truncation)
+    report = _classification_report(result, args.d, config.truncation, not args.json)
     report.append(("certified_truncation", config.truncation, []))
     return code, report + _diagnostics_entries(result.diagnostics)
 
@@ -320,10 +323,11 @@ def _drive_deform(text, args, field, config):
                   for e, c in ghosts.ghosts]
     generators = [_normalized_generator_str(g) for g in ideal.generators_initial]
     source = "kappa-derived"
-    report = (_classification_report(result, args.d, config.truncation)
+    report = (_classification_report(result, args.d, config.truncation, not args.json)
               + _diagnostics_entries(result.diagnostics))
-    report.append((None, None, [f"prime: {lift.prime}", "lift generators:"]
-                   + [f"  {g.format()}" for g in lift.generators()]))
+    if not args.json:
+        report.append((None, None, [f"prime: {lift.prime}", "lift generators:"]
+                       + [f"  {g.format()}" for g in lift.generators()]))
     report.append(("hypersurface", hyper, [f"hypersurface over Z: {hyper}"]))
     report.append(("ghosts", ghost_list,
                    ["ghost monomials:" if ghost_list else "ghost monomials: none"]

@@ -2,23 +2,37 @@
 
 The discriminant is the raw resultant Res_z(f, df/dz) = det Syl(f, df/dz),
 with no sign or leading-coefficient normalization; the quasi-ordinary
-condition (a unit times a monomial) is insensitive to that choice.  It is
-computed by the subresultant pseudo-remainder sequence in z over the
-polynomial ring in x, about deg f pseudo-divisions.  Res(f, 0) = 0 by
-convention, which covers the purely inseparable case in characteristic p.
+condition (a unit times a monomial) is insensitive to that choice.  Res(f, 0)
+= 0 by convention, which covers the purely inseparable case in
+characteristic p.
 
-The sequence runs on packed monomials (Monagan and Pearce, CASC 2007): a
-coefficient maps one int key per term, the total degree over x1, x2, ...
-in W-bit fields under guard bits, to its value; a monomial product is one
-int addition, and int order is graded.  Each subresultant coefficient, g
-and h is a Sylvester minor of total degree <= (2m - 1) * D0 (m = deg f, D0
-the largest total degree of a coefficient), so every undivided
-pseudo-remainder, power and divisor stays <= (m + 2)(2m - 1) * D0 < 2^W.
+A z-trinomial f = z^n + a*z^k + b, a and b free of z and n nonzero in the
+field, takes it in closed form (Swan, Pacific J. Math. 12, 1962, an identity
+over Z, so valid in every characteristic): with g = gcd(n, k), N = n/g and
+K = k/g,
+
+    Res_z(f, f') = b^(k-1) * (n^N * b^(N-K) - (-1)^N * (n-k)^(N-K) * k^K * a^N)^g,
+
+and a binomial (a = 0) gives n^n * b^(n-1).  Every other f runs the
+subresultant pseudo-remainder sequence in z over the polynomial ring in x,
+about deg f pseudo-divisions.
+
+Both run on packed monomials (Monagan and Pearce, CASC 2007): a coefficient
+maps one int key per term, the total degree over x1, x2, ... in W-bit fields
+under guard bits, to its value; a monomial product is one int addition, and
+int order is graded.  In the sequence each subresultant coefficient, g and h
+is a Sylvester minor of total degree <= (2m - 1) * D0 (m = deg f, D0 the
+largest total degree of a coefficient), so every undivided pseudo-remainder,
+power and divisor stays <= (m + 2)(2m - 1) * D0 < 2^W.  Every power and
+product the closed form takes has total degree <= (k - 1 + n) * D0, so it
+bounds them by (n + k) * D0 (k = 0 for a binomial).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from math import gcd
 from operator import lshift
 
 from .errors import ContractViolation
@@ -142,6 +156,75 @@ def _prem(A: list, B: list, ring) -> list:
     return R
 
 
+@lru_cache(maxsize=None)
+def _layout(nvars: int, zidx: int, width: int) -> tuple:
+    """The packed-key layout of width-bit fields: (offsets, top, guard, zkey, mask).
+
+    The total degree takes the top field, at bit `top`, and x1, x2, ... the
+    fields under it in turn, each under a guard bit.  z's offset lies above
+    every key, so a z-free exponent packs and unpacks z as 0; zkey is what z
+    adds to a packed key, so a term of z-degree j packs to its key less j * zkey.
+    """
+    shift, top = width + 1, (width + 1) * (nvars - 1)
+    offsets = [top - shift * (i + (i < zidx)) for i in range(nvars)]
+    offsets[zidx] = top + shift
+    guard = int(("1" + "0" * width) * nvars, 2)  # the bit above each field
+    return tuple(offsets), top, guard, (1 << (top + shift)) + (1 << top), (1 << width) - 1
+
+
+def _pack(terms: dict, layout: tuple, zdeg: int = 0) -> dict:
+    """terms, each of z-degree zdeg, on packed keys with z dropped."""
+    offsets, top, _, zkey, _ = layout
+    drop = zdeg * zkey
+    return {sum(map(lshift, e, offsets), sum(e) << top) - drop: c for e, c in terms.items()}
+
+
+def _unpack(a: dict, layout: tuple, ctx, ring) -> Poly:
+    """The packed a as an exact Poly, z at 0."""
+    offsets, mask = layout[0], layout[4]
+    return Poly._of(ctx, ring, {tuple(key >> o & mask for o in offsets): c
+                                for key, c in a.items()}, None)
+
+
+def _swan_resultant(f: Poly):
+    """Res_z(f, df/dz) in closed form for f = z^n + a*z^k + b, with a and b
+    free of z and n nonzero in the field; None for any other f.
+
+    Swan's formula, as the module notes give it, packed straight from f's
+    terms.
+    """
+    ctx, ring = f.ctx, f.ring
+    zidx = ctx.var_index("z")
+    parts = {}
+    for e, c in f.terms.items():
+        parts.setdefault(e[zidx], {})[e] = c
+    n = max(parts, default=0)
+    if ring.is_zero(ring.from_int(n)):
+        return None
+    lead, b = parts.pop(n), parts.pop(0, {})
+    if len(parts) > 1 or list(lead.values()) != [ring.one] or sum(next(iter(lead))) != n:
+        return None
+    k, a = parts.popitem() if parts else (0, {})
+    d0 = max([sum(e) for e in b] + [sum(e) - k for e in a], default=0)
+    layout = _layout(ctx.nvars, zidx, ((n + k) * d0).bit_length())
+    A, B = _pack(a, layout, k), _pack(b, layout)
+    rpow, from_int = ring.pow_, ring.from_int
+    if not A:
+        res = {0: ring.one} if n == 1 else B and _mul(
+            {0: rpow(from_int(n), n)}, _pow(B, n - 1, ring), ring)
+    else:
+        g = gcd(n, k)
+        N, K = n // g, k // g
+        inner = B and _mul({0: rpow(from_int(n), N)}, _pow(B, N - K, ring), ring)
+        c = from_int((-1) ** N * (n - k) ** (N - K) * k ** K)
+        if not ring.is_zero(c):
+            inner = _sub(inner, _mul({0: c}, _pow(A, N, ring), ring), ring)
+        res = _pow(inner, g, ring) if g > 1 and inner else inner
+        if k > 1 and res:
+            res = _mul(_pow(B, k - 1, ring), res, ring)
+    return _unpack(res, layout, ctx, ring)
+
+
 def determinant(fc: list, gc: list) -> Poly:
     """det Syl(f, g), the raw resultant Res_z(f, g), for deg f > deg g >= 0.
 
@@ -154,15 +237,11 @@ def determinant(fc: list, gc: list) -> Poly:
     are packed as the module notes say, W the bit length of the bound.
     """
     ctx, ring, coeffs = fc[0].ctx, fc[0].ring, fc + gc
-    nvars, zidx = ctx.nvars, ctx.var_index("z")
     d0 = max([sum(e) for p in coeffs for e in p.terms])  # a coefficient has no z
-    width = ((len(fc) + 1) * (2 * len(fc) - 3) * d0).bit_length()
-    shift, top = width + 1, (width + 1) * (nvars - 1)
-    guard = int(("1" + "0" * width) * nvars, 2)  # the bit above each field
-    offsets = [top - shift * (i + (i < zidx)) for i in range(nvars)]
-    offsets[zidx] = top + shift  # above every key: z packs and unpacks as 0
-    A, B = ([p.terms and {sum(map(lshift, e, offsets), sum(e) << top): c
-                          for e, c in p.terms.items()} for p in ps] for ps in (fc, gc))
+    layout = _layout(ctx.nvars, ctx.var_index("z"),
+                     ((len(fc) + 1) * (2 * len(fc) - 3) * d0).bit_length())
+    guard = layout[2]
+    A, B = ([p.terms and _pack(p.terms, layout) for p in ps] for ps in (fc, gc))
     g, h, sign = None, None, 1
     while len(B) > 1:
         delta = len(A) - len(B)
@@ -185,25 +264,28 @@ def determinant(fc: list, gc: list) -> Poly:
     k = len(A) - 1
     res = _pow(B[0], k, ring) if h is None or k == 1 else _div(
         _pow(B[0], k, ring), _pow(h, k - 1, ring), ring, guard)
-    mask = (1 << width) - 1
-    return Poly._of(ctx, ring, {tuple(key >> o & mask for o in offsets): c for key, c in
-                                (res if sign > 0 else _neg(res, ring)).items()}, None)
+    return _unpack(res if sign > 0 else _neg(res, ring), layout, ctx, ring)
 
 
 def discriminant_z(wf: WeierstrassPoly, T=None) -> DiscriminantReport:
     """Res_z(f, df/dz) = det Syl(f, df/dz), with Res(f, 0) = 0.
 
-    The resultant runs on the stored coefficients as exact polynomials and
-    the certificate T of the truncated input is applied once to the result.
-    That is sound because the resultant is an integer polynomial in the
-    coefficients, so Res(f mod x^T, g mod x^T) = Res(f, g) mod x^T.  Over Q
-    an integral value is an int, so a Q input with integer coefficients
-    runs on ints throughout: every subresultant division is exact.
+    A z-trinomial f with deg f nonzero in the field takes Swan's closed form,
+    every other f the subresultant sequence (determinant).  Either runs on
+    the stored coefficients as exact polynomials, and the certificate T of
+    the truncated input is applied once to the result.  That is sound
+    because the resultant is an integer polynomial in the coefficients, so
+    Res(f mod x^T, g mod x^T) = Res(f, g) mod x^T.  Over Q an integral value
+    is an int, so a Q input with integer coefficients runs on ints
+    throughout: the closed form only multiplies, and every subresultant
+    division is exact.
     """
     f = wf.poly if T is None else wf.poly.truncate(T)
-    g = derivative(f, "z")
-    disc = Poly.zero(f.ctx, f.ring) if g.is_zero() else determinant(
-        _z_coefficients(f), _z_coefficients(g))
+    disc = _swan_resultant(f)
+    if disc is None:
+        g = derivative(f, "z")
+        disc = Poly.zero(f.ctx, f.ring) if g.is_zero() else determinant(
+            _z_coefficients(f), _z_coefficients(g))
     # the result carries the certificate even when no term of it reaches T
     disc = Poly._of(f.ctx, f.ring, disc.truncate(f.trunc).terms, f.trunc)
     return DiscriminantReport(disc, disc.trunc is None, is_monomial_times_unit(disc))

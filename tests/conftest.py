@@ -335,6 +335,17 @@ def key_bound(fc, gc):
     return bound, bound.bit_length()
 
 
+def swan_key_bound(f):
+    """(bound, W) for the closed form on f = z^n + a*z^k + b (k = 0 when a = 0):
+    every total degree it forms is at most (n + k) * D0, D0 the largest total
+    x-degree of a term of a or b, and W is its bit length."""
+    zidx = f.ctx.var_index("z")
+    n = max(e[zidx] for e in f.terms)
+    k = max([e[zidx] for e in f.terms if 0 < e[zidx] < n], default=0)
+    bound = (n + k) * max([sum(e) - e[zidx] for e in f.terms if e[zidx] < n], default=0)
+    return bound, bound.bit_length()
+
+
 def pack(p, width):
     """p as determinant packs it: the total degree in the top field, then the
     exponents of x1, x2, ... (z left out), each field W bits under a guard bit."""
@@ -354,17 +365,26 @@ def guard_bits(width, nfields):
 
 
 def watch_key_bound(monkeypatch):
-    """Wrap the kernel's determinant and _mul: every key a product forms must
-    have each field, guard bit included, within the documented bound, and a
-    top field equal to the sum of the others.  Returns a dict whose "keys"
-    counts the keys checked."""
-    seen = {"keys": 0}
-    real_det, real_mul = quasiord.determinant, quasiord._mul
+    """Wrap the kernel's determinant, its closed form and _mul: every key a
+    product forms must have each field, guard bit included, within the
+    documented bound of the call it belongs to, and a top field equal to the
+    sum of the others.  Returns a dict whose "keys" counts the keys checked
+    and whose "closed" and "kernel" count the calls of each path."""
+    seen = {"keys": 0, "closed": 0, "kernel": 0}
+    real_det, real_swan, real_mul = quasiord.determinant, quasiord._swan_resultant, quasiord._mul
 
     def determinant(fc, gc):
         seen["bound"], seen["width"] = key_bound(fc, gc)
         seen["nfields"] = fc[0].ctx.nvars
+        seen["kernel"] += 1
         return real_det(fc, gc)
+
+    def swan_resultant(f):
+        seen["bound"], seen["width"] = swan_key_bound(f)
+        seen["nfields"] = f.ctx.nvars
+        out = real_swan(f)
+        seen["closed"] += out is not None
+        return out
 
     def mul(a, b, ring):
         out = real_mul(a, b, ring)
@@ -377,5 +397,6 @@ def watch_key_bound(monkeypatch):
         return out
 
     monkeypatch.setattr(quasiord, "determinant", determinant)
+    monkeypatch.setattr(quasiord, "_swan_resultant", swan_resultant)
     monkeypatch.setattr(quasiord, "_mul", mul)
     return seen

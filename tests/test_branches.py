@@ -37,8 +37,11 @@ from pathlib import Path
 import pytest
 
 import kappainv.kappa as kappa_mod
+import kappainv.quasiord as quasiord
 from kappainv import (QQ, BinomialPower, Field, KappaConfig, Poly, Terminal, VarContext, classify,
                       cli, compute_kappa, discriminant_z, substitute, weierstrass_validate)
+from kappainv.poly import derivative
+from kappainv.quasiord import _z_coefficients
 from conftest import leading_reduce, mk, search_binomialize, watch_key_bound
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -333,17 +336,24 @@ def test_known_answer(branch):
 
 def test_packed_keys_stay_within_the_bound(monkeypatch):
     # the discriminant of every branch of the sweep, over Q and reduced mod
-    # p, but the slow ones: every key a product forms keeps each field
-    # within (m + 2)(2m - 1) * D0
+    # p, but the slow ones, by discriminant_z (the closed form on a
+    # z-trinomial) and by the subresultant kernel on the same f: every key a
+    # product forms keeps each field within (n + k) * D0 in the closed form
+    # and within (m + 2)(2m - 1) * D0 in the kernel
     seen = watch_key_bound(monkeypatch)
     for index, (branch, _) in enumerate(MOD_P):
         if slow_discriminant(branch):
             continue
         exponent = branch.expected()["disc"]
-        rep = discriminant_z(weierstrass_validate(branch.polynomial()))
-        assert rep.monomial_unit.exponent == exponent, branch.name
-        assert discriminant_z(reduced_mod_p(index)[1]).monomial_unit.exponent == exponent
-    assert seen["keys"] > 0
+        for wf in (weierstrass_validate(branch.polynomial()), reduced_mod_p(index)[1]):
+            rep = discriminant_z(wf)
+            assert rep.monomial_unit.exponent == exponent, branch.name
+            kernel = quasiord.determinant(_z_coefficients(wf.poly),
+                                          _z_coefficients(derivative(wf.poly, "z")))
+            assert kernel == rep.disc, branch.name
+    # 170 of the 200 branches are z-trinomials, over Q and mod p: the other
+    # 30 take the kernel inside discriminant_z as well
+    assert seen["keys"] > 0 and (seen["closed"], seen["kernel"]) == (2 * 170, 2 * (200 + 30))
 
 
 def mirror_product(branch: Branch):

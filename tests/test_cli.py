@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from kappainv.cli import main
+from kappainv.deform import IntegerLift
+from kappainv.kappa import OverweightPresentation
 from test_cli_front import JSON_DUMP_KWARGS
 from test_parse import _edited
 
@@ -134,6 +136,34 @@ class TestJson:
         for vertex in doc["kappa"]["vertices"]:
             assert "(" + ", ".join(vertex) + ")" in text_out
         assert doc["discriminant"]["value"] in text_out
+
+
+    def test_json_builds_no_text_only_line(self, capsys, monkeypatch):
+        # the weights line reads the presentation's weights, and deform's
+        # lift generators line formats each generator; JSON prints neither,
+        # and only the initial ideal reads the generators
+        reads = []
+        weights = OverweightPresentation.weights.fget
+        generators = IntegerLift.generators
+
+        def reading_weights(pres):
+            reads.append("weights")
+            return weights(pres)
+
+        def reading_generators(lift):
+            reads.append("generators")
+            return generators(lift)
+
+        monkeypatch.setattr(OverweightPresentation, "weights", property(reading_weights))
+        monkeypatch.setattr(IntegerLift, "generators", reading_generators)
+        args = ["--char", "2", "--vars", "2", "z^8 + x1^12*x2^24 + x1^15*x2^30"]
+        for command in ("classify", "deform"):
+            assert run(capsys, [command, "--json", *args])[0] == 0
+        assert reads == ["generators"]
+        reads.clear()
+        for command in ("classify", "deform"):
+            assert run(capsys, [command, *args])[0] == 0
+        assert sorted(reads) == ["generators", "generators", "weights", "weights"]
 
 
 class TestOtherCommands:

@@ -66,19 +66,23 @@ def test_tracer_sees_the_engine_through_the_stage(F2):
 
 
 def test_classify_enters_each_discriminant_span_once(QQ):
-    # the README's preparation example: classify translates z once, then
-    # takes the discriminant of the prepared polynomial inside its own span
+    # (z - x1)^4 + x1^3*(z - x1)^2 + x1^4*(z - x1) + x1^5: classify translates
+    # z once, then takes the discriminant of the prepared polynomial inside
+    # its own span.  That has four z-powers, so the subresultant kernel runs
+    # (a z-trinomial, such as the README's preparation example, takes the
+    # closed form and enters no kernel span)
     tr = load_tracer().Tracer()
     tr.install()
     try:
         tr.begin_case("preparation")
-        rep = kappainv.classify(mkw("z^2 - 2*x1*z + x1^2 - x1^3", 1, QQ))
+        rep = kappainv.classify(mkw("z^4 - 4*x1*z^3 + 6*x1^2*z^2 + x1^3*z^2 - 4*x1^3*z"
+                                    " - x1^4*z + x1^4 + x1^5", 1, QQ))
         names = [span[0] for span in tr.spans]
         parents = {span[0]: names[span[3]] if span[3] >= 0 else None for span in tr.spans}
         tr.end_case()
     finally:
         tr.uninstall()
-    assert rep.discriminant.disc.format() == "-4*x1^3"
+    assert rep.discriminant.disc.format() == "12*x1^17 - 11*x1^16 + 256*x1^15"
     assert tr.counters["kappa.eliminations"] == 1
     assert tr.calls["quasiord.disc"] == tr.calls["quasiord.det"] == 1
     assert parents["quasiord.disc"] == "quasiord.classify"

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import random
 import sys
 from fractions import Fraction
@@ -67,6 +68,12 @@ def sylvester_resultant(f):
     if g.is_zero():
         return Poly.zero(f.ctx, f.ring)
     return det_by_minors(sylvester_matrix(f, g))
+
+
+def kernel_resultant(f):
+    """Res_z(f, df/dz) by the subresultant kernel, whatever the shape of f
+    (discriminant_z takes a z-trinomial in closed form); f' must be nonzero."""
+    return kappainv.quasiord.determinant(_z_coefficients(f), _z_coefficients(derivative(f, "z")))
 
 
 def binomial_resultant(n, a):
@@ -255,12 +262,14 @@ class TestIntegerResultant:
     def test_q_inputs_match_the_sylvester_oracle(self, QQ, monkeypatch, text, d, integral):
         rings = self.spy(monkeypatch)
         wf = mkw(text, d, QQ)
-        rep = discriminant_z(wf)
-        assert rep.disc == sylvester_resultant(wf.poly)
+        want = sylvester_resultant(wf.poly)
+        kernel = kernel_resultant(wf.poly)
         assert rings == [QQ]
-        assert rep.disc.ring == QQ
-        if integral:
-            assert all(type(c) is int for c in rep.disc.terms.values())
+        for disc in (kernel, discriminant_z(wf).disc):
+            assert disc == want
+            assert disc.ring == QQ
+            if integral:
+                assert all(type(c) is int for c in disc.terms.values())
 
     def test_seeded_sweep_over_q_and_gf7(self, QQ, F7, monkeypatch):
         rings = self.spy(monkeypatch)
@@ -313,7 +322,7 @@ class TestSubresultantStart:
             wf = mkw(text, d, field)
             want = sylvester_resultant(wf.poly)
             by_one.clear()
-            assert discriminant_z(wf).disc == want
+            assert kernel_resultant(wf.poly) == want
             assert ("div", False) in by_one
             assert ("div", True) not in by_one and ("mul", True) not in by_one
 
@@ -351,7 +360,7 @@ class TestSubresultantStart:
             monkeypatch.setattr(kernel, "_mul", mul)
             monkeypatch.setattr(kernel, "_sub", sub)
             zero_operand.clear()
-            got = discriminant_z(wf).disc
+            got = kernel_resultant(wf.poly)
             monkeypatch.undo()
             assert got == want
             assert zero_operand and not any(zero_operand)
@@ -384,7 +393,7 @@ class TestSubresultantStart:
                 want = sylvester_resultant(wf.poly)
                 monkeypatch.setattr(kappainv.quasiord, "_pow", pow_)
                 monkeypatch.setattr(kappainv.quasiord, "_mul", mul)
-                got = discriminant_z(wf).disc
+                got = kernel_resultant(wf.poly)
                 monkeypatch.undo()
                 assert got == want
         assert constant_powers and products == []
@@ -405,7 +414,7 @@ class TestSubresultantStart:
             want = sylvester_resultant(wf.poly)
             products.clear()
             monkeypatch.setattr(kappainv.quasiord, "_mul", mul)
-            got = discriminant_z(wf).disc
+            got = kernel_resultant(wf.poly)
             monkeypatch.undo()
             assert got == want
             assert len(products) == 29
@@ -432,6 +441,17 @@ class TestSubresultantStart:
 
 
 # -- the packed kernel against the Poly-based sequence it replaced ---------------
+
+def resultant_path(f: Poly) -> str:
+    """The path discriminant_z takes on f: "closed" for z^n + a*z^k + b with
+    n nonzero in the field, else "f' = 0" or "kernel"."""
+    zidx = f.ctx.var_index("z")
+    powers = {e[zidx] for e in f.terms}
+    n = max(powers)
+    if len(powers - {0, n}) <= 1 and not f.ring.is_zero(f.ring.from_int(n)):
+        return "closed"
+    return "f' = 0" if derivative(f, "z").is_zero() else "kernel"
+
 
 def oracle_prem(A: list, B: list) -> list:
     """The pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B on Poly
@@ -554,24 +574,47 @@ class TestPackedKernel:
         assert (checked, sylvester) == (300, 110) and seen["keys"] > 0
 
     def test_every_benchmark_determinant(self, monkeypatch):
-        # every determinant the three workloads take at seeds 7 and 13
-        inputs = []
-        real = kappainv.quasiord.determinant
+        # every discriminant_z input the three workloads take at seeds 7 and
+        # 13 against the Poly-based sequence, and the path each input takes
+        inputs, kernel_calls = [], []
+        real, real_det = kappainv.quasiord.discriminant_z, kappainv.quasiord.determinant
+
+        def recording(wf, T=None):
+            inputs.append((wf, T, real(wf, T)))
+            return inputs[-1][2]
 
         def determinant(fc, gc):
-            inputs.append((fc, gc))
-            return real(fc, gc)
+            kernel_calls.append(len(fc))
+            return real_det(fc, gc)
 
+        for module in (cli, kappainv.quasiord):
+            monkeypatch.setattr(module, "discriminant_z", recording)
         monkeypatch.setattr(kappainv.quasiord, "determinant", determinant)
+        split = {}
         for seed in (7, 13):
             for name in sorted(workloads.WORKLOADS):
+                inputs.clear()
+                kernel_calls.clear()
                 for case in workloads.build(name, seed):
                     with contextlib.redirect_stdout(io.StringIO()):
                         cli.main(list(case.argv))
+                paths = {"closed": 0, "kernel": 0, "f' = 0": 0}
+                for wf, T, rep in inputs:
+                    f = wf.poly.truncate(T)
+                    g = derivative(f, "z")
+                    paths[resultant_path(f)] += 1
+                    want = (Poly.zero(f.ctx, f.ring) if g.is_zero() else
+                            oracle_determinant(_z_coefficients(f), _z_coefficients(g)))
+                    assert rep.disc == want.truncate(f.trunc), (name, seed, f.format())
+                assert len(kernel_calls) == paths["kernel"], (name, seed)
+                split[name, seed] = paths
         monkeypatch.undo()
-        assert len(inputs) == 780
-        for fc, gc in inputs:
-            assert real(fc, gc) == oracle_determinant(fc, gc)
+        for seed in (7, 13):
+            # the kernel's one input is ref-two-vertex-gf2: n = 2 over GF(2)
+            assert [split[name, seed] for name in ("towers", "discriminants", "field-roots")] == [
+                {"closed": 165, "kernel": 1, "f' = 0": 58},
+                {"closed": 113, "kernel": 1, "f' = 0": 2},
+                {"closed": 109, "kernel": 1, "f' = 0": 2}]
 
     @pytest.mark.parametrize("num, den", [("x1^2 + x2", "x1"), ("x1^2 + 1", "x1 + 1")])
     def test_div_rejects_non_divisors(self, QQ, F7, num, den):
@@ -583,6 +626,109 @@ class TestPackedKernel:
             # the product is divided back exactly
             prod = pack(a.mul(b), width)
             assert _div(prod, pack(b, width), field, guard_bits(width, 3)) == pack(a, width)
+
+# -- Swan's closed form for z-trinomials --------------------------------------------
+
+SWAN_FIELDS = {
+    "Q": Field.rationals(), "GF(2)": Field.finite(2), "GF(3)": Field.finite(3),
+    "GF(5)": Field.finite(5), "GF(7)": Field.finite(7),
+    "GF(4)": Field.finite(2, 2, (1, 1, 1)), "GF(9)": Field.finite(3, 2, (1, 0, 1)),
+}
+SHAPES = ("multi", "monomial", "zero")
+
+
+def swan_input(rng, field, n, k, a_shape, b_shape):
+    """z^n + a*z^k + b in one or two x-variables, a and b each "multi" (two
+    or three terms), "monomial" or "zero".  Over Q every fourth input has a
+    fractional coefficient.  The kernel, the oracle here, swells on two
+    multi-term coefficients in two variables at large n, where the closed
+    form does not, so above n = 8 those take one variable."""
+    d = 1 if n > 8 and a_shape == b_shape == "multi" else rng.randint(1, 2)
+    fraction = field.characteristic == 0 and rng.randrange(4) == 0
+
+    def coeff():
+        if field.characteristic == 0:
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            return field.div(c, rng.choice([2, 3])) if fraction else c
+        return field.element(rng.randrange(1, field.order))
+
+    terms = {(0,) * d + (n,): field.one}
+    for shape, zdeg in ((a_shape, k), (b_shape, 0)):
+        count = {"multi": rng.randint(2, 3), "monomial": 1, "zero": 0}[shape]
+        exponents = set()
+        while len(exponents) < count:
+            e = tuple(rng.randint(0, 3) for _ in range(d))
+            if any(e):  # keeps f(0) = 0 and distinct terms
+                exponents.add(e)
+        terms.update((e + (zdeg,), coeff()) for e in exponents)
+    return WeierstrassPoly(Poly(VarContext(d), field, terms), n)
+
+
+def swan_cases():
+    rng = random.Random(20261020)
+    for name, field in SWAN_FIELDS.items():
+        for n in range(2, 17):
+            for k in range(1, n):
+                a_shape, b_shape = rng.choice(SHAPES), rng.choice(SHAPES)
+                wf = swan_input(rng, field, n, k, a_shape, b_shape)
+                T = rng.choice([None, rng.randint(2, 6)])
+                yield f"{name} n={n} k={k} a={a_shape} b={b_shape} T={T}", wf, k, T
+
+
+class TestSwanClosedForm:
+    """discriminant_z on z^n + a*z^k + b against the kernel and Sylvester."""
+
+    def test_matches_the_kernel_and_sylvester(self, monkeypatch):
+        kernel_calls = []
+        real_det = kappainv.quasiord.determinant
+
+        def determinant(fc, gc):
+            kernel_calls.append(len(fc))
+            return real_det(fc, gc)
+
+        checked, sylvester, p_divides_n, gcd_above_1, truncated = 0, 0, 0, 0, 0
+        for label, wf, k, T in swan_cases():
+            f, field, n = wf.poly.truncate(T), wf.poly.ring, wf.n
+            g = derivative(f, "z")
+            want = Poly.zero(f.ctx, field) if g.is_zero() else real_det(
+                _z_coefficients(f), _z_coefficients(g))
+            monkeypatch.setattr(kappainv.quasiord, "determinant", determinant)
+            kernel_calls.clear()
+            rep = discriminant_z(wf, T)
+            monkeypatch.undo()
+            assert rep.disc == want.truncate(f.trunc), label
+            assert rep.disc.trunc == f.trunc and rep.disc.ring == field, label
+            p = field.characteristic
+            if p and n % p == 0:  # n = 0 in the field: the kernel, unless f' = 0
+                assert kernel_calls == ([] if g.is_zero() else [n + 1]), label
+                p_divides_n += 1
+            else:
+                assert kernel_calls == [], label
+            if p == 0 and all(type(c) is int for c in f.terms.values()):
+                assert all(type(c) is int for c in rep.disc.terms.values()), label
+            if n <= 6:  # the Sylvester expansion grows as 2^(2n - 1)
+                assert rep.disc == sylvester_resultant(f).truncate(f.trunc), label
+                sylvester += 1
+            gcd_above_1 += math.gcd(n, k) > 1
+            truncated += f.trunc is not None
+            checked += 1
+        assert (checked, sylvester) == (7 * 120, 7 * 15)
+        assert p_divides_n > 200 and gcd_above_1 > 250 and truncated > 150
+
+    def test_worked_values(self, QQ, F2, F7):
+        # n = 3, k = 1: Res(z^3 + a*z + b, f') = 27*b^2 + 4*a^3, in every characteristic
+        for field, want in ((QQ, "4*x1^6 + 27*x2^6"), (F7, "4*x1^6 + 6*x2^6"), (F2, "x2^6")):
+            wf = mkw("z^3 + x1^2*z + x2^3", 2, field)
+            assert discriminant_z(wf).disc == mk(want, 2, field)
+        # g = gcd(6, 3) = 3, N = 2, K = 1: b^2 * (6^2*b - 3*3*a^2)^3 = 729 * b^2 * (4*b - a^2)^3
+        wf = mkw("z^6 + x1*z^3 + x2^5", 2, QQ)
+        want = mk("46656*x2^25 - 34992*x1^2*x2^20 + 8748*x1^4*x2^15 - 729*x1^6*x2^10", 2, QQ)
+        assert discriminant_z(wf).disc == want == sylvester_resultant(wf.poly)
+        # b = 0: z^k divides f, so z^2 does for k > 1, and k = 1 leaves
+        # (-1)^(n-1) * (n-1)^(n-1) * a^n
+        assert discriminant_z(mkw("z^5 + x1*z^2", 1, QQ)).disc.is_zero()
+        assert discriminant_z(mkw("z^5 + x1*z", 1, QQ)).disc == mk("256*x1^5", 1, QQ)
+
 
 class TestMonomialUnit:
     def test_yes(self, F2):
