@@ -309,7 +309,7 @@ def _drive_discriminant(text, args, field, config):
 
 def _drive_deform(text, args, field, config):
     result = classify(_input_weierstrass(text, args, field), config)
-    if result.presentation is None or result.kappa.terminal is not Terminal.INFINITY:
+    if result.presentation is None:
         msg = "no overweight presentation: the kappa terminal is not infinity"
         return EXIT_NO_PRESENTATION, [("error", msg, [msg])]
     lift = lift_presentation(result.presentation)

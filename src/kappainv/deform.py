@@ -61,7 +61,7 @@ def lift_presentation(pres: OverweightPresentation) -> IntegerLift:
                        rel.tail_expo, ctx, ZZ,
                        [(lift_coeff(field, c), m) for c, m in rel.corrections])
               for rel in pres.relations]
-    final = _lift_poly(pres.final.in_context(ctx), field)
+    final = _lift_poly(pres.final, field)
     return IntegerLift(field.characteristic, lifted, final, ctx)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
-                   normal_form, power_substitute, translate)
+                   normal_form, translate)
 from .polyhedron import ChainLattice, OrthantPolyhedron, StageProjection, polyhedron_leq
 
 _PREPARE_FUEL = 4096
@@ -349,10 +349,10 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
         newvar = f"u{len(relations) + 1}"
         ctx = f.ctx.extend(newvar)
         f = f.in_context(ctx)
-        rel = Relation(var=newvar, head_var=main, head_exp=bp.inner_exp,
-                       tail_coeff=bp.coeff, tail_expo=bp.tail_expo, ctx=ctx, ring=ring)
-        relations.append(rel)
-        f = power_substitute(f, main, bp.inner_exp, rel.replacement_poly(), T)
+        relations.append(Relation(var=newvar, head_var=main, head_exp=bp.inner_exp,
+                                  tail_coeff=bp.coeff, tail_expo=bp.tail_expo, ctx=ctx,
+                                  ring=ring))
+        # f is normal for the earlier relations: the first rewrite is the new head's
         f = normal_form(f, relations, T)
         main = newvar
         top_exp = bp.power
@@ -396,8 +396,8 @@ def verify_overweight(pres: OverweightPresentation):
                                   f"{shown(w)}, not above the head level {shown(level)}")
 
     for rel in pres.relations:
-        check_block(f"relation {rel.var}", ctx.unit(rel.head_var, rel.head_exp),
-                    ctx.pad(rel.tail_expo), [ctx.pad(m) for _, m in rel.corrections])
+        (_, _, head), (_, _, tail), *rest = rel.structural_pieces(ctx)
+        check_block(f"relation {rel.var}", head, tail, [m for _, _, m in rest])
 
     bp = pres.final_head
     if bp is not None:

@@ -14,10 +14,11 @@ exact.
 The module also owns the relation stack used by the classification engine
 and by the integer lift: each Relation defines a new variable u_j as a
 binomial head minus a list of correction monomials, over the engine's field
-or, lifted, over Z.  Its generator u_j - rhs serves the downward rewriting
-of normal_form (which keeps the tower degree bounds), the engine's upward
-rewrites and the lift's ideal; back_substitute eliminates a stack in either
-ring.
+or, lifted, over Z.  Its signed pieces are the one layout that builds the
+rhs (which back_substitute puts for u_j, eliminating a stack in either
+ring), the generator u_j - rhs of the lift's ideal, the replacement of the
+downward rewriting in normal_form (which keeps the tower degree bounds) and
+the display.
 """
 
 from __future__ import annotations
@@ -702,55 +703,51 @@ class Relation:
     ring: object
     corrections: list = dc_field(default_factory=list)
 
-    def rhs_poly(self, ctx=None) -> Poly:
+    def structural_pieces(self, ctx=None):
+        """The one layout, padded to ctx: [(+1, 1, head), (-1, c, tail), (-1, c_k, m_k), ...]."""
+        ctx = ctx or self.ctx
+        return ([(1, self.ring.one, ctx.unit(self.head_var, self.head_exp)),
+                 (-1, self.tail_coeff, ctx.pad(self.tail_expo))]
+                + [(-1, c, ctx.pad(m)) for c, m in self.corrections])
+
+    def _signed_sum(self, ctx, var, head, rest) -> Poly:
+        """var * u_j + head * (head piece) + rest * (other pieces), in one dict
+        pass over the signed pieces; var is 0 or 1, head and rest -1, 0 or 1."""
         ctx = ctx or self.ctx
         ring = self.ring
-        terms = {ctx.unit(self.head_var, self.head_exp): ring.one}
-        for coeff, mono in [(self.tail_coeff, self.tail_expo)] + list(self.corrections):
-            key = ctx.pad(mono)
-            s = ring.sub(terms.get(key, ring.zero), coeff)
-            if ring.is_zero(s):
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Poly(ctx, ring, terms)
+        terms = {ctx.unit(self.var): ring.one} if var else {}
+        for i, (sign, c, mono) in enumerate(self.structural_pieces(ctx)):
+            sign *= rest if i else head
+            if sign:
+                s = terms.get(mono, ring.zero)
+                s = ring.add(s, c) if sign > 0 else ring.sub(s, c)
+                if ring.is_zero(s):
+                    terms.pop(mono, None)
+                else:
+                    terms[mono] = s
+        return Poly._of(ctx, ring, terms, None)
+
+    def rhs_poly(self, ctx=None) -> Poly:
+        """w^head_exp - tail - corrections."""
+        return self._signed_sum(ctx, 0, 1, 1)
 
     def generator(self, ctx=None) -> Poly:
         """u_j - rhs, the relation's generator of the ideal."""
-        ctx = ctx or self.ctx
-        return Poly.variable(ctx, self.ring, self.var).sub(self.rhs_poly(ctx))
+        return self._signed_sum(ctx, 1, -1, -1)
 
     def replacement_poly(self, ctx=None) -> Poly:
         """w^head_exp as u_j + w^head_exp - rhs = u_j + tail + corrections (downward rewriting)."""
-        ctx = ctx or self.ctx
-        head = Poly.monomial(ctx, self.ring, ctx.unit(self.head_var, self.head_exp))
-        return self.generator(ctx).add(head)
-
-    def structural_pieces(self):
-        """Signed pieces of the rhs: [(+1, head), (-1, c, tail), (-1, c_k, m_k), ...]."""
-        ctx = self.ctx
-        pieces = [(1, self.ring.one, ctx.unit(self.head_var, self.head_exp))]
-        pieces.append((-1, self.tail_coeff, ctx.pad(self.tail_expo)))
-        for coeff, mono in self.corrections:
-            pieces.append((-1, coeff, ctx.pad(mono)))
-        return pieces
+        return self._signed_sum(ctx, 1, 0, -1)
 
     def structural_str(self) -> str:
-        """Canonical display "u1 - (z^2 - x1^3*x2^6 - ...)" with structural signs.
-
-        In characteristic 0 each sign folds into its coefficient, so a
-        negative tail coefficient shows as "+".  A GF(q) value is never
-        negative, so each structural sign is printed as written.
-        """
+        """Canonical display "u1 - (z^2 - x1^3*x2^6 - ...)": each piece after the
+        head shows "+ |c|" when c is a negative Q or Z value, else "- |c|"."""
         ring = self.ring
-        if ring.characteristic == 0:
-            pieces = [(c if sign > 0 else ring.neg(c), mono)
-                      for sign, c, mono in self.structural_pieces()]
-            return f"{self.var} - ({format_signed_terms(pieces, self.ctx, ring)})"
-        segs = []
-        for i, (sign, c, mono) in enumerate(self.structural_pieces()):
-            body = format_signed_terms([(c, mono)], self.ctx, ring)
-            segs.append(body if i == 0 else ("- " if sign < 0 else "+ ") + body)
+        (_, _, head), *rest = self.structural_pieces()
+        segs = [format_monomial(head, self.ctx)]
+        for _, c, mono in rest:
+            body = format_signed_terms([(ring.abs_value(c), mono)], self.ctx, ring)
+            segs.append(("+ " if ring.is_negative(c) else "- ") + body)
         return f"{self.var} - ({' '.join(segs)})"
 
 

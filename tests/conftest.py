@@ -300,6 +300,43 @@ def binomial_power_decompose(In, main_var):
     return None
 
 
+def oracle_rhs_poly(rel, ctx=None):
+    """w^head_exp - tail - corrections, one ring.sub per piece."""
+    ctx = ctx or rel.ctx
+    ring = rel.ring
+    terms = {ctx.unit(rel.head_var, rel.head_exp): ring.one}
+    for coeff, mono in [(rel.tail_coeff, rel.tail_expo)] + list(rel.corrections):
+        key = ctx.pad(mono)
+        s = ring.sub(terms.get(key, ring.zero), coeff)
+        if ring.is_zero(s):
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+    return Poly(ctx, ring, terms)
+
+
+def oracle_generator(rel, ctx=None):
+    """u_j - rhs, by Poly arithmetic."""
+    ctx = ctx or rel.ctx
+    return Poly.variable(ctx, rel.ring, rel.var).sub(oracle_rhs_poly(rel, ctx))
+
+
+def oracle_replacement_poly(rel, ctx=None):
+    """generator + w^head_exp, by Poly arithmetic."""
+    ctx = ctx or rel.ctx
+    head = Poly.monomial(ctx, rel.ring, ctx.unit(rel.head_var, rel.head_exp))
+    return oracle_generator(rel, ctx).add(head)
+
+
+def lift_relation(rel):
+    """The relation over ZZ, its prime-field coefficients lifted into {0, ..., p-1}."""
+    def lift(c):
+        return lift_coeff(rel.ring, c)
+
+    return Relation(rel.var, rel.head_var, rel.head_exp, lift(rel.tail_coeff), rel.tail_expo,
+                    rel.ctx, ZZ, [(lift(c), m) for c, m in rel.corrections])
+
+
 def lifted_structural_str(rel):
     """A relation's display through the canonical integer lift of its coefficients.
 

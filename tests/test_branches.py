@@ -38,10 +38,11 @@ import pytest
 
 import kappainv.kappa as kappa_mod
 import kappainv.quasiord as quasiord
-from kappainv import (QQ, BinomialPower, Field, KappaConfig, Poly, Terminal, VarContext, classify,
-                      cli, compute_kappa, discriminant_z, substitute, weierstrass_validate)
+from kappainv import (QQ, BinomialPower, Field, KappaConfig, Poly, Terminal, VarContext,
+                      back_substitute, classify, cli, compute_kappa, discriminant_z,
+                      is_monomial_times_unit, substitute, weierstrass_validate)
 from kappainv.poly import derivative
-from kappainv.quasiord import _z_coefficients
+from kappainv.quasiord import MonomialUnitStatus, _z_coefficients
 from conftest import leading_reduce, mk, search_binomialize, watch_key_bound
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -590,3 +591,105 @@ def test_kappa_predicts_the_benchmark_discriminants(seed):
             assert rep["discriminant"]["monomial_unit"] == {"yes": [str(c) for c in E]}, case.id
             tame += 1
     assert (tame, wild) == (258, 4)
+
+
+# -- each chain variable's valuation, from a resultant -------------------------
+#
+# A chain variable y of a presentation, written in x and z by back
+# substitution as Y, has the weight w(y) as its valuation on the branch:
+# Res_z(f, Y) = prod over the roots zeta_a of f of Y(zeta_a), each factor of
+# x-order w(y), so for d = 1 the resultant has x-order n * w(y) in any
+# characteristic, and for d >= 2 in characteristic 0, where each factor is a
+# monomial times a unit, it is x^(n * w(y)) times a unit.  Only an exact
+# presentation is checked, and only the variables a vertex weighs: the head
+# level after an empty terminal is left out.  A truncated presentation can
+# fail it (see the pinned case below), so a truncation certificate is
+# still to come.
+
+def resultant_z(f, Y, n):
+    """Res_z(f, Y) for monic f of z-degree n; Y^n when Y is free of z."""
+    if not Y.uses_var("z"):
+        return Y.pow_(n)
+    return quasiord.determinant(_z_coefficients(f), _z_coefficients(Y))
+
+
+def chain_resultants(res):
+    """(y, n * w(y), Res_z(f, Y)) for each chain variable y a vertex weighs,
+    f the run's disc_input in the presentation's context."""
+    pres, n = res.presentation, res.disc_input.n
+    ctx, ring = pres.ctx, pres.ring
+    f = res.disc_input.poly.in_context(ctx)
+    names = ctx.aux if pres.final_head is not None else ctx.aux[:-1]
+    for y in names:
+        Y = back_substitute(Poly(ctx, ring, {ctx.unit(y): ring.one}), pres.relations)
+        yield y, tuple(n * c for c in pres.weights[y]), resultant_z(f, Y, n)
+
+
+def check_chain_valuations(res) -> bool:
+    """Assert the valuations on an exact presentation; False when it is truncated."""
+    pres = res.presentation
+    if pres.final.trunc is not None or res.disc_input.poly.trunc is not None:
+        return False
+    for y, want, R in chain_resultants(res):
+        if pres.ctx.d == 1:
+            assert (min(e[0] for e in R.terms),) == want, y
+        elif pres.ring.characteristic == 0:
+            assert is_monomial_times_unit(R) == MonomialUnitStatus("yes", want), y
+    return True
+
+
+def test_resultants_give_each_chain_variable_its_weight(monkeypatch):
+    # the sweep over Q; its d = 1 branches reduced mod 2, 3, 5 and 7 that end
+    # in inf, wild ones included; the classify and deform cases of the
+    # benchmark at seeds 7 and 13 with d = 1 or characteristic 0 that end in
+    # inf, two of which are truncated
+    for branch in BRANCHES:
+        assert check_chain_valuations(compute_kappa(weierstrass_validate(branch.polynomial())))
+    reductions = 0
+    for branch in BRANCHES:
+        if branch.d != 1:
+            continue
+        f = branch.polynomial()
+        for p in (2, 3, 5, 7):
+            field = Field.finite(p)
+            res = compute_kappa(weierstrass_validate(
+                Poly(f.ctx, field, {e: field.from_int(int(c)) for e, c in f.terms.items()})))
+            if res.invariant.terminal is Terminal.INFINITY:
+                assert check_chain_valuations(res), branch.name
+                reductions += 1
+    assert reductions == 264
+    results, real = [], quasiord.compute_kappa
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(quasiord, "compute_kappa", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for seed in (7, 13):
+            for name in sorted(workloads.WORKLOADS):
+                for case in workloads.build(name, seed):
+                    if case.argv[0] in ("classify", "deform"):
+                        cli.main(list(case.argv))
+    checked = [check_chain_valuations(res) for res in results
+               if res.presentation is not None
+               and (res.presentation.ctx.d == 1 or res.presentation.ring.characteristic == 0)]
+    assert (checked.count(True), checked.count(False)) == (542, 2)
+
+
+@pytest.mark.parametrize("T", [32, 64])
+def test_a_truncated_presentation_misses_a_valuation(T):
+    # branch 101 reduced mod 2: the input is exact, but the final equation
+    # holds a certificate at T, and Res_z(f, U_1) holds x1^(2T-4)*x2^6, a
+    # term the truncation left, beside x1^12*x2^7 = x^(n * w(u1))
+    f = BRANCHES[101].polynomial()
+    F2 = Field.finite(2)
+    wf = weierstrass_validate(Poly(f.ctx, F2, {e: F2.from_int(int(c)) for e, c in f.terms.items()}))
+    assert wf.poly == mk("z^4 + x2^2 + x1^4*x2^2 + x1^4*x2^3", 2, F2)
+    res = compute_kappa(wf, KappaConfig(truncation=T))
+    assert res.presentation.final.trunc == T and res.disc_input.poly.trunc is None
+    (_, _, _), (y, want, R) = chain_resultants(res)
+    ctx = res.presentation.ctx
+    assert (y, want) == ("u1", (12, 7))
+    stray, expected = ctx.pad((2 * T - 4, 6)), ctx.pad((12, 7))
+    assert stray in R.terms and expected in R.terms

@@ -607,24 +607,23 @@ class TestLevelCancels:
     adds beyond the leading binomials is heavier.
     """
 
-    @pytest.mark.parametrize("text, T", [
+    TOWERS = pytest.mark.parametrize("text, T", [
         ("z^8 + x1^12*x2^24 + x1^15*x2^30", 64),
         ("z^16 + x1^24*x2^48 + x1^30*x2^60 + x1^63*x2^126", 256)])
-    def test_at_every_stage(self, F2, monkeypatch, text, T):
-        substituted, normalized = [], {}
-        real_sub, real_nf = kappainv.kappa.power_substitute, kappainv.kappa.normal_form
 
-        def sub(f, name, k, replacement, T=None):
-            out = real_sub(f, name, k, replacement, T)
-            substituted.append((name, k, out))
-            return out
+    @TOWERS
+    def test_at_every_stage(self, F2, monkeypatch, text, T):
+        # a descent's normal_form call is the one whose f does not yet hold
+        # the new relation's variable: preparation's calls all hold theirs
+        substituted = []
 
         def nf(f, relations, T=None):
             out = normal_form(f, relations, T)
-            normalized[id(f)] = out
+            if relations and not f.uses_var(relations[-1].var):
+                rel = relations[-1]
+                substituted.append((rel.head_var, rel.head_exp, out))
             return out
 
-        monkeypatch.setattr(kappainv.kappa, "power_substitute", sub)
         monkeypatch.setattr(kappainv.kappa, "normal_form", nf)
         res = compute_kappa(mkw(text, 2, F2), KappaConfig(truncation=T))
         assert res.invariant.terminal is Terminal.INFINITY
@@ -632,7 +631,6 @@ class TestLevelCancels:
         mults = res.invariant.multiplicities
         assert len(substituted) == len(mults) - 2
         for i, (main, inner, g) in enumerate(substituted):
-            g = normalized[id(g)]
             u, power = f"u{i + 1}", mults[i + 1]
             w = {**weights, u: tuple(inner * c for c in weights[main])}
             level = tuple(mults[i] * c for c in weights[main])
@@ -645,6 +643,30 @@ class TestLevelCancels:
                 else:
                     assert all(a >= b for a, b in zip(wt, level)), (main, e)
             assert at_level == {g.ctx.unit(u, power): F2.one}, main
+
+    @TOWERS
+    def test_the_descent_rewrites_through_normal_form_alone(self, F2, monkeypatch, text, T):
+        # every power_substitute call a run makes comes from inside normal_form
+        calls, depth = [], [0]
+        real_ps, real_nf = kappainv.poly.power_substitute, kappainv.kappa.normal_form
+
+        def ps(*args, **kwargs):
+            calls.append(depth[0])
+            return real_ps(*args, **kwargs)
+
+        def nf(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real_nf(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(kappainv.poly, "power_substitute", ps)
+        monkeypatch.setattr(kappainv.kappa, "normal_form", nf)
+        res = compute_kappa(mkw(text, 2, F2), KappaConfig(truncation=T))
+        assert res.invariant.terminal is Terminal.INFINITY
+        assert not hasattr(kappainv.kappa, "power_substitute")
+        assert calls and all(calls), calls
 
 
 class TestOneBinomializationPerPair:

@@ -10,7 +10,8 @@ from kappainv import (ZZ, BinomialPower, Field, ParseError, Poly, Relation, Vali
                       VarContext, back_substitute, classify, normal_form, parse_polynomial,
                       power_substitute, substitute, weierstrass_validate)
 from kappainv.poly import _min_trunc, _print_key, exact_div, translate
-from conftest import expand, lifted_structural_str, mk, rand_poly, sample_relations
+from conftest import (expand, lift_relation, lifted_structural_str, mk, oracle_generator,
+                      oracle_replacement_poly, oracle_rhs_poly, rand_poly, sample_relations)
 
 
 # ---------------------------------------------------------------------------
@@ -685,14 +686,83 @@ class TestRelationDisplay:
             c = rel.tail_coeff
             seen.add("unit" if c == field.one else "negative" if field.is_negative(c)
                      else "non-unit")
-        assert seen == {"unit", "non-unit", "negative"}
+            if field.characteristic and field.extension_degree == 1:
+                # over ZZ the lifted values in {1, ..., p-1} show as the field's do
+                lifted = lift_relation(rel)
+                assert lifted.structural_str() == lifted_structural_str(lifted)
+                assert lifted.structural_str() == rel.structural_str()
+                seen.add("lifted")
+        assert seen == {"unit", "non-unit", "negative", "lifted"}
         # sample_relations' coefficients are all nonzero in these fields
         for field in fields[:1] + fields[3:5]:
             for rel in sample_relations(field):
                 assert rel.structural_str() == lifted_structural_str(rel)
+                if field.characteristic:
+                    lifted = lift_relation(rel)
+                    assert lifted.structural_str() == lifted_structural_str(lifted)
 
     def test_rhs_poly_char2(self, F2):
         ctx = VarContext(2, ("z", "u1"))
         rel = Relation(var="u1", head_var="z", head_exp=2, tail_coeff=F2.one,
                        tail_expo=(3, 6, 0, 0), ctx=ctx, ring=F2)
         assert rel.rhs_poly() == parse_polynomial("z^2 + x1^3*x2^6", ctx, F2)
+
+
+class TestRelationBuilders:
+    def test_builders_match_the_poly_arithmetic(self):
+        # rhs_poly, generator and replacement_poly, each one pass over the
+        # structural pieces, against the Poly arithmetic they replaced: random
+        # relations u1 = z^n - ... and u2 = u1^n - ..., with corrections that
+        # repeat a monomial or cancel one another or the tail, over fields and
+        # lifted to ZZ, in the relation's context and in a larger one
+        rng = random.Random(32)
+        fields = [Field.rationals(), Field.finite(2), Field.finite(3),
+                  Field.finite(2, 2, (1, 1, 1)), Field.finite(3, 2, (1, 0, 1))]
+        seen = set()
+        for _ in range(400):
+            field = rng.choice(fields)
+            d = rng.choice([1, 2])
+            var, head_var = rng.choice([("u1", "z"), ("u2", "u1")])
+            ctx = VarContext(d, ("z", "u1", "u2")[:int(var[1]) + 1])
+            width = ctx.var_index(head_var)  # the x block and the chain before the head
+
+            def coeff():
+                if field.characteristic == 0:
+                    return Fraction(rng.randrange(-4, 5), rng.choice([1, 1, 2, 3]))
+                return field.element(rng.randrange(1, field.order))
+
+            def mono():
+                return tuple(rng.randrange(0, 3) for _ in range(width))
+
+            tail_coeff, tail_expo = coeff(), mono()
+            corrections = []
+            for _ in range(rng.randrange(0, 5)):
+                kind = rng.choice(["new", "repeat", "cancel"])
+                placed = [(tail_coeff, tail_expo)] + corrections
+                if kind == "new":
+                    corrections.append((coeff(), mono()))
+                elif kind == "repeat":
+                    corrections.append((coeff(), rng.choice(placed)[1]))
+                else:  # the negative of a piece already placed
+                    c, m = rng.choice(placed)
+                    corrections.append((field.neg(c), m))
+                seen.add(kind)
+            rel = Relation(var=var, head_var=head_var, head_exp=rng.randrange(2, 5),
+                           tail_coeff=tail_coeff, tail_expo=tail_expo, ctx=ctx, ring=field,
+                           corrections=corrections)
+            rels = [rel]
+            if field.characteristic and field.extension_degree == 1:
+                rels.append(lift_relation(rel))
+            for r in rels:
+                for where in (None, ctx.extend("u9")):
+                    for got, want in [(r.rhs_poly(where), oracle_rhs_poly(r, where)),
+                                      (r.generator(where), oracle_generator(r, where)),
+                                      (r.replacement_poly(where),
+                                       oracle_replacement_poly(r, where))]:
+                        assert got.ctx == want.ctx and got.terms == want.terms, (r, where)
+                        assert got.trunc is None
+                        assert all(not r.ring.is_zero(c) for c in got.terms.values())
+                if len(r.rhs_poly().terms) < len(r.structural_pieces()):
+                    seen.add("fewer terms")
+                seen.add(r.ring)
+        assert seen >= {"new", "repeat", "cancel", "fewer terms", ZZ, *fields}
