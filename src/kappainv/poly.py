@@ -173,14 +173,6 @@ class Poly:
     def one(cls, ctx, ring):
         return cls.constant(ctx, ring, ring.one)
 
-    @classmethod
-    def variable(cls, ctx, ring, name: str):
-        return cls(ctx, ring, {ctx.unit(name): ring.one})
-
-    @classmethod
-    def monomial(cls, ctx, ring, expo, coeff=None):
-        return cls(ctx, ring, {tuple(expo): ring.one if coeff is None else coeff})
-
     # -- basic queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -20,19 +20,24 @@ about deg f pseudo-divisions.
 Both run on packed monomials (Monagan and Pearce, CASC 2007): a coefficient
 maps one int key per term, the total degree over x1, x2, ... in W-bit fields
 under guard bits, to its value; a monomial product is one int addition, and
-int order is graded.  In the sequence each subresultant coefficient, g and h
-is a Sylvester minor of total degree <= (2m - 1) * D0 (m = deg f, D0 the
-largest total degree of a coefficient), so every undivided pseudo-remainder,
-power and divisor stays <= (m + 2)(2m - 1) * D0 < 2^W.  Every power and
-product the closed form takes has total degree <= (k - 1 + n) * D0, so it
-bounds them by (n + k) * D0 (k = 0 for a binomial).
+int order is graded.  A power of one term is its key times n and its value
+to the n, a power of two terms the binomial theorem's n + 1 terms, both with
+no product; a base of more terms is multiplied n - 1 times.  Either way a
+power forms the keys and values the repeated product would.
+
+In the sequence each subresultant coefficient, g and h is a Sylvester minor
+of total degree <= (2m - 1) * D0 (m = deg f, D0 the largest total degree of
+a coefficient), so every undivided pseudo-remainder, power and divisor stays
+<= (m + 2)(2m - 1) * D0 < 2^W.  Every power and product the closed form
+takes has total degree <= (k - 1 + n) * D0, so it bounds them by
+(n + k) * D0 (k = 0 for a binomial).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from operator import lshift
 
 from .errors import ContractViolation
@@ -94,9 +99,30 @@ def _mul(a: dict, b: dict, ring) -> dict:
 
 
 def _pow(a: dict, n: int, ring) -> dict:
-    """a^n for n >= 1; a constant is raised by its coefficient, with no product."""
-    if len(a) == 1 and 0 in a:
-        return {0: ring.pow_(a[0], n)}
+    """a^n for n >= 1, with no product for one or two terms.
+
+    One term c at key k gives c^n at n * k.  Two terms give the binomial
+    theorem: C(n, j) * c1^j * c2^(n-j) at j * k1 + (n-j) * k2, j from n down
+    as the repeated product inserts them, and no term where C(n, j) is 0 in
+    the field.  A coefficient is raised only to a positive power, so over Q
+    each value keeps the type the repeated product gives it.  Three or more
+    terms take n - 1 products.
+    """
+    if len(a) == 1:
+        (k, c), = a.items()
+        return {k * n: ring.pow_(c, n)}
+    if len(a) == 2:
+        (k1, c1), (k2, c2) = a.items()
+        out = {}
+        for j in range(n, -1, -1):
+            c = ring.from_int(comb(n, j))
+            if not ring.is_zero(c):
+                if j:
+                    c = ring.mul(c, ring.pow_(c1, j))
+                if j < n:
+                    c = ring.mul(c, ring.pow_(c2, n - j))
+                out[j * k1 + (n - j) * k2] = c
+        return out
     out = a
     for _ in range(n - 1):
         out = _mul(out, a, ring)

@@ -48,6 +48,16 @@ def mkw(text, d, field):
     return weierstrass_validate(mk(text, d, field))
 
 
+def variable(ctx, ring, name):
+    """The polynomial that is the one variable name of ctx."""
+    return Poly(ctx, ring, {ctx.unit(name): ring.one})
+
+
+def monomial(ctx, ring, expo, coeff=None):
+    """coeff * x^expo, coeff 1 by default."""
+    return Poly(ctx, ring, {tuple(expo): ring.one if coeff is None else coeff})
+
+
 def z_stage(f, n):
     """The first kappa stage of f: main variable z, top exponent n, no weights."""
     return StageProjection(f.ctx, "z", n, ChainLattice(f.ctx.d))
@@ -242,7 +252,7 @@ def apply_rewrite(f, expo, rel, T):
     ctx, ring = f.ctx, f.ring
     rest = tuple(a - b for a, b in zip(expo, ctx.pad(rel.tail_expo)))
     scale = ring.neg(ring.div(f.terms[expo], rel.tail_coeff))
-    return f.add(rel.generator(ctx).mul(Poly.monomial(ctx, ring, rest, scale)), T)
+    return f.add(rel.generator(ctx).mul(monomial(ctx, ring, rest, scale)), T)
 
 
 def search_binomialize(f, vertex, stage, relations, depth=8, T=None, powers=None):
@@ -318,13 +328,13 @@ def oracle_rhs_poly(rel, ctx=None):
 def oracle_generator(rel, ctx=None):
     """u_j - rhs, by Poly arithmetic."""
     ctx = ctx or rel.ctx
-    return Poly.variable(ctx, rel.ring, rel.var).sub(oracle_rhs_poly(rel, ctx))
+    return variable(ctx, rel.ring, rel.var).sub(oracle_rhs_poly(rel, ctx))
 
 
 def oracle_replacement_poly(rel, ctx=None):
     """generator + w^head_exp, by Poly arithmetic."""
     ctx = ctx or rel.ctx
-    head = Poly.monomial(ctx, rel.ring, ctx.unit(rel.head_var, rel.head_exp))
+    head = monomial(ctx, rel.ring, ctx.unit(rel.head_var, rel.head_exp))
     return oracle_generator(rel, ctx).add(head)
 
 
@@ -401,14 +411,24 @@ def guard_bits(width, nfields):
     return sum(1 << ((width + 1) * i + width) for i in range(nfields))
 
 
+def repeated_pow(a, n, ring):
+    """a^n for n >= 1 on packed keys by n - 1 products with quasiord._mul:
+    the oracle for the closed forms of quasiord._pow."""
+    out = a
+    for _ in range(n - 1):
+        out = quasiord._mul(out, a, ring)
+    return out
+
+
 def watch_key_bound(monkeypatch):
-    """Wrap the kernel's determinant, its closed form and _mul: every key a
-    product forms must have each field, guard bit included, within the
-    documented bound of the call it belongs to, and a top field equal to the
-    sum of the others.  Returns a dict whose "keys" counts the keys checked
-    and whose "closed" and "kernel" count the calls of each path."""
+    """Wrap the kernel's determinant, its closed form, _mul and _pow: every
+    key a product or power forms must have each field, guard bit included,
+    within the documented bound of the call it belongs to, and a top field
+    equal to the sum of the others.  Returns a dict whose "keys" counts the
+    keys checked and whose "closed" and "kernel" count the calls of each path."""
     seen = {"keys": 0, "closed": 0, "kernel": 0}
-    real_det, real_swan, real_mul = quasiord.determinant, quasiord._swan_resultant, quasiord._mul
+    real_det, real_swan = quasiord.determinant, quasiord._swan_resultant
+    real_mul, real_pow = quasiord._mul, quasiord._pow
 
     def determinant(fc, gc):
         seen["bound"], seen["width"] = key_bound(fc, gc)
@@ -423,8 +443,7 @@ def watch_key_bound(monkeypatch):
         seen["closed"] += out is not None
         return out
 
-    def mul(a, b, ring):
-        out = real_mul(a, b, ring)
+    def check(out):
         step, n = seen["width"] + 1, seen["nfields"]
         for key in out:
             fields = [key >> (step * i) & ((1 << step) - 1) for i in range(n)]
@@ -435,5 +454,6 @@ def watch_key_bound(monkeypatch):
 
     monkeypatch.setattr(quasiord, "determinant", determinant)
     monkeypatch.setattr(quasiord, "_swan_resultant", swan_resultant)
-    monkeypatch.setattr(quasiord, "_mul", mul)
+    monkeypatch.setattr(quasiord, "_mul", lambda a, b, ring: check(real_mul(a, b, ring)))
+    monkeypatch.setattr(quasiord, "_pow", lambda a, n, ring: check(real_pow(a, n, ring)))
     return seen

@@ -21,7 +21,7 @@ from kappainv.poly import format_monomial
 from kappainv.ring import ZZ
 from test_polyhedron import member_oracle
 from conftest import (binomial_power_decompose, expand, graded_expand, mk, mkw, stage_initial,
-                      z_stage)
+                      variable, z_stage)
 
 
 def F(a, b=1):
@@ -94,7 +94,7 @@ def test_criterion_4_ghost_monomials():
         return Poly(ctx, ZZ, {e: int(c) for e, c in q.terms.items()})
 
     a, b, c = zz("x1^3*x2^6"), zz("x1^6*x2^12"), zz("x1^12*x2^24")
-    z = Poly.variable(ctx, ZZ, "z")
+    z = variable(ctx, ZZ, "z")
     inner = z.mul(z).sub(a)
     s = inner.mul(inner).sub(b.mul(z))
     assert hyper == s.mul(s).add(c.mul(inner))
@@ -160,7 +160,7 @@ def random_prepared_family(rng):
         if c:
             s_terms[(e, 0)] = c
     s = Poly(ctx, Q, s_terms)
-    z = Poly.variable(ctx, Q, "z")
+    z = variable(ctx, Q, "z")
     f = z.sub(s).mul(z.sub(s)).sub(parse_polynomial(f"x1^{2 * k + 7}", ctx, Q))
     return weierstrass_validate(f), len(s.terms)
 
@@ -267,7 +267,7 @@ def test_criterion_7_property_suites(monkeypatch):
             return Poly(ctx, field, terms)
 
         s1, s2 = series(), series()
-        z = Poly.variable(ctx, field, "z")
+        z = variable(ctx, field, "z")
         f = z.sub(s1).mul(z.sub(s2))
         rep = discriminant_z(weierstrass_validate(f))
         want = s1.sub(s2).mul(s1.sub(s2))

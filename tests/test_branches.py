@@ -43,7 +43,7 @@ from kappainv import (QQ, BinomialPower, Field, KappaConfig, Poly, Terminal, Var
                       is_monomial_times_unit, substitute, weierstrass_validate)
 from kappainv.poly import derivative
 from kappainv.quasiord import MonomialUnitStatus, _z_coefficients
-from conftest import leading_reduce, mk, search_binomialize, watch_key_bound
+from conftest import leading_reduce, mk, search_binomialize, variable, watch_key_bound
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -362,7 +362,7 @@ def mirror_product(branch: Branch):
     when the two are one branch and the product is f^2."""
     f = branch.polynomial()
     n = branch.expected()["n"]
-    mirror = substitute(f, "z", Poly.variable(f.ctx, QQ, "z").neg())
+    mirror = substitute(f, "z", variable(f.ctx, QQ, "z").neg())
     mirror = mirror if n % 2 == 0 else mirror.neg()
     return None if mirror == f else f.mul(mirror)
 

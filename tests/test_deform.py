@@ -11,7 +11,7 @@ from kappainv import (ConfigurationError, Field, Poly, UnsupportedLiftError, Var
 from kappainv.deform import InitialIdealReport, IntegerLift, check_weight_vector
 from kappainv.poly import format_monomial
 from kappainv.ring import ZZ
-from conftest import mkw
+from conftest import mkw, variable
 from test_branches import MOD_P, reduced_mod_p
 
 
@@ -81,7 +81,7 @@ class TestLift:
             assert all(0 < c < p for c in coeffs)  # canonical lifts of nonzero values
             rhs = lifted.rhs_poly(ctx)
             assert reduce(rhs) == rel.rhs_poly(ctx)
-            assert gen == Poly.variable(ctx, ZZ, rel.var).sub(rhs)
+            assert gen == variable(ctx, ZZ, rel.var).sub(rhs)
         assert gens[-1] == lift.final
         assert reduce(lift.final) == pres.final
         h = eliminate_to_hypersurface(lift)
@@ -111,7 +111,7 @@ class TestEliminate:
         a = zz_poly("x1^3*x2^6", ctx)
         b = zz_poly("x1^6*x2^12", ctx)
         c = zz_poly("x1^12*x2^24", ctx)
-        z = Poly.variable(ctx, ZZ, "z")
+        z = variable(ctx, ZZ, "z")
         inner = z.mul(z).sub(a)
         s = inner.mul(inner).sub(b.mul(z))
         want = s.mul(s).add(c.mul(inner))

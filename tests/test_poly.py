@@ -11,7 +11,8 @@ from kappainv import (ZZ, BinomialPower, Field, ParseError, Poly, Relation, Vali
                       power_substitute, substitute, weierstrass_validate)
 from kappainv.poly import _min_trunc, _print_key, exact_div, translate
 from conftest import (expand, lift_relation, lifted_structural_str, mk, oracle_generator,
-                      oracle_replacement_poly, oracle_rhs_poly, rand_poly, sample_relations)
+                      oracle_replacement_poly, oracle_rhs_poly, rand_poly, sample_relations,
+                      variable)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +235,10 @@ class TestSubstitute:
 
     def test_truncation_certificate(self, QQ):
         ctx = VarContext(1)
-        f = Poly.variable(ctx, QQ, "z")
+        f = variable(ctx, QQ, "z")
         repl = mk("z + x1^100", 1, QQ)
         out = substitute(f, "z", repl, T=10)
-        assert out == Poly.variable(ctx, QQ, "z")
+        assert out == variable(ctx, QQ, "z")
         assert out.trunc == 10
 
     def test_homomorphism_property(self, QQ, F7):

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import math
@@ -15,7 +16,8 @@ from kappainv import (ZZ, ContractViolation, Field, KappaConfig, Poly, Terminal,
 from kappainv import cli
 from kappainv.poly import derivative, exact_div
 from kappainv.quasiord import MonomialUnitStatus, _div, _z_coefficients
-from conftest import guard_bits, mk, mkw, pack, watch_key_bound
+from conftest import (guard_bits, mk, mkw, monomial, pack, repeated_pow, variable,
+                      watch_key_bound)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -158,7 +160,7 @@ class TestDiscriminant:
             ctx = VarContext(1)
             s1 = rand_series(rng, ctx, field, rng.randrange(0, 4))
             s2 = rand_series(rng, ctx, field, rng.randrange(0, 4))
-            z = Poly.variable(ctx, field, "z")
+            z = variable(ctx, field, "z")
             f = z.sub(s1).mul(z.sub(s2))
             from kappainv import weierstrass_validate
             rep = discriminant_z(weierstrass_validate(f))
@@ -212,7 +214,7 @@ class TestDiscriminant:
         ctx = VarContext(1)
         for p in (2, 3, 5):
             field = Field.finite(p)
-            z = Poly.variable(ctx, field, "z")
+            z = variable(ctx, field, "z")
             for n in (p, 2 * p):
                 for _ in range(3):
                     roots = []
@@ -366,15 +368,16 @@ class TestSubresultantStart:
             assert zero_operand and not any(zero_operand)
 
     def test_constant_powers_form_no_product(self, QQ, F7, monkeypatch):
-        # h^delta, h^(k-1) and the last subresultant's c^k raise a constant
-        # by its coefficient: no _mul runs inside a constant's power
-        constant_powers, products, inside = [], [], []
+        # a power of one term (h^delta, h^(k-1), the last subresultant's c^k,
+        # a monomial lc^steps) or of two terms (b^(k-1) in the closed form)
+        # is formed in closed form: no _mul runs inside it
+        sizes, products, inside = set(), [], []
         real_pow, real_mul = kappainv.quasiord._pow, kappainv.quasiord._mul
 
         def pow_(a, n, ring):
-            inside.append(n > 1 and list(a) == [0])
+            inside.append(n > 1 and len(a) <= 2)
             if inside[-1]:
-                constant_powers.append(n)
+                sizes.add("constant" if list(a) == [0] else len(a))
             try:
                 return real_pow(a, n, ring)
             finally:
@@ -393,31 +396,43 @@ class TestSubresultantStart:
                 want = sylvester_resultant(wf.poly)
                 monkeypatch.setattr(kappainv.quasiord, "_pow", pow_)
                 monkeypatch.setattr(kappainv.quasiord, "_mul", mul)
-                got = kernel_resultant(wf.poly)
+                got = kernel_resultant(wf.poly), discriminant_z(wf).disc
                 monkeypatch.undo()
-                assert got == want
-        assert constant_powers and products == []
+                assert got == (want, want)
+        assert sizes == {"constant", 1, 2} and products == []
 
     def test_the_last_h_is_not_formed(self, QQ, F7, monkeypatch):
         # two corners at n = 9: the last step has delta = n - 3 = 6 and ends
-        # the sequence at B[0], which reads no h, so h = g^6 / h^5 (9 more
-        # products) is not formed
-        products = []
-        real_mul = kappainv.quasiord._mul
+        # the sequence at B[0], which reads no h, so h = g^6 / h^5 (two more
+        # powers, of exponents 6 and 5, and one more division) is not formed
+        calls = []
+        kernel = kappainv.quasiord
+        real_mul, real_pow, real_div = kernel._mul, kernel._pow, kernel._div
 
         def mul(a, b, ring):
-            products.append((a, b))
+            calls.append("mul")
             return real_mul(a, b, ring)
+
+        def pow_(a, n, ring):
+            calls.append(n)
+            return real_pow(a, n, ring)
+
+        def div(a, b, ring, guard):
+            calls.append("div")
+            return real_div(a, b, ring, guard)
 
         for field in (QQ, F7):
             wf = mkw("z^9 + x1*x2*z^8 - 2*x1^10 - 3*x2^12", 2, field)
             want = sylvester_resultant(wf.poly)
-            products.clear()
-            monkeypatch.setattr(kappainv.quasiord, "_mul", mul)
+            calls.clear()
+            monkeypatch.setattr(kernel, "_mul", mul)
+            monkeypatch.setattr(kernel, "_pow", pow_)
+            monkeypatch.setattr(kernel, "_div", div)
             got = kernel_resultant(wf.poly)
             monkeypatch.undo()
             assert got == want
-            assert len(products) == 29
+            assert calls.count("mul") == 24
+            assert [c for c in calls if c != "mul"] == [1, "div", "div", 6, "div", 1]
 
     def test_binomial_sweep_against_the_closed_form(self, QQ, F5, F7):
         # the closed form itself, on two values worked by hand
@@ -435,7 +450,7 @@ class TestSubresultantStart:
                 A = tuple(rng.randrange(0, 8) for _ in range(d))
             c = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
             a = Poly(ctx, field, {A + (0,): field.neg(c)})
-            wf = weierstrass_validate(a.add(Poly.monomial(ctx, field, ctx.unit("z", n))))
+            wf = weierstrass_validate(a.add(monomial(ctx, field, ctx.unit("z", n))))
             report = discriminant_z(wf)
             assert report.exact and report.disc == binomial_resultant(n, a)
 
@@ -730,6 +745,61 @@ class TestSwanClosedForm:
         assert discriminant_z(mkw("z^5 + x1*z", 1, QQ)).disc == mk("256*x1^5", 1, QQ)
 
 
+class TestClosedPowers:
+    """_pow on packed keys against the repeated product, in every field."""
+
+    @staticmethod
+    def base(rng, field, size):
+        """A packed base of size terms in x1, x2 (a constant for size 0);
+        over Q every third value is a Fraction, integral or not, so that
+        bases mix value types."""
+        ctx = VarContext(2)
+        layout = kappainv.quasiord._layout(ctx.nvars, ctx.var_index("z"), 8)
+
+        def coeff():
+            if field.characteristic:
+                return field.element(rng.randrange(1, field.order))
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            return Fraction(c, rng.choice([1, 2, 3])) if rng.randrange(3) == 0 else c
+
+        exponents = {(0, 0, 0)} if size == 0 else set()
+        while len(exponents) < size:
+            exponents.add((rng.randint(0, 3), rng.randint(0, 3), 0))
+        return kappainv.quasiord._pack({e: coeff() for e in exponents}, layout)
+
+    def test_matches_the_repeated_product(self):
+        rng = random.Random(3303)
+        checked, dropped = collections.Counter(), 0
+        for name, field in SWAN_FIELDS.items():
+            p = field.characteristic
+            for size in (0, 1, 2, 3, 4):
+                for _ in range(16):
+                    a = self.base(rng, field, size)
+                    n = rng.randint(1, 3 * p + 2 if p else 12)
+                    got = kappainv.quasiord._pow(a, n, field)
+                    want = repeated_pow(a, n, field)
+                    label = (name, a, n)
+                    assert list(got.items()) == list(want.items()), label
+                    assert [type(c) for c in got.values()] == [type(c) for c in want.values()], label
+                    if p == 0 and all(type(c) is int for c in a.values()):
+                        assert all(type(c) is int for c in got.values()), label
+                    dropped += len(a) == 2 and len(got) < n + 1
+                    checked[len(a)] += 1
+        assert min(checked[k] for k in (1, 2, 3, 4)) >= 100 and dropped > 20
+
+    def test_frobenius(self):
+        # over GF(q), q = p^k: (c1*x^k1 + c2*x^k2)^p = c1^p*x^(p*k1) + c2^p*x^(p*k2)
+        rng = random.Random(3304)
+        for field in [F for F in SWAN_FIELDS.values() if F.characteristic]:
+            p = field.characteristic
+            for _ in range(8):
+                a = self.base(rng, field, 2)
+                (k1, c1), (k2, c2) = a.items()
+                for n in (p, p * p):
+                    want = {n * k1: field.pow_(c1, n), n * k2: field.pow_(c2, n)}
+                    assert kappainv.quasiord._pow(a, n, field) == want == repeated_pow(a, n, field)
+
+
 class TestMonomialUnit:
     def test_yes(self, F2):
         g = mk("x1^2*x2^2", 2, F2)
@@ -822,7 +892,7 @@ class TestClassify:
         from kappainv import Poly, VarContext
         ctx = VarContext(2)
         a = mk("x1^3*x2^6", 2, QQ)
-        z = Poly.variable(ctx, QQ, "z")
+        z = variable(ctx, QQ, "z")
         f = z.mul(z).sub(a).pow_(4).sub(mk("x1^15*x2^30", 2, QQ))
         rep = classify(weierstrass_validate(f))
         assert rep.kappa.terminal is Terminal.INCONCLUSIVE
@@ -872,7 +942,7 @@ def translated_binomial(rng, field, d, n, high=None):
             shift = shift.add(Poly(ctx, field, {e + (0,): c}))
     A = tuple(rng.randint(1, 3 * n) for _ in range(d))
     tail = Poly(ctx, field, {A + (0,): field.from_int(rng.choice([-1, 1]))})
-    f = Poly.variable(ctx, field, "z").add(shift).pow_(n).sub(tail)
+    f = variable(ctx, field, "z").add(shift).pow_(n).sub(tail)
     if high is not None:
         f = f.add(Poly(ctx, field, {(high,) + (0,) * (d - 1) + (1,): field.one}))
     return weierstrass_validate(f)
