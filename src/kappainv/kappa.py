@@ -23,8 +23,6 @@ from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
                    normal_form, translate)
 from .polyhedron import ChainLattice, OrthantPolyhedron, StageProjection, polyhedron_leq
 
-_PREPARE_FUEL = 4096
-
 
 class Terminal(enum.Enum):
     INFINITY = "inf"
@@ -50,8 +48,14 @@ class KappaInvariant:
     vertices: tuple
     terminal: Terminal
     budget_used: int
-    multiplicities: tuple   # (n, e1, e2, ...)
-    inner_exponents: tuple  # (n1, n2, ...)
+    multiplicities: tuple  # (n, e1, e2, ...)
+
+    @property
+    def inner_exponents(self) -> tuple:
+        """(n1, n2, ...): n_i = e_(i-1) / e_i, the inner exponent of the stage
+        whose top degree is e_(i-1) (e_0 = n) and whose power is e_i."""
+        m = self.multiplicities
+        return tuple(a // b for a, b in zip(m, m[1:]))
 
     def as_string(self, d: int) -> str:
         parts = []
@@ -95,6 +99,9 @@ class OverweightPresentation:
 
 @dataclass
 class KappaConfig:
+    """truncation is the x-degree T at which terms are dropped; budget is the
+    most eliminations one stage's preparation may make, and its only bound."""
+
     truncation: int = 64
     budget: int = 256
 
@@ -218,27 +225,39 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
     solving term strictly shrinks the polyhedron, which is asserted.  Each
     translation is recorded on the relation that defines the main variable
     (none at the z stage), and its result is taken to normal form, so every
-    polynomial the stage reads is in normal form.  A prepared polyhedron
-    with one vertex comes with that vertex's binomialization, reused when
-    it was made on the returned polynomial.  Vertices stay on the stage's
-    int lattice throughout; only the returned polyhedron is unscaled to
-    Fractions.
+    polynomial the stage reads is in normal form.  Vertices stay on the
+    stage's int lattice throughout; only the returned polyhedron is unscaled
+    to Fractions.  Each round either returns or makes one elimination
+    counted against config.budget, so at most budget + 1 rounds run.
+
+    Each vertex is binomialized once: outcomes maps each vertex found not
+    solvable to its binomialization, which stays valid, as
+    binomialize_modulo reads only the terms at its vertex and an
+    elimination changes none at another vertex v.  A term w^m * s (w the
+    main variable, N its top exponent, W the chain's weight) sits at
+    W(s)/(N - m).  Solving v' by w -> w + c*t, W(t) = v', turns it into
+    w^(m-j) * s * t^j at (W(s) + j*v')/(N - m + j): its old point, v', or
+    strictly between them.  normal_form rewrites a head power into its
+    relation's tail, of equal weight, and heavier terms, so from the term's
+    point p into p + Q_{>=0}^d; the relation of w adds a w, moving p away
+    from its head level, which every point of the stage lies above.  No
+    vertex lies strictly between two points or strictly above one, and f
+    has no term at x-degree min(f.trunc, T) or more for either step to
+    drop, so v keeps its terms and stays a vertex.
     """
     T = config.truncation
     eliminations = 0
     diagnostics = []
-    processed = set()
-    decomposed = {}  # vertex -> (polynomial, outcome) of its last binomialization
+    outcomes = {}  # vertex -> its binomialization, for each vertex found not solvable
     defining = next((rel for rel in relations if rel.var == stage.main_var), None)
     P = stage.polyhedron(f)
-    for _ in range(_PREPARE_FUEL):
+    while True:
         for v in P.vertices:
-            if v in processed:
+            if v in outcomes:
                 continue
             outcome = binomialize_modulo(f, v, stage, relations)[0]
-            decomposed[v] = f, outcome
             if outcome is None or outcome.inner_exp > 1:
-                processed.add(v)
+                outcomes[v] = outcome
                 continue
             # solvable: translate by the solving term
             if eliminations >= config.budget:
@@ -259,15 +278,9 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
             eliminations += 1
             break
         else:
-            decomposition = None
-            if len(P.vertices) == 1:
-                v = P.vertices[0]
-                made_on, decomposition = decomposed[v]
-                if made_on is not f:  # f was translated since
-                    decomposition = binomialize_modulo(f, v, stage, relations)[0]
+            decomposition = outcomes[P.vertices[0]] if len(P.vertices) == 1 else None
             return PrepareResult(f, stage.unscale(P), PrepStatus.PREPARED, eliminations,
                                  diagnostics, decomposition)
-    raise EngineError("preparation did not stabilize within its fuel bound")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +303,6 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
     chain = ChainLattice(f.ctx.d)
     vertices = []
     mults = [wf.n]
-    inner = []
     main = "z"
     top_exp = wf.n
     budget_used = 0
@@ -337,7 +349,6 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
         if bp.inner_exp == 1:
             raise EngineError("solvable vertex survived preparation")
         vertices.append(v)
-        inner.append(bp.inner_exp)
         mults.append(bp.power)
         if mults[-1] >= mults[-2]:
             raise EngineError("stage multiplicities failed to descend strictly")
@@ -357,8 +368,7 @@ def compute_kappa(wf: WeierstrassPoly, config: KappaConfig = None) -> KappaResul
         main = newvar
         top_exp = bp.power
 
-    invariant = KappaInvariant(tuple(vertices), terminal, budget_used,
-                               tuple(mults), tuple(inner))
+    invariant = KappaInvariant(tuple(vertices), terminal, budget_used, tuple(mults))
     presentation = None
     if terminal is Terminal.INFINITY:
         presentation = OverweightPresentation(tuple(relations), f, final_head, chain, f.ctx, ring)

@@ -265,20 +265,6 @@ class Poly:
                         out[e] = s
         return Poly._of(ctx, self.ring, out, eff if dropped else tr)
 
-    def pow_(self, n: int, T=None) -> "Poly":
-        if n < 0:
-            raise ValidationError("a polynomial power must be >= 0")
-        if n == 0:
-            return Poly.one(self.ctx, self.ring)
-        out = self.truncate(T)
-        zero = (0,) * self.ctx.nvars
-        if len(out.terms) == 1 and zero in out.terms:  # a constant: no products
-            return Poly._of(self.ctx, self.ring, {zero: self.ring.pow_(out.terms[zero], n)},
-                            out.trunc)
-        for _ in range(n - 1):
-            out = out.mul(self, T)
-        return out
-
     def truncate(self, T) -> "Poly":
         if T is None:
             return self
@@ -507,10 +493,7 @@ def power_substitute(f: Poly, name: str, k: int, replacement: Poly, T=None) -> P
         # the result starts from the first group under f's certificate, so a
         # power taken as it is drops its terms at or above f.trunc
         tr = _min_trunc(f.trunc, part.trunc)
-        eff, d = _min_trunc(tr, T), ctx.d
-        kept = part.terms if eff is None else {
-            e: c for e, c in part.terms.items() if sum(e[:d]) < eff}
-        result = Poly._of(ctx, f.ring, kept, eff if len(kept) < len(part.terms) else tr)
+        result = Poly._of(ctx, f.ring, part.terms, tr).truncate(_min_trunc(tr, T))
     return Poly.zero(ctx, f.ring, f.trunc) if result is None else result
 
 

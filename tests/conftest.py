@@ -6,8 +6,8 @@ import pytest
 
 import kappainv.quasiord as quasiord
 from kappainv import (ZZ, BinomialPower, ContractViolation, Field, Poly, Relation,
-                      UnsupportedLiftError, VarContext, lift_coeff, parse_polynomial,
-                      weierstrass_validate)
+                      UnsupportedLiftError, ValidationError, VarContext, lift_coeff,
+                      parse_polynomial, weierstrass_validate)
 from kappainv.poly import format_signed_terms
 from kappainv.polyhedron import ChainLattice, StageProjection
 from kappainv.ring import is_prime
@@ -56,6 +56,22 @@ def variable(ctx, ring, name):
 def monomial(ctx, ring, expo, coeff=None):
     """coeff * x^expo, coeff 1 by default."""
     return Poly(ctx, ring, {tuple(expo): ring.one if coeff is None else coeff})
+
+
+def poly_pow(f, n, T=None):
+    """f^n truncated at T, by n - 1 products; a constant's power is its
+    coefficient's, with no products."""
+    if n < 0:
+        raise ValidationError("a polynomial power must be >= 0")
+    if n == 0:
+        return Poly.one(f.ctx, f.ring)
+    out = f.truncate(T)
+    zero = (0,) * f.ctx.nvars
+    if len(out.terms) == 1 and zero in out.terms:
+        return Poly._of(f.ctx, f.ring, {zero: f.ring.pow_(out.terms[zero], n)}, out.trunc)
+    for _ in range(n - 1):
+        out = out.mul(f, T)
+    return out
 
 
 def z_stage(f, n):

@@ -43,7 +43,8 @@ from kappainv import (QQ, BinomialPower, Field, KappaConfig, Poly, Terminal, Var
                       is_monomial_times_unit, substitute, weierstrass_validate)
 from kappainv.poly import derivative
 from kappainv.quasiord import MonomialUnitStatus, _z_coefficients
-from conftest import leading_reduce, mk, search_binomialize, variable, watch_key_bound
+from conftest import (leading_reduce, mk, poly_pow, search_binomialize, variable,
+                      watch_key_bound)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -403,14 +404,18 @@ _prime_rng = random.Random(SEED)
 MOD_P = [(b, _prime_rng.choice(tame_primes(b))) for b in BRANCHES]
 
 
+def mod_p(branch: Branch, p: int):
+    """The Weierstrass polynomial of the branch reduced over GF(p)."""
+    field, f = Field.finite(p), branch.polynomial()
+    return weierstrass_validate(
+        Poly(f.ctx, field, {e: field.from_int(int(c)) for e, c in f.terms.items()}))
+
+
 @functools.cache
 def reduced_mod_p(index: int):
     """(p, the Weierstrass reduction of MOD_P[index] over GF(p), its kappa result)."""
     branch, p = MOD_P[index]
-    field = Field.finite(p)
-    f = branch.polynomial()
-    wf = weierstrass_validate(
-        Poly(f.ctx, field, {e: field.from_int(int(c)) for e, c in f.terms.items()}))
+    wf = mod_p(branch, p)
     return p, wf, compute_kappa(wf)
 
 
@@ -609,7 +614,7 @@ def test_kappa_predicts_the_benchmark_discriminants(seed):
 def resultant_z(f, Y, n):
     """Res_z(f, Y) for monic f of z-degree n; Y^n when Y is free of z."""
     if not Y.uses_var("z"):
-        return Y.pow_(n)
+        return poly_pow(Y, n)
     return quasiord.determinant(_z_coefficients(f), _z_coefficients(Y))
 
 
@@ -649,11 +654,8 @@ def test_resultants_give_each_chain_variable_its_weight(monkeypatch):
     for branch in BRANCHES:
         if branch.d != 1:
             continue
-        f = branch.polynomial()
         for p in (2, 3, 5, 7):
-            field = Field.finite(p)
-            res = compute_kappa(weierstrass_validate(
-                Poly(f.ctx, field, {e: field.from_int(int(c)) for e, c in f.terms.items()})))
+            res = compute_kappa(mod_p(branch, p))
             if res.invariant.terminal is Terminal.INFINITY:
                 assert check_chain_valuations(res), branch.name
                 reductions += 1
@@ -677,19 +679,82 @@ def test_resultants_give_each_chain_variable_its_weight(monkeypatch):
     assert (checked.count(True), checked.count(False)) == (542, 2)
 
 
+def branch_101_mod_2():
+    """Sweep branch 101 reduced mod 2, whose u1 stage makes about T/2 eliminations."""
+    wf = mod_p(BRANCHES[101], 2)
+    assert wf.poly == mk("z^4 + x2^2 + x1^4*x2^2 + x1^4*x2^3", 2, Field.finite(2))
+    return wf
+
+
 @pytest.mark.parametrize("T", [32, 64])
 def test_a_truncated_presentation_misses_a_valuation(T):
     # branch 101 reduced mod 2: the input is exact, but the final equation
     # holds a certificate at T, and Res_z(f, U_1) holds x1^(2T-4)*x2^6, a
     # term the truncation left, beside x1^12*x2^7 = x^(n * w(u1))
-    f = BRANCHES[101].polynomial()
-    F2 = Field.finite(2)
-    wf = weierstrass_validate(Poly(f.ctx, F2, {e: F2.from_int(int(c)) for e, c in f.terms.items()}))
-    assert wf.poly == mk("z^4 + x2^2 + x1^4*x2^2 + x1^4*x2^3", 2, F2)
-    res = compute_kappa(wf, KappaConfig(truncation=T))
+    res = compute_kappa(branch_101_mod_2(), KappaConfig(truncation=T))
     assert res.presentation.final.trunc == T and res.disc_input.poly.trunc is None
     (_, _, _), (y, want, R) = chain_resultants(res)
     ctx = res.presentation.ctx
     assert (y, want) == ("u1", (12, 7))
     stray, expected = ctx.pad((2 * T - 4, 6)), ctx.pad((12, 7))
     assert stray in R.terms and expected in R.terms
+
+
+def test_the_budget_alone_ends_preparation():
+    # branch 101 mod 2 at T = 64: its u1 stage needs 30 eliminations, so
+    # every smaller budget ends there, having used all of itself, and any
+    # larger one finds the second vertex
+    wf = branch_101_mod_2()
+    for budget in range(1, 30):
+        res = compute_kappa(wf, KappaConfig(truncation=64, budget=budget))
+        assert res.invariant.as_string(2) == "((0, 1/2), inconclusive)"
+        assert res.invariant.budget_used == budget
+        assert res.diagnostics == [f"elimination budget ({budget}) exhausted"]
+    for budget in (30, 256):
+        res = compute_kappa(wf, KappaConfig(truncation=64, budget=budget))
+        assert res.invariant.as_string(2) == "((0, 1/2), (3, 7/4), inf)"
+        assert res.invariant.budget_used == 30
+
+
+def test_prepared_vertices_match_a_fresh_binomialization(monkeypatch):
+    # preparation binomializes each vertex once and keeps the outcome through
+    # later eliminations; on every prepared result, each vertex binomialized
+    # afresh on the returned polynomial is not solvable, and the sole
+    # vertex's outcome is the returned decomposition, also where it was made
+    # on a polynomial that an elimination has replaced since: on the sweep
+    # over Q, its d = 1 branches reduced mod 2, 3, 5 and 7, and the seed-7
+    # classify and deform cases of the benchmark
+    prepare, binomialize = kappa_mod.prepare_polyhedron, kappa_mod.binomialize_modulo
+    made_on = {}  # (stage, vertex) -> the polynomial its last binomialization read
+    counts = {"vertices": 0, "sole": 0, "kept": 0}
+
+    def recording(f, vertex, stage, relations):
+        made_on[stage, vertex] = f
+        return binomialize(f, vertex, stage, relations)
+
+    def checking(f, stage, relations, config):
+        res = prepare(f, stage, relations, config)
+        if res.status is kappa_mod.PrepStatus.PREPARED:
+            vertices = stage.polyhedron(res.poly).vertices
+            for v in vertices:
+                fresh = binomialize(res.poly, v, stage, relations)[0]
+                assert fresh is None or fresh.inner_exp > 1
+                counts["vertices"] += 1
+            if len(vertices) == 1:
+                assert fresh == res.decomposition
+                counts["sole"] += 1
+                counts["kept"] += made_on[stage, vertices[0]] is not res.poly
+        return res
+
+    monkeypatch.setattr(kappa_mod, "binomialize_modulo", recording)
+    monkeypatch.setattr(kappa_mod, "prepare_polyhedron", checking)
+    for branch in BRANCHES:
+        compute_kappa(weierstrass_validate(branch.polynomial()))
+        for p in (2, 3, 5, 7) if branch.d == 1 else ():
+            compute_kappa(mod_p(branch, p))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in sorted(workloads.WORKLOADS):
+            for case in workloads.build(name, 7):
+                if case.argv[0] in ("classify", "deform"):
+                    cli.main(list(case.argv))
+    assert counts == {"vertices": 1034, "sole": 994, "kept": 5}

@@ -17,7 +17,7 @@ from kappainv.kappa import PrepStatus
 from conftest import (apply_rewrite, binomial_power_decompose, divisors_desc, expand, initial_form,
                       leading_reduce, mk, mkw, on_lattice, rand_poly, read_shape, sample_relations,
                       search_binomialize, stage_initial, stage_of, z_stage)
-from test_branches import lattice_orders
+from test_branches import BRANCHES, lattice_orders
 
 
 def F(a, b=1):
@@ -669,30 +669,36 @@ class TestLevelCancels:
         assert calls and all(calls), calls
 
 
-class TestOneBinomializationPerPair:
-    """Each (polynomial, vertex) pair is binomialized once: the stage reuses preparation's."""
+class TestOneBinomializationPerVertex:
+    """Each vertex is binomialized once in its stage: preparation keeps each
+    outcome through later eliminations, and the stage reuses it."""
 
     @pytest.mark.parametrize("text, d, field, kappa", [
         # the later stages read their powers in the graded ring
-        ("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, "F2",
-         "((3/2, 3), (15/4, 15/2), (63/8, 63/4), inf)"),
-        ("z^2 + x1^3", 1, "F2", "(3/2, inf)"),
-        ("z^12 - 5*x1^7*x2^11", 2, "QQ", "((7/12, 11/12), inf)"),
+        pytest.param("z^8 + x1^12*x2^24 + x1^15*x2^30", 2, "F2",
+                     "((3/2, 3), (15/4, 15/2), (63/8, 63/4), inf)", id="F2 three stages"),
+        pytest.param("z^2 + x1^3", 1, "F2", "(3/2, inf)", id="F2 cusp"),
+        pytest.param("z^12 - 5*x1^7*x2^11", 2, "QQ", "((7/12, 11/12), inf)", id="QQ one stage"),
+        # sweep branch 029: its z stage binomializes the sole vertex before
+        # the eliminations that follow
+        pytest.param(BRANCHES[29].polynomial().format(), 2, "QQ",
+                     "((1/3, 2/3), (2, 5/2), inf)", id="branch 029"),
     ])
     def test_no_pair_twice(self, request, monkeypatch, text, d, field, kappa):
         calls = []
         real = kappainv.kappa.binomialize_modulo
 
-        def recording(f, vertex, *rest):
-            calls.append((f, tuple(vertex)))
-            return real(f, vertex, *rest)
+        def recording(f, vertex, stage, relations):
+            calls.append((f, stage, tuple(vertex)))
+            return real(f, vertex, stage, relations)
 
         monkeypatch.setattr(kappainv.kappa, "binomialize_modulo", recording)
         res = compute_kappa(mkw(text, d, request.getfixturevalue(field)))
         assert res.invariant.as_string(d) == kappa
         assert res.invariant.terminal is Terminal.INFINITY
-        for i, (f, v) in enumerate(calls):
-            assert not any(g is f and w == v for g, w in calls[:i])
+        for i, (f, stage, v) in enumerate(calls):
+            assert not any(g is f and w == v for g, _, w in calls[:i])
+            assert not any(s is stage and w == v for _, s, w in calls[:i])
 
 
 class TestPrepare:

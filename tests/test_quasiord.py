@@ -16,7 +16,7 @@ from kappainv import (ZZ, ContractViolation, Field, KappaConfig, Poly, Terminal,
 from kappainv import cli
 from kappainv.poly import derivative, exact_div
 from kappainv.quasiord import MonomialUnitStatus, _div, _z_coefficients
-from conftest import (guard_bits, mk, mkw, monomial, pack, repeated_pow, variable,
+from conftest import (guard_bits, mk, mkw, monomial, pack, poly_pow, repeated_pow, variable,
                       watch_key_bound)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -80,7 +80,7 @@ def kernel_resultant(f):
 
 def binomial_resultant(n, a):
     """Res_z(z^n + a, n*z^(n-1)) = n^n * a^(n-1), for a free of z."""
-    return a.pow_(n - 1).mul(Poly.constant(a.ctx, a.ring, a.ring.from_int(n ** n)))
+    return poly_pow(a, n - 1).mul(Poly.constant(a.ctx, a.ring, a.ring.from_int(n ** n)))
 
 
 def trinomial_resultant(n, b, a):
@@ -92,9 +92,9 @@ def trinomial_resultant(n, b, a):
     a^(n-2) * ((-1)^(n-1) * (n-1)^(n-1) * b^n + n^n * a).
     """
     ctx, ring = a.ctx, a.ring
-    inner = b.pow_(n).mul(
+    inner = poly_pow(b, n).mul(
         Poly.constant(ctx, ring, ring.from_int((-1) ** (n - 1) * (n - 1) ** (n - 1))))
-    return a.pow_(n - 2).mul(inner.add(a.mul(Poly.constant(ctx, ring, ring.from_int(n ** n)))))
+    return poly_pow(a, n - 2).mul(inner.add(a.mul(Poly.constant(ctx, ring, ring.from_int(n ** n)))))
 
 
 def det_by_minors(rows):
@@ -485,14 +485,14 @@ def oracle_prem(A: list, B: list) -> list:
         while R and R[0].is_zero():
             R = R[1:]
     if steps > 0 and not unit:
-        scale = lead.pow_(steps)
+        scale = poly_pow(lead, steps)
         R = [r if r.is_zero() else scale.mul(r) for r in R]
     return R
 
 
 def oracle_determinant(fc: list, gc: list) -> Poly:
     """det Syl(f, g) by the subresultant sequence on Poly coefficients, with
-    Poly.mul, Poly.pow_ and exact_div: the runtime path before packing."""
+    Poly.mul, poly_pow and exact_div: the runtime path before packing."""
     A, B = fc, gc
     g = h = None
     sign = 1
@@ -504,16 +504,18 @@ def oracle_determinant(fc: list, gc: list) -> Poly:
         if not R:
             return Poly.zero(fc[0].ctx, fc[0].ring)
         if g is not None:
-            divisor = g.mul(h.pow_(delta))
+            divisor = g.mul(poly_pow(h, delta))
             R = [r if r.is_zero() else exact_div(r, divisor) for r in R]
         A, B = B, R
         g = A[0]
         if delta == 1:
             h = g
         elif len(A) > 2 or len(B) > 1:
-            h = g.pow_(delta) if h is None else exact_div(g.pow_(delta), h.pow_(delta - 1))
+            gd = poly_pow(g, delta)
+            h = gd if h is None else exact_div(gd, poly_pow(h, delta - 1))
     k = len(A) - 1
-    res = B[0].pow_(k) if h is None or k == 1 else exact_div(B[0].pow_(k), h.pow_(k - 1))
+    bk = poly_pow(B[0], k)
+    res = bk if h is None or k == 1 else exact_div(bk, poly_pow(h, k - 1))
     return res if sign > 0 else res.neg()
 
 
@@ -893,7 +895,7 @@ class TestClassify:
         ctx = VarContext(2)
         a = mk("x1^3*x2^6", 2, QQ)
         z = variable(ctx, QQ, "z")
-        f = z.mul(z).sub(a).pow_(4).sub(mk("x1^15*x2^30", 2, QQ))
+        f = poly_pow(z.mul(z).sub(a), 4).sub(mk("x1^15*x2^30", 2, QQ))
         rep = classify(weierstrass_validate(f))
         assert rep.kappa.terminal is Terminal.INCONCLUSIVE
         assert rep.kappa.vertices == ((Fraction(3, 2), Fraction(3)),)
@@ -942,7 +944,7 @@ def translated_binomial(rng, field, d, n, high=None):
             shift = shift.add(Poly(ctx, field, {e + (0,): c}))
     A = tuple(rng.randint(1, 3 * n) for _ in range(d))
     tail = Poly(ctx, field, {A + (0,): field.from_int(rng.choice([-1, 1]))})
-    f = variable(ctx, field, "z").add(shift).pow_(n).sub(tail)
+    f = poly_pow(variable(ctx, field, "z").add(shift), n).sub(tail)
     if high is not None:
         f = f.add(Poly(ctx, field, {(high,) + (0,) * (d - 1) + (1,): field.one}))
     return weierstrass_validate(f)
