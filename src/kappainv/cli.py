@@ -23,7 +23,8 @@ from .deform import (default_tropical_weight, ghost_monomials,
                      initial_forms_weighted, lift_presentation)
 from .errors import ConfigurationError, KappaInvError
 from .kappa import KappaConfig, Terminal, compute_kappa
-from .poly import Poly, VarContext, format_monomial, parse_polynomial, weierstrass_validate
+from .poly import (Poly, VarContext, format_monomial, format_signed_terms, parse_polynomial,
+                   weierstrass_validate)
 from .polyhedron import check_dimension, projected_polyhedron
 from .quasiord import classify, discriminant_z
 from .ring import Field
@@ -199,10 +200,11 @@ def _diagnostics_entries(diagnostics) -> list:
 
 
 def _normalized_generator_str(poly: Poly) -> str:
-    items = poly.sorted_terms()
-    if items and poly.ring.is_negative(items[0][1]):
-        poly = poly.neg()
-    return poly.format()
+    """poly as Poly.format prints it, negated when its leading term is negative."""
+    ring, pieces = poly.ring, [(c, e) for e, c in poly.sorted_terms()]
+    if pieces and ring.is_negative(pieces[0][0]):
+        pieces = [(ring.neg(c), e) for c, e in pieces]
+    return format_signed_terms(pieces, poly.ctx, ring) if pieces else "0"
 
 
 def _classification_report(result, d: int, truncation: int, text: bool) -> list:

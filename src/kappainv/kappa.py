@@ -17,11 +17,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
                    normal_form, translate)
-from .polyhedron import ChainLattice, OrthantPolyhedron, StageProjection, polyhedron_leq
+from .polyhedron import (ChainLattice, OrthantPolyhedron, StageProjection, member,
+                         polyhedron_leq)
 
 
 class Terminal(enum.Enum):
@@ -157,14 +159,16 @@ def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations):
     The tail t is the standard monomial of weight inner * vertex, and those
     binomials reduce t^j, top down, to kappa_j * s_j.  So the initial form
     is (w^inner - c*t)^p there exactly when it holds C(p, j) * (-c)^j *
-    kappa_j at w^(inner*(p-j)) * s_j for j = 0..p, and no other term.  c
-    runs over the solutions of c^p * kappa_p = (-1)^p times the w-free
-    coefficient in the coefficient field: over Q and finite fields an
-    extension never adds one that fits, since the least j0 > 0 with C(p,
-    j0) nonzero in the field puts (-c)^j0 in the field, and these fields
-    are perfect.  Each coefficient is read in place, and the count of
-    nonzero ones checked against the terms at the vertex, so no initial
-    form or expansion is built.  A non-monic f raises.
+    kappa_j at w^(inner*(p-j)) * s_j for j = 0..p, and no other term.  The
+    coefficient at j0, the least j > 0 with C(p, j) nonzero in the field (1
+    in characteristic 0 or when the characteristic q does not divide p,
+    else q^(v_q(p)) by Lucas' theorem), fixes (-c)^j0 and so the one
+    candidate c: its j0-th root is unique, since Frobenius is a bijection
+    on a finite field.  No extension of Q or a finite field adds another c
+    that fits, as (-c)^j0 lies in the field and these fields are perfect.
+    Each coefficient is read in place, and the count of nonzero ones
+    checked against the terms at the vertex, so no initial form or
+    expansion is built.  A non-monic f raises.
     """
     vertex, ring = tuple(vertex), f.ring
     power = stage.power(vertex)
@@ -192,23 +196,25 @@ def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations):
                 s = [a + b for a, b in zip(s, tail)]
                 kappa = ring.mul(kappa, c_k)
         expected.append((tuple(s[:w]) + (inner * (power - j),) + tuple(s[w + 1:]), kappa))
-    free, kappa_p = expected[-1]
-    gamma = at.get(free)
-    if gamma is None:
+    # the least j0 > 0 with C(power, j0) nonzero in the field: 1, or p^(v_p(power))
+    j0, char = 1, ring.characteristic
+    while char and power % (j0 * char) == 0:
+        j0 *= char
+    e0, kappa0 = expected[j0 - 1]
+    a0 = at.get(e0)
+    if a0 is None:
         return None, f
-    gamma = ring.div(gamma if power % 2 == 0 else ring.neg(gamma), kappa_p)
     zero, mul, from_int, is_zero = ring.zero, ring.mul, ring.from_int, ring.is_zero
-    for c in ring.all_nth_roots(gamma, power):
-        m, mj, binom, nonzero = ring.neg(c), ring.one, 1, 0
-        for j, (e, kappa_j) in enumerate(expected, 1):
-            binom, mj = binom * (power - j + 1) // j, mul(mj, m)
-            want = mul(from_int(binom), mul(mj, kappa_j))
-            if at.get(e, zero) != want:
-                break
-            nonzero += not is_zero(want)
-        else:
-            if nonzero == len(at):
-                return BinomialPower(stage.main_var, inner, power, c, t), f
+    m, = ring.all_nth_roots(ring.div(a0, mul(from_int(comb(power, j0)), kappa0)), j0)
+    c, mj, binom, nonzero = ring.neg(m), ring.one, 1, 0
+    for j, (e, kappa_j) in enumerate(expected, 1):
+        binom, mj = binom * (power - j + 1) // j, mul(mj, m)
+        want = mul(from_int(binom), mul(mj, kappa_j))
+        if at.get(e, zero) != want:
+            return None, f
+        nonzero += not is_zero(want)
+    if nonzero == len(at):
+        return BinomialPower(stage.main_var, inner, power, c, t), f
     return None, f
 
 
@@ -222,7 +228,9 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
 
     A vertex is solvable when its initial form is, in the graded ring, a
     power of a binomial linear in the main variable; the translation by the
-    solving term strictly shrinks the polyhedron, which is asserted.  Each
+    solving term strictly shrinks the polyhedron, which is asserted by two
+    tests: the new polyhedron lies in the old one, and the solved vertex,
+    which the old one holds, is not in the new one.  Each
     translation is recorded on the relation that defines the main variable
     (none at the z stage), and its result is taken to normal form, so every
     polynomial the stage reads is in normal form.  Vertices stay on the
@@ -273,7 +281,7 @@ def prepare_polyhedron(f: Poly, stage: StageProjection, relations,
                 defining.corrections.append((outcome.coeff, tuple(outcome.tail_expo)))
             f = normal_form(f, relations, T)
             P = stage.polyhedron(f)
-            if not polyhedron_leq(P, before) or polyhedron_leq(before, P):
+            if not polyhedron_leq(P, before) or member(v, P.vertices):
                 raise EngineError("vertex elimination failed to strictly shrink the polyhedron")
             eliminations += 1
             break

@@ -502,10 +502,12 @@ def translate(f: Poly, name: str, coeff, expo, T=None) -> Poly:
 
     The binomial theorem expands each term into one dict: a term c * w^k * r
     gives C(k, j) * coeff^j * c * w^(k - j) * r * m^j for j = 0..k, and
-    terms of x-degree at least min(f.trunc, T) are never formed.  The result
-    and its certificate are those of substitute(f, w, w + coeff * m, T) for
-    a nonzero coeff: the certificate tightens to min(f.trunc, T) exactly
-    when some term has x-degree plus k times that of m at least that bound.
+    terms of x-degree at least min(f.trunc, T) are never formed.  The j = 0
+    image is the term itself, so only terms holding w get a binomial row.
+    The result and its certificate are those of substitute(f, w, w + coeff
+    * m, T) for a nonzero coeff: the certificate tightens to min(f.trunc,
+    T) exactly when some term has x-degree plus k times that of m at least
+    that bound.
     """
     ctx, ring = f.ctx, f.ring
     idx, d = ctx.var_index(name), ctx.d
@@ -516,30 +518,35 @@ def translate(f: Poly, name: str, coeff, expo, T=None) -> Poly:
     a = sum(shift[:d])
     bound = _min_trunc(f.trunc, T)
     rmul, radd, is_zero, add = ring.mul, ring.add, ring.is_zero, operator.add
-    rows = {}  # k -> [C(k, j) * coeff^j for j = 0..k]
-    out = {}
+    out = {}  # the j = 0 images, the terms kept, go in first: they are distinct
+    shifted = []  # (e, c, k, the last j whose term has x-degree x + j*a below the bound)
     dropped = False
     for e, c in f.terms.items():
         k, x = e[idx], sum(e[:d])
-        jmax = k  # the last j whose term has x-degree x + j*a below the bound
+        jmax = k
         if bound is not None and x + k * a >= bound:
             dropped = True
-            jmax = -1 if x >= bound else k if a == 0 else min(k, (bound - 1 - x) // a)
+            if x >= bound:
+                continue
+            jmax = min(k, (bound - 1 - x) // a)  # a > 0 here
+        out[e] = c
+        if jmax:
+            shifted.append((e, c, k, jmax))
+    rows = {}  # k -> [C(k, j) * coeff^j for j = 1..k]
+    for e, c, k, jmax in shifted:
         row = rows.get(k)
         if row is None:
             row, binom, power = [], 1, ring.one
-            for j in range(k + 1):
+            for j in range(1, k + 1):
+                binom, power = binom * (k - j + 1) // j, rmul(power, coeff)
                 row.append(rmul(ring.from_int(binom), power))
-                binom, power = binom * (k - j) // (j + 1), rmul(power, coeff)
             rows[k] = row
         ej = e
-        for j in range(jmax + 1):
-            if j:
-                ej = tuple(map(add, ej, step))
-            cj = row[j]
+        for cj in row[:jmax]:
+            ej = tuple(map(add, ej, step))
             if is_zero(cj):
                 continue
-            t = rmul(c, cj) if j else c
+            t = rmul(c, cj)
             s = out.get(ej)
             if s is None:
                 out[ej] = t  # over a domain, nonzero

@@ -25,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 from .errors import ConfigurationError, ContractViolation
 from .poly import Poly, WeierstrassPoly
@@ -59,7 +60,7 @@ def member(p, points) -> bool:
     for s in points:
         if len(s) != d:
             raise ContractViolation("dimension mismatch in membership test")
-    if any(all(a <= b for a, b in zip(s, p)) for s in points):
+    if any(all(map(le, s, p)) for s in points):
         return True
     if any(p[r] < min(s[r] for s in points) for r in range(d)):
         return False
@@ -152,19 +153,24 @@ def hull_vertices(points, d: int) -> OrthantPolyhedron:
     minima only, since a point that weakly dominates a distinct (lex-smaller)
     point is no vertex (Kung, Luccio and Preparata, JACM 1975).  The
     lexicographic minimum under each cyclic order of the coordinates is a
-    vertex with no test.  Every other point is tested first against each
-    segment between two certified vertices, in closed form; then, when
-    there are three or more, against the hull of all of them; and only then
-    against all the other points.  Coordinates are kept as given, so int
-    points give int vertices and membership among them needs no scaling.
+    vertex with no test, so at most two Pareto minima are returned as they
+    are: two incomparable points are each the least under a cyclic order
+    that starts at a coordinate where it is the smaller.  Every other point
+    is tested first against each segment between two certified vertices, in
+    closed form; then, when there are three or more, against the hull of
+    all of them; and only then against all the other points.  Coordinates
+    are kept as given, so int points give int vertices and membership among
+    them needs no scaling.
     """
     check_dimension(d)
     kept = []
     for q in sorted({tuple(pt) for pt in points}):
         if len(q) != d:
             raise ContractViolation(f"dimension mismatch: {q} has not {d} coordinates")
-        if not any(all(a <= b for a, b in zip(s, q)) for s in kept):
+        if not any(all(map(le, s, q)) for s in kept):
             kept.append(q)
+    if len(kept) <= 2:
+        return OrthantPolyhedron(d, tuple(kept))
     certified = _lex_minima(kept, d)
     i = 0
     while i < len(kept):

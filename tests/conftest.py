@@ -159,6 +159,53 @@ def initial_form(f, vertex, main_var, top_exp, weights):
     return stage_initial(stage, f, v)
 
 
+def binomialize_by_roots(f, vertex, stage, relations):
+    """The binomial power f's initial form at the int vertex is modulo the
+    relations, or None: binomialize_modulo as it was before one coefficient
+    fixed the candidate.  Every solution c of c^p * kappa_p = (-1)^p times
+    the w-free coefficient is tried in turn, each against all p + 1
+    coefficients and the count of terms at the vertex."""
+    vertex, ring = tuple(vertex), f.ring
+    power = stage.power(vertex)
+    if power is None:
+        return None
+    if f.terms.get(stage.top) != ring.one:
+        raise ContractViolation("initial form is not monic in the main variable")
+    inner = stage.top_exp // power
+    t = stage.standard_monomial(tuple(inner * c for c in vertex))
+    at = stage.terms_by_point(f)[0].get(vertex)
+    if t is None or at is None:
+        return None
+    ctx, w = f.ctx, stage.midx
+    expected, s, kappa = [], [0] * len(t), ring.one
+    for j in range(1, power + 1):
+        s = [a + b for a, b in zip(s, t)]
+        for rel in reversed(list(relations)):
+            i, tail = ctx.var_index(rel.head_var), ctx.pad(rel.tail_expo)
+            while s[i] >= rel.head_exp:
+                s[i] -= rel.head_exp
+                s = [a + b for a, b in zip(s, tail)]
+                kappa = ring.mul(kappa, rel.tail_coeff)
+        expected.append((tuple(s[:w]) + (inner * (power - j),) + tuple(s[w + 1:]), kappa))
+    free, kappa_p = expected[-1]
+    gamma = at.get(free)
+    if gamma is None:
+        return None
+    gamma = ring.div(gamma if power % 2 == 0 else ring.neg(gamma), kappa_p)
+    for c in ring.all_nth_roots(gamma, power):
+        m, mj, binom, nonzero = ring.neg(c), ring.one, 1, 0
+        for j, (e, kappa_j) in enumerate(expected, 1):
+            binom, mj = binom * (power - j + 1) // j, ring.mul(mj, m)
+            want = ring.mul(ring.from_int(binom), ring.mul(mj, kappa_j))
+            if at.get(e, ring.zero) != want:
+                break
+            nonzero += not ring.is_zero(want)
+        else:
+            if nonzero == len(at):
+                return BinomialPower(stage.main_var, inner, power, c, t)
+    return None
+
+
 def divisors_desc(n):
     """The divisors of n, largest first: the powers the oracles below walk."""
     return [e for e in range(n, 0, -1) if n % e == 0]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kappainv import (BinomialPower, ConfigurationError, ContractViolation,
+from kappainv import (BinomialPower, ConfigurationError, ContractViolation, EngineError,
                       Field, KappaConfig, Poly, Relation, Terminal, VarContext, back_substitute,
                       binomialize_modulo, compute_kappa, normal_form, parse_polynomial,
                       prepare_polyhedron, substitute, verify_overweight)
@@ -14,9 +14,10 @@ import kappainv.kappa
 import kappainv.poly
 from kappainv.polyhedron import StageProjection
 from kappainv.kappa import PrepStatus
-from conftest import (apply_rewrite, binomial_power_decompose, divisors_desc, expand, initial_form,
-                      leading_reduce, mk, mkw, on_lattice, rand_poly, read_shape, sample_relations,
-                      search_binomialize, stage_initial, stage_of, z_stage)
+from conftest import (apply_rewrite, binomial_power_decompose, binomialize_by_roots, divisors_desc,
+                      expand, graded_expand, initial_form, leading_reduce, mk, mkw, on_lattice,
+                      rand_poly, read_shape, sample_relations, search_binomialize, stage_initial,
+                      stage_of, z_stage)
 from test_branches import BRANCHES, lattice_orders
 
 
@@ -365,6 +366,94 @@ class TestBinomializeModulo:
         assert rewritten >= 50
 
 
+class TestOneCandidate:
+    """binomialize_modulo takes its one candidate c from the coefficient at
+    j0, the least j > 0 with C(p, j) nonzero in the field, by one root of
+    degree j0; the oracle tries every root of the w-free coefficient.
+
+    Seeded inputs at powers divisible by the characteristic, with heavier
+    terms beside the vertex: (w^inner - c*t)^p in the graded ring, and the
+    same with one coefficient perturbed (a zero one made nonzero too) or
+    missing, at the z stage with no relation and at the u1 stage of the
+    relation u1 = z^2 - k*x1^3, where t^j reduces to kappa_j * s_j; there,
+    also with t^2 unreduced beside its slot, a term off the form.
+    """
+
+    FIELDS = [(Field.rationals(), (2, 4, 6)), (Field.finite(2), (4,)),
+              (Field.finite(3), (6, 9)), (Field.finite(5), (5, 10)),
+              (Field.finite(2, 2, (1, 1, 1)), (2, 4)), (Field.finite(3, 2, (1, 0, 1)), (3, 6))]
+
+    @staticmethod
+    def nonzero(rng, field):
+        if field.characteristic == 0:
+            return F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+        return field.element(rng.randrange(1, field.order))
+
+    def stages(self, rng, field, inner, power):
+        """(stage, relations, int vertex, tail t) at the z stage and the u1 stage."""
+        n = inner * power
+        ctx = VarContext(2, ("z",))
+        a = (2 * rng.randrange(3) + 1, rng.randrange(4))  # odd: order inner at a / inner
+        stage = stage_of(ctx, "z", n, {})
+        yield stage, [], on_lattice(stage, tuple(F(c, inner) for c in a)), a + (0,)
+        ctx = VarContext(1, ("z", "u1"))
+        rel = Relation(var="u1", head_var="z", head_exp=2, tail_coeff=self.nonzero(rng, field),
+                       tail_expo=(3, 0), ctx=ctx, ring=field)
+        stage = stage_of(ctx, "u1", n, {"z": (F(3, 2),)})
+        a = rng.randrange(4)  # t = x1^a * z weighs a + 3/2
+        yield stage, [rel], on_lattice(stage, (F(2 * a + 3, 2 * inner),)), (a, 1, 0)
+
+    def test_matches_the_root_enumeration(self, monkeypatch):
+        rng = random.Random(3535)
+        degrees = []
+        real_roots = Field.all_nth_roots
+        monkeypatch.setattr(Field, "all_nth_roots",
+                            lambda field, a, n: degrees.append(n) or real_roots(field, a, n))
+        seen, cases = set(), 0
+        for field, powers in self.FIELDS:
+            q = field.characteristic
+            for power, inner in itertools.product(powers, (1, 2)):
+                j0 = 1
+                while q and power % (j0 * q) == 0:
+                    j0 *= q
+                for stage, rels, v, t in self.stages(rng, field, inner, power):
+                    ctx, main = stage.ctx, stage.main_var
+                    bp = BinomialPower(main, inner, power, self.nonzero(rng, field), t)
+                    base = dict(graded_expand(bp, ctx, field, rels).terms)
+                    for e in rng.sample(sorted(base), 2):  # heavier: one more x1
+                        base[(e[0] + 1,) + e[1:]] = self.nonzero(rng, field)
+                    slots = [leading_reduce(tuple(j * c for c in t[:-1]) + (inner * (power - j),),
+                                            field.one, rels, ctx, field)[0]
+                             for j in range(1, power + 1)]
+                    variants = [("power", 0, base)]
+                    for j, e in enumerate(slots, 1):
+                        bumped = field.add(base.get(e, field.zero), self.nonzero(rng, field))
+                        variants.append(("perturbed", j, {**base, e: bumped}))
+                        if e in base:
+                            variants.append(("missing", j, {k: c for k, c in base.items()
+                                                            if k != e}))
+                    if rels:  # off the form: t^2 unreduced, at the vertex beside its slot
+                        e = tuple(2 * c for c in t[:-1]) + (inner * (power - 2),)
+                        variants.append(("extra", 2, {**base, e: self.nonzero(rng, field)}))
+                    for kind, j, terms in variants:
+                        f = Poly(ctx, field, {e: c for e, c in terms.items()
+                                              if not field.is_zero(c)})
+                        degrees.clear()
+                        got, g = binomialize_modulo(f, v, stage, rels)
+                        assert degrees in ([], [j0])
+                        want = binomialize_by_roots(f, v, stage, rels)
+                        assert g is f
+                        assert got == want, (field, power, inner, main, kind, j)
+                        if kind == "power":
+                            assert got == bp
+                        seen.add((kind, got is not None, j == j0))
+                        cases += 1
+        assert cases >= 350
+        assert {("power", True, False), ("perturbed", False, True),
+                ("perturbed", False, False), ("missing", False, True),
+                ("missing", False, False), ("extra", False, False)} <= seen
+
+
 class TestPowerFilter:
     """With no rewrite to run, binomialize_modulo tries the lattice's power only.
 
@@ -588,12 +677,14 @@ class TestShapeFilterWithRelations:
         # four calls: one at each later stage of the three-stage example, and
         # one at the second stage of each char-0 and GF(5) input.  The search
         # at every divisor, to depth 3, makes 21 literal checks; the engine
-        # extracts one root per call, at the lattice's power.  The GF(5)
-        # stage, u1^2 - x1^7, has power 2 and no square: the cross term
-        # -2c * x1^2*z*u1 is missing
+        # extracts at most one root per call, of degree j0, the least j > 0
+        # with C(power, j) nonzero in the field (2 at power 2 over GF(2),
+        # else 1 here).  The GF(5) stage, u1^2 - x1^7, has power 2 and no
+        # square: the cross term -2c * x1^2*z*u1, at j0 = 1, is missing, so
+        # it ends before any root is taken
         assert len(calls) == 4
         assert decompositions == [21]
-        assert (roots, hits) == ([2, 1, 1, 2], [True, True, True, False])
+        assert (roots, hits) == ([2, 1, 1], [True, True, True, False])
 
 
 class TestLevelCancels:
@@ -763,6 +854,15 @@ class TestPrepare:
         assert translated == ["z", "z", "u1"]
         # preparation records the u1 translation on the relation defining u1
         assert res.presentation.relations[0].corrections == [(F2.one, (4, 1, 0))]
+
+    def test_a_vertex_that_stays_raises(self, QQ, monkeypatch):
+        # a translation that leaves f as it is keeps the solved vertex, so
+        # the polyhedron does not shrink strictly
+        monkeypatch.setattr(kappainv.kappa, "translate", lambda f, *rest: f)
+        f = mk("z^2 - 2*x1*z + x1^2 - x1^3", 1, QQ)
+        with pytest.raises(EngineError) as raised:
+            prepare_polyhedron(f, z_stage(f, 2), [], KappaConfig())
+        assert str(raised.value) == "vertex elimination failed to strictly shrink the polyhedron"
 
     def test_budget_exhaustion(self, QQ):
         f = mk("z^2 - 2*x1*z - 2*x1^2*z + x1^2 + 2*x1^3 + x1^4 - x1^9", 1, QQ)
