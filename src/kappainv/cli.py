@@ -132,8 +132,9 @@ def json_text(value, indent: str = "\n") -> str:
     It takes str, bool, None, int, and lists, tuples and dicts with str keys
     of them; any other type raises TypeError.  json.dumps with an indent runs
     the pure-Python encoder; this writes the same text with the C string
-    encoder.  `indent` is the newline and indentation before the value's
-    closing bracket.
+    encoder, and writes a str or int element of a list or dict in place.
+    `indent` is the newline and indentation before the value's closing
+    bracket.
     """
     if isinstance(value, str):
         return encode_basestring(value)
@@ -149,12 +150,15 @@ def json_text(value, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return ("[" + inner + ("," + inner).join([json_text(v, inner) for v in value])
-                + indent + "]")
+        items = [encode_basestring(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                 else json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [encode_basestring(key) + ": " + json_text(v, inner)  # TypeError unless str
+        items = [encode_basestring(key) + ": "  # TypeError unless key is a str
+                 + (encode_basestring(v) if type(v) is str else int.__repr__(v)
+                    if type(v) is int else json_text(v, inner))
                  for key, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -164,10 +168,13 @@ def _tuple_str(strs) -> str:
     return "(" + ", ".join(strs) + ")"
 
 
-def _kappa_entry(inv, d: int):
-    lines = [f"kappa = {inv.as_string(d)}"]
-    if len(inv.multiplicities) > 1:
-        lines.append("stage multiplicities: " + " > ".join(str(m) for m in inv.multiplicities))
+def _kappa_entry(inv, d: int, text: bool):
+    lines = []
+    if text:
+        lines.append(f"kappa = {inv.as_string(d)}")
+        if len(inv.multiplicities) > 1:
+            lines.append("stage multiplicities: "
+                         + " > ".join(str(m) for m in inv.multiplicities))
     value = {"vertices": [[str(c) for c in v] for v in inv.vertices],
              "terminal": inv.terminal.value,
              "multiplicities": list(inv.multiplicities)}
@@ -211,7 +218,7 @@ def _classification_report(result, d: int, truncation: int, text: bool) -> list:
     """The report of a classification result, up to its certified truncation
     line; the caller places the truncation key and the diagnostics.  The
     text-only entries are built for text output only."""
-    report = [_kappa_entry(result.kappa, d)]
+    report = [_kappa_entry(result.kappa, d, text)]
     for key, value in (("teissier", result.teissier), ("quasi_ordinary", result.quasi_ordinary)):
         value = "inconclusive" if value is None else value
         report.append((key, value, [f"{key}: {value}"]))
@@ -283,7 +290,7 @@ def _drive_classify(text, args, field, config):
 
 def _drive_kappa(text, args, field, config):
     result = compute_kappa(_input_weierstrass(text, args, field), config)
-    report = [_kappa_entry(result.invariant, args.d)]
+    report = [_kappa_entry(result.invariant, args.d, not args.json)]
     if result.presentation is not None:
         report.append(_presentation_entry(result.presentation))
     report.append(("certified_truncation", config.truncation, []))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConfigurationError, UnsupportedLiftError
 from .kappa import OverweightPresentation
@@ -22,8 +22,7 @@ from .poly import Poly, Relation, VarContext, back_substitute
 from .ring import ZZ, lift_coeff
 
 
-@dataclass
-class IntegerLift:
+class IntegerLift(NamedTuple):
     prime: int
     relations: list          # Relation over ZZ, chain order
     final: Poly              # over ZZ, coefficient-wise canonical lift
@@ -33,14 +32,12 @@ class IntegerLift:
         return [rel.generator(self.ctx) for rel in self.relations] + [self.final]
 
 
-@dataclass
-class GhostReport:
+class GhostReport(NamedTuple):
     ghosts: list             # [(exponent tuple, integer coefficient)], canonical order
     hypersurface: Poly       # the eliminated equation over ZZ
 
 
-@dataclass
-class InitialIdealReport:
+class InitialIdealReport(NamedTuple):
     generators_initial: list  # initial form of each generator, over ZZ, unnormalized
     fiber_independent: bool
     witness: object           # (generator index, exponent, coeff) or None

@@ -15,9 +15,9 @@ translation-minimal), or inconclusive: no such power, or resources exhausted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import ConfigurationError, ContractViolation, EngineError
 from .poly import (Poly, Relation, VarContext, WeierstrassPoly, format_monomial,
@@ -32,8 +32,7 @@ class Terminal(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class BinomialPower:
+class BinomialPower(NamedTuple):
     """(main_var^inner_exp - coeff * x^tail_expo)^power, tail free of main_var."""
 
     main_var: str
@@ -43,8 +42,7 @@ class BinomialPower:
     tail_expo: tuple  # a standard monomial
 
 
-@dataclass(frozen=True)
-class KappaInvariant:
+class KappaInvariant(NamedTuple):
     """The vertex string with its terminal symbol and resource accounting."""
 
     vertices: tuple
@@ -70,8 +68,7 @@ class KappaInvariant:
         return "(" + ", ".join(parts) + ")"
 
 
-@dataclass
-class OverweightPresentation:
+class OverweightPresentation(NamedTuple):
     """Relation stack plus final equation, with the run's chain lattice.
 
     The chain weighs z and the chain variables by the recorded vertices;
@@ -99,17 +96,17 @@ class OverweightPresentation:
         return lines
 
 
-@dataclass
 class KappaConfig:
     """truncation is the x-degree T at which terms are dropped; budget is the
     most eliminations one stage's preparation may make, and its only bound."""
 
-    truncation: int = 64
-    budget: int = 256
+    __slots__ = ("truncation", "budget")
 
-    def __post_init__(self):
-        if self.truncation < 1 or self.budget < 1:
-            raise ConfigurationError("truncation and budget must be >= 1")
+    def __init__(self, truncation: int = 64, budget: int = 256):
+        for name, value in (("truncation", truncation), ("budget", budget)):
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        self.truncation, self.budget = truncation, budget
 
 
 class PrepStatus(enum.Enum):
@@ -117,18 +114,16 @@ class PrepStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class PrepareResult:
+class PrepareResult(NamedTuple):
     poly: Poly
     polyhedron: OrthantPolyhedron
     status: PrepStatus
     eliminations: int
-    diagnostics: list = dc_field(default_factory=list)
+    diagnostics: list
     decomposition: object = None  # the BinomialPower or None at a prepared sole vertex
 
 
-@dataclass
-class KappaResult:
+class KappaResult(NamedTuple):
     invariant: KappaInvariant
     presentation: object  # OverweightPresentation or None
     diagnostics: list

@@ -3,9 +3,10 @@
 Terms live in a fixed positional layout: the x block first, then the
 auxiliary chain (z, u1, u2, ...) in creation order.  The public Poly(...)
 constructor validates its input: it tuples every exponent and drops zero
-coefficients.  Arithmetic results go through the trusted Poly._of, which
-stores a dict already keyed by tuples and free of zeros as it is, without a
-copy; such a dict must not change afterwards.  A polynomial may carry
+coefficients.  Arithmetic results and the parser's terms go through the
+trusted Poly._of, which stores a dict already keyed by tuples and free of
+zeros as it is, without a copy; such a dict must not change afterwards, so
+truncate returns the same Poly when it drops nothing.  A polynomial may carry
 a truncation certificate T meaning "terms of total x-degree >= T are
 unknown"; every stored term then has x-degree < T and certificates only
 ever tighten under arithmetic.  A certificate of None means the value is
@@ -26,7 +27,8 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import EngineError, ParseError, ValidationError
 
@@ -38,10 +40,12 @@ class VarContext:
 
     names maps every variable name the input grammar can spell that this
     layout holds (x1..xd and the chain names z, u1, ...) to its index, so
-    parse_polynomial and var_index read a name with one lookup.
+    parse_polynomial and var_index read a name with one lookup; var_names
+    is every variable's name in layout order, for printing.  Both are built
+    once per layout and shared by its contexts, so neither may change.
     """
 
-    __slots__ = ("d", "aux", "names")
+    __slots__ = ("d", "aux", "names", "var_names")
 
     def __init__(self, d: int, aux=("z",)):
         if d < 1:
@@ -51,11 +55,7 @@ class VarContext:
             raise ValidationError("auxiliary variable names must be unique")
         self.d = d
         self.aux = aux
-        # a chain name of the form x<digits> is never the chain variable: the
-        # string rule of var_index reads it as an x-variable
-        self.names = {name: d + j for j, name in enumerate(aux)
-                      if _VARIABLE_RE.fullmatch(name) and name[0] != "x"}
-        self.names.update((f"x{i + 1}", i) for i in range(d))
+        self.names, self.var_names = _name_tables(d, aux)
 
     @property
     def nvars(self) -> int:
@@ -79,9 +79,7 @@ class VarContext:
             raise KeyError(name) from None
 
     def var_name(self, index: int) -> str:
-        if index < self.d:
-            return f"x{index + 1}"
-        return self.aux[index - self.d]
+        return self.var_names[index]
 
     def has_var(self, name: str) -> bool:
         try:
@@ -116,6 +114,18 @@ class VarContext:
 
     def __repr__(self):
         return f"VarContext(d={self.d}, aux={self.aux})"
+
+
+@lru_cache(maxsize=256)
+def _name_tables(d: int, aux: tuple):
+    """VarContext's (names, var_names) of the layout (d, aux)."""
+    x_names = tuple(f"x{i + 1}" for i in range(d))
+    # a chain name of the form x<digits> is never the chain variable: the
+    # string rule of var_index reads it as an x-variable
+    names = {name: d + j for j, name in enumerate(aux)
+             if _VARIABLE_RE.fullmatch(name) and name[0] != "x"}
+    names.update(zip(x_names, range(d)))
+    return names, x_names + aux
 
 
 def _common_ctx(f: "Poly", g: "Poly") -> VarContext:
@@ -266,13 +276,13 @@ class Poly:
         return Poly._of(ctx, self.ring, out, eff if dropped else tr)
 
     def truncate(self, T) -> "Poly":
-        if T is None:
-            return self
+        """The terms of x-degree below T, under the certificate min(trunc, T);
+        self when no term is dropped, as a Poly's terms never change."""
         d = self.ctx.d
+        if T is None or all(sum(e[:d]) < T for e in self.terms):
+            return self
         kept = {e: c for e, c in self.terms.items() if sum(e[:d]) < T}
-        dropped = len(kept) != len(self.terms)
-        tr = _min_trunc(self.trunc, T) if dropped else self.trunc
-        return Poly._of(self.ctx, self.ring, kept, tr)
+        return Poly._of(self.ctx, self.ring, kept, _min_trunc(self.trunc, T))
 
     # -- equality (mathematical; certificates are metadata) ---------------------
 
@@ -293,8 +303,8 @@ class Poly:
     # -- rendering ----------------------------------------------------------------
 
     def sorted_terms(self):
-        key = _print_key(self.ctx)
-        return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
+        terms = self.terms
+        return [(e, terms[e]) for e in sorted(terms, key=_print_key(self.ctx), reverse=True)]
 
     def format(self) -> str:
         if not self.terms:
@@ -308,32 +318,25 @@ class Poly:
 
 
 def _print_key(ctx: VarContext):
+    """The print order's key of an exponent: the chain block from its last
+    variable down, then the x block."""
     d = ctx.d
-
-    def key(expo):
-        return (tuple(reversed(expo[d:])), expo[:d])
-
-    return key
+    return lambda expo: (expo[:d - 1:-1], expo[:d])
 
 
 def format_monomial(expo, ctx: VarContext) -> str:
-    parts = []
-    for i, e in enumerate(expo):
-        if e == 0:
-            continue
-        name = ctx.var_name(i)
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(ctx.var_names, expo) if e])
 
 
 def format_signed_terms(pieces, ctx: VarContext, ring) -> str:
     """Render (coefficient, exponent) pairs, pulling signs out of Q/Z coefficients."""
     out = []
+    is_negative, abs_value, format_coeff = ring.is_negative, ring.abs_value, ring.format_coeff
     for i, (c, expo) in enumerate(pieces):
-        neg = ring.is_negative(c)
-        mag = ring.abs_value(c)
+        neg = is_negative(c)
         mono = format_monomial(expo, ctx)
-        cstr = ring.format_coeff(mag)
+        cstr = format_coeff(abs_value(c))
         if mono and cstr == "1":
             body = mono
         elif mono:
@@ -446,7 +449,7 @@ def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
         if sign == "+" or sign == "-":
             i += 1
         elif tokens[i] == _END:
-            return Poly(ctx, ring, terms)
+            return Poly._of(ctx, ring, terms, None)
         else:
             raise error(f"expected '+' or '-', found {''.join(tokens[i])!r}", i)
 
@@ -627,8 +630,7 @@ def derivative(f: Poly, name: str) -> Poly:
 # Weierstrass wrapper
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeierstrassPoly:
+class WeierstrassPoly(NamedTuple):
     """A polynomial accepted by weierstrass_validate: monic in z, every other
     z-coefficient vanishing at the origin, no u's."""
 
@@ -637,28 +639,38 @@ class WeierstrassPoly:
 
 
 def weierstrass_validate(f: Poly) -> WeierstrassPoly:
+    """f as a WeierstrassPoly, or the first ValidationError of: a chain
+    variable beyond z, z-degree 0, not monic in z, f(0) != 0, a unit
+    z-coefficient.  The z-degree, the terms at it and the z-powers of the
+    x-free terms are read in one pass over the terms."""
     ctx = f.ctx
     for name in ctx.aux:
         if name != "z" and f.uses_var(name):
             raise ValidationError(f"contains auxiliary variable {name} beyond z")
-    n = f.degree_in("z")
+    zidx, d = ctx.var_index("z"), ctx.d
+    n = at_n = 0  # the z-degree and the count of terms at it
+    low = None  # the least z-power of an x-free term
+    for e in f.terms:
+        k = e[zidx]
+        if k > n:
+            n, at_n = k, 1
+        elif k == n:
+            at_n += 1
+        if (low is None or k < low) and not any(e[:d]):
+            low = k
     if n < 1:
         raise ValidationError("z-degree must be at least 1")
-    zidx = ctx.var_index("z")
     top = ctx.unit("z", n)
-    for e, c in f.terms.items():
-        if e[zidx] == n and e != top:
-            raise ValidationError("not monic in z: the z-leading coefficient is not 1")
-    if f.terms.get(top) != f.ring.one:
+    if at_n != 1 or f.terms.get(top) != f.ring.one:
         raise ValidationError("not monic in z: the z-leading coefficient is not 1")
-    if not f.ring.is_zero(f.constant_coeff()):
+    # the terms are free of zeros, so an x-free term of z-power 0 is f(0) != 0
+    if low == 0:
         raise ValidationError("f(0) != 0")
     # a unit z-coefficient below the top puts a vertex at the origin, where no
     # binomial power fits
-    units = [e[zidx] for e in f.terms if e != top and not any(e[:ctx.d])]
-    if units:
+    if low < n:
         raise ValidationError("not a Weierstrass polynomial: the coefficient of "
-                              f"{format_monomial(ctx.unit('z', min(units)), ctx)} is a unit")
+                              f"{format_monomial(ctx.unit('z', low), ctx)} is a unit")
     return WeierstrassPoly(f, n)
 
 
@@ -666,24 +678,24 @@ def weierstrass_validate(f: Poly) -> WeierstrassPoly:
 # relation stack
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Relation:
     """u_j = w^head_exp - tail_coeff * x^tail_expo - sum(corrections).
 
     The head variable w is the previous chain variable (z for the first
     relation).  Corrections accumulate while solvable vertices of the
-    enclosing stage are eliminated by translations of u_j.  ring is the
-    engine's field, or ZZ for a relation of the integer lift.
+    enclosing stage are eliminated by translations of u_j, so corrections
+    is a list of its own for each relation.  ring is the engine's field, or
+    ZZ for a relation of the integer lift.
     """
 
-    var: str
-    head_var: str
-    head_exp: int
-    tail_coeff: object
-    tail_expo: tuple
-    ctx: VarContext
-    ring: object
-    corrections: list = dc_field(default_factory=list)
+    __slots__ = ("var", "head_var", "head_exp", "tail_coeff", "tail_expo", "ctx", "ring",
+                 "corrections")
+
+    def __init__(self, var: str, head_var: str, head_exp: int, tail_coeff, tail_expo: tuple,
+                 ctx: VarContext, ring, corrections: list = None):
+        self.var, self.head_var, self.head_exp = var, head_var, head_exp
+        self.tail_coeff, self.tail_expo, self.ctx, self.ring = tail_coeff, tail_expo, ctx, ring
+        self.corrections = [] if corrections is None else corrections
 
     def structural_pieces(self, ctx=None):
         """The one layout, padded to ctx: [(+1, 1, head), (-1, c, tail), (-1, c_k, m_k), ...]."""

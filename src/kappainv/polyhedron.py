@@ -23,9 +23,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
+from typing import NamedTuple
 
 from .errors import ConfigurationError, ContractViolation
 from .poly import Poly, WeierstrassPoly
@@ -33,8 +33,7 @@ from .poly import Poly, WeierstrassPoly
 MAX_DIMENSION = 8
 
 
-@dataclass(frozen=True)
-class OrthantPolyhedron:
+class OrthantPolyhedron(NamedTuple):
     """conv(vertices) + R_{>=0}^d with a minimal, lex-sorted vertex tuple."""
 
     d: int

@@ -35,24 +35,22 @@ takes has total degree <= (k - 1 + n) * D0, so it bounds them by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb, gcd
 from operator import lshift
+from typing import NamedTuple
 
 from .errors import ContractViolation
 from .kappa import (KappaConfig, KappaResult, Terminal, compute_kappa)
 from .poly import Poly, WeierstrassPoly, derivative
 
 
-@dataclass(frozen=True)
-class MonomialUnitStatus:
+class MonomialUnitStatus(NamedTuple):
     status: str           # "yes" | "no" | "inconclusive"
     exponent: tuple = None
 
 
-@dataclass
-class DiscriminantReport:
+class DiscriminantReport(NamedTuple):
     disc: Poly
     exact: bool
     monomial_unit: MonomialUnitStatus
@@ -345,14 +343,19 @@ def is_monomial_times_unit(g: Poly) -> MonomialUnitStatus:
     return MonomialUnitStatus("inconclusive")
 
 
-@dataclass
 class ClassificationReport:
-    kappa: object
-    teissier: object          # True | False | None (inconclusive)
-    quasi_ordinary: object    # True | False | None
-    discriminant: DiscriminantReport
-    presentation: object      # OverweightPresentation | None
-    diagnostics: list = dc_field(default_factory=list)
+    """kappa is the KappaInvariant; teissier and quasi_ordinary are True,
+    False or None (inconclusive); presentation is the OverweightPresentation
+    or None; diagnostics is a list of its own for each report."""
+
+    __slots__ = ("kappa", "teissier", "quasi_ordinary", "discriminant", "presentation",
+                 "diagnostics")
+
+    def __init__(self, kappa, teissier, quasi_ordinary, discriminant: DiscriminantReport,
+                 presentation, diagnostics: list = None):
+        self.kappa, self.teissier, self.quasi_ordinary = kappa, teissier, quasi_ordinary
+        self.discriminant, self.presentation = discriminant, presentation
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def decided(self) -> bool:

@@ -446,6 +446,14 @@ class TestMalformedFlags:
         assert flag in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag, field", [("--trunc", "truncation"), ("--budget", "budget")])
+    def test_a_bound_below_1_names_its_field_and_value(self, capsys, flag, field):
+        code = main(["classify", flag, "0", "z^2 + x1^3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {field} must be >= 1, got 0\n"
+        assert captured.out == ""
+
 
 class TestUsageErrors:
     """Usage errors exit 1 (input error), never 2, the inconclusive code."""

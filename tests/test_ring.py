@@ -212,6 +212,24 @@ def test_engine_has_no_true_division():
     assert SRC.is_dir() and found == []
 
 
+def test_engine_imports_no_dataclasses():
+    # the engine's records are NamedTuples or __slots__ classes: a fresh
+    # import creates every class, and a dataclass costs about ten times a
+    # NamedTuple to create (ROADMAP "Measurement notes", set-up)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SRC.is_dir() and found == []
+
+
 class TestAgainstEnumeration:
     """Seeded differential tests of the table arithmetic against the reference."""
 
