@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .deform import (default_tropical_weight, ghost_monomials,
+from .deform import (check_lambda, default_tropical_weight, ghost_monomials,
                      initial_forms_weighted, lift_presentation)
 from .errors import ConfigurationError, KappaInvError
 from .kappa import KappaConfig, Terminal, compute_kappa
@@ -254,13 +254,15 @@ def _build_config(args) -> KappaConfig:
 
 
 def _parse_lambda(args, d: int):
+    """--lambda, read and checked against d x-variables (default all ones)."""
     if args.lam is None:
         return (1,) * d
     try:
-        return tuple(Fraction(c) for c in args.lam.split(","))
+        lam = tuple(Fraction(c) for c in args.lam.split(","))
     except (ValueError, ZeroDivisionError):
         raise ConfigurationError(
             f"--lambda takes comma-separated rationals, got {args.lam!r}") from None
+    return check_lambda(lam, d)
 
 
 def _input_context(args) -> VarContext:
@@ -317,6 +319,7 @@ def _drive_discriminant(text, args, field, config):
 
 
 def _drive_deform(text, args, field, config):
+    lam = _parse_lambda(args, _input_context(args).d)  # a flag error before any work
     result = classify(_input_weierstrass(text, args, field), config)
     if result.presentation is None:
         msg = "no overweight presentation: the kappa terminal is not infinity"
@@ -324,7 +327,6 @@ def _drive_deform(text, args, field, config):
     lift = lift_presentation(result.presentation)
     ghosts = ghost_monomials(lift)
     hyper = ghosts.hypersurface.format()
-    lam = _parse_lambda(args, args.d)
     omega = default_tropical_weight(result.presentation, lam)
     ideal = initial_forms_weighted(lift, omega)
     lam, omega = [str(c) for c in lam], [str(c) for c in omega]

@@ -127,6 +127,16 @@ def initial_forms_weighted(lift: IntegerLift, omega) -> InitialIdealReport:
     return InitialIdealReport(inits, fiber_independent, witness)
 
 
+def check_lambda(lam, d: int) -> tuple:
+    """lambda with exact components, once it has d of them, each positive."""
+    lam = tuple(map(_exact, lam))
+    if len(lam) != d:
+        raise ConfigurationError(f"lambda has {len(lam)} components, expected {d}")
+    if any(c <= 0 for c in lam):
+        raise ConfigurationError("lambda must be strictly positive componentwise")
+    return lam
+
+
 def default_tropical_weight(pres: OverweightPresentation, lam) -> tuple:
     """Kappa-derived candidate weight: omega_x = lambda, omega_v = <lambda, weight(v)>.
 
@@ -134,11 +144,7 @@ def default_tropical_weight(pres: OverweightPresentation, lam) -> tuple:
     lambda and D of the chain; initial_forms_weighted checks the whole vector.
     """
     ctx, chain = pres.ctx, pres.chain
-    lam = tuple(map(_exact, lam))
-    if len(lam) != ctx.d:
-        raise ConfigurationError(f"lambda has {len(lam)} components, expected {ctx.d}")
-    if any(c <= 0 for c in lam):
-        raise ConfigurationError("lambda must be strictly positive componentwise")
+    lam = check_lambda(lam, ctx.d)
     L = math.lcm(*(c.denominator for c in lam))
     lam_num, den = [c.numerator * (L // c.denominator) for c in lam], L * chain.D
     omega = list(lam)

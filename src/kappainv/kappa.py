@@ -159,11 +159,13 @@ def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations):
     in characteristic 0 or when the characteristic q does not divide p,
     else q^(v_q(p)) by Lucas' theorem), fixes (-c)^j0 and so the one
     candidate c: its j0-th root is unique, since Frobenius is a bijection
-    on a finite field.  No extension of Q or a finite field adds another c
-    that fits, as (-c)^j0 lies in the field and these fields are perfect.
-    Each coefficient is read in place, and the count of nonzero ones
-    checked against the terms at the vertex, so no initial form or
-    expansion is built.  A non-monic f raises.
+    on a finite field, and a root is taken only when j0 > 1 (at j0 = 1,
+    -c is the quotient itself).  No extension of Q or a finite field adds
+    another c that fits, as (-c)^j0 lies in the field and these fields are
+    perfect.  Each coefficient is read in place (a kappa_j of one adds no
+    product), and the count of the nonzero ones is checked against the
+    terms at the vertex, so no initial form or expansion is built.  A
+    non-monic f raises.
     """
     vertex, ring = tuple(vertex), f.ring
     power = stage.power(vertex)
@@ -190,7 +192,9 @@ def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations):
                 s[i] -= n_k
                 s = [a + b for a, b in zip(s, tail)]
                 kappa = ring.mul(kappa, c_k)
-        expected.append((tuple(s[:w]) + (inner * (power - j),) + tuple(s[w + 1:]), kappa))
+        e = s.copy()
+        e[w] = inner * (power - j)
+        expected.append((tuple(e), kappa))
     # the least j0 > 0 with C(power, j0) nonzero in the field: 1, or p^(v_p(power))
     j0, char = 1, ring.characteristic
     while char and power % (j0 * char) == 0:
@@ -199,12 +203,14 @@ def binomialize_modulo(f: Poly, vertex, stage: StageProjection, relations):
     a0 = at.get(e0)
     if a0 is None:
         return None, f
-    zero, mul, from_int, is_zero = ring.zero, ring.mul, ring.from_int, ring.is_zero
-    m, = ring.all_nth_roots(ring.div(a0, mul(from_int(comb(power, j0)), kappa0)), j0)
-    c, mj, binom, nonzero = ring.neg(m), ring.one, 1, 0
+    zero, one, mul, from_int, is_zero = ring.zero, ring.one, ring.mul, ring.from_int, ring.is_zero
+    m = ring.div(a0, mul(from_int(comb(power, j0)), kappa0))  # (-c)^j0
+    if j0 > 1:  # at j0 = 1 the root is m itself
+        m, = ring.all_nth_roots(m, j0)
+    c, mj, binom, nonzero = ring.neg(m), one, 1, 0
     for j, (e, kappa_j) in enumerate(expected, 1):
         binom, mj = binom * (power - j + 1) // j, mul(mj, m)
-        want = mul(from_int(binom), mul(mj, kappa_j))
+        want = mul(from_int(binom), mj if kappa_j is one else mul(mj, kappa_j))
         if at.get(e, zero) != want:
             return None, f
         nonzero += not is_zero(want)

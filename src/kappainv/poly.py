@@ -357,6 +357,13 @@ def format_signed_terms(pieces, ctx: VarContext, ring) -> str:
 _TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z]\w*)|([+\-*^/])|(\S)")  # int, name, op, other
 _VARIABLE_RE = re.compile(r"x[0-9]+|z|u[0-9]+")
 _END = ("", "", "", "")  # the token after the last one
+# the grammar, with whitespace between tokens; it never puts two word tokens
+# (int, name) side by side, so a text it matches tokenizes as _TOKEN_RE does
+_INT, _NAME = r"\d+", r"[a-zA-Z]\w*"
+_FACTOR = rf"{_NAME}(?:\s*\^\s*{_INT})?"
+_TERM = rf"(?:{_INT}(?:\s*/\s*{_INT})?|{_FACTOR})(?:\s*\*\s*{_FACTOR})*"
+_GRAMMAR_RE = re.compile(rf"\s*(?:-\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
+_SIGN_RE = re.compile("([+-])")
 
 
 def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
@@ -366,6 +373,69 @@ def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
     term := coeff ('*' factor)* | factor ('*' factor)*;
     factor := var ['^' nat]; var := 'x'nat | 'z' | 'u'nat;
     coeff := int | int '/' nat.  Juxtaposition is not multiplication.
+    A text that one match of _GRAMMAR_RE accepts is read by splitting, with
+    no tokens: whitespace dropped (str.isspace is the regex whitespace
+    class), terms split at their signs, factors at '*', exponents at '^'.
+    _parse_tokens reads every other text, and the few valid ones the split
+    leaves to it: a name outside ctx.names (x01), an int past the digit
+    limit, a denominator with no inverse.  Both add the terms in the same
+    order by the same rule, so they give the same Poly, down to the order
+    of its terms.
+    """
+    if _GRAMMAR_RE.fullmatch(text):
+        f = _parse_split(text, ctx, ring)
+        if f is not None:
+            return f
+    return _parse_tokens(text, ctx, ring)
+
+
+def _parse_split(text: str, ctx: VarContext, ring):
+    """The Poly of a text _GRAMMAR_RE accepts, read by splitting; None when
+    it holds a name outside ctx.names, an int past the digit limit or a
+    denominator with no inverse."""
+    pieces = _SIGN_RE.split("".join(text.split()))
+    if pieces[0]:
+        pieces.insert(0, "+")
+    else:  # a leading '-'
+        del pieces[0]
+    terms, nvars, names = {}, ctx.nvars, ctx.names
+    zero, one, add, is_zero = ring.zero, ring.one, ring.add, ring.is_zero
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        factors = term.split("*")
+        first = factors[0]
+        if first[0].isalpha():  # a name; an int starts with a digit
+            coeff = one
+        else:
+            num, _, den = first.partition("/")
+            try:  # ValueError past the digit limit
+                coeff = ring.from_fraction(int(num), int(den)) if den else ring.from_int(int(num))
+            except (ValueError, ZeroDivisionError):
+                return None
+            del factors[0]
+        expo = [0] * nvars
+        for factor in factors:
+            name, _, k = factor.partition("^")
+            idx = names.get(name)
+            if idx is None:
+                return None
+            try:
+                expo[idx] += int(k) if k else 1
+            except ValueError:
+                return None
+        if sign == "-":
+            coeff = ring.neg(coeff)
+        key = tuple(expo)
+        s = add(terms.get(key, zero), coeff)
+        if is_zero(s):
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+    return Poly._of(ctx, ring, terms, None)
+
+
+def _parse_tokens(text: str, ctx: VarContext, ring) -> Poly:
+    """parse_polynomial by a walk over the tokens: the path of every text the
+    split leaves, and so of every ParseError, with its message and position.
     An unexpected character anywhere is reported before any grammar error.
     """
     tokens = _TOKEN_RE.findall(text)  # skips whitespace, exactly where \S fails

@@ -446,6 +446,24 @@ class TestMalformedFlags:
         assert flag in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        # no presentation over GF(2): the flag was never read
+        (["--char", "2", "--lambda", "1,x", "z^2 - x1*x2*z - x1^3*x2 - x1*x2^3"],
+         "--lambda takes comma-separated rationals, got '1,x'"),
+        (["--char", "2", "--lambda", "1,2,3", "z^2 - x1*x2*z - x1^3*x2 - x1*x2^3"],
+         "lambda has 3 components, expected 2"),
+        (["--char", "2", "--lambda", "0,1", "z^2 - x1*x2*z - x1^3*x2 - x1*x2^3"],
+         "lambda must be strictly positive componentwise"),
+        # over Q: the lift's error came first
+        (["--lambda", "1,x", "z^2 + x1^3"], "--lambda takes comma-separated rationals, got '1,x'"),
+    ])
+    def test_deform_checks_lambda_before_the_engine(self, capsys, argv, message):
+        code = main(["deform", "--vars", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag, field", [("--trunc", "truncation"), ("--budget", "budget")])
     def test_a_bound_below_1_names_its_field_and_value(self, capsys, flag, field):
         code = main(["classify", flag, "0", "z^2 + x1^3"])

@@ -4,10 +4,14 @@ parser it replaced, and every ParseError message pinned with its position."""
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
-from kappainv import Field, ParseError, Poly, VarContext, parse_polynomial
+from kappainv import Field, ParseError, Poly, VarContext, cli, parse_polynomial, poly
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # test-only oracle: the tokenizer pass and parser class parse_polynomial replaced
@@ -159,21 +163,32 @@ FRAGMENTS = ["z", "x1", "x2", "x3", "x0", "x01", "u1", "u2", "y", "xz", "0", "1"
              "　", "_", "é", "x_1", "x１", "٣", "x1٣", "(", ")", ".", "2x1"]
 
 
-def _valid_text(rng):
-    """A polynomial in the grammar over x1, x2, z, u1."""
+# whitespace between the tokens of a long valid text: str.isspace, ASCII and not
+SPACES = ["", " ", "  ", "\t", "\n", "\x1c", "\xa0", "\u2003", "\u3000"]
+
+
+def _valid_text(rng, long=False):
+    """A polynomial in the grammar over x1, x2, z, u1; a long one has up to 40
+    terms, x3 too, whitespace between its tokens and no zero denominator."""
+    names = ["x1", "x2", "x3", "z", "u1"] if long else ["x1", "x2", "z", "u1"]
+
+    def op(symbol):
+        return rng.choice(SPACES) + symbol + rng.choice(SPACES) if long else symbol
+
     terms = []
-    for _ in range(rng.randrange(1, 5)):
-        factors = [f"{rng.choice(['x1', 'x2', 'z', 'u1'])}"
-                   + (f"^{rng.randrange(0, 12)}" if rng.random() < 0.6 else "")
+    for _ in range(rng.randrange(1, 41 if long else 5)):
+        factors = [f"{rng.choice(names)}"
+                   + (op("^") + str(rng.randrange(0, 12)) if rng.random() < 0.6 else "")
                    for _ in range(rng.randrange(0, 4))]
         if not factors or rng.random() < 0.4:
             num = str(rng.randrange(0, 30))
-            factors.insert(0, num + (f"/{rng.randrange(0, 6)}" if rng.random() < 0.2 else ""))
-        terms.append("*".join(factors))
+            factors.insert(0, num + (op("/") + str(rng.randrange(1 if long else 0, 6))
+                                     if rng.random() < 0.2 else ""))
+        terms.append(op("*").join(factors))
     text = terms[0]
     for t in terms[1:]:
-        text += rng.choice([" + ", " - ", "+", "-"]) + t
-    return ("-" if rng.random() < 0.2 else "") + text
+        text += (op(rng.choice("+-")) if long else rng.choice([" + ", " - ", "+", "-"])) + t
+    return (op("-") if rng.random() < 0.2 else "") + text
 
 
 def _edited(rng, text):
@@ -218,12 +233,57 @@ def test_matches_the_oracle_parser():
         want = _outcome(parse_oracle, text, ctx, ring)
         assert _outcome(parse_polynomial, text, ctx, ring) == want, (text, ctx, ring)
         seen.add(want[0] if want[0] == "ok" else want[1])
+    # long texts over three x-variables, valid and edited
+    ctx, long_ok = VarContext(3, ("z", "u1")), 0
+    for n in range(600):
+        text = _valid_text(rng, long=True)
+        if n % 2:
+            text = _edited(rng, text)
+        ring = rng.choice(fields)
+        want = _outcome(parse_oracle, text, ctx, ring)
+        assert _outcome(parse_polynomial, text, ctx, ring) == want, (text, ctx, ring)
+        long_ok += want[0] == "ok" and len(text) >= 300
     # the corpus reaches every outcome of a short input
     for start in ["ok", "empty polynomial", "unexpected character", "expected a variable",
                   "malformed exponent", "zero denominator", "unknown variable",
                   "expected a denominator after '/'", "expected a coefficient or a variable",
                   "expected '+' or '-', found", "2 has no inverse"]:
         assert any(s.startswith(start) for s in seen), start
+    assert long_ok >= 40
+
+
+def _corpus():
+    """(text, ctx, field) of every benchmark input at seeds 7 and 13 and of
+    every golden CLI input."""
+    from test_cli_golden import BATCH_LINES, CASES
+    argvs = [case.argv for name in workloads.WORKLOADS for seed in (7, 13)
+             for case in workloads.build(name, seed)]
+    for argv in [*argvs, *CASES.values()]:
+        args, extras = cli.parse_known_args(list(argv))
+        field, ctx = cli._build_field(args), VarContext(args.d)
+        if getattr(args, "batch", None) is not None:
+            for line in BATCH_LINES.splitlines():
+                if line and not line.startswith("#"):
+                    yield line, ctx, field
+        else:
+            yield (extras or [args.polynomial])[0], ctx, field
+
+
+def test_valid_text_takes_the_split_path(monkeypatch):
+    """Every valid input of the benchmark and the goldens parses with no token
+    walk, to the oracle's terms: a pattern edit that sends valid text to the
+    walk would keep every answer and lose the split's speed."""
+    inputs = list(_corpus())
+    wants = [_outcome(parse_oracle, *item) for item in inputs]
+
+    def no_walk(text, ctx, ring):
+        raise AssertionError(f"token walk on {text!r}")
+
+    monkeypatch.setattr(poly, "_parse_tokens", no_walk)
+    valid = [(item, want) for item, want in zip(inputs, wants) if want[0] == "ok"]
+    for item, want in valid:
+        assert _outcome(parse_polynomial, *item) == want, item
+    assert len(valid) >= 900 and max(len(text) for (text, _, _), _ in valid) > 700
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import ast
+import importlib
 import operator
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -210,6 +212,36 @@ def test_engine_has_no_true_division():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 found.append(f"{path.name}:{node.lineno}")
     assert SRC.is_dir() and found == []
+
+
+def test_engine_patterns_compile_on_python_3_10():
+    # requires-python is >=3.10, and possessive repeats and atomic groups are
+    # 3.11 syntax: no module-level pattern of the package may hold one
+    parser = pytest.importorskip("re._parser")  # 3.11+; 3.10 cannot compile them
+    from re._constants import ATOMIC_GROUP, POSSESSIVE_REPEAT
+
+    def opcodes(item):
+        if isinstance(item, parser.SubPattern):
+            for op, av in item.data:
+                yield op
+                yield from opcodes(av)
+        elif isinstance(item, (list, tuple)):
+            for x in item:
+                yield from opcodes(x)
+
+    banned = {ATOMIC_GROUP, POSSESSIVE_REPEAT}
+    assert banned <= set(opcodes(parser.parse(r"(?>a)\s*+")))  # the walk sees both
+    found, patterns = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":  # runs the CLI when imported
+            continue
+        module = importlib.import_module(f"kappainv.{path.stem}".removesuffix(".__init__"))
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                patterns += 1
+                if banned & set(opcodes(parser.parse(value.pattern, value.flags))):
+                    found.append(f"{path.name}:{name}")
+    assert patterns >= 4 and found == []
 
 
 def test_engine_imports_no_dataclasses():
