@@ -28,7 +28,7 @@ import operator
 import re
 import sys
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import EngineError, ParseError, ValidationError
 
@@ -223,7 +223,6 @@ class Poly:
     def add(self, other: "Poly", T=None) -> "Poly":
         ctx = _common_ctx(self, other)
         a, b = self.in_context(ctx), other.in_context(ctx)
-        eff = _min_trunc(self.trunc, other.trunc, T)
         out = dict(a.terms)
         ring = self.ring
         for e, c in b.terms.items():
@@ -232,14 +231,8 @@ class Poly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        dropped = False
-        if eff is not None:
-            d = ctx.d
-            for e in [e for e in out if sum(e[:d]) >= eff]:
-                del out[e]
-                dropped = True
-        tr = eff if dropped else _min_trunc(self.trunc, other.trunc)
-        return Poly._of(ctx, ring, out, tr)
+        tr = _min_trunc(self.trunc, other.trunc)
+        return Poly._of(ctx, ring, out, tr).truncate(_min_trunc(tr, T))
 
     def sub(self, other: "Poly", T=None) -> "Poly":
         return self.add(other.neg(), T)
@@ -373,26 +366,17 @@ def parse_polynomial(text: str, ctx: VarContext, ring) -> Poly:
     term := coeff ('*' factor)* | factor ('*' factor)*;
     factor := var ['^' nat]; var := 'x'nat | 'z' | 'u'nat;
     coeff := int | int '/' nat.  Juxtaposition is not multiplication.
-    A text that one match of _GRAMMAR_RE accepts is read by splitting, with
-    no tokens: whitespace dropped (str.isspace is the regex whitespace
-    class), terms split at their signs, factors at '*', exponents at '^'.
-    _parse_tokens reads every other text, and the few valid ones the split
-    leaves to it: a name outside ctx.names (x01), an int past the digit
-    limit, a denominator with no inverse.  Both add the terms in the same
-    order by the same rule, so they give the same Poly, down to the order
-    of its terms.
+    The one reader: a text that one match of _GRAMMAR_RE accepts is read by
+    splitting, with no tokens: whitespace dropped (str.isspace is the regex
+    whitespace class), terms split at their signs, factors at '*', exponents
+    at '^', names looked up in ctx.names and else by the grammar's name rule
+    (x01 is x1); terms are added in text order and a zero sum dropped.  A
+    text it cannot read (no match, an int past the digit limit, a
+    denominator with no inverse, an unknown name) raises the ParseError that
+    _parse_error names.
     """
-    if _GRAMMAR_RE.fullmatch(text):
-        f = _parse_split(text, ctx, ring)
-        if f is not None:
-            return f
-    return _parse_tokens(text, ctx, ring)
-
-
-def _parse_split(text: str, ctx: VarContext, ring):
-    """The Poly of a text _GRAMMAR_RE accepts, read by splitting; None when
-    it holds a name outside ctx.names, an int past the digit limit or a
-    denominator with no inverse."""
+    if not _GRAMMAR_RE.fullmatch(text):
+        _parse_error(text, ctx, ring)
     pieces = _SIGN_RE.split("".join(text.split()))
     if pieces[0]:
         pieces.insert(0, "+")
@@ -400,43 +384,54 @@ def _parse_split(text: str, ctx: VarContext, ring):
         del pieces[0]
     terms, nvars, names = {}, ctx.nvars, ctx.names
     zero, one, add, is_zero = ring.zero, ring.one, ring.add, ring.is_zero
-    for sign, term in zip(pieces[::2], pieces[1::2]):
-        factors = term.split("*")
-        first = factors[0]
-        if first[0].isalpha():  # a name; an int starts with a digit
-            coeff = one
-        else:
-            num, _, den = first.partition("/")
-            try:  # ValueError past the digit limit
-                coeff = ring.from_fraction(int(num), int(den)) if den else ring.from_int(int(num))
-            except (ValueError, ZeroDivisionError):
-                return None
-            del factors[0]
-        expo = [0] * nvars
-        for factor in factors:
-            name, _, k = factor.partition("^")
-            idx = names.get(name)
-            if idx is None:
-                return None
-            try:
+    try:
+        for sign, term in zip(pieces[::2], pieces[1::2]):
+            factors = term.split("*")
+            first = factors[0]
+            if first[0].isalpha():  # a name; an int starts with a digit
+                coeff = one
+            else:
+                num, _, den = first.partition("/")
+                coeff = (ring.from_fraction(int(num), int(den)) if den
+                         else ring.from_int(int(num)))
+                del factors[0]
+            expo = [0] * nvars
+            for factor in factors:
+                name, _, k = factor.partition("^")
+                idx = names.get(name)
+                if idx is None:  # spelled another way (x01), or unknown
+                    idx = _grammar_index(ctx, name)
                 expo[idx] += int(k) if k else 1
-            except ValueError:
-                return None
-        if sign == "-":
-            coeff = ring.neg(coeff)
-        key = tuple(expo)
-        s = add(terms.get(key, zero), coeff)
-        if is_zero(s):
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return Poly._of(ctx, ring, terms, None)
+            if sign == "-":
+                coeff = ring.neg(coeff)
+            key = tuple(expo)
+            s = add(terms.get(key, zero), coeff)
+            if is_zero(s):
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+        return Poly._of(ctx, ring, terms, None)
+    except (KeyError, ValueError, ZeroDivisionError):
+        pass  # an unknown name, an int past the digit limit, no inverse
+    _parse_error(text, ctx, ring)
 
 
-def _parse_tokens(text: str, ctx: VarContext, ring) -> Poly:
-    """parse_polynomial by a walk over the tokens: the path of every text the
-    split leaves, and so of every ParseError, with its message and position.
-    An unexpected character anywhere is reported before any grammar error.
+def _grammar_index(ctx: VarContext, name: str) -> int:
+    """The index of a name by the grammar's name rule: ctx.var_index of a
+    name _VARIABLE_RE spells; KeyError for any other."""
+    if not _VARIABLE_RE.fullmatch(name):
+        raise KeyError(name)
+    return ctx.var_index(name)
+
+
+def _parse_error(text: str, ctx: VarContext, ring) -> NoReturn:
+    """Raise the ParseError of a text parse_polynomial cannot read: the
+    first error of a walk over its tokens, with its message and position.
+    An unexpected character anywhere is reported before any grammar error;
+    then the walk checks, term by term in text order, the grammar, each int
+    against the digit limit, each denominator for an inverse and each name,
+    but builds no coefficient, exponent or term.  Finding no error is a bug
+    of the reader, an EngineError.
     """
     tokens = _TOKEN_RE.findall(text)  # skips whitespace, exactly where \S fails
 
@@ -461,65 +456,43 @@ def _parse_tokens(text: str, ctx: VarContext, ring) -> Poly:
     if not tokens:
         raise error("empty polynomial", 0)
     tokens.append(_END)
-    terms, nvars, names = {}, ctx.nvars, ctx.names
-    zero, one, add, is_zero = ring.zero, ring.one, ring.add, ring.is_zero
-    i, sign = (1, "-") if tokens[0][2] == "-" else (0, "+")
+    i = 1 if tokens[0][2] == "-" else 0
     while True:
-        num, name, _, _ = tokens[i]
-        if num:
-            coeff = literal(i)
+        if tokens[i][0]:
+            literal(i)
             i += 1
             if tokens[i][2] == "/":
                 den = literal(i + 1, "expected a denominator after '/'")
                 if den == 0:
                     raise error("zero denominator", i + 1)
-                try:
-                    coeff = ring.from_fraction(coeff, den)
-                except ZeroDivisionError:
-                    raise error(f"{den} has no inverse in {ring!r}", i) from None
+                if ring.is_zero(ring.from_int(den)):
+                    raise error(f"{den} has no inverse in {ring!r}", i)
                 i += 2
-            else:
-                coeff = ring.from_int(coeff)
             more = tokens[i][2] == "*"
             i += more
-        elif name:
-            coeff, more = one, True
+        elif tokens[i][1]:
+            more = True
         else:
             raise error("expected a coefficient or a variable", i)
-        expo = [0] * nvars
         while more:
             name = tokens[i][1]
             if not name:
                 raise error("expected a variable", i)
-            idx = names.get(name)
-            if idx is None and _VARIABLE_RE.fullmatch(name):
-                try:
-                    idx = ctx.var_index(name)
-                except KeyError:
-                    pass
-            if idx is None:
-                raise error(f"unknown variable {name!r}", i)
+            try:
+                _grammar_index(ctx, name)
+            except KeyError:
+                raise error(f"unknown variable {name!r}", i) from None
             i += 1
             if tokens[i][2] == "^":
-                expo[idx] += literal(i + 1, "malformed exponent")
+                literal(i + 1, "malformed exponent")
                 i += 2
-            else:
-                expo[idx] += 1
             more = tokens[i][2] == "*"
             i += more
-        if sign == "-":
-            coeff = ring.neg(coeff)
-        key = tuple(expo)
-        s = add(terms.get(key, zero), coeff)
-        if is_zero(s):
-            terms.pop(key, None)
-        else:
-            terms[key] = s
         sign = tokens[i][2]
         if sign == "+" or sign == "-":
             i += 1
         elif tokens[i] == _END:
-            return Poly._of(ctx, ring, terms, None)
+            raise EngineError(f"parse_polynomial refused {text!r}, which has no parse error")
         else:
             raise error(f"expected '+' or '-', found {''.join(tokens[i])!r}", i)
 
@@ -675,25 +648,17 @@ def exact_div(f: Poly, g: Poly) -> Poly:
 
 
 def derivative(f: Poly, name: str) -> Poly:
+    """The partial derivative in name; distinct terms give distinct terms."""
     idx = f.ctx.var_index(name)
     ring = f.ring
     out = {}
     for e, c in f.terms.items():
         k = e[idx]
-        if k == 0:
-            continue
-        scaled = ring.mul(c, ring.from_int(k))
-        if ring.is_zero(scaled):
-            continue
-        e2 = list(e)
-        e2[idx] = k - 1
-        key = tuple(e2)
-        s = ring.add(out.get(key, ring.zero), scaled)
-        if ring.is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return Poly(f.ctx, ring, out, f.trunc)
+        if k:
+            scaled = ring.mul(c, ring.from_int(k))
+            if not ring.is_zero(scaled):
+                out[e[:idx] + (k - 1,) + e[idx + 1:]] = scaled
+    return Poly._of(f.ctx, ring, out, f.trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -270,16 +270,21 @@ def _corpus():
 
 
 def test_valid_text_takes_the_split_path(monkeypatch):
-    """Every valid input of the benchmark and the goldens parses with no token
-    walk, to the oracle's terms: a pattern edit that sends valid text to the
-    walk would keep every answer and lose the split's speed."""
-    inputs = list(_corpus())
+    """Every valid input of the benchmark and the goldens, and x-names spelled
+    with leading zeros, parse with no token walk, to the oracle's terms: a
+    pattern edit that sends valid text to the walk would keep every answer
+    and lose the split's speed."""
+    QQ = Field.rationals()
+    spelled = [("x01*x002^2 + u1*z", VarContext(2, ("z", "u1")), QQ),
+               ("z^2 - x01^3", VarContext(1), QQ)]
+    inputs = [*_corpus(), *spelled]
     wants = [_outcome(parse_oracle, *item) for item in inputs]
+    assert all(want[0] == "ok" for want in wants[-len(spelled):])
 
     def no_walk(text, ctx, ring):
         raise AssertionError(f"token walk on {text!r}")
 
-    monkeypatch.setattr(poly, "_parse_tokens", no_walk)
+    monkeypatch.setattr(poly, "_parse_error", no_walk)
     valid = [(item, want) for item, want in zip(inputs, wants) if want[0] == "ok"]
     for item, want in valid:
         assert _outcome(parse_polynomial, *item) == want, item

@@ -310,6 +310,29 @@ class TestKernelOracles:
             # the kernel keeps the oracle's insertion order
             assert list(got.terms) == list(want.terms)
 
+    def test_add(self):
+        # the exact sum cut by hand: its nonzero terms below min(certificates,
+        # T) in insertion order, under min(certificates), which tightens to
+        # that cut only when a term is dropped
+        rng = random.Random(1012)
+        ctx = VarContext(2)
+        dropped = 0
+        for _ in range(600):
+            field = rng.choice(SWEEP_FIELDS)
+            f, g, T = self.operands(rng, ctx, field)
+            exact = dict(f.terms)
+            for e, c in g.terms.items():
+                exact[e] = field.add(exact.get(e, field.zero), c)
+            exact = {e: c for e, c in exact.items() if not field.is_zero(c)}
+            cut = _min_trunc(f.trunc, g.trunc, T)
+            kept = {e: c for e, c in exact.items() if cut is None or e[0] + e[1] < cut}
+            tr = cut if len(kept) < len(exact) else _min_trunc(f.trunc, g.trunc)
+            dropped += len(kept) < len(exact)
+            got = f.add(g, T)
+            assert_same(got, Poly(ctx, field, kept, tr))
+            assert list(got.terms) == list(kept)
+        assert dropped >= 100
+
     def test_mul_across_contexts(self, QQ):
         rng = random.Random(1011)
         short, long = VarContext(1), VarContext(1, ("z", "u1"))

@@ -244,6 +244,24 @@ def test_engine_patterns_compile_on_python_3_10():
     assert patterns >= 4 and found == []
 
 
+def test_parse_errors_come_from_one_walk():
+    # parse_polynomial builds every polynomial; a ParseError is constructed
+    # only by the walk that names it, poly._parse_error
+    inside, found = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            walk = (path.name == "poly.py" and isinstance(top, ast.FunctionDef)
+                    and top.name == "_parse_error")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "ParseError" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    if walk:
+                        inside += 1
+                    else:
+                        found.append(f"{path.name}:{node.lineno}")
+    assert inside >= 1 and found == []
+
+
 def test_engine_imports_no_dataclasses():
     # the engine's records are NamedTuples or __slots__ classes: a fresh
     # import creates every class, and a dataclass costs about ten times a
